@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke tier-smoke lint-corpus perf-smoke perf-baseline soak-smoke campaign-smoke campaign-scale clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke tier-smoke lint-corpus perf-smoke perf-baseline soak-smoke campaign-smoke campaign-scale drbench-smoke clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -138,6 +138,15 @@ campaign-scale:
 	target/release/campaignctl run --cases 10000 --shards 8 --workers 4 \
 	  --checkpoint-every 256 --assert-resident-under 262144 \
 	  --report target/campaign-smoke/scale-report.json
+
+## The CI `drbench-smoke` job: the benchmark's self-test, then one traced
+## 60-case fix-service run. drbench exits 1 unless the serial, pipelined
+## and replay digests agree and the replayed validation steps match what
+## the fix arm reported.
+drbench-smoke:
+	$(CARGO) test --offline --manifest-path drbench/Cargo.toml
+	$(CARGO) run --release -q --offline --manifest-path drbench/Cargo.toml -- \
+	  --workload fix-service --cases 60 --trace 1
 
 ## The CI `soak-smoke` job: the streaming-soak test at reduced scale —
 ## shadow GC + clock reclamation must keep a churning workload's

@@ -53,7 +53,7 @@ use crate::pipeline::{DrFix, FixOutcome, PipelineConfig};
 use crate::raceinfo;
 use corpus::stream::{CorpusStream, StreamConfig};
 use corpus::RaceCase;
-use govm::StopReason;
+use govm::{CompileOptions, StopReason};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -462,7 +462,10 @@ pub struct CampaignMetrics {
     pub wall_seconds: f64,
     /// Cases processed per stage, pipeline order (see [`STAGES`]).
     pub stage_cases: Vec<u64>,
-    /// Per-stage busy seconds (sum over that stage's workers).
+    /// Per-stage busy seconds: the time spent inside the stage's work on
+    /// each case, summed over the stage's workers. Waiting on a channel,
+    /// the claim gate or a hand-off is not busy time, so a stage's share
+    /// of the sum is its share of the work.
     pub stage_busy_seconds: Vec<f64>,
     /// Successful claims from the sharded queues.
     pub queue_pops: u64,
@@ -491,7 +494,7 @@ pub struct CampaignMetrics {
 }
 
 impl CampaignMetrics {
-    /// Cases/second through stage `i` (by its busy time).
+    /// Cases/second through stage `i` (by its busy time, waits excluded).
     pub fn stage_rate(&self, i: usize) -> f64 {
         let busy = self.stage_busy_seconds.get(i).copied().unwrap_or(0.0);
         let cases = self.stage_cases.get(i).copied().unwrap_or(0);
@@ -707,7 +710,10 @@ fn stage_detect(cfg: &CampaignConfig, stream: &CorpusStream, index: usize, shard
     let case = stream.case(index);
     let bytes = CorpusStream::case_bytes(&case);
     let drfix = DrFix::new(per_case_cfg(cfg, index), None);
-    let (stop, steps, shadow, report) = match drfix.detect_outcome(&case.files, &case.test) {
+    let detected = govm::compile_sources(&case.files, &CompileOptions::default())
+        .ok()
+        .map(|prog| drfix.detect_outcome(&prog, &case.test));
+    let (stop, steps, shadow, report) = match detected {
         Some(out) => (
             out.stop,
             out.counters.vm_steps,
@@ -739,29 +745,30 @@ fn stage_detect(cfg: &CampaignConfig, stream: &CorpusStream, index: usize, shard
     }
 }
 
-/// Stage 2 — diagnose: extract fix locations from the race report.
+/// Stage 2 — diagnose: extract fix locations from the race report (one
+/// parse of each case file).
 fn stage_diagnose(item: &mut Item) {
     if let (Some(report), Some(case)) = (&item.report, &item.case) {
         item.info = Some(raceinfo::extract(report, &case.files));
     }
 }
 
-/// Stage 3 — fix: run the fix arm's static half. With a tournament this
-/// is candidate enumeration + lint repair (zero VM steps); the
-/// single-path loop interleaves generation and validation by design, so
-/// it runs whole here and stage 4 passes it through. The case sources
+/// Stage 3 — fix: run the fix arm's static half over the stage's one
+/// parse of the case sources. With a tournament this is candidate
+/// enumeration + lint repair (zero VM steps); the single-path loop
+/// interleaves generation and validation by design, so it runs whole
+/// here and stage 4 passes it through. The ASTs, then the case sources,
 /// are dropped at the end — later stages never need them.
 fn stage_fix(cfg: &CampaignConfig, item: &mut Item, resident: &Resident) {
     if cfg.mode == CampaignMode::Fix {
-        let pcfg = per_case_cfg(cfg, item.index);
-        let tournament = pcfg.tournament.clone();
-        let drfix = DrFix::new(pcfg, None);
-        match (&item.case, &item.report, &item.info) {
-            (Some(case), Some(report), Some(info)) => {
-                if let Some(tcfg) = tournament {
-                    item.build = Some(drfix.tournament_pool(&case.files, info, &tcfg));
-                } else {
-                    item.fix = Some(drfix.fix_from_report(&case.files, &case.test, report));
+        let drfix = DrFix::new(per_case_cfg(cfg, item.index), None);
+        match (&item.case, &item.info) {
+            (Some(case), Some(info)) => {
+                // A raced case compiled, so its sources parse.
+                let parsed = golite::parse_sources(&case.files).unwrap_or_default();
+                match &drfix.config().tournament {
+                    Some(tcfg) => item.build = Some(drfix.tournament_pool(&parsed, info, tcfg)),
+                    None => item.fix = Some(drfix.fix_single_path(&parsed, &case.test, info)),
                 }
             }
             _ => item.fix = Some(DrFix::unreproduced_outcome()),
@@ -994,23 +1001,17 @@ fn run_serial(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>
             break;
         };
         peak_in_flight = 1;
-        let t0 = Instant::now();
-        let mut item = stage_detect(cfg, &stream, index, shard);
+        let mut item = timed(&mut stage_busy[0], || {
+            stage_detect(cfg, &stream, index, shard)
+        });
         resident.add(item.bytes);
         stage_cases[0] += 1;
-        let t1 = Instant::now();
-        stage_busy[0] += (t1 - t0).as_secs_f64();
-        stage_diagnose(&mut item);
+        timed(&mut stage_busy[1], || stage_diagnose(&mut item));
         stage_cases[1] += 1;
-        let t2 = Instant::now();
-        stage_busy[1] += (t2 - t1).as_secs_f64();
-        stage_fix(cfg, &mut item, &resident);
+        timed(&mut stage_busy[2], || stage_fix(cfg, &mut item, &resident));
         stage_cases[2] += 1;
-        let t3 = Instant::now();
-        stage_busy[2] += (t3 - t2).as_secs_f64();
-        let (shard, outcome) = stage_validate(cfg, item);
+        let (shard, outcome) = timed(&mut stage_busy[3], || stage_validate(cfg, item));
         stage_cases[3] += 1;
-        stage_busy[3] += t3.elapsed().as_secs_f64();
         collector.accept(shard, outcome);
     }
 
@@ -1038,6 +1039,14 @@ fn run_serial(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>
         metrics,
         interrupted,
     }
+}
+
+/// Runs one stage call, adding its wall time to `busy`.
+fn timed<T>(busy: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *busy += t0.elapsed().as_secs_f64();
+    out
 }
 
 /// Receives from a shared receiver (std mpsc receivers are single-
@@ -1108,7 +1117,7 @@ fn run_pipelined(
             let (stage_cases, stage_busy, depth) = (&stage_cases, &stage_busy, &depths[0]);
             let home = w % cfg.shards.max(1);
             s.spawn(move || {
-                let t0 = Instant::now();
+                let mut busy = 0f64;
                 loop {
                     if halt.load(Ordering::Relaxed) || !gate.acquire() {
                         break;
@@ -1117,7 +1126,7 @@ fn run_pipelined(
                         gate.release();
                         break;
                     };
-                    let item = stage_detect(cfg, stream, index, shard);
+                    let item = timed(&mut busy, || stage_detect(cfg, stream, index, shard));
                     resident.add(item.bytes);
                     stage_cases[0].fetch_add(1, Ordering::Relaxed);
                     depth.sending();
@@ -1125,7 +1134,7 @@ fn run_pipelined(
                         break;
                     }
                 }
-                stage_busy.lock().expect("busy poisoned")[0] += t0.elapsed().as_secs_f64();
+                stage_busy.lock().expect("busy poisoned")[0] += busy;
             });
         }
         drop(tx_ab);
@@ -1136,17 +1145,17 @@ fn run_pipelined(
             let (stage_cases, stage_busy) = (&stage_cases, &stage_busy);
             let (d_in, d_out) = (&depths[0], &depths[1]);
             s.spawn(move || {
-                let t0 = Instant::now();
+                let mut busy = 0f64;
                 while let Ok(mut item) = rx_ab.recv() {
                     d_in.received();
-                    stage_diagnose(&mut item);
+                    timed(&mut busy, || stage_diagnose(&mut item));
                     stage_cases[1].fetch_add(1, Ordering::Relaxed);
                     d_out.sending();
                     if tx.send(item).is_err() {
                         break;
                     }
                 }
-                stage_busy.lock().expect("busy poisoned")[1] += t0.elapsed().as_secs_f64();
+                stage_busy.lock().expect("busy poisoned")[1] += busy;
             });
         }
         drop(tx_bc);
@@ -1158,17 +1167,17 @@ fn run_pipelined(
             let (stage_cases, stage_busy) = (&stage_cases, &stage_busy);
             let (d_in, d_out) = (&depths[1], &depths[2]);
             s.spawn(move || {
-                let t0 = Instant::now();
+                let mut busy = 0f64;
                 while let Some(mut item) = recv_shared(rx) {
                     d_in.received();
-                    stage_fix(cfg, &mut item, resident);
+                    timed(&mut busy, || stage_fix(cfg, &mut item, resident));
                     stage_cases[2].fetch_add(1, Ordering::Relaxed);
                     d_out.sending();
                     if tx.send(item).is_err() {
                         break;
                     }
                 }
-                stage_busy.lock().expect("busy poisoned")[2] += t0.elapsed().as_secs_f64();
+                stage_busy.lock().expect("busy poisoned")[2] += busy;
             });
         }
         drop(tx_cd);
@@ -1179,16 +1188,16 @@ fn run_pipelined(
             let rx = &rx_cd;
             let (stage_cases, stage_busy, d_in) = (&stage_cases, &stage_busy, &depths[2]);
             s.spawn(move || {
-                let t0 = Instant::now();
+                let mut busy = 0f64;
                 while let Some(item) = recv_shared(rx) {
                     d_in.received();
-                    let out = stage_validate(cfg, item);
+                    let out = timed(&mut busy, || stage_validate(cfg, item));
                     stage_cases[3].fetch_add(1, Ordering::Relaxed);
                     if tx.send(out).is_err() {
                         break;
                     }
                 }
-                stage_busy.lock().expect("busy poisoned")[3] += t0.elapsed().as_secs_f64();
+                stage_busy.lock().expect("busy poisoned")[3] += busy;
             });
         }
         drop(tx_out);

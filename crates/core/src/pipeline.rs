@@ -4,15 +4,22 @@
 //! LCA), and for each `(location, scope, example, retry)` combination ask
 //! the model for a patch, splice it into the codebase, and validate under
 //! many schedules. The first validated patch wins.
+//!
+//! A stage parses each source once and lends the AST to every consumer in
+//! it — race-info extraction, the prompt builder, the model, the splice
+//! and validation. ASTs are borrowed, never cloned, and never leave the
+//! stage that parsed them: what crosses a stage boundary is text.
 
 use crate::database::{ExampleDb, RagMode};
-use crate::raceinfo::{self, FixLocation, LocationKind};
-use crate::validate::{validate_patch_report, ValidationOptions, Verdict};
-use golite::ast::Decl;
+use crate::raceinfo::{self, FixLocation, LocationKind, RaceInfo};
+use crate::validate::{build_and_gate, run_schedules, ValidationOptions, Verdict};
+use golite::ast::{Decl, Import};
 use golite::visit::RenamePkg;
-use govm::{compile_sources, CompileOptions, SchedulePolicy, TestConfig, VmOptions};
+use golite::ParsedFile;
+use govm::{CompileOptions, SchedulePolicy, TestConfig, VmOptions};
 use serde::{Deserialize, Serialize};
-use synthllm::{Feedback, FixRequest, ModelTier, Scope, SynthLlm};
+use std::borrow::Cow;
+use synthllm::{Example, Feedback, FixRequest, ModelTier, RaceCategory, Scope, SynthLlm};
 
 /// Pipeline configuration — every ablation of §5 is a toggle here.
 #[derive(Debug, Clone)]
@@ -144,6 +151,40 @@ pub struct FixOutcome {
     pub tournament: Option<crate::tournament::TournamentReport>,
 }
 
+impl FixOutcome {
+    /// The starting outcome of a fix arm for the race `info` describes:
+    /// nothing fixed, nothing spent yet.
+    pub(crate) fn diagnosed(info: &RaceInfo) -> FixOutcome {
+        FixOutcome {
+            bug_hash: Some(info.bug_hash.clone()),
+            racy_var: Some(info.racy_var.clone()),
+            ..FixOutcome::blank()
+        }
+    }
+
+    fn blank() -> FixOutcome {
+        FixOutcome {
+            fixed: false,
+            patch: None,
+            strategy: None,
+            location: None,
+            scope: None,
+            example_used: false,
+            example_category: None,
+            llm_calls: 0,
+            validations: 0,
+            rejected_static: 0,
+            validation_vm_steps: 0,
+            duration_minutes: 0.0,
+            patch_loc: None,
+            failure: None,
+            bug_hash: None,
+            racy_var: None,
+            tournament: None,
+        }
+    }
+}
+
 /// The Dr.Fix system: configuration plus the example database.
 pub struct DrFix<'db> {
     pub(crate) cfg: PipelineConfig,
@@ -164,194 +205,135 @@ impl<'db> DrFix<'db> {
     /// Runs the full loop on one case: `files` is the codebase, `test`
     /// the test that exercises the race.
     ///
-    /// Structured as detect (`DrFix::reproduce`) then fix
-    /// (`DrFix::fix_from_report`) so the campaign orchestrator can run
-    /// the two halves in different pipeline stages while sharing this
-    /// exact code path.
+    /// The sources are parsed once, and detection, diagnosis and the fix
+    /// arm borrow the ASTs. The campaign orchestrator runs the same
+    /// halves — detect, diagnose, the fix arm's static half, validation —
+    /// in separate pipeline stages, each parsing for itself.
     pub fn fix_case(&self, files: &[(String, String)], test: &str) -> FixOutcome {
-        match self.reproduce(files, test) {
-            Some(report) => self.fix_from_report(files, test, &report),
-            None => Self::unreproduced_outcome(),
-        }
+        // Sources that do not parse do not build, so nothing reproduces.
+        let Ok(parsed) = golite::parse_sources(files) else {
+            return Self::unreproduced_outcome();
+        };
+        let report = govm::compile_package(&parsed, &CompileOptions::default())
+            .ok()
+            .and_then(|prog| self.detect_outcome(&prog, test).races.into_iter().next());
+        let Some(report) = report else {
+            return Self::unreproduced_outcome();
+        };
+        let info = raceinfo::extract_parsed(&report, &parsed);
+        let Some(tcfg) = &self.cfg.tournament else {
+            return self.fix_single_path(&parsed, test, &info);
+        };
+        let build = self.tournament_pool(&parsed, &info, tcfg);
+        // Validation works from text: release the ASTs first.
+        drop(parsed);
+        self.tournament_decide(test, &info, tcfg, build)
     }
 
     /// The outcome of a case whose race never reproduced under the
     /// detection schedules — identical whichever arm would have run.
     pub(crate) fn unreproduced_outcome() -> FixOutcome {
         FixOutcome {
-            fixed: false,
-            patch: None,
-            strategy: None,
-            location: None,
-            scope: None,
-            example_used: false,
-            example_category: None,
-            llm_calls: 0,
-            validations: 0,
-            rejected_static: 0,
-            validation_vm_steps: 0,
             duration_minutes: 4.0,
-            patch_loc: None,
             failure: Some(FailureKind::NotReproduced),
-            bug_hash: None,
-            racy_var: None,
-            tournament: None,
+            ..FixOutcome::blank()
         }
     }
 
-    /// Everything after detection: diagnose the reproduced race and run
-    /// the configured fix arm (single-path loop or tournament).
-    pub(crate) fn fix_from_report(
+    /// The single-path loop (Listing 13) over the stage's parsed sources:
+    /// one candidate per `(location, scope, example, retry)`, validated at
+    /// once; the first validated patch wins.
+    pub(crate) fn fix_single_path(
         &self,
-        files: &[(String, String)],
+        parsed: &[ParsedFile],
         test: &str,
-        report: &racedet::RaceReport,
+        info: &RaceInfo,
     ) -> FixOutcome {
-        if let Some(tcfg) = self.cfg.tournament.clone() {
-            return self.fix_from_report_tournament(files, test, report, &tcfg);
-        }
-        let mut out = FixOutcome {
-            fixed: false,
-            patch: None,
-            strategy: None,
-            location: None,
-            scope: None,
-            example_used: false,
-            example_category: None,
-            llm_calls: 0,
-            validations: 0,
-            rejected_static: 0,
-            validation_vm_steps: 0,
-            duration_minutes: 0.0,
-            patch_loc: None,
-            failure: None,
-            bug_hash: None,
-            racy_var: None,
-            tournament: None,
-        };
-        let info = raceinfo::extract(report, files);
-        out.bug_hash = Some(info.bug_hash.clone());
-        out.racy_var = Some(info.racy_var.clone());
-
+        let mut out = FixOutcome::diagnosed(info);
         let llm = SynthLlm::new(self.cfg.tier, self.cfg.seed);
-
-        // Visible files: internal code only (§5.6: races whose frames sit
-        // in external/vendored code do not fit the workflow).
-        let visible = |name: &str| !name.starts_with("vendor_");
-
-        for kind in &self.cfg.locations {
-            let locations: Vec<&FixLocation> = info
-                .locations
-                .iter()
-                .filter(|l| l.kind == *kind && visible(&l.file))
-                .collect();
-            for loc in locations {
-                for &scope in &self.cfg.scopes {
-                    let Some((code, context_funcs)) = self.scope_code(files, loc, scope) else {
-                        continue;
+        for site in self.sites(parsed, info) {
+            for arm in &site.arms {
+                let mut feedback: Vec<Feedback> = Vec::new();
+                for _attempt in 0..=self.cfg.retries {
+                    let shown = if self.cfg.feedback {
+                        feedback.clone()
+                    } else {
+                        Vec::new()
                     };
-                    // The empty example is always attempted first (§4.4);
-                    // retrieval activates only if needed (§5.7.1).
-                    let mut example_arms = vec![None];
-                    if self.cfg.rag != RagMode::None {
-                        if let Some(db) = self.db {
-                            if let Some((ex, cat, _score)) =
-                                db.retrieve(self.cfg.rag, &code, &info.racy_var, &loc.lines)
-                            {
-                                example_arms.push(Some((ex, cat)));
-                            }
+                    let req = site.request(info, arm, shown);
+                    out.llm_calls += 1;
+                    let resp = llm.generate(&req, &site.prompt);
+                    let Some(new_code) = resp.code else {
+                        break; // the model declined this arm
+                    };
+                    let file = &site.loc.file;
+                    let spliced = splice(parsed, site.loc, site.scope, &new_code).and_then(|src| {
+                        let ast = golite::parse_file(&src).map_err(|e| e.to_string())?;
+                        Ok((src, ast))
+                    });
+                    let (src, ast) = match spliced {
+                        Ok(s) => s,
+                        Err(e) => {
+                            feedback.push(Feedback {
+                                strategy: resp.strategy,
+                                message: format!("build failed: {e}"),
+                            });
+                            continue;
                         }
+                    };
+                    let patched = patched_sources(parsed, file, &src);
+                    out.validations += 1;
+                    // Each validation campaign samples a fresh schedule
+                    // set: deriving the seed from the attempt ordinal is
+                    // what lets feedback retries escape schedule-sampling
+                    // luck.
+                    let validation_seed = crate::fleet::derive_validation_seed(
+                        self.cfg.seed,
+                        &info.bug_hash,
+                        out.validations,
+                    );
+                    // The candidate's parse is dropped before any
+                    // schedule runs.
+                    let built = build_and_gate(
+                        &patched_view(parsed, &patched, file, &ast),
+                        test,
+                        &ValidationOptions {
+                            static_gate: self.cfg.static_gate,
+                        },
+                    );
+                    drop(ast);
+                    let report = match built {
+                        Ok((prog, outcome)) => run_schedules(
+                            &prog,
+                            test,
+                            &info.bug_hash,
+                            &self.validation_config(validation_seed),
+                            outcome,
+                        ),
+                        Err(outcome) => outcome,
+                    };
+                    out.validation_vm_steps += report.vm_steps;
+                    if report.rejected_static {
+                        out.rejected_static += 1;
                     }
-                    for arm in &example_arms {
-                        let mut feedback: Vec<Feedback> = Vec::new();
-                        for _attempt in 0..=self.cfg.retries {
-                            let req = FixRequest {
-                                code: code.clone(),
-                                scope,
-                                racy_var: info.racy_var.clone(),
-                                racy_lines: loc.lines.clone(),
-                                example: arm.as_ref().map(|(e, _)| e.clone()),
-                                feedback: if self.cfg.feedback {
-                                    feedback.clone()
-                                } else {
-                                    Vec::new()
-                                },
-                                context_funcs,
-                                focus_func: Some(loc.function.clone()),
-                                case_key: info.bug_hash.clone(),
-                            };
-                            out.llm_calls += 1;
-                            let resp = llm.generate(&req);
-                            let Some(new_code) = resp.code else {
-                                break; // the model declined this arm
-                            };
-                            let patched = match self.integrate(files, loc, scope, &new_code) {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    feedback.push(Feedback {
-                                        strategy: resp.strategy,
-                                        message: format!("build failed: {e}"),
-                                    });
-                                    continue;
-                                }
-                            };
-                            out.validations += 1;
-                            // Each validation campaign samples a fresh
-                            // schedule set: deriving the seed from the
-                            // attempt ordinal is what lets feedback
-                            // retries escape schedule-sampling luck.
-                            let validation_seed = crate::fleet::derive_validation_seed(
-                                self.cfg.seed,
-                                &info.bug_hash,
-                                out.validations,
-                            );
-                            let vcfg = TestConfig {
-                                runs: self.cfg.validation_runs,
-                                seed: validation_seed,
-                                stop_on_race: false,
-                                policy: self.cfg.validate_policy.clone(),
-                                max_total_steps: self.cfg.validation_step_budget,
-                                dedup_streak: self.cfg.validation_dedup_streak,
-                                vm: VmOptions {
-                                    tier: self.cfg.vm_tier,
-                                    ..VmOptions::default()
-                                },
-                                ..TestConfig::default()
-                            };
-                            let report = validate_patch_report(
-                                &patched,
-                                test,
-                                &info.bug_hash,
-                                &vcfg,
-                                &ValidationOptions {
-                                    static_gate: self.cfg.static_gate,
-                                },
-                            );
-                            out.validation_vm_steps += report.vm_steps;
-                            if report.rejected_static {
-                                out.rejected_static += 1;
-                            }
-                            match report.verdict {
-                                Verdict::Ok => {
-                                    out.fixed = true;
-                                    out.patch_loc = Some(patch_loc(files, &patched));
-                                    out.patch = Some(patched);
-                                    out.strategy = resp.strategy;
-                                    out.location = Some(*kind);
-                                    out.scope = Some(scope);
-                                    out.example_used = arm.is_some();
-                                    out.example_category = arm.as_ref().map(|(_, c)| *c);
-                                    out.duration_minutes =
-                                        duration_minutes(out.llm_calls, out.validations);
-                                    return out;
-                                }
-                                Verdict::Fail(msg) => {
-                                    feedback.push(Feedback {
-                                        strategy: resp.strategy,
-                                        message: msg,
-                                    });
-                                }
-                            }
+                    match report.verdict {
+                        Verdict::Ok => {
+                            out.fixed = true;
+                            out.patch_loc = Some(patch_loc(parsed, file, &src));
+                            out.patch = Some(patched);
+                            out.strategy = resp.strategy;
+                            out.location = Some(site.loc.kind);
+                            out.scope = Some(site.scope);
+                            out.example_used = arm.is_some();
+                            out.example_category = arm.as_ref().map(|(_, c)| *c);
+                            out.duration_minutes = duration_minutes(out.llm_calls, out.validations);
+                            return out;
+                        }
+                        Verdict::Fail(msg) => {
+                            feedback.push(Feedback {
+                                strategy: resp.strategy,
+                                message: msg,
+                            });
                         }
                     }
                 }
@@ -362,17 +344,11 @@ impl<'db> DrFix<'db> {
         out
     }
 
-    /// Runs the detection campaign, returning the full [`govm`] test
-    /// outcome (stop reason, counters, any exposed races) — `None` when
-    /// the sources do not compile. [`DrFix::reproduce`] is the
-    /// race-or-nothing view; the campaign orchestrator keeps the whole
-    /// outcome for its per-stage metrics and stop-reason tallies.
-    pub(crate) fn detect_outcome(
-        &self,
-        files: &[(String, String)],
-        test: &str,
-    ) -> Option<govm::TestOutcome> {
-        let prog = compile_sources(files, &CompileOptions::default()).ok()?;
+    /// Runs the detection campaign on the compiled case, returning the
+    /// full [`govm`] test outcome (stop reason, counters, any exposed
+    /// races); the campaign orchestrator keeps the whole outcome for its
+    /// per-stage metrics and stop-reason tallies.
+    pub(crate) fn detect_outcome(&self, prog: &govm::Program, test: &str) -> govm::TestOutcome {
         let cfg = TestConfig {
             runs: self.cfg.detect_runs,
             seed: self.cfg.seed,
@@ -384,69 +360,193 @@ impl<'db> DrFix<'db> {
             },
             ..TestConfig::default()
         };
-        Some(govm::run_test_many(&prog, test, &cfg))
+        govm::run_test_many(prog, test, &cfg)
     }
 
-    /// Reproduces the race, returning the first report.
-    pub(crate) fn reproduce(
-        &self,
-        files: &[(String, String)],
-        test: &str,
-    ) -> Option<racedet::RaceReport> {
-        self.detect_outcome(files, test)?.races.into_iter().next()
-    }
-
-    /// Extracts the prompt code for a `(location, scope)` pair.
-    pub(crate) fn scope_code(
-        &self,
-        files: &[(String, String)],
-        loc: &FixLocation,
-        scope: Scope,
-    ) -> Option<(String, usize)> {
-        let (_, src) = files.iter().find(|(n, _)| n == &loc.file)?;
-        let parsed = golite::parse_file(src).ok()?;
-        let context_funcs = parsed.funcs().count();
-        match scope {
-            Scope::File => Some((src.clone(), context_funcs)),
-            Scope::Func => {
-                let wrapper = func_scope_wrapper(&parsed, &loc.function)?;
-                Some((wrapper, 1))
-            }
+    /// The validation campaign a candidate runs under `seed`.
+    pub(crate) fn validation_config(&self, seed: u64) -> TestConfig {
+        TestConfig {
+            runs: self.cfg.validation_runs,
+            seed,
+            stop_on_race: false,
+            policy: self.cfg.validate_policy.clone(),
+            max_total_steps: self.cfg.validation_step_budget,
+            dedup_streak: self.cfg.validation_dedup_streak,
+            vm: VmOptions {
+                tier: self.cfg.vm_tier,
+                ..VmOptions::default()
+            },
+            ..TestConfig::default()
         }
     }
 
-    /// Splices the model's output back into the codebase.
-    pub(crate) fn integrate(
-        &self,
-        files: &[(String, String)],
-        loc: &FixLocation,
-        scope: Scope,
-        new_code: &str,
-    ) -> Result<Vec<(String, String)>, String> {
-        let patched_file = match scope {
-            Scope::File => {
-                golite::parse_file(new_code).map_err(|e| e.to_string())?;
-                new_code.to_owned()
-            }
-            Scope::Func => {
-                let (_, orig_src) = files
+    /// The `(location, scope)` sites both fix arms prompt at, in attempt
+    /// order: configured location kinds, the locations of each kind in
+    /// extraction order, then the configured scopes. Lazy, so a loop that
+    /// stops early builds no later prompt.
+    pub(crate) fn sites<'a>(
+        &'a self,
+        parsed: &'a [ParsedFile],
+        info: &'a RaceInfo,
+    ) -> impl Iterator<Item = Site<'a>> + 'a {
+        let (cfg, db): (&'a PipelineConfig, Option<&'a ExampleDb>) = (&self.cfg, self.db);
+        cfg.locations
+            .iter()
+            .flat_map(move |&kind| {
+                // Visible files: internal code only (§5.6: races whose
+                // frames sit in external/vendored code do not fit the
+                // workflow).
+                info.locations
                     .iter()
-                    .find(|(n, _)| n == &loc.file)
-                    .ok_or("location file vanished")?;
-                integrate_func_patch(orig_src, new_code, &loc.function)?
+                    .filter(move |l| l.kind == kind && !l.file.starts_with("vendor_"))
+            })
+            .flat_map(move |loc| {
+                cfg.scopes
+                    .iter()
+                    .filter_map(move |&scope| Site::new(cfg, db, parsed, info, loc, scope))
+            })
+    }
+}
+
+/// One `(location, scope)` the fix arms prompt at: the prompt, its one
+/// parse, and the example arms retrieval offers for it.
+pub(crate) struct Site<'a> {
+    pub(crate) loc: &'a FixLocation,
+    pub(crate) scope: Scope,
+    /// The prompt code (`FixRequest::code`).
+    code: String,
+    /// The prompt parsed once: the stage's AST of the original file at
+    /// file scope, the wrapper's own parse at function scope.
+    pub(crate) prompt: Cow<'a, golite::File>,
+    context_funcs: usize,
+    /// The empty example first (§4.4), then the retrieved one, if any —
+    /// retrieval only helps when the empty example fails (§5.7.1).
+    pub(crate) arms: Vec<Option<(Example, RaceCategory)>>,
+}
+
+impl<'a> Site<'a> {
+    /// Builds the site's prompt from the stage's parse of `loc.file`;
+    /// `None` when the file or the function is not there.
+    fn new(
+        cfg: &PipelineConfig,
+        db: Option<&ExampleDb>,
+        parsed: &'a [ParsedFile],
+        info: &RaceInfo,
+        loc: &'a FixLocation,
+        scope: Scope,
+    ) -> Option<Site<'a>> {
+        let (_, src, file) = parsed.iter().find(|(n, _, _)| n == &loc.file)?;
+        let (code, prompt, context_funcs) = match scope {
+            Scope::File => (src.clone(), Cow::Borrowed(file), file.funcs().count()),
+            Scope::Func => {
+                let code = func_scope_wrapper(file, &loc.function)?;
+                // Printed from an AST, so it parses.
+                let prompt = golite::parse_file(&code).ok()?;
+                (code, Cow::Owned(prompt), 1)
             }
         };
-        Ok(files
-            .iter()
-            .map(|(n, s)| {
-                if n == &loc.file {
-                    (n.clone(), patched_file.clone())
-                } else {
-                    (n.clone(), s.clone())
-                }
-            })
-            .collect())
+        let mut arms = vec![None];
+        if cfg.rag != RagMode::None {
+            if let Some((ex, cat, _score)) =
+                db.and_then(|db| db.retrieve(cfg.rag, &code, &info.racy_var, &loc.lines))
+            {
+                arms.push(Some((ex, cat)));
+            }
+        }
+        Some(Site {
+            loc,
+            scope,
+            code,
+            prompt,
+            context_funcs,
+            arms,
+        })
     }
+
+    /// The prompt for one example arm with the given feedback.
+    pub(crate) fn request(
+        &self,
+        info: &RaceInfo,
+        arm: &Option<(Example, RaceCategory)>,
+        feedback: Vec<Feedback>,
+    ) -> FixRequest {
+        FixRequest {
+            code: self.code.clone(),
+            scope: self.scope,
+            racy_var: info.racy_var.clone(),
+            racy_lines: self.loc.lines.clone(),
+            example: arm.as_ref().map(|(e, _)| e.clone()),
+            feedback,
+            context_funcs: self.context_funcs,
+            focus_func: Some(self.loc.function.clone()),
+            case_key: info.bug_hash.clone(),
+        }
+    }
+}
+
+/// Splices the model's output for `loc` at `scope` into the original
+/// file and returns the patched file's text. File-scope output is the
+/// whole file, taken as is; function-scope output is a wrapper, parsed
+/// here once and spliced into the stage's parse of the original.
+pub(crate) fn splice(
+    parsed: &[ParsedFile],
+    loc: &FixLocation,
+    scope: Scope,
+    new_code: &str,
+) -> Result<String, String> {
+    match scope {
+        Scope::File => Ok(new_code.to_owned()),
+        Scope::Func => {
+            let (_, _, original) = parsed
+                .iter()
+                .find(|(n, _, _)| n == &loc.file)
+                .ok_or("location file vanished")?;
+            let wrapper = golite::parse_file(new_code).map_err(|e| e.to_string())?;
+            splice_func_patch(original, wrapper, &loc.function)
+        }
+    }
+}
+
+/// The case's sources with `file` rewritten to `src`.
+pub(crate) fn patched_sources(
+    parsed: &[ParsedFile],
+    file: &str,
+    src: &str,
+) -> Vec<(String, String)> {
+    parsed
+        .iter()
+        .map(|(name, orig, _)| {
+            let text = if name == file { src } else { orig };
+            (name.clone(), text.to_owned())
+        })
+        .collect()
+}
+
+/// A patched codebase as `(name, source, ast)` triples for the compiler
+/// and the analyzer: `ast`, the parse of the rewritten `file`, stands for
+/// that file and the stage's originals for every other.
+pub(crate) fn patched_view<'a>(
+    parsed: &'a [ParsedFile],
+    patched: &[(String, String)],
+    file: &str,
+    ast: &'a golite::File,
+) -> Vec<(String, String, &'a golite::File)> {
+    parsed
+        .iter()
+        .zip(patched)
+        .map(|((name, _, orig), (_, src))| {
+            let ast = if name == file { ast } else { orig };
+            (name.clone(), src.clone(), ast)
+        })
+        .collect()
+}
+
+/// Changed-line count of a patch that rewrote `file` to `src`.
+pub(crate) fn patch_loc(parsed: &[ParsedFile], file: &str, src: &str) -> usize {
+    parsed
+        .iter()
+        .find(|(n, _, _)| n == file)
+        .map_or(0, |(_, orig, _)| corpus::diff_lines(orig, src))
 }
 
 /// Builds the `Scope::Func` prompt wrapper: a one-function file carrying
@@ -467,32 +567,40 @@ pub fn func_scope_wrapper(parsed: &golite::ast::File, func_name: &str) -> Option
     Some(wrapper)
 }
 
-/// Splices a function-scope patch (a wrapper file holding the revised
-/// function plus any new imports/globals/types) into the original file.
-pub fn integrate_func_patch(
-    original: &str,
-    wrapper: &str,
+/// Splices a function-scope patch — the model's wrapper file, holding the
+/// revised function plus any new imports, globals and types — into the
+/// original file and prints the result. The wrapper's parse is consumed;
+/// the original is borrowed and printed around the revised function, never
+/// cloned.
+pub fn splice_func_patch(
+    original: &golite::File,
+    mut patch: golite::File,
     func_name: &str,
 ) -> Result<String, String> {
-    let mut orig = golite::parse_file(original).map_err(|e| e.to_string())?;
-    let mut patch = golite::parse_file(wrapper).map_err(|e| e.to_string())?;
-
     // Merge imports. Paths are compared, but the *binding* is the local
     // name (alias, or the path's last segment): when both files import
     // the same path under different locals, the wrapper's declarations
     // must be rewritten to the original's qualifier — otherwise an
     // unaliased `import "sync"` merged into a file holding `sy "sync"`
-    // leaves the spliced body referencing an unbound `sync.`.
+    // leaves the spliced body referencing an unbound `sync.`. Imports the
+    // wrapper adds count as present for its later imports, so a path it
+    // imports twice merges once.
     let local_name = |alias: &Option<String>, path: &str| -> String {
         alias
             .clone()
             .unwrap_or_else(|| path.rsplit('/').next().unwrap_or(path).to_owned())
     };
+    let mut added: Vec<usize> = Vec::new();
     let mut renames: Vec<(String, String)> = Vec::new();
-    for imp in &patch.imports {
+    for (i, imp) in patch.imports.iter().enumerate() {
         let incoming = local_name(&imp.alias, &imp.path);
-        match orig.imports.iter().find(|i| i.path == imp.path) {
-            None => orig.imports.push(imp.clone()),
+        let existing = original
+            .imports
+            .iter()
+            .chain(added.iter().map(|&j| &patch.imports[j]))
+            .find(|e| e.path == imp.path);
+        match existing {
+            None => added.push(i),
             Some(existing) => {
                 let bound = local_name(&existing.alias, &existing.path);
                 if bound != incoming {
@@ -508,60 +616,47 @@ pub fn integrate_func_patch(
         }
     }
 
+    let is_target = |d: &Decl| matches!(d, Decl::Func(f) if f.name == func_name);
     let new_func = patch
-        .find_func(func_name)
-        .ok_or_else(|| format!("patch lost function `{func_name}`"))?
-        .clone();
-
-    let mut replaced = false;
-    for d in &mut orig.decls {
-        if let Decl::Func(f) = d {
-            if f.name == func_name {
-                *d = Decl::Func(new_func.clone());
-                replaced = true;
-                break;
-            }
-        }
-    }
-    if !replaced {
-        return Err(format!("original lost function `{func_name}`"));
-    }
+        .decls
+        .iter()
+        .find(|d| is_target(d))
+        .ok_or_else(|| format!("patch lost function `{func_name}`"))?;
+    let at = original
+        .decls
+        .iter()
+        .position(is_target)
+        .ok_or_else(|| format!("original lost function `{func_name}`"))?;
     // Carry over new top-level declarations (mutex globals, helper
-    // types) as one block in wrapper order: inserting them one-by-one at
-    // position 0 would reverse them, hoisting a `var` above the `type`
-    // it references.
-    let mut carried: Vec<Decl> = Vec::new();
+    // types) as one block in wrapper order, ahead of the original's: a
+    // `var` must stay below the `type` it references.
+    let same = |a: &Decl, b: &Decl| match (a, b) {
+        (Decl::Func(x), Decl::Func(y)) => x.name == y.name,
+        (Decl::Type(x), Decl::Type(y)) => x.name == y.name,
+        (Decl::Var(x) | Decl::Const(x), Decl::Var(y) | Decl::Const(y)) => x.names == y.names,
+        _ => false,
+    };
+    let mut carried: Vec<&Decl> = Vec::new();
     for d in &patch.decls {
-        let known = |decls: &[Decl]| {
-            decls.iter().any(|od| match (od, d) {
-                (Decl::Func(of), Decl::Func(f)) => of.name == f.name,
-                (Decl::Type(ot), Decl::Type(t)) => ot.name == t.name,
-                (Decl::Var(ov) | Decl::Const(ov), Decl::Var(v) | Decl::Const(v)) => {
-                    ov.names == v.names
-                }
-                _ => false,
-            })
-        };
-        if !known(&orig.decls) && !known(&carried) {
-            carried.push(d.clone());
+        if !original.decls.iter().any(|o| same(o, d)) && !carried.iter().any(|c| same(c, d)) {
+            carried.push(d);
         }
     }
-    orig.decls.splice(0..0, carried);
-    Ok(golite::print_file(&orig))
-}
-
-/// Changed-line count of a whole-codebase patch.
-pub fn patch_loc(before: &[(String, String)], after: &[(String, String)]) -> usize {
-    let mut total = 0;
-    for (name, new_src) in after {
-        let old = before
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s.as_str())
-            .unwrap_or("");
-        total += corpus::diff_lines(old, new_src);
-    }
-    total
+    let imports: Vec<&Import> = original
+        .imports
+        .iter()
+        .chain(added.iter().map(|&i| &patch.imports[i]))
+        .collect();
+    let decls = original
+        .decls
+        .iter()
+        .enumerate()
+        .map(|(i, d)| if i == at { new_func } else { d });
+    Ok(golite::print_file_parts(
+        &original.package,
+        &imports,
+        carried.into_iter().chain(decls),
+    ))
 }
 
 /// Synthetic fix duration, calibrated so successful fixes land in the
@@ -574,11 +669,16 @@ pub(crate) fn duration_minutes(llm_calls: u32, validations: u32) -> f64 {
 mod tests {
     use super::*;
 
+    fn splice_text(original: &str, wrapper: &str, func: &str) -> Result<String, String> {
+        let original = golite::parse_file(original).unwrap();
+        splice_func_patch(&original, golite::parse_file(wrapper).unwrap(), func)
+    }
+
     #[test]
     fn integrates_func_patch_with_new_globals() {
         let orig = "package app\n\nfunc Work() {\n\tx := 1\n\t_ = x\n}\n\nfunc Other() {\n}\n";
         let wrapper = "package p\n\nimport \"sync\"\n\nvar mu sync.Mutex\n\nfunc Work() {\n\tmu.Lock()\n\tx := 1\n\t_ = x\n\tmu.Unlock()\n}\n";
-        let merged = integrate_func_patch(orig, wrapper, "Work").unwrap();
+        let merged = splice_text(orig, wrapper, "Work").unwrap();
         assert!(merged.contains("import \"sync\""), "{merged}");
         assert!(merged.contains("var mu sync.Mutex"), "{merged}");
         assert!(merged.contains("mu.Lock()"), "{merged}");
@@ -598,7 +698,7 @@ mod tests {
             "var mu int\n\n",
             "func Work() {\n\tx := 2\n\t_ = x\n}\n",
         );
-        let merged = integrate_func_patch(orig, wrapper, "Work").unwrap();
+        let merged = splice_text(orig, wrapper, "Work").unwrap();
         let type_at = merged.find("type Guard").expect("type carried");
         let var_at = merged.find("var g Guard").expect("var carried");
         let mu_at = merged.find("var mu").expect("second var carried");
@@ -614,7 +714,7 @@ mod tests {
         let orig = "package app\n\nfunc Work() {\n}\n";
         let wrapper =
             "package p\n\nvar mu int\n\nvar mu int\n\nfunc Work() {\n\tmu = 1\n\t_ = mu\n}\n";
-        let merged = integrate_func_patch(orig, wrapper, "Work").unwrap();
+        let merged = splice_text(orig, wrapper, "Work").unwrap();
         assert_eq!(merged.matches("var mu").count(), 1, "{merged}");
     }
 
@@ -653,7 +753,7 @@ mod tests {
             "var mu sync.Mutex\n\n",
             "func Work() {\n\tmu.Lock()\n\tx := 1\n\t_ = x\n\tmu.Unlock()\n\tvar g sync.WaitGroup\n\t_ = g\n}\n",
         );
-        let merged = integrate_func_patch(orig, wrapper, "Work").unwrap();
+        let merged = splice_text(orig, wrapper, "Work").unwrap();
         assert!(!merged.contains("sync."), "unbound qualifier:\n{merged}");
         assert!(!merged.contains("import \"sync\""), "{merged}");
         assert_eq!(merged.matches("\"sync\"").count(), 1, "{merged}");
@@ -673,7 +773,7 @@ mod tests {
             "var n int64\n\n",
             "func Work() {\n\tat.AddInt64(&n, 1)\n}\n",
         );
-        let merged = integrate_func_patch(orig, wrapper, "Work").unwrap();
+        let merged = splice_text(orig, wrapper, "Work").unwrap();
         assert!(merged.contains("at \"sync/atomic\""), "{merged}");
         assert!(merged.contains("at.AddInt64(&n, 1)"), "{merged}");
         golite::parse_file(&merged).unwrap();
@@ -683,13 +783,36 @@ mod tests {
     fn func_patch_requires_the_function() {
         let orig = "package app\n\nfunc Work() {\n}\n";
         let wrapper = "package p\n\nfunc Elsewhere() {\n}\n";
-        assert!(integrate_func_patch(orig, wrapper, "Work").is_err());
+        assert!(splice_text(orig, wrapper, "Work").is_err());
+    }
+
+    #[test]
+    fn wrapper_importing_a_new_path_twice_merges_it_once() {
+        // The second import of a path the wrapper itself adds is already
+        // present: it merges once, and a differing alias is rewritten to
+        // the first binding.
+        let orig = "package app\n\nfunc Work() {\n}\n";
+        let wrapper = concat!(
+            "package p\n\n",
+            "import (\n\t\"sync\"\n\t\"sync\"\n\tsy \"sync\"\n)\n\n",
+            "var mu sync.Mutex\n\n",
+            "func Work() {\n\tmu.Lock()\n\tvar wg sy.WaitGroup\n\t_ = wg\n\tmu.Unlock()\n}\n",
+        );
+        let merged = splice_text(orig, wrapper, "Work").unwrap();
+        assert_eq!(merged.matches("\"sync\"").count(), 1, "{merged}");
+        assert!(merged.contains("var wg sync.WaitGroup"), "{merged}");
+        assert!(!merged.contains("sy."), "{merged}");
+        golite::parse_file(&merged).unwrap();
     }
 
     #[test]
     fn patch_loc_counts_changes() {
-        let before = vec![("a.go".to_owned(), "l1\nl2\n".to_owned())];
-        let after = vec![("a.go".to_owned(), "l1\nl2x\nl3\n".to_owned())];
-        assert_eq!(patch_loc(&before, &after), 3);
+        let parsed =
+            golite::parse_sources(&[("a.go".to_owned(), "package a\n\nvar x int\n".to_owned())])
+                .unwrap();
+        assert_eq!(
+            patch_loc(&parsed, "a.go", "package a\n\nvar y int\nvar z int\n"),
+            3
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Race Info Extraction (§4.2): from a ThreadSanitizer-style report to
 //! candidate fix locations and scopes.
 
+use golite::ParsedFile;
 use racedet::RaceReport;
 use serde::{Deserialize, Serialize};
 
@@ -48,8 +49,19 @@ pub struct RaceInfo {
 }
 
 /// Extracts candidate fix locations from a report, resolving function
-/// names to the files of `codebase` (`(name, source)` pairs).
+/// names to the files of `codebase` (`(name, source)` pairs). Each file
+/// is parsed once, however many frames resolve against it; a file that
+/// does not parse declares nothing.
 pub fn extract(report: &RaceReport, codebase: &[(String, String)]) -> RaceInfo {
+    let parsed: Vec<ParsedFile> = codebase
+        .iter()
+        .filter_map(|(name, src)| Some((name.clone(), src.clone(), golite::parse_file(src).ok()?)))
+        .collect();
+    extract_parsed(report, &parsed)
+}
+
+/// [`extract`] over the stage's parsed sources.
+pub(crate) fn extract_parsed(report: &RaceReport, codebase: &[ParsedFile]) -> RaceInfo {
     let mut locations: Vec<FixLocation> = Vec::new();
     let mut push = |kind: LocationKind, function: &str, line: Option<u32>| {
         // The closure's frame names look like `parent.func1` — the
@@ -150,15 +162,11 @@ fn lowest_common_ancestor(report: &RaceReport) -> Option<String> {
 }
 
 /// Finds the file declaring `function`.
-pub fn file_of_function(codebase: &[(String, String)], function: &str) -> Option<String> {
-    for (name, src) in codebase {
-        if let Ok(file) = golite::parse_file(src) {
-            if file.find_func(function).is_some() {
-                return Some(name.clone());
-            }
-        }
-    }
-    None
+fn file_of_function(codebase: &[ParsedFile], function: &str) -> Option<String> {
+    codebase
+        .iter()
+        .find(|(_, _, file)| file.find_func(function).is_some())
+        .map(|(name, _, _)| name.clone())
 }
 
 #[cfg(test)]

@@ -22,19 +22,24 @@
 //!   don't change the roll), and repair outputs are *appended* as new
 //!   candidates rather than replacing their parent — a repair can never
 //!   evict a patch single-path would have accepted.
-//! - **Zero schedules on lint.** The repair loop consults only
-//!   [`crate::validate::static_probe`]; candidates whose final probe
+//! - **Zero schedules on lint.** The repair loop consults only the
+//!   `statcheck` probe each candidate gets on entering the pool;
+//!   candidates whose final probe
 //!   still carries error-tier findings are rejected without running a
 //!   single VM instruction. Warning-tier findings trigger repair but
 //!   never rejection (they are heuristic, and must not override a
 //!   dynamically-clean patch).
 
-use crate::pipeline::{patch_loc, DrFix, FailureKind, FixOutcome};
-use crate::raceinfo::{self, FixLocation, LocationKind};
-use crate::validate::{
-    static_probe, validate_patch_report, StaticProbe, ValidationOptions, Verdict,
+use crate::pipeline::{
+    duration_minutes, patch_loc, patched_sources, patched_view, splice, DrFix, FailureKind,
+    FixOutcome, Site,
 };
-use govm::{TestConfig, VmOptions};
+use crate::raceinfo::{LocationKind, RaceInfo};
+use crate::validate::{
+    probe_parsed, validate_patch_report, StaticProbe, ValidationOptions, Verdict,
+};
+use golite::ParsedFile;
+use std::collections::HashSet;
 use synthllm::{Candidate, Feedback, FixRequest, RaceCategory, Scope, StrategyKind, SynthLlm};
 
 /// Configuration of the tournament arm. `None` on
@@ -149,12 +154,12 @@ pub fn candidate_rank(a: (f64, usize, usize), b: (f64, usize, usize)) -> std::cm
     b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
 }
 
-/// One candidate plus everything needed to repair and validate it.
+/// One pool candidate: what ranking, validation and the report need.
 pub(crate) struct PoolEntry {
-    cand: Candidate,
-    req: FixRequest,
+    strategy: StrategyKind,
+    confidence: f64,
+    degraded: bool,
     kind: LocationKind,
-    loc: FixLocation,
     scope: Scope,
     example_used: bool,
     example_category: Option<RaceCategory>,
@@ -162,6 +167,15 @@ pub(crate) struct PoolEntry {
     ploc: usize,
     repair_iters: u32,
     probe: StaticProbe,
+}
+
+/// Where a pool candidate came from — what its repair needs, kept only
+/// while the pool is built.
+struct Lineage {
+    /// Index of the site (location × scope) it was generated at.
+    site: usize,
+    req: FixRequest,
+    cand: Candidate,
 }
 
 /// Dedup key over a patched codebase: the exact bytes, file by file.
@@ -178,9 +192,9 @@ fn pool_key(patched: &[(String, String)]) -> String {
 
 /// The output of the tournament's static half (phases 1–2): the
 /// candidate pool in discovery order plus the accounting accrued while
-/// building it. The campaign orchestrator carries this value from its
-/// fix stage (zero VM steps) to its validate stage; within one process
-/// the split is invisible — [`DrFix::fix_from_report_tournament`] is
+/// building it — text only, no AST. The campaign orchestrator carries
+/// this value from its fix stage (zero VM steps) to its validate stage;
+/// within one process the split is invisible — [`DrFix::fix_case`] runs
 /// exactly `tournament_pool` then `tournament_decide`.
 pub(crate) struct PoolBuild {
     pool: Vec<PoolEntry>,
@@ -189,33 +203,69 @@ pub(crate) struct PoolBuild {
     total_repairs: u32,
 }
 
-impl DrFix<'_> {
-    /// Runs one reproduced case through the tournament arm.
-    pub(crate) fn fix_from_report_tournament(
-        &self,
-        files: &[(String, String)],
-        test: &str,
-        report: &racedet::RaceReport,
-        tcfg: &TournamentConfig,
-    ) -> FixOutcome {
-        let info = raceinfo::extract(report, files);
-        let build = self.tournament_pool(files, &info, tcfg);
-        self.tournament_decide(test, &info, tcfg, build)
-    }
+/// Admits candidates to the pool: splices each one, drops it when its
+/// patched sources repeat a known candidate's, and parses and probes the
+/// rest. Dedup runs before the parse, so a duplicate costs a splice and
+/// never a parse; each parse is dropped right after its probe, so the
+/// pool holds text only.
+struct Admission<'a> {
+    parsed: &'a [ParsedFile],
+    seen: HashSet<String>,
+    lint_probes: u32,
+}
 
+/// An admitted candidate: its patched sources, patch LoC and probe.
+type Admitted = (Vec<(String, String)>, usize, StaticProbe);
+
+impl Admission<'_> {
+    /// `None` when `code` does not splice at `site`, repeats a known
+    /// candidate, or leaves a file that does not parse (whole-file output
+    /// is taken verbatim; a spliced function is printed, so it parses).
+    fn admit(&mut self, site: &Site, code: &str) -> Option<Admitted> {
+        let file = &site.loc.file;
+        let src = splice(self.parsed, site.loc, site.scope, code).ok()?;
+        let patched = patched_sources(self.parsed, file, &src);
+        if !self.seen.insert(pool_key(&patched)) {
+            return None;
+        }
+        let ast = golite::parse_file(&src).ok()?;
+        let probe = probe_parsed(&patched_view(self.parsed, &patched, file, &ast));
+        self.lint_probes += 1;
+        Some((patched, patch_loc(self.parsed, file, &src), probe))
+    }
+}
+
+impl DrFix<'_> {
     /// Phases 1–2: enumerate the candidate pool and run the iterated
-    /// static-repair loop. Consults only the synthetic model and
-    /// `statcheck` — **zero VM instructions** — so the campaign can run
-    /// it in a stage that never touches the scheduler.
+    /// static-repair loop over the stage's parsed sources. Consults only
+    /// the synthetic model and `statcheck` — **zero VM instructions** — so
+    /// the campaign can run it in a stage that never touches the
+    /// scheduler.
     pub(crate) fn tournament_pool(
         &self,
-        files: &[(String, String)],
-        info: &raceinfo::RaceInfo,
+        parsed: &[ParsedFile],
+        info: &RaceInfo,
         tcfg: &TournamentConfig,
     ) -> PoolBuild {
+        self.pool_with_lineage(parsed, info, tcfg).0
+    }
+
+    /// [`DrFix::tournament_pool`], also returning each candidate's
+    /// lineage (parallel to the pool).
+    fn pool_with_lineage(
+        &self,
+        parsed: &[ParsedFile],
+        info: &RaceInfo,
+        tcfg: &TournamentConfig,
+    ) -> (PoolBuild, Vec<Lineage>) {
         let mut llm_calls = 0u32;
         let llm = SynthLlm::new(self.cfg.tier, self.cfg.seed);
-        let visible = |name: &str| !name.starts_with("vendor_");
+        let sites: Vec<Site> = self.sites(parsed, info).collect();
+        let mut admission = Admission {
+            parsed,
+            seen: HashSet::new(),
+            lint_probes: 0,
+        };
 
         // ── Phase 1: enumerate the candidate pool ────────────────────
         //
@@ -225,89 +275,52 @@ impl DrFix<'_> {
         // replays the request under synthetic attempt-1 feedback: the
         // capability dice key mislocalisation on the attempt ordinal, so
         // this is exactly the extra chance single-path's feedback retry
-        // gets — without it the pool could miss a retry-only win.
+        // gets — without it the pool could miss a retry-only win. Every
+        // admitted candidate is probed on entry.
         let mut pool: Vec<PoolEntry> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut lineage: Vec<Lineage> = Vec::new();
         let passes: u32 = if self.cfg.feedback {
             self.cfg.retries + 1
         } else {
             1
         };
-        for kind in &self.cfg.locations {
-            let locations: Vec<&FixLocation> = info
-                .locations
-                .iter()
-                .filter(|l| l.kind == *kind && visible(&l.file))
-                .collect();
-            for loc in locations {
-                for &scope in &self.cfg.scopes {
-                    let Some((code, context_funcs)) = self.scope_code(files, loc, scope) else {
-                        continue;
-                    };
-                    let mut example_arms = vec![None];
-                    if self.cfg.rag != crate::database::RagMode::None {
-                        if let Some(db) = self.db {
-                            if let Some((ex, cat, _score)) =
-                                db.retrieve(self.cfg.rag, &code, &info.racy_var, &loc.lines)
-                            {
-                                example_arms.push(Some((ex, cat)));
-                            }
-                        }
-                    }
-                    for arm in &example_arms {
-                        for pass in 0..passes {
-                            // Synthetic feedback reproduces the attempt
-                            // ordinal without naming a failed strategy:
-                            // exclusions only shrink the ranking, and
-                            // the pool already holds the whole window.
-                            let feedback: Vec<Feedback> = (0..pass)
-                                .map(|_| Feedback {
-                                    strategy: None,
-                                    message: "prior candidate failed validation".into(),
-                                })
-                                .collect();
-                            let req = FixRequest {
-                                code: code.clone(),
-                                scope,
-                                racy_var: info.racy_var.clone(),
-                                racy_lines: loc.lines.clone(),
-                                example: arm.as_ref().map(|(e, _)| e.clone()),
-                                feedback,
-                                context_funcs,
-                                focus_func: Some(loc.function.clone()),
-                                case_key: info.bug_hash.clone(),
-                            };
-                            llm_calls += 1;
-                            let cands = llm.enumerate(&req, tcfg.max_candidates);
-                            for cand in cands {
-                                let Ok(patched) = self.integrate(files, loc, scope, &cand.code)
-                                else {
-                                    continue;
-                                };
-                                if !seen.insert(pool_key(&patched)) {
-                                    continue;
-                                }
-                                let ploc = patch_loc(files, &patched);
-                                pool.push(PoolEntry {
-                                    cand,
-                                    req: req.clone(),
-                                    kind: *kind,
-                                    loc: loc.clone(),
-                                    scope,
-                                    example_used: arm.is_some(),
-                                    example_category: arm.as_ref().map(|(_, c)| *c),
-                                    patched,
-                                    ploc,
-                                    repair_iters: 0,
-                                    probe: StaticProbe {
-                                        errors: 0,
-                                        warnings: 0,
-                                        first_rule: None,
-                                        broken: false,
-                                    },
-                                });
-                            }
-                        }
+        for (s, site) in sites.iter().enumerate() {
+            for arm in &site.arms {
+                for pass in 0..passes {
+                    // Synthetic feedback reproduces the attempt ordinal
+                    // without naming a failed strategy: exclusions only
+                    // shrink the ranking, and the pool already holds the
+                    // whole window.
+                    let feedback: Vec<Feedback> = (0..pass)
+                        .map(|_| Feedback {
+                            strategy: None,
+                            message: "prior candidate failed validation".into(),
+                        })
+                        .collect();
+                    let req = site.request(info, arm, feedback);
+                    llm_calls += 1;
+                    for cand in llm.enumerate(&req, &site.prompt, tcfg.max_candidates) {
+                        let Some((patched, ploc, probe)) = admission.admit(site, &cand.code) else {
+                            continue;
+                        };
+                        pool.push(PoolEntry {
+                            strategy: cand.strategy,
+                            confidence: cand.confidence,
+                            degraded: cand.degraded,
+                            kind: site.loc.kind,
+                            scope: site.scope,
+                            example_used: arm.is_some(),
+                            example_category: arm.as_ref().map(|(_, c)| *c),
+                            patched,
+                            ploc,
+                            repair_iters: 0,
+                            probe,
+                        });
+                        lineage.push(Lineage {
+                            site: s,
+                            req: req.clone(),
+                            cand,
+                        });
                     }
                 }
             }
@@ -315,17 +328,14 @@ impl DrFix<'_> {
 
         // ── Phase 2: iterated repair against statcheck ───────────────
         //
-        // Every candidate is probed; findings (errors *or* warnings)
-        // trigger a bounded repair chain. Repaired code joins the pool
-        // as a fresh candidate — the parent stays, preserving the
-        // superset invariant — and the chain continues from the newest
-        // link. Not one VM instruction is spent here.
-        let mut lint_probes = 0u32;
+        // Findings (errors *or* warnings) trigger a bounded repair chain.
+        // Repaired code joins the pool as a fresh candidate — the parent
+        // stays, preserving the superset invariant — and the chain
+        // continues from the newest link. Not one VM instruction is
+        // spent here.
         let mut total_repairs = 0u32;
         let base_len = pool.len();
         for i in 0..base_len {
-            pool[i].probe = static_probe(&pool[i].patched);
-            lint_probes += 1;
             let mut current = i;
             let mut iter = 0u32;
             while iter < tcfg.repair_max_iters {
@@ -334,49 +344,50 @@ impl DrFix<'_> {
                     break;
                 }
                 let rule = probe.first_rule.clone().unwrap_or_else(|| "unknown".into());
+                let from = &lineage[current];
+                let site = &sites[from.site];
                 llm_calls += 1;
-                let Some(rep) = llm.repair(&pool[current].req, &pool[current].cand, &rule, iter)
-                else {
+                let Some(rep) = llm.repair(&from.req, &site.prompt, &from.cand, &rule, iter) else {
                     break;
                 };
                 iter += 1;
                 total_repairs += 1;
-                if rep.code == pool[current].cand.code {
+                if rep.code == from.cand.code {
                     break; // the model reproduced itself: converged
                 }
-                let Ok(patched) =
-                    self.integrate(files, &pool[current].loc, pool[current].scope, &rep.code)
-                else {
+                // Converged onto an already-known candidate, or broken.
+                let Some((patched, ploc, probe)) = admission.admit(site, &rep.code) else {
                     break;
                 };
-                if !seen.insert(pool_key(&patched)) {
-                    break; // converged onto an already-known candidate
-                }
-                let ploc = patch_loc(files, &patched);
-                let probe = static_probe(&patched);
-                lint_probes += 1;
+                let parent = &pool[current];
                 pool.push(PoolEntry {
-                    cand: rep,
-                    req: pool[current].req.clone(),
-                    kind: pool[current].kind,
-                    loc: pool[current].loc.clone(),
-                    scope: pool[current].scope,
-                    example_used: pool[current].example_used,
-                    example_category: pool[current].example_category,
+                    strategy: rep.strategy,
+                    confidence: rep.confidence,
+                    degraded: rep.degraded,
+                    kind: parent.kind,
+                    scope: parent.scope,
+                    example_used: parent.example_used,
+                    example_category: parent.example_category,
                     patched,
                     ploc,
                     repair_iters: iter,
                     probe,
                 });
+                lineage.push(Lineage {
+                    site: from.site,
+                    req: from.req.clone(),
+                    cand: rep,
+                });
                 current = pool.len() - 1;
             }
         }
-        PoolBuild {
+        let build = PoolBuild {
             pool,
             llm_calls,
-            lint_probes,
+            lint_probes: admission.lint_probes,
             total_repairs,
-        }
+        };
+        (build, lineage)
     }
 
     /// Phase 3: rank the pool, validate survivors under schedule-diverse
@@ -385,7 +396,7 @@ impl DrFix<'_> {
     pub(crate) fn tournament_decide(
         &self,
         test: &str,
-        info: &raceinfo::RaceInfo,
+        info: &RaceInfo,
         tcfg: &TournamentConfig,
         build: PoolBuild,
     ) -> FixOutcome {
@@ -396,31 +407,16 @@ impl DrFix<'_> {
             total_repairs,
         } = build;
         let mut out = FixOutcome {
-            fixed: false,
-            patch: None,
-            strategy: None,
-            location: None,
-            scope: None,
-            example_used: false,
-            example_category: None,
             llm_calls,
-            validations: 0,
-            rejected_static: 0,
-            validation_vm_steps: 0,
-            duration_minutes: 0.0,
-            patch_loc: None,
-            failure: None,
-            bug_hash: Some(info.bug_hash.clone()),
-            racy_var: Some(info.racy_var.clone()),
-            tournament: None,
+            ..FixOutcome::diagnosed(info)
         };
 
         // ── Phase 3: rank, validate survivors, crown the winner ──────
         let mut order: Vec<usize> = (0..pool.len()).collect();
         order.sort_by(|&a, &b| {
             candidate_rank(
-                (pool[a].cand.confidence, pool[a].ploc, a),
-                (pool[b].cand.confidence, pool[b].ploc, b),
+                (pool[a].confidence, pool[a].ploc, a),
+                (pool[b].confidence, pool[b].ploc, b),
             )
         });
         if let CandidateSelection::ById(id) = tcfg.selection {
@@ -458,32 +454,16 @@ impl DrFix<'_> {
                 // depend on which others entered or left the pool.
                 i as u32 + 1,
             );
-            let vcfg = TestConfig {
-                runs: self.cfg.validation_runs,
-                seed: validation_seed,
-                stop_on_race: false,
-                policy: self.cfg.validate_policy.clone(),
-                max_total_steps: self.cfg.validation_step_budget,
-                dedup_streak: self.cfg.validation_dedup_streak,
-                vm: VmOptions {
-                    tier: self.cfg.vm_tier,
-                    ..VmOptions::default()
-                },
-                ..TestConfig::default()
-            };
             let vreport = validate_patch_report(
                 &entry.patched,
                 test,
                 &info.bug_hash,
-                &vcfg,
-                &ValidationOptions {
-                    static_gate: self.cfg.static_gate,
-                },
+                &self.validation_config(validation_seed),
+                // The probe analysed exactly these sources and found no
+                // error, so the static gate could only pass.
+                &ValidationOptions { static_gate: false },
             );
             out.validation_vm_steps += vreport.vm_steps;
-            if vreport.rejected_static {
-                out.rejected_static += 1;
-            }
             match vreport.verdict {
                 Verdict::Ok => {
                     if winner.is_none() {
@@ -505,14 +485,14 @@ impl DrFix<'_> {
             .enumerate()
             .map(|(i, e)| CandidateReport {
                 id: i,
-                strategy: e.cand.strategy,
+                strategy: e.strategy,
                 location: e.kind,
                 scope: e.scope,
                 example_used: e.example_used,
-                confidence: e.cand.confidence,
+                confidence: e.confidence,
                 patch_loc: e.ploc,
                 repair_iters: e.repair_iters,
-                degraded: e.cand.degraded,
+                degraded: e.degraded,
                 outcome: outcomes[i].clone(),
                 patch: tcfg.keep_candidates.then(|| e.patched.clone()),
             })
@@ -523,7 +503,7 @@ impl DrFix<'_> {
             out.fixed = true;
             out.patch_loc = Some(e.ploc);
             out.patch = Some(e.patched.clone());
-            out.strategy = Some(e.cand.strategy);
+            out.strategy = Some(e.strategy);
             out.location = Some(e.kind);
             out.scope = Some(e.scope);
             out.example_used = e.example_used;
@@ -531,7 +511,7 @@ impl DrFix<'_> {
         } else {
             out.failure = Some(FailureKind::Unfixed);
         }
-        out.duration_minutes = crate::pipeline::duration_minutes(out.llm_calls, out.validations);
+        out.duration_minutes = duration_minutes(out.llm_calls, out.validations);
         out.tournament = Some(TournamentReport {
             candidates,
             winner,
@@ -557,6 +537,137 @@ mod tests {
         assert_eq!(candidate_rank((0.7, 3, 2), (0.7, 3, 4)), Ordering::Less);
         assert_eq!(candidate_rank((0.7, 3, 4), (0.7, 3, 2)), Ordering::Greater);
         assert_eq!(candidate_rank((0.7, 3, 2), (0.7, 3, 2)), Ordering::Equal);
+    }
+
+    /// The function-scope splice as it was before ASTs were borrowed:
+    /// parse both files, edit the original's AST in place, print it. The
+    /// reference the borrowed-original splice must reproduce.
+    fn reference_integrate_func_patch(
+        original: &str,
+        wrapper: &str,
+        func_name: &str,
+    ) -> Result<String, String> {
+        use golite::ast::Decl;
+        use golite::visit::RenamePkg;
+        let mut orig = golite::parse_file(original).map_err(|e| e.to_string())?;
+        let mut patch = golite::parse_file(wrapper).map_err(|e| e.to_string())?;
+        let local_name = |alias: &Option<String>, path: &str| -> String {
+            alias
+                .clone()
+                .unwrap_or_else(|| path.rsplit('/').next().unwrap_or(path).to_owned())
+        };
+        let mut renames: Vec<(String, String)> = Vec::new();
+        for imp in &patch.imports {
+            let incoming = local_name(&imp.alias, &imp.path);
+            match orig.imports.iter().find(|i| i.path == imp.path) {
+                None => orig.imports.push(imp.clone()),
+                Some(existing) => {
+                    let bound = local_name(&existing.alias, &existing.path);
+                    if bound != incoming {
+                        renames.push((incoming, bound));
+                    }
+                }
+            }
+        }
+        for (from, to) in &renames {
+            let mut r = RenamePkg { from, to };
+            for d in &mut patch.decls {
+                r.rename_decl(d);
+            }
+        }
+        let new_func = patch
+            .find_func(func_name)
+            .ok_or_else(|| format!("patch lost function `{func_name}`"))?
+            .clone();
+        let mut replaced = false;
+        for d in &mut orig.decls {
+            if let Decl::Func(f) = d {
+                if f.name == func_name {
+                    *d = Decl::Func(new_func.clone());
+                    replaced = true;
+                    break;
+                }
+            }
+        }
+        if !replaced {
+            return Err(format!("original lost function `{func_name}`"));
+        }
+        let mut carried: Vec<Decl> = Vec::new();
+        for d in &patch.decls {
+            let known = |decls: &[Decl]| {
+                decls.iter().any(|od| match (od, d) {
+                    (Decl::Func(of), Decl::Func(f)) => of.name == f.name,
+                    (Decl::Type(ot), Decl::Type(t)) => ot.name == t.name,
+                    (Decl::Var(ov) | Decl::Const(ov), Decl::Var(v) | Decl::Const(v)) => {
+                        ov.names == v.names
+                    }
+                    _ => false,
+                })
+            };
+            if !known(&orig.decls) && !known(&carried) {
+                carried.push(d.clone());
+            }
+        }
+        orig.decls.splice(0..0, carried);
+        Ok(golite::print_file(&orig))
+    }
+
+    #[test]
+    fn borrowed_splice_matches_the_reference_on_a_mixed_stream() {
+        use corpus::stream::{CorpusStream, StreamConfig, StreamFamily};
+        let stream = CorpusStream::new(StreamConfig {
+            family: StreamFamily::Mixed,
+            seed: 0xD27F17,
+        });
+        let tcfg = TournamentConfig::default();
+        let mut compared = 0;
+        for i in 0..60 {
+            let case = stream.case(i);
+            let drfix = DrFix::new(
+                crate::PipelineConfig {
+                    seed: crate::fleet::derive_case_seed(0, i as u64),
+                    detect_runs: 12,
+                    tournament: Some(tcfg.clone()),
+                    ..crate::PipelineConfig::default()
+                },
+                None,
+            );
+            let parsed = golite::parse_sources(&case.files).expect("stream cases parse");
+            let prog = govm::compile_package(&parsed, &govm::CompileOptions::default())
+                .expect("stream cases compile");
+            let outcome = drfix.detect_outcome(&prog, &case.test);
+            let Some(report) = outcome.races.first() else {
+                continue;
+            };
+            let info = crate::raceinfo::extract_parsed(report, &parsed);
+            let (build, lineage) = drfix.pool_with_lineage(&parsed, &info, &tcfg);
+            for (e, from) in build.pool.iter().zip(&lineage) {
+                if e.scope != Scope::Func {
+                    continue;
+                }
+                let func = from
+                    .req
+                    .focus_func
+                    .as_deref()
+                    .expect("prompts focus a function");
+                let (name, src, _) = parsed
+                    .iter()
+                    .find(|(_, _, f)| f.find_func(func).is_some())
+                    .expect("the focus function is declared");
+                let want = reference_integrate_func_patch(src, &from.cand.code, func)
+                    .expect("the reference splices every pool candidate");
+                let got = &e.patched.iter().find(|(n, _)| n == name).expect("file").1;
+                assert_eq!(
+                    got, &want,
+                    "case {i}: the splice diverged from the reference"
+                );
+                compared += 1;
+            }
+        }
+        assert!(
+            compared > 50,
+            "only {compared} function-scope candidates compared"
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! warning-tier findings are surfaced in [`ValidationOutcome`] but never
 //! downgrade a dynamically-clean verdict.
 
-use govm::{compile_sources, CompileOptions, TestConfig};
+use govm::{CompileOptions, TestConfig};
+use std::borrow::Borrow;
 
 /// Validation verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +73,19 @@ pub struct ValidationOutcome {
     pub vm_steps: u64,
 }
 
+impl ValidationOutcome {
+    /// An outcome reached before any static finding or schedule.
+    fn with(verdict: Verdict) -> Self {
+        ValidationOutcome {
+            verdict,
+            rejected_static: false,
+            static_errors: 0,
+            static_warnings: 0,
+            vm_steps: 0,
+        }
+    }
+}
+
 /// Validates a patched codebase against the targeted bug hash.
 ///
 /// Mirrors §4.4.1: build, then run the package tests `runs` times; the
@@ -107,17 +121,6 @@ pub fn validate_patch_with(
     validate_patch_report(files, test, bug_hash, cfg, &ValidationOptions::default()).verdict
 }
 
-/// Renders a build failure with the failing file and line when the
-/// failure is attributable to a single source file.
-fn build_failure_message(files: &[(String, String)], diag: &golite::Diag) -> String {
-    for (name, src) in files {
-        if let Err(d) = golite::parse_file(src) {
-            return format!("build failed: {}", d.render(name, src));
-        }
-    }
-    format!("build failed: {diag}")
-}
-
 /// One zero-cost lint probe of a candidate patch: `statcheck` only — no
 /// compilation, no schedules, no VM instructions. The tournament's
 /// repair loop iterates against this before any dynamic validation is
@@ -144,32 +147,34 @@ impl StaticProbe {
 /// Runs `statcheck` over a candidate codebase without spending any
 /// dynamic validation work. See [`StaticProbe`].
 pub fn static_probe(files: &[(String, String)]) -> StaticProbe {
-    match statcheck::check_sources(files) {
-        Ok(reports) => {
-            let errors = statcheck::count_severity(&reports, statcheck::Severity::Error);
-            let warnings = statcheck::count_severity(&reports, statcheck::Severity::Warning);
-            let first_rule = statcheck::first_error(&reports)
-                .map(|(_, d)| d.rule.clone())
-                .or_else(|| {
-                    reports
-                        .iter()
-                        .flat_map(|r| r.diagnostics.iter())
-                        .next()
-                        .map(|d| d.rule.clone())
-                });
-            StaticProbe {
-                errors,
-                warnings,
-                first_rule,
-                broken: false,
-            }
-        }
+    match golite::parse_sources(files) {
+        Ok(parsed) => probe_parsed(&parsed),
         Err(_) => StaticProbe {
             errors: 0,
             warnings: 0,
             first_rule: None,
             broken: true,
         },
+    }
+}
+
+/// [`static_probe`] over sources already parsed (owned or borrowed ASTs).
+pub(crate) fn probe_parsed<F: Borrow<golite::File>>(files: &[(String, String, F)]) -> StaticProbe {
+    let reports = statcheck::check_parsed(files);
+    let first_rule = statcheck::first_error(&reports)
+        .map(|(_, d)| d.rule.clone())
+        .or_else(|| {
+            reports
+                .iter()
+                .flat_map(|r| r.diagnostics.iter())
+                .next()
+                .map(|d| d.rule.clone())
+        });
+    StaticProbe {
+        errors: statcheck::count_severity(&reports, statcheck::Severity::Error),
+        warnings: statcheck::count_severity(&reports, statcheck::Severity::Warning),
+        first_rule,
+        broken: false,
     }
 }
 
@@ -183,56 +188,69 @@ pub fn validate_patch_report(
     cfg: &TestConfig,
     opts: &ValidationOptions,
 ) -> ValidationOutcome {
-    let mut outcome = ValidationOutcome {
-        verdict: Verdict::Ok,
-        rejected_static: false,
-        static_errors: 0,
-        static_warnings: 0,
-        vm_steps: 0,
-    };
-    let prog = match compile_sources(files, &CompileOptions::default()) {
-        Ok(p) => p,
-        Err(e) => {
-            outcome.verdict = Verdict::Fail(build_failure_message(files, &e));
-            return outcome;
+    // The ASTs are dropped before any schedule runs.
+    let built = match golite::parse_sources(files) {
+        Ok(parsed) => build_and_gate(&parsed, test, opts),
+        // The build stops at the first file that does not parse; that
+        // same parse names the file and line.
+        Err((i, d)) => {
+            let (name, src) = &files[i];
+            let msg = format!("build failed: {}", d.render(name, src));
+            return ValidationOutcome::with(Verdict::Fail(msg));
         }
     };
+    match built {
+        Ok((prog, outcome)) => run_schedules(&prog, test, bug_hash, cfg, outcome),
+        Err(outcome) => outcome,
+    }
+}
+
+/// The static half of [`validate_patch_report`] over sources already
+/// parsed — `(name, source, ast)` triples whose ASTs may be owned or
+/// borrowed, so the compiler and the static gate share one parse. Returns
+/// the program with the outcome so far, or the final outcome when the
+/// build or the gate rejects the candidate. Spends no schedules, so the
+/// caller can drop the ASTs before [`run_schedules`].
+pub(crate) fn build_and_gate<F: Borrow<golite::File>>(
+    files: &[(String, String, F)],
+    test: &str,
+    opts: &ValidationOptions,
+) -> Result<(govm::Program, ValidationOutcome), ValidationOutcome> {
+    let prog = govm::compile_package(files, &CompileOptions::default())
+        .map_err(|e| ValidationOutcome::with(Verdict::Fail(format!("build failed: {e}"))))?;
     if prog.find_func(test).is_none() {
-        outcome.verdict = Verdict::Fail(format!("build failed: test `{test}` disappeared"));
-        return outcome;
+        let msg = format!("build failed: test `{test}` disappeared");
+        return Err(ValidationOutcome::with(Verdict::Fail(msg)));
     }
+    let mut outcome = ValidationOutcome::with(Verdict::Ok);
     if opts.static_gate {
-        match statcheck::check_sources(files) {
-            Ok(reports) => {
-                outcome.static_errors =
-                    statcheck::count_severity(&reports, statcheck::Severity::Error);
-                outcome.static_warnings =
-                    statcheck::count_severity(&reports, statcheck::Severity::Warning);
-                if let Some((file, diag)) = statcheck::first_error(&reports) {
-                    let src = files
-                        .iter()
-                        .find(|(n, _)| n == file)
-                        .map(|(_, s)| s.as_str())
-                        .unwrap_or("");
-                    outcome.rejected_static = true;
-                    outcome.verdict =
-                        Verdict::Fail(format!("static check failed: {}", diag.render(file, src)));
-                    return outcome;
-                }
-            }
-            Err((file, d)) => {
-                // Unreachable after a successful compile, but stay safe.
-                let src = files
-                    .iter()
-                    .find(|(n, _)| n == &file)
-                    .map(|(_, s)| s.as_str())
-                    .unwrap_or("");
-                outcome.verdict = Verdict::Fail(format!("build failed: {}", d.render(&file, src)));
-                return outcome;
-            }
+        let reports = statcheck::check_parsed(files);
+        outcome.static_errors = statcheck::count_severity(&reports, statcheck::Severity::Error);
+        outcome.static_warnings = statcheck::count_severity(&reports, statcheck::Severity::Warning);
+        if let Some((file, diag)) = statcheck::first_error(&reports) {
+            let src = files
+                .iter()
+                .find(|(n, _, _)| n == file)
+                .map_or("", |(_, s, _)| s.as_str());
+            outcome.rejected_static = true;
+            outcome.verdict =
+                Verdict::Fail(format!("static check failed: {}", diag.render(file, src)));
+            return Err(outcome);
         }
     }
-    let out = govm::run_test_many(&prog, test, cfg);
+    Ok((prog, outcome))
+}
+
+/// The dynamic half of [`validate_patch_report`]: the schedule campaign
+/// on a built, gate-passed candidate, completing `outcome`.
+pub(crate) fn run_schedules(
+    prog: &govm::Program,
+    test: &str,
+    bug_hash: &str,
+    cfg: &TestConfig,
+    mut outcome: ValidationOutcome,
+) -> ValidationOutcome {
+    let out = govm::run_test_many(prog, test, cfg);
     outcome.vm_steps = out.steps;
     // A campaign that executed no schedules is vacuously clean — never
     // let that pass as a validated fix (e.g. `runs: 0` misconfiguration).

@@ -12,6 +12,16 @@ use crate::diag::{Diag, Result};
 use crate::lexer::Lexer;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// [`parse_file`] calls made by this process.
+static PARSE_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times [`parse_file`] has run in this process, on any thread.
+/// The pipeline's parse budget is measured with it.
+pub fn parse_calls() -> u64 {
+    PARSE_CALLS.load(Ordering::Relaxed)
+}
 
 /// Parses a whole source file.
 ///
@@ -19,9 +29,34 @@ use crate::token::{Token, TokenKind};
 ///
 /// Returns the first lexical or syntactic [`Diag`] encountered.
 pub fn parse_file(src: &str) -> Result<File> {
+    PARSE_CALLS.fetch_add(1, Ordering::Relaxed);
     let tokens = Lexer::tokenize(src)?;
     let mut p = Parser::new(src, tokens);
     p.parse_file()
+}
+
+/// One parsed source file: `(name, source, ast)`, the shape
+/// `govm::compile_package` and `statcheck::check_parsed` take.
+pub type ParsedFile = (String, String, File);
+
+/// Parses every `(name, source)` pair into a [`ParsedFile`].
+///
+/// # Errors
+///
+/// Stops at the first file that does not parse and returns its index
+/// with the [`Diag`].
+pub fn parse_sources(
+    files: &[(String, String)],
+) -> std::result::Result<Vec<ParsedFile>, (usize, Diag)> {
+    files
+        .iter()
+        .enumerate()
+        .map(|(i, (name, src))| {
+            parse_file(src)
+                .map(|ast| (name.clone(), src.clone(), ast))
+                .map_err(|d| (i, d))
+        })
+        .collect()
 }
 
 /// Parses a single expression (useful in tests and strategy code).

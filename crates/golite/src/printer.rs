@@ -10,8 +10,21 @@ use std::fmt::Write as _;
 
 /// Renders a whole file to source text.
 pub fn print_file(file: &File) -> String {
+    let imports: Vec<&Import> = file.imports.iter().collect();
+    print_file_parts(&file.package, &imports, &file.decls)
+}
+
+/// Renders the file a [`File`] holding these parts would be, exactly as
+/// [`print_file`] renders it: the package clause, the imports and the
+/// declarations, in print order. Lets a caller print an edited file from
+/// borrowed parts instead of cloning the AST it edits.
+pub fn print_file_parts<'a>(
+    package: &str,
+    imports: &[&Import],
+    decls: impl IntoIterator<Item = &'a Decl>,
+) -> String {
     let mut p = Printer::new();
-    p.file(file);
+    p.file(package, imports, decls);
     p.out
 }
 
@@ -70,13 +83,18 @@ impl Printer {
         }
     }
 
-    fn file(&mut self, file: &File) {
-        let _ = write!(self.out, "package {}", file.package);
+    fn file<'a>(
+        &mut self,
+        package: &str,
+        imports: &[&Import],
+        decls: impl IntoIterator<Item = &'a Decl>,
+    ) {
+        let _ = write!(self.out, "package {package}");
         self.out.push('\n');
-        if !file.imports.is_empty() {
+        if !imports.is_empty() {
             self.out.push('\n');
-            if file.imports.len() == 1 {
-                let imp = &file.imports[0];
+            if imports.len() == 1 {
+                let imp = imports[0];
                 self.out.push_str("import ");
                 if let Some(a) = &imp.alias {
                     let _ = write!(self.out, "{a} ");
@@ -86,7 +104,7 @@ impl Printer {
             } else {
                 self.out.push_str("import (");
                 self.indent += 1;
-                for imp in &file.imports {
+                for imp in imports {
                     self.nl();
                     if let Some(a) = &imp.alias {
                         let _ = write!(self.out, "{a} ");
@@ -98,7 +116,7 @@ impl Printer {
                 self.out.push_str(")\n");
             }
         }
-        for d in &file.decls {
+        for d in decls {
             self.out.push('\n');
             self.decl(d);
             self.out.push('\n');

@@ -12,6 +12,7 @@ use crate::natives;
 use golite::ast::{self, AssignOp, BinOp, CommClause, Expr, Stmt, UnOp};
 use golite::diag::{Diag, Result};
 use golite::span::{LineMap, Span};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 /// Compiler options.
@@ -29,26 +30,28 @@ pub struct CompileOptions {
 ///
 /// Returns the first parse or lowering [`Diag`].
 pub fn compile_sources(sources: &[(String, String)], opts: &CompileOptions) -> Result<Program> {
-    let mut files = Vec::new();
-    for (name, src) in sources {
-        let file = golite::parse_file(src)
-            .map_err(|d| Diag::new(format!("{}: {}", name, d.message), d.span))?;
-        files.push((name.clone(), src.clone(), file));
-    }
+    let files = golite::parse_sources(sources)
+        .map_err(|(i, d)| Diag::new(format!("{}: {}", sources[i].0, d.message), d.span))?;
     compile_package(&files, opts)
 }
 
-/// Compiles a package from parsed files (`(file name, source, ast)`).
+/// Compiles a package from parsed files (`(file name, source, ast)`). The
+/// ASTs may be owned or borrowed, so one parse can serve the compiler and
+/// other consumers alike.
 ///
 /// # Errors
 ///
 /// Returns a [`Diag`] on unsupported constructs or unresolved names.
-pub fn compile_package(
-    files: &[(String, String, ast::File)],
+pub fn compile_package<F: Borrow<ast::File>>(
+    files: &[(String, String, F)],
     opts: &CompileOptions,
 ) -> Result<Program> {
+    let files: Vec<(&str, &str, &ast::File)> = files
+        .iter()
+        .map(|(name, src, file)| (name.as_str(), src.as_str(), file.borrow()))
+        .collect();
     let mut c = Compiler::new(opts);
-    c.run(files)?;
+    c.run(&files)?;
     Ok(c.prog)
 }
 
@@ -195,9 +198,9 @@ impl<'o> Compiler<'o> {
 
     // ------------------------------------------------------------- driver
 
-    fn run(&mut self, files: &[(String, String, ast::File)]) -> Result<()> {
+    fn run(&mut self, files: &[(&str, &str, &ast::File)]) -> Result<()> {
         for (name, src, _) in files {
-            self.prog.files.push(name.clone());
+            self.prog.files.push((*name).to_owned());
             self.line_maps.push(LineMap::new(src));
         }
 

@@ -35,6 +35,7 @@ pub mod lockset;
 
 use cfg::ContextKind;
 use lockset::{display_path, AccessFact};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 pub use golite::{Diagnostic, Severity};
@@ -54,17 +55,21 @@ pub struct FileReport {
 pub fn check_sources(
     files: &[(String, String)],
 ) -> Result<Vec<FileReport>, (String, golite::Diag)> {
-    let mut parsed = Vec::new();
-    for (name, src) in files {
-        let file = golite::parse_file(src).map_err(|d| (name.clone(), d))?;
-        parsed.push((name.clone(), file));
-    }
+    let parsed = golite::parse_sources(files).map_err(|(i, d)| (files[i].0.clone(), d))?;
+    Ok(check_parsed(&parsed))
+}
+
+/// [`check_sources`] over files already parsed: `(name, source, ast)`
+/// triples shaped like `govm::compile_package`'s input, whose ASTs may be
+/// owned or borrowed — one parse serves the compiler and the analyzer.
+pub fn check_parsed<F: Borrow<golite::File>>(files: &[(String, String, F)]) -> Vec<FileReport> {
     // Program-wide naming facts: a package-level lock declared in one
     // file must qualify identically when used from another.
-    let env = cfg::FileEnv::for_program(parsed.iter().map(|(_, f)| f));
+    let env = cfg::FileEnv::for_program(files.iter().map(|(_, _, f)| f.borrow()));
     let mut reports: Vec<FileReport> = Vec::new();
     let mut all_contexts = Vec::new(); // (file_idx, func, kind, result)
-    for (idx, (name, file)) in parsed.iter().enumerate() {
+    for (idx, (name, _, file)) in files.iter().enumerate() {
+        let file: &golite::File = file.borrow();
         let mut diags = lints::ast_lints(file);
         let ctxs = cfg::contexts_with(file, &env);
         let mut accesses: Vec<AccessFact> = Vec::new();
@@ -92,7 +97,7 @@ pub fn check_sources(
             .sort_by(|a, b| (a.span.lo, a.span.hi, &a.rule).cmp(&(b.span.lo, b.span.hi, &b.rule)));
         r.diagnostics.dedup();
     }
-    Ok(reports)
+    reports
 }
 
 /// Analyzes a single file.

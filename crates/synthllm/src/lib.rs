@@ -25,7 +25,7 @@
 //!
 //! let code = "package p\n\nimport \"sync\"\n\nfunc F() {\n\terr := work()\n\tvar wg sync.WaitGroup\n\twg.Add(1)\n\tgo func() {\n\t\tdefer wg.Done()\n\t\terr = work()\n\t\tuse(err)\n\t}()\n\terr = work()\n\twg.Wait()\n\tuse(err)\n}\n\nfunc work() error { return nil }\nfunc use(e error) {}\n";
 //! let llm = SynthLlm::new(ModelTier::Gpt4o, 7);
-//! let resp = llm.generate(&FixRequest {
+//! let req = FixRequest {
 //!     code: code.to_owned(),
 //!     scope: Scope::File,
 //!     racy_var: "err".into(),
@@ -35,7 +35,9 @@
 //!     context_funcs: 3,
 //!     focus_func: None,
 //!     case_key: "demo".into(),
-//! });
+//! };
+//! let prompt = golite::parse_file(&req.code).unwrap();
+//! let resp = llm.generate(&req, &prompt);
 //! assert!(resp.code.is_some());
 //! ```
 

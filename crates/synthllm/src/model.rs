@@ -63,18 +63,11 @@ impl SynthLlm {
         self.cap.tier()
     }
 
-    /// Generates a candidate fix for the request.
-    pub fn generate(&self, req: &FixRequest) -> FixResponse {
-        let Ok(file) = golite::parse_file(&req.code) else {
-            return FixResponse {
-                code: None,
-                strategy: None,
-                degraded: false,
-                note: "prompt code does not parse".into(),
-            };
-        };
-
-        let (ranked, example_idiom) = match self.rank_diagnoses(req, &file) {
+    /// Generates a candidate fix for the request. `prompt` is `req.code`
+    /// parsed: the caller parses a prompt once and every call on it borrows
+    /// that parse. The response is text, as a model's would be.
+    pub fn generate(&self, req: &FixRequest, prompt: &golite::File) -> FixResponse {
+        let (ranked, example_idiom) = match self.rank_diagnoses(req, prompt) {
             Ok(r) => r,
             Err(note) => {
                 return FixResponse {
@@ -103,7 +96,7 @@ impl SynthLlm {
         if misloc_roll < misloc_p {
             // Lost in the middle: the model rewrites a plausible-looking
             // but wrong site; the emitted code changes nothing relevant.
-            let degraded_code = golite::print_file(&file);
+            let degraded_code = golite::print_file(prompt);
             return FixResponse {
                 code: Some(degraded_code),
                 strategy: ranked.first().map(|(_, d)| d.strategy),
@@ -122,7 +115,7 @@ impl SynthLlm {
         // scope) is skipped, like an LLM revising its plan.
         for (i, (_, diag)) in ranked.iter().take(4).enumerate() {
             let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
-            match strategy::apply(diag.strategy, &file, &diag.target, botch) {
+            match strategy::apply(diag.strategy, prompt, &diag.target, botch) {
                 Ok(new_file) => {
                     return FixResponse {
                         code: Some(golite::print_file(&new_file)),
@@ -160,11 +153,9 @@ impl SynthLlm {
     /// deterministic dice are rolled per strategy, so the candidate
     /// `generate` would return is always in the list (when it returns
     /// one at all); the list simply keeps going past the first success.
-    pub fn enumerate(&self, req: &FixRequest, max: usize) -> Vec<Candidate> {
-        let Ok(file) = golite::parse_file(&req.code) else {
-            return Vec::new();
-        };
-        let Ok((ranked, example_idiom)) = self.rank_diagnoses(req, &file) else {
+    /// `prompt` is `req.code` parsed, as for [`SynthLlm::generate`].
+    pub fn enumerate(&self, req: &FixRequest, prompt: &golite::File, max: usize) -> Vec<Candidate> {
+        let Ok((ranked, example_idiom)) = self.rank_diagnoses(req, prompt) else {
             return Vec::new();
         };
         let attempt_tag = format!("attempt{}", req.feedback.len());
@@ -185,7 +176,7 @@ impl SynthLlm {
             // candidate, so the tournament sees what single-path saw.
             let (_, top) = &ranked[0];
             return vec![Candidate {
-                code: golite::print_file(&file),
+                code: golite::print_file(prompt),
                 strategy: top.strategy,
                 target: top.target.clone(),
                 degraded: true,
@@ -200,7 +191,7 @@ impl SynthLlm {
         let mut out = Vec::new();
         for (score, diag) in ranked.iter().take(max) {
             let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
-            if let Ok(new_file) = strategy::apply(diag.strategy, &file, &diag.target, botch) {
+            if let Ok(new_file) = strategy::apply(diag.strategy, prompt, &diag.target, botch) {
                 out.push(Candidate {
                     code: golite::print_file(&new_file),
                     strategy: diag.strategy,
@@ -225,15 +216,16 @@ impl SynthLlm {
     /// the defect, so the retry rolls *guided* dice — unlike a bare
     /// retry, which would deterministically repeat the same mistake —
     /// but a repair can still botch. Returns `None` when the strategy no
-    /// longer applies to the request code.
+    /// longer applies to the request code. `prompt` is `req.code` parsed,
+    /// as for [`SynthLlm::generate`].
     pub fn repair(
         &self,
         req: &FixRequest,
+        prompt: &golite::File,
         cand: &Candidate,
         rule: &str,
         iter: u32,
     ) -> Option<Candidate> {
-        let file = golite::parse_file(&req.code).ok()?;
         let skill = self.cap.effective_skill(cand.strategy, true);
         let tag = format!("repair{iter}");
         let roll = draw(
@@ -242,7 +234,7 @@ impl SynthLlm {
             &tag,
         );
         let botch = if roll < skill { 0 } else { 1 };
-        let new_file = strategy::apply(cand.strategy, &file, &cand.target, botch).ok()?;
+        let new_file = strategy::apply(cand.strategy, prompt, &cand.target, botch).ok()?;
         Some(Candidate {
             code: golite::print_file(&new_file),
             degraded: botch != 0,
@@ -473,6 +465,10 @@ func task2() error { return nil }
 func note()        {}
 "#;
 
+    fn prompt(r: &FixRequest) -> golite::File {
+        golite::parse_file(&r.code).expect("prompt parses")
+    }
+
     fn req(code: &str, var: &str) -> FixRequest {
         FixRequest {
             code: code.to_owned(),
@@ -490,7 +486,8 @@ func note()        {}
     #[test]
     fn generates_redeclare_fix_for_err_race() {
         let llm = SynthLlm::new(ModelTier::O1Preview, 3);
-        let resp = llm.generate(&req(ERR_RACE, "err"));
+        let r = req(ERR_RACE, "err");
+        let resp = llm.generate(&r, &prompt(&r));
         let code = resp.code.expect("fix produced");
         assert_eq!(resp.strategy, Some(StrategyKind::RedeclareInGoroutine));
         assert!(code.contains("if err := task()"), "{code}");
@@ -501,15 +498,17 @@ func note()        {}
     #[test]
     fn response_reparses() {
         let llm = SynthLlm::new(ModelTier::O1Preview, 3);
-        let resp = llm.generate(&req(ERR_RACE, "err"));
+        let r = req(ERR_RACE, "err");
+        let resp = llm.generate(&r, &prompt(&r));
         golite::parse_file(&resp.code.unwrap()).expect("model output must be valid code");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let llm = SynthLlm::new(ModelTier::Gpt4o, 11);
-        let a = llm.generate(&req(ERR_RACE, "err"));
-        let b = llm.generate(&req(ERR_RACE, "err"));
+        let r = req(ERR_RACE, "err");
+        let a = llm.generate(&r, &prompt(&r));
+        let b = llm.generate(&r, &prompt(&r));
         assert_eq!(a.code, b.code);
         assert_eq!(a.strategy, b.strategy);
     }
@@ -522,7 +521,7 @@ func note()        {}
             strategy: Some(StrategyKind::RedeclareInGoroutine),
             message: "tests still race".into(),
         });
-        let resp = llm.generate(&r);
+        let resp = llm.generate(&r, &prompt(&r));
         assert_ne!(resp.strategy, Some(StrategyKind::RedeclareInGoroutine));
     }
 
@@ -536,7 +535,7 @@ func note()        {}
             buggy: "package p\nfunc g() {\n\tx := 0\n\tgo func() {\n\t\tx = 1\n\t}()\n}\n".into(),
             fixed: "package p\nimport \"sync\"\nvar muX sync.Mutex\nfunc g() {\n\tx := 0\n\tgo func() {\n\t\tmuX.Lock()\n\t\tx = 1\n\t\tmuX.Unlock()\n\t}()\n}\n".into(),
         });
-        let resp = llm.generate(&r);
+        let resp = llm.generate(&r, &prompt(&r));
         assert_eq!(resp.strategy, Some(StrategyKind::MutexGuard));
     }
 
@@ -575,8 +574,9 @@ func note()        {}
             for tier in [ModelTier::Gpt4Turbo, ModelTier::Gpt4o, ModelTier::O1Preview] {
                 let llm = SynthLlm::new(tier, seed);
                 let r = req(ERR_RACE, "err");
-                let gen = llm.generate(&r);
-                let cands = llm.enumerate(&r, 4);
+                let p = prompt(&r);
+                let gen = llm.generate(&r, &p);
+                let cands = llm.enumerate(&r, &p, 4);
                 match gen.code {
                     Some(code) => {
                         let first = cands.first().expect("generate produced, enumerate empty");
@@ -593,7 +593,8 @@ func note()        {}
     #[test]
     fn enumerate_goes_past_the_first_success() {
         let llm = SynthLlm::new(ModelTier::O1Preview, 3);
-        let cands = llm.enumerate(&req(ERR_RACE, "err"), 8);
+        let r = req(ERR_RACE, "err");
+        let cands = llm.enumerate(&r, &prompt(&r), 8);
         assert!(cands.len() > 1, "only {} candidates", cands.len());
         // Confidence is ordered with rank and stays in (0, 1].
         for w in cands.windows(2) {
@@ -613,24 +614,18 @@ func note()        {}
     fn repair_is_deterministic_and_reapplies_the_strategy() {
         let llm = SynthLlm::new(ModelTier::Gpt4Turbo, 9);
         let r = req(ERR_RACE, "err");
-        let cands = llm.enumerate(&r, 4);
+        let p = prompt(&r);
+        let cands = llm.enumerate(&r, &p, 4);
         let cand = cands.first().expect("candidate");
-        let a = llm.repair(&r, cand, "inconsistent-lock", 0);
-        let b = llm.repair(&r, cand, "inconsistent-lock", 0);
+        let a = llm.repair(&r, &p, cand, "inconsistent-lock", 0);
+        let b = llm.repair(&r, &p, cand, "inconsistent-lock", 0);
         let (a, b) = (a.expect("repair applies"), b.expect("repair applies"));
         assert_eq!(a.code, b.code);
         assert_eq!(a.strategy, cand.strategy);
         // A different iteration ordinal rolls fresh dice (possibly the
         // same outcome, but the draw is keyed differently).
-        let c = llm.repair(&r, cand, "inconsistent-lock", 1).unwrap();
+        let c = llm.repair(&r, &p, cand, "inconsistent-lock", 1).unwrap();
         assert_eq!(c.strategy, cand.strategy);
-    }
-
-    #[test]
-    fn unparseable_prompt_declines() {
-        let llm = SynthLlm::new(ModelTier::Gpt4o, 1);
-        let resp = llm.generate(&req("this is not go", "x"));
-        assert!(resp.code.is_none());
     }
 
     #[test]
@@ -662,11 +657,13 @@ func F(ctx context.Context) error {
 func evaluate() (int, error) { return 1, nil }
 func use(x int)              {}
 "#;
+        let r = req(src, "err");
+        let p = prompt(&r);
         let mut degraded = 0;
         let mut produced = 0;
         for seed in 0..40 {
             let llm = SynthLlm::new(ModelTier::Gpt4Turbo, seed);
-            let resp = llm.generate(&req(src, "err"));
+            let resp = llm.generate(&r, &p);
             if resp.code.is_some() {
                 produced += 1;
                 if resp.degraded {
