@@ -805,6 +805,57 @@ mod tests {
         golite::parse_file(&merged).unwrap();
     }
 
+    /// A site whose prompt does not parse is never built, so the prompt
+    /// never reaches the model and costs no model call in either arm. A
+    /// function-scope prompt is printed from the stage's AST and so always
+    /// reparses; the test breaks it by planting an import path the printer
+    /// cannot quote.
+    #[test]
+    fn unparseable_prompt_never_reaches_the_model() {
+        let src = concat!(
+            "package app\n\n",
+            "import (\n\t\"sync\"\n\t\"testing\"\n)\n\n",
+            "func Work() int {\n\tn := 0\n\tvar wg sync.WaitGroup\n\twg.Add(2)\n",
+            "\tgo func() {\n\t\tdefer wg.Done()\n\t\tn = n + 1\n\t}()\n",
+            "\tgo func() {\n\t\tdefer wg.Done()\n\t\tn = n + 2\n\t}()\n",
+            "\twg.Wait()\n\treturn n\n}\n\n",
+            "func TestWork(t *testing.T) {\n\tWork()\n}\n",
+        );
+        let drfix = DrFix::new(
+            PipelineConfig {
+                scopes: vec![Scope::Func],
+                ..PipelineConfig::default()
+            },
+            None,
+        );
+        let mut parsed = golite::parse_sources(&[("a.go".to_owned(), src.to_owned())]).unwrap();
+        let prog = govm::compile_package(&parsed, &CompileOptions::default()).unwrap();
+        let detected = drfix.detect_outcome(&prog, "TestWork");
+        let report = detected.races.first().expect("the race reproduces");
+        let info = raceinfo::extract_parsed(report, &parsed);
+        let tcfg = crate::TournamentConfig::default();
+        let calls = |parsed: &[ParsedFile]| {
+            let single = drfix.fix_single_path(parsed, "TestWork", &info);
+            let build = drfix.tournament_pool(parsed, &info, &tcfg);
+            let tournament = drfix.tournament_decide("TestWork", &info, &tcfg, build);
+            (single.llm_calls, tournament.llm_calls)
+        };
+
+        // A sound prompt reaches the model in both arms.
+        assert!(drfix.sites(&parsed, &info).count() > 0);
+        let (single, tournament) = calls(&parsed);
+        assert!(single > 0 && tournament > 0, "{single} {tournament}");
+
+        parsed[0].2.imports[0].path = "sy\"nc".into();
+        let wrapper = func_scope_wrapper(&parsed[0].2, "Work").unwrap();
+        assert!(golite::parse_file(&wrapper).is_err(), "{wrapper}");
+        assert_eq!(drfix.sites(&parsed, &info).count(), 0);
+        assert_eq!(calls(&parsed), (0, 0));
+        let out = drfix.fix_single_path(&parsed, "TestWork", &info);
+        assert_eq!(out.validations, 0);
+        assert_eq!(out.failure, Some(FailureKind::Unfixed));
+    }
+
     #[test]
     fn patch_loc_counts_changes() {
         let parsed =

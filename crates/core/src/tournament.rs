@@ -39,8 +39,9 @@ use crate::validate::{
     probe_parsed, validate_patch_report, StaticProbe, ValidationOptions, Verdict,
 };
 use golite::ParsedFile;
-use std::collections::HashSet;
-use synthllm::{Candidate, Feedback, FixRequest, RaceCategory, Scope, StrategyKind, SynthLlm};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use synthllm::{Candidate, Feedback, RaceCategory, Scope, StrategyKind, SynthLlm};
 
 /// Configuration of the tournament arm. `None` on
 /// [`crate::PipelineConfig::tournament`] keeps the single-path loop.
@@ -169,25 +170,35 @@ pub(crate) struct PoolEntry {
     probe: StaticProbe,
 }
 
-/// Where a pool candidate came from — what its repair needs, kept only
-/// while the pool is built.
+impl PoolEntry {
+    /// Whether the repair loop will work on this candidate: its probe
+    /// found something, and the sources still parse.
+    fn has_findings(&self) -> bool {
+        !self.probe.clean() && !self.probe.broken
+    }
+}
+
+/// Where a candidate with repair work came from: its site, the example
+/// arm and enumeration pass of its request, and the model's output.
+/// Kept only while its repair chain may still run.
 struct Lineage {
-    /// Index of the site (location × scope) it was generated at.
     site: usize,
-    req: FixRequest,
+    arm: usize,
+    pass: u32,
     cand: Candidate,
 }
 
-/// Dedup key over a patched codebase: the exact bytes, file by file.
-fn pool_key(patched: &[(String, String)]) -> String {
-    let mut key = String::new();
-    for (name, src) in patched {
-        key.push_str(name);
-        key.push('\0');
-        key.push_str(src);
-        key.push('\0');
-    }
-    key
+/// The feedback of enumeration pass `pass`. Synthetic feedback
+/// reproduces the attempt ordinal without naming a failed strategy:
+/// exclusions only shrink the ranking, and the pool already holds the
+/// whole window.
+fn pass_feedback(pass: u32) -> Vec<Feedback> {
+    (0..pass)
+        .map(|_| Feedback {
+            strategy: None,
+            message: "prior candidate failed validation".into(),
+        })
+        .collect()
 }
 
 /// The output of the tournament's static half (phases 1–2): the
@@ -204,13 +215,16 @@ pub(crate) struct PoolBuild {
 }
 
 /// Admits candidates to the pool: splices each one, drops it when its
-/// patched sources repeat a known candidate's, and parses and probes the
-/// rest. Dedup runs before the parse, so a duplicate costs a splice and
-/// never a parse; each parse is dropped right after its probe, so the
-/// pool holds text only.
+/// patched sources repeat a pooled candidate's byte for byte, and parses
+/// and probes the rest. Dedup runs before the parse, so a duplicate costs
+/// a splice and never a parse; each parse is dropped right after its
+/// probe, so the pool holds text only. Dedup compares against the pool's
+/// own text, filtered by a hash per entry, so no second copy is kept.
 struct Admission<'a> {
     parsed: &'a [ParsedFile],
-    seen: HashSet<String>,
+    /// Hash of each pool entry's patched sources, parallel to the pool:
+    /// every admitted candidate is pushed to the pool.
+    hashes: Vec<u64>,
     lint_probes: u32,
 }
 
@@ -218,19 +232,27 @@ struct Admission<'a> {
 type Admitted = (Vec<(String, String)>, usize, StaticProbe);
 
 impl Admission<'_> {
-    /// `None` when `code` does not splice at `site`, repeats a known
-    /// candidate, or leaves a file that does not parse (whole-file output
-    /// is taken verbatim; a spliced function is printed, so it parses).
-    fn admit(&mut self, site: &Site, code: &str) -> Option<Admitted> {
+    /// `None` when `code` does not splice at `site`, repeats a candidate
+    /// in `pool`, or leaves a file that does not parse (whole-file output
+    /// is taken verbatim; a spliced function is printed, so it parses). A
+    /// candidate that does not parse is not remembered: a repeat of it
+    /// fails the same way.
+    fn admit(&mut self, pool: &[PoolEntry], site: &Site, code: &str) -> Option<Admitted> {
+        debug_assert_eq!(self.hashes.len(), pool.len());
         let file = &site.loc.file;
         let src = splice(self.parsed, site.loc, site.scope, code).ok()?;
         let patched = patched_sources(self.parsed, file, &src);
-        if !self.seen.insert(pool_key(&patched)) {
+        let mut hasher = DefaultHasher::new();
+        patched.hash(&mut hasher);
+        let hash = hasher.finish();
+        let mut known = self.hashes.iter().zip(pool);
+        if known.any(|(&h, e)| h == hash && e.patched == patched) {
             return None;
         }
         let ast = golite::parse_file(&src).ok()?;
         let probe = probe_parsed(&patched_view(self.parsed, &patched, file, &ast));
         self.lint_probes += 1;
+        self.hashes.push(hash);
         Some((patched, patch_loc(self.parsed, file, &src), probe))
     }
 }
@@ -241,29 +263,21 @@ impl DrFix<'_> {
     /// the synthetic model and `statcheck` — **zero VM instructions** — so
     /// the campaign can run it in a stage that never touches the
     /// scheduler.
+    ///
+    /// Sites are built one at a time. A site — its prompt parse included —
+    /// is kept past its enumeration only while one of its candidates
+    /// still has repair work, and so is a candidate's lineage.
     pub(crate) fn tournament_pool(
         &self,
         parsed: &[ParsedFile],
         info: &RaceInfo,
         tcfg: &TournamentConfig,
     ) -> PoolBuild {
-        self.pool_with_lineage(parsed, info, tcfg).0
-    }
-
-    /// [`DrFix::tournament_pool`], also returning each candidate's
-    /// lineage (parallel to the pool).
-    fn pool_with_lineage(
-        &self,
-        parsed: &[ParsedFile],
-        info: &RaceInfo,
-        tcfg: &TournamentConfig,
-    ) -> (PoolBuild, Vec<Lineage>) {
         let mut llm_calls = 0u32;
         let llm = SynthLlm::new(self.cfg.tier, self.cfg.seed);
-        let sites: Vec<Site> = self.sites(parsed, info).collect();
         let mut admission = Admission {
             parsed,
-            seen: HashSet::new(),
+            hashes: Vec::new(),
             lint_probes: 0,
         };
 
@@ -278,32 +292,30 @@ impl DrFix<'_> {
         // gets — without it the pool could miss a retry-only win. Every
         // admitted candidate is probed on entry.
         let mut pool: Vec<PoolEntry> = Vec::new();
-        let mut lineage: Vec<Lineage> = Vec::new();
+        // Parallel to the base candidates; `None` once (or when) a
+        // candidate has no repair work.
+        let mut lineage: Vec<Option<Lineage>> = Vec::new();
+        // Indexed by site; `None` once a site has no repair work.
+        let mut sites: Vec<Option<Site>> = Vec::new();
         let passes: u32 = if self.cfg.feedback {
             self.cfg.retries + 1
         } else {
             1
         };
-        for (s, site) in sites.iter().enumerate() {
-            for arm in &site.arms {
+        for site in self.sites(parsed, info) {
+            let s = sites.len();
+            let first = lineage.len();
+            for (a, arm) in site.arms.iter().enumerate() {
                 for pass in 0..passes {
-                    // Synthetic feedback reproduces the attempt ordinal
-                    // without naming a failed strategy: exclusions only
-                    // shrink the ranking, and the pool already holds the
-                    // whole window.
-                    let feedback: Vec<Feedback> = (0..pass)
-                        .map(|_| Feedback {
-                            strategy: None,
-                            message: "prior candidate failed validation".into(),
-                        })
-                        .collect();
-                    let req = site.request(info, arm, feedback);
+                    let req = site.request(info, arm, pass_feedback(pass));
                     llm_calls += 1;
                     for cand in llm.enumerate(&req, &site.prompt, tcfg.max_candidates) {
-                        let Some((patched, ploc, probe)) = admission.admit(site, &cand.code) else {
+                        let Some((patched, ploc, probe)) =
+                            admission.admit(&pool, &site, &cand.code)
+                        else {
                             continue;
                         };
-                        pool.push(PoolEntry {
+                        let entry = PoolEntry {
                             strategy: cand.strategy,
                             confidence: cand.confidence,
                             degraded: cand.degraded,
@@ -315,15 +327,20 @@ impl DrFix<'_> {
                             ploc,
                             repair_iters: 0,
                             probe,
-                        });
-                        lineage.push(Lineage {
+                        };
+                        let repairs = tcfg.repair_max_iters > 0 && entry.has_findings();
+                        lineage.push(repairs.then_some(Lineage {
                             site: s,
-                            req: req.clone(),
+                            arm: a,
+                            pass,
                             cand,
-                        });
+                        }));
+                        pool.push(entry);
                     }
                 }
             }
+            let repairs = lineage[first..].iter().any(Option::is_some);
+            sites.push(repairs.then_some(site));
         }
 
         // ── Phase 2: iterated repair against statcheck ───────────────
@@ -334,20 +351,21 @@ impl DrFix<'_> {
         // continues from the newest link. Not one VM instruction is
         // spent here.
         let mut total_repairs = 0u32;
-        let base_len = pool.len();
-        for i in 0..base_len {
+        for i in 0..lineage.len() {
+            let Some(mut from) = lineage[i].take() else {
+                continue;
+            };
+            let site = sites[from.site]
+                .as_ref()
+                .expect("a site with repair work is kept");
+            let req = site.request(info, &site.arms[from.arm], pass_feedback(from.pass));
             let mut current = i;
             let mut iter = 0u32;
-            while iter < tcfg.repair_max_iters {
+            while iter < tcfg.repair_max_iters && pool[current].has_findings() {
                 let probe = &pool[current].probe;
-                if probe.clean() || probe.broken {
-                    break;
-                }
                 let rule = probe.first_rule.clone().unwrap_or_else(|| "unknown".into());
-                let from = &lineage[current];
-                let site = &sites[from.site];
                 llm_calls += 1;
-                let Some(rep) = llm.repair(&from.req, &site.prompt, &from.cand, &rule, iter) else {
+                let Some(rep) = llm.repair(&req, &site.prompt, &from.cand, &rule, iter) else {
                     break;
                 };
                 iter += 1;
@@ -356,7 +374,7 @@ impl DrFix<'_> {
                     break; // the model reproduced itself: converged
                 }
                 // Converged onto an already-known candidate, or broken.
-                let Some((patched, ploc, probe)) = admission.admit(site, &rep.code) else {
+                let Some((patched, ploc, probe)) = admission.admit(&pool, site, &rep.code) else {
                     break;
                 };
                 let parent = &pool[current];
@@ -373,21 +391,22 @@ impl DrFix<'_> {
                     repair_iters: iter,
                     probe,
                 });
-                lineage.push(Lineage {
-                    site: from.site,
-                    req: from.req.clone(),
-                    cand: rep,
-                });
+                from.cand = rep;
                 current = pool.len() - 1;
             }
+            // Base candidates come in site order: past the last one with
+            // repair work at this site, its prompt is done with.
+            let next = lineage[i + 1..].iter().flatten().next();
+            if next.map(|l| l.site) != Some(from.site) {
+                sites[from.site] = None;
+            }
         }
-        let build = PoolBuild {
+        PoolBuild {
             pool,
             llm_calls,
             lint_probes: admission.lint_probes,
             total_repairs,
-        };
-        (build, lineage)
+        }
     }
 
     /// Phase 3: rank the pool, validate survivors under schedule-diverse
@@ -640,32 +659,43 @@ mod tests {
                 continue;
             };
             let info = crate::raceinfo::extract_parsed(report, &parsed);
-            let (build, lineage) = drfix.pool_with_lineage(&parsed, &info, &tcfg);
-            for (e, from) in build.pool.iter().zip(&lineage) {
-                if e.scope != Scope::Func {
+            // Every candidate the pool build can splice at function
+            // scope: each enumeration, and each repair iteration of it.
+            let llm = SynthLlm::new(drfix.cfg.tier, drfix.cfg.seed);
+            for site in drfix.sites(&parsed, &info) {
+                if site.scope != Scope::Func {
                     continue;
                 }
-                let func = from
-                    .req
-                    .focus_func
-                    .as_deref()
-                    .expect("prompts focus a function");
-                let (name, src, _) = parsed
-                    .iter()
-                    .find(|(_, _, f)| f.find_func(func).is_some())
-                    .expect("the focus function is declared");
-                let want = reference_integrate_func_patch(src, &from.cand.code, func)
-                    .expect("the reference splices every pool candidate");
-                let got = &e.patched.iter().find(|(n, _)| n == name).expect("file").1;
-                assert_eq!(
-                    got, &want,
-                    "case {i}: the splice diverged from the reference"
-                );
-                compared += 1;
+                let file = parsed.iter().find(|(n, _, _)| n == &site.loc.file);
+                let (_, src, _) = file.expect("the site's file");
+                let func = &site.loc.function;
+                for arm in &site.arms {
+                    for pass in 0..=drfix.cfg.retries {
+                        let req = site.request(&info, arm, pass_feedback(pass));
+                        for cand in llm.enumerate(&req, &site.prompt, tcfg.max_candidates) {
+                            let repairs = (0..tcfg.repair_max_iters).filter_map(|iter| {
+                                llm.repair(&req, &site.prompt, &cand, "inconsistent-lock", iter)
+                            });
+                            let codes: Vec<String> = std::iter::once(cand.code.clone())
+                                .chain(repairs.map(|r| r.code))
+                                .collect();
+                            for code in codes {
+                                let want = reference_integrate_func_patch(src, &code, func);
+                                assert!(want.is_ok(), "case {i}: {want:?}");
+                                assert_eq!(
+                                    splice(&parsed, site.loc, site.scope, &code),
+                                    want,
+                                    "case {i}: the splice diverged from the reference"
+                                );
+                                compared += 1;
+                            }
+                        }
+                    }
+                }
             }
         }
         assert!(
-            compared > 50,
+            compared > 200,
             "only {compared} function-scope candidates compared"
         );
     }
