@@ -103,7 +103,7 @@ perf-baseline:
 ## The CI `campaign-smoke` job: the snapshot/resume drill at reduced
 ## scale (DRFIX_CAMPAIGN_CASES, default 200; 2 shards). A serial
 ## reference campaign runs uninterrupted; the same campaign runs
-## pipelined, is killed at its first checkpoint (exit 3), resumes from
+## on 4 workers, is killed at its first checkpoint (exit 3), resumes from
 ## the snapshot, and the resumed digest must equal the uninterrupted
 ## reference bit-for-bit. Exits non-zero on any divergence.
 campaign-smoke:
@@ -129,14 +129,14 @@ campaign-smoke:
 	@echo "campaign-smoke: kill/resume digest bit-identical to the uninterrupted run"
 
 ## Campaign at deployment scale: a 10k-case streamed detect campaign
-## through the pipelined orchestrator, asserting the resident
-## generated-case-bytes high-water stays under 256 KiB — the corpus is
-## synthesized on demand and never materializes, so memory is bounded
-## by the in-flight window, not the campaign length.
+## on 4 workers, asserting the resident generated-case-bytes high-water
+## stays under 32 KiB (4 workers × an 8 KiB per-case ceiling) — the
+## corpus is synthesized on demand and never materializes, so memory is
+## bounded by the cases workers are running, not the campaign length.
 campaign-scale:
 	$(CARGO) build --release -q -p bench --bin campaignctl
 	target/release/campaignctl run --cases 10000 --shards 8 --workers 4 \
-	  --checkpoint-every 256 --assert-resident-under 262144 \
+	  --checkpoint-every 256 --assert-resident-under 32768 \
 	  --report target/campaign-smoke/scale-report.json
 
 ## The CI `drbench-smoke` job: the benchmark's self-test, then one traced

@@ -12,8 +12,9 @@
 //!
 //! - `--cases N` — total cases (`DRFIX_CAMPAIGN_CASES`, 10000)
 //! - `--shards N` — queue shards (`DRFIX_CAMPAIGN_SHARDS`, 8)
-//! - `--workers N` — per-stage workers (`DRFIX_CAMPAIGN_WORKERS`, 4)
-//! - `--serial` — force the serial reference executor
+//! - `--workers N` — worker threads, each running whole cases
+//!   (`DRFIX_CAMPAIGN_WORKERS`, 4)
+//! - `--serial` — one worker, run inline on the main thread
 //! - `--seed N` — stream seed (`DRFIX_CAMPAIGN_SEED`, 0xD27F17)
 //! - `--family NAME` — fixable|exposure|tournament|mixed
 //!   (`DRFIX_CAMPAIGN_FAMILY`, exposure)
@@ -24,7 +25,7 @@
 //! - `--max-in-flight N` — in-flight case bound (0 = auto)
 //! - `--snapshot PATH` — snapshot file to write (run) / read (resume,
 //!   status)
-//! - `--report PATH` — write the schema-v6 metrics report as JSON
+//! - `--report PATH` — write the schema-v7 metrics report as JSON
 //! - `--assert-resident-under BYTES` — fail (exit 1) unless the
 //!   resident generated-case-bytes high-water stayed under BYTES — the
 //!   streamed-corpus bounded-memory assertion at any scale

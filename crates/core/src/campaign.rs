@@ -1,41 +1,44 @@
 //! Campaign orchestration (§2.2 at deployment scale): streaming 10k+
-//! generated cases through sharded, work-stealing, stage-pipelined
-//! execution with snapshot/resume — the fix service's "real service
-//! surface", driven by the `campaignctl` bin.
+//! generated cases through a sharded, work-stealing worker pool with
+//! snapshot/resume — the fix service's "real service surface", driven by
+//! the `campaignctl` bin.
 //!
 //! # Shape
 //!
 //! ```text
-//!  CorpusStream ──► [detect ×W] ──► [diagnose] ──► [fix ×W] ──► [validate ×W] ──► collector
-//!   (on demand)         │ claim from sharded queues,                │                 │ fold in
-//!                       │ steal when home shard drains              │ zero VM         │ index order,
-//!                       ▼                                           ▼ (tournament     ▼ checkpoint
-//!                  shard cursors                                     pool build)   per-shard digests
+//!   CorpusStream          worker ×W: gate → claim(home) → DrFix::run_case ──► collector
+//!    (on demand)            │ steal when the home shard drains                  │ fold in
+//!                           ▼                                                   │ index order,
+//!                      shard cursors                                            ▼ checkpoint
+//!                                                                     per-shard digests
 //! ```
 //!
-//! Four stages over bounded `std::sync::mpsc::sync_channel` links
-//! inside one `std::thread::scope`: validation of case `N` overlaps
-//! detection of case `N+k`. Cases are synthesized on demand from a
-//! [`CorpusStream`] — the corpus never materializes; the only resident
-//! case sources are the in-flight window, whose byte high-water the run
-//! measures ([`CampaignMetrics::peak_resident_case_bytes`]).
+//! Each worker claims a case and runs it start to finish — detect, then
+//! in fix mode diagnose, fix and validate — on one parse, exactly as
+//! [`DrFix::fix_case`] does, and sends its compact [`CaseOutcome`] to
+//! the collector on the calling thread. One worker runs the same loop
+//! inline with no threads or channel. Cases are synthesized on demand
+//! from a [`CorpusStream`] — the corpus never materializes; the only
+//! resident case sources are the ones workers are running, whose byte
+//! high-water the run measures
+//! ([`CampaignMetrics::peak_resident_case_bytes`]).
 //!
 //! # Determinism
 //!
-//! Results are **bit-identical to the serial reference at any
+//! Results are **bit-identical to the one-worker run at any
 //! shard/worker count** because every quantity that reaches the digest
 //! is a pure function of `(config, case index)`:
 //!
 //! 1. case sources come from the stream's per-index RNG
 //!    (`splitmix64(seed ⊕ salt ⊕ splitmix64(i))`);
 //! 2. the pipeline seed is [`derive_case_seed`]`(pipeline.seed, i)` —
-//!    the same derivation the PR 2 fleet uses — so detection and
+//!    the same derivation the fleet uses — so detection and
 //!    validation schedules never observe claim order;
 //! 3. the collector folds outcomes into per-shard FNV-1a digests in
 //!    strict index order, whatever order workers deliver them.
 //!
 //! Work-stealing therefore changes *wall-clock placement only*; an A/B
-//! test (`tests/campaign_ab.rs`) pins serial ≡ pipelined digests.
+//! test (`tests/campaign_ab.rs`) pins one-worker ≡ many-worker digests.
 //!
 //! # Snapshot / resume
 //!
@@ -49,25 +52,23 @@
 //! points in `tests/campaign_resume.rs`).
 
 use crate::fleet::{derive_case_seed, fnv1a64_fold, FNV1A_OFFSET};
-use crate::pipeline::{DrFix, FixOutcome, PipelineConfig};
-use crate::raceinfo;
+use crate::pipeline::{DrFix, PipelineConfig};
 use corpus::stream::{CorpusStream, StreamConfig};
-use corpus::RaceCase;
-use govm::{CompileOptions, StopReason};
+use govm::StopReason;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// Schema of campaign snapshots and metrics reports (matches the
-/// perfscan report schema this PR bumps to v6).
-pub const CAMPAIGN_SCHEMA: u32 = 6;
+/// Schema of campaign snapshots and metrics reports.
+pub const CAMPAIGN_SCHEMA: u32 = 7;
 
-/// Stage names, in pipeline order (index into the per-stage metrics).
-pub const STAGES: [&str; 4] = ["detect", "diagnose", "fix", "validate"];
+/// Phase names of one case, in order (index into
+/// [`CampaignMetrics::stage_busy_seconds`]).
+pub const PHASES: [&str; 4] = ["detect", "diagnose", "fix", "validate"];
 
 /// What the campaign does with each case after detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,9 +79,9 @@ pub enum CampaignMode {
     /// scales to 10k+ cases.
     Detect,
     /// The full fix service: detect → diagnose → fix → validate. With a
-    /// tournament configured the fix stage is purely static (candidate
+    /// tournament configured the fix phase is purely static (candidate
     /// pool + lint repair) and all VM work concentrates in detect and
-    /// validate; without one, fix and validate fuse into one stage
+    /// validate; without one, fix and validate fuse into one phase
     /// (the single-path loop interleaves them by design).
     Fix,
 }
@@ -111,9 +112,9 @@ pub struct CampaignConfig {
     pub cases: usize,
     /// Work-queue shards; each owns a contiguous index range.
     pub shards: usize,
-    /// Worker threads per parallel stage. `1` selects the serial
-    /// reference executor (no threads, no channels) whose digests every
-    /// pipelined run must reproduce.
+    /// Worker threads, each running whole cases. `1` runs the worker
+    /// loop inline on the calling thread (no threads, no channel); every
+    /// worker count folds bit-identical digests.
     pub workers: usize,
     /// Detect-only or full-fix (see [`CampaignMode`]).
     pub mode: CampaignMode,
@@ -125,14 +126,14 @@ pub struct CampaignConfig {
     /// Folded cases per shard between snapshot writes.
     pub checkpoint_every: usize,
     /// Deterministic in-process kill switch: stop claiming new cases
-    /// after this many checkpoints have been written, drain the
-    /// pipeline, and exit with an interrupted snapshot. This is how the
+    /// after this many checkpoints have been written, let running cases
+    /// finish, and exit with an interrupted snapshot. This is how the
     /// smoke test and the resume proptest kill a campaign at a
     /// checkpoint without process gymnastics.
     pub halt_after_checkpoints: Option<u64>,
-    /// Bound on cases in flight (claimed but not folded). Caps resident
-    /// case bytes and the collector's reorder buffers at O(this),
-    /// independent of `cases`. `0` picks `max(4 × workers, 16)`.
+    /// Bound on cases in flight (claimed but not folded). Caps the
+    /// collector's reorder buffers at O(this), independent of `cases`.
+    /// `0` picks `max(4 × workers, 16)`.
     pub max_in_flight: usize,
 }
 
@@ -186,8 +187,9 @@ impl CampaignConfig {
 }
 
 /// The compact, digestible outcome of one case — everything the
-/// campaign keeps per case (the full [`FixOutcome`] with its patched
-/// sources is dropped at fold time; memory stays O(in-flight)).
+/// campaign keeps per case (the worker drops the full
+/// [`FixOutcome`](crate::FixOutcome) with its patched sources as soon as
+/// it compacts it; memory stays O(in-flight)).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CaseOutcome {
     /// Stream index.
@@ -446,12 +448,12 @@ impl Snapshot {
     }
 }
 
-/// The machine-readable progress/metrics report (schema v6) a campaign
-/// emits: per-stage throughput, queue/steal accounting, and the
+/// The machine-readable progress/metrics report (schema v7) a campaign
+/// emits: per-phase busy time, queue/steal accounting, and the
 /// bounded-memory evidence. Deterministic fields (everything but the
-/// wall-clock and busy-seconds floats and the threaded-only channel
-/// gauges) replay bit-identically on the serial executor — that is what
-/// the perfscan campaign section exact-gates.
+/// wall-clock and busy-seconds floats and the high-waters of a threaded
+/// run) replay bit-identically on one worker — that is what the perfscan
+/// campaign section exact-gates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignMetrics {
     /// Report schema ([`CAMPAIGN_SCHEMA`]).
@@ -460,12 +462,10 @@ pub struct CampaignMetrics {
     pub cases_done: u64,
     /// Wall-clock seconds — reported, never gated.
     pub wall_seconds: f64,
-    /// Cases processed per stage, pipeline order (see [`STAGES`]).
-    pub stage_cases: Vec<u64>,
-    /// Per-stage busy seconds: the time spent inside the stage's work on
-    /// each case, summed over the stage's workers. Waiting on a channel,
-    /// the claim gate or a hand-off is not busy time, so a stage's share
-    /// of the sum is its share of the work.
+    /// Per-phase busy seconds (see [`PHASES`]): the time each case
+    /// spent in the phase, summed over all workers. Case generation
+    /// counts as detect; waiting on the claim gate is not busy time, so a
+    /// phase's share of the sum is its share of the work.
     pub stage_busy_seconds: Vec<f64>,
     /// Successful claims from the sharded queues.
     pub queue_pops: u64,
@@ -473,9 +473,6 @@ pub struct CampaignMetrics {
     pub steals: u64,
     /// Shard queues examined across all claims (probe count).
     pub steal_probes: u64,
-    /// High-water depth of each inter-stage channel (threaded runs
-    /// only; the serial executor has no channels and reports zeros).
-    pub channel_peak_depth: Vec<u64>,
     /// High-water of cases in flight (claimed, not folded) — must stay
     /// ≤ the configured in-flight limit.
     pub peak_in_flight: u64,
@@ -494,17 +491,6 @@ pub struct CampaignMetrics {
 }
 
 impl CampaignMetrics {
-    /// Cases/second through stage `i` (by its busy time, waits excluded).
-    pub fn stage_rate(&self, i: usize) -> f64 {
-        let busy = self.stage_busy_seconds.get(i).copied().unwrap_or(0.0);
-        let cases = self.stage_cases.get(i).copied().unwrap_or(0);
-        if busy > 0.0 {
-            cases as f64 / busy
-        } else {
-            0.0
-        }
-    }
-
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
@@ -589,7 +575,8 @@ impl ShardQueues {
 }
 
 /// The claim gate: bounds cases in flight (claimed but not folded) so
-/// pipelining can never buffer O(cases) anywhere. Workers block here
+/// workers that race past a slow case can never buffer O(cases)
+/// outcomes in the collector. Workers block here
 /// when the window is full and are woken by folds — or by a halt.
 struct Gate {
     st: Mutex<GateSt>,
@@ -651,31 +638,17 @@ impl Gate {
     }
 }
 
-// ── Stages ───────────────────────────────────────────────────────────
+// ── The worker pool ──────────────────────────────────────────────────
 
-/// One case moving through the pipeline. Stages consume their payload
-/// as they go: the generated sources are dropped (and their bytes
-/// un-charged) the moment no later stage needs them.
-struct Item {
-    index: usize,
-    shard: usize,
-    bytes: u64,
-    stop: StopReason,
-    detect_vm_steps: u64,
-    peak_shadow_bytes: u64,
-    bug_fnv: u64,
-    test: String,
-    case: Option<RaceCase>,
-    report: Option<racedet::RaceReport>,
-    info: Option<raceinfo::RaceInfo>,
-    build: Option<crate::tournament::PoolBuild>,
-    fix: Option<FixOutcome>,
-}
-
-fn per_case_cfg(cfg: &CampaignConfig, index: usize) -> PipelineConfig {
-    let mut p = cfg.pipeline.clone();
-    p.seed = derive_case_seed(cfg.pipeline.seed, index as u64);
-    p
+/// What every worker shares: the stream cases are drawn from, the claim
+/// queues and gate, and the resident-bytes and busy-time accounts.
+struct Pool<'a> {
+    cfg: &'a CampaignConfig,
+    stream: CorpusStream,
+    queues: ShardQueues,
+    gate: Gate,
+    resident: Resident,
+    busy: Mutex<[f64; 4]>,
 }
 
 /// Resident-case-bytes accounting: `add` on generation, `sub` when the
@@ -703,126 +676,64 @@ impl Resident {
     }
 }
 
-/// Stage 1 — detect: synthesize the case from the stream and run the
-/// detection campaign (the only stage that touches the scheduler in
-/// detect mode).
-fn stage_detect(cfg: &CampaignConfig, stream: &CorpusStream, index: usize, shard: usize) -> Item {
-    let case = stream.case(index);
-    let bytes = CorpusStream::case_bytes(&case);
-    let drfix = DrFix::new(per_case_cfg(cfg, index), None);
-    let detected = govm::compile_sources(&case.files, &CompileOptions::default())
-        .ok()
-        .map(|prog| drfix.detect_outcome(&prog, &case.test));
-    let (stop, steps, shadow, report) = match detected {
-        Some(out) => (
-            out.stop,
-            out.counters.vm_steps,
-            out.counters.peak_shadow_bytes,
-            out.races.into_iter().next(),
-        ),
-        // Synthetic cases always compile; a failure still folds as a
-        // zero-step completed campaign rather than crashing the fleet.
-        None => (StopReason::Completed, 0, 0, None),
-    };
-    let bug_fnv = report
-        .as_ref()
-        .map(|r| fnv1a64_fold(FNV1A_OFFSET, r.bug_hash().as_bytes()))
-        .unwrap_or(0);
-    Item {
-        index,
-        shard,
-        bytes,
-        stop,
-        detect_vm_steps: steps,
-        peak_shadow_bytes: shadow,
-        bug_fnv,
-        test: case.test.clone(),
-        case: Some(case),
-        report,
-        info: None,
-        build: None,
-        fix: None,
-    }
-}
-
-/// Stage 2 — diagnose: extract fix locations from the race report (one
-/// parse of each case file).
-fn stage_diagnose(item: &mut Item) {
-    if let (Some(report), Some(case)) = (&item.report, &item.case) {
-        item.info = Some(raceinfo::extract(report, &case.files));
-    }
-}
-
-/// Stage 3 — fix: run the fix arm's static half over the stage's one
-/// parse of the case sources. With a tournament this is candidate
-/// enumeration + lint repair (zero VM steps); the single-path loop
-/// interleaves generation and validation by design, so it runs whole
-/// here and stage 4 passes it through. The ASTs, then the case sources,
-/// are dropped at the end — later stages never need them.
-fn stage_fix(cfg: &CampaignConfig, item: &mut Item, resident: &Resident) {
-    if cfg.mode == CampaignMode::Fix {
-        let drfix = DrFix::new(per_case_cfg(cfg, item.index), None);
-        match (&item.case, &item.info) {
-            (Some(case), Some(info)) => {
-                // A raced case compiled, so its sources parse.
-                let parsed = golite::parse_sources(&case.files).unwrap_or_default();
-                match &drfix.config().tournament {
-                    Some(tcfg) => item.build = Some(drfix.tournament_pool(&parsed, info, tcfg)),
-                    None => item.fix = Some(drfix.fix_single_path(&parsed, &case.test, info)),
-                }
+impl Pool<'_> {
+    /// One worker's loop: take a gate slot, claim a case (home shard
+    /// first), run it start to finish, and hand its outcome to `deliver`.
+    /// Stops when the queues drain, the campaign halts, or `deliver`
+    /// reports the collector gone.
+    fn work(&self, home: usize, mut deliver: impl FnMut(usize, CaseOutcome) -> bool) {
+        let mut busy = [0f64; 4];
+        while self.gate.acquire() {
+            let Some((index, shard)) = self.queues.claim(home) else {
+                self.gate.release();
+                break;
+            };
+            if !deliver(shard, self.run_case(index, &mut busy)) {
+                break;
             }
-            _ => item.fix = Some(DrFix::unreproduced_outcome()),
+        }
+        let mut total = self.busy.lock().expect("busy poisoned");
+        for (t, b) in total.iter_mut().zip(busy) {
+            *t += b;
         }
     }
-    if item.case.take().is_some() {
-        resident.sub(item.bytes);
-    }
-}
 
-/// Stage 4 — validate: the tournament's dynamic half (rank survivors,
-/// campaign them, crown the winner), then compact the outcome.
-fn stage_validate(cfg: &CampaignConfig, mut item: Item) -> (usize, CaseOutcome) {
-    if let Some(build) = item.build.take() {
-        let pcfg = per_case_cfg(cfg, item.index);
-        let tcfg = pcfg
-            .tournament
-            .clone()
-            .expect("pool build without tournament config");
-        let info = item.info.as_ref().expect("pool build without race info");
-        let drfix = DrFix::new(pcfg, None);
-        item.fix = Some(drfix.tournament_decide(&item.test, info, &tcfg, build));
+    /// Synthesizes case `index`, runs it under its derived seed, and
+    /// compacts the result; the sources drop as soon as the case is done.
+    fn run_case(&self, index: usize, busy: &mut [f64; 4]) -> CaseOutcome {
+        let generated = Instant::now();
+        let case = self.stream.case(index);
+        let bytes = CorpusStream::case_bytes(&case);
+        self.resident.add(bytes);
+        busy[0] += generated.elapsed().as_secs_f64();
+        let mut pcfg = self.cfg.pipeline.clone();
+        pcfg.seed = derive_case_seed(self.cfg.pipeline.seed, index as u64);
+        let fix = self.cfg.mode == CampaignMode::Fix;
+        let run = DrFix::new(pcfg, None).run_case(&case.files, &case.test, fix);
+        drop(case);
+        self.resident.sub(bytes);
+        for (b, s) in busy.iter_mut().zip(run.phase_seconds) {
+            *b += s;
+        }
+        let fix = run.fix.as_ref();
+        CaseOutcome {
+            index,
+            stop: run.stop,
+            raced: run.race.is_some(),
+            fixed: fix.is_some_and(|f| f.fixed),
+            llm_calls: fix.map_or(0, |f| f.llm_calls),
+            validations: fix.map_or(0, |f| f.validations),
+            rejected_static: fix.map_or(0, |f| f.rejected_static),
+            detect_vm_steps: run.detect_vm_steps,
+            validation_vm_steps: fix.map_or(0, |f| f.validation_vm_steps),
+            peak_shadow_bytes: run.peak_shadow_bytes,
+            patch_loc: fix.and_then(|f| f.patch_loc).unwrap_or(0) as u64,
+            bug_fnv: run
+                .race
+                .as_ref()
+                .map_or(0, |r| fnv1a64_fold(FNV1A_OFFSET, r.bug_hash().as_bytes())),
+        }
     }
-    let o = match &item.fix {
-        Some(f) => CaseOutcome {
-            index: item.index,
-            stop: item.stop,
-            raced: item.report.is_some(),
-            fixed: f.fixed,
-            llm_calls: f.llm_calls,
-            validations: f.validations,
-            rejected_static: f.rejected_static,
-            detect_vm_steps: item.detect_vm_steps,
-            validation_vm_steps: f.validation_vm_steps,
-            peak_shadow_bytes: item.peak_shadow_bytes,
-            patch_loc: f.patch_loc.unwrap_or(0) as u64,
-            bug_fnv: item.bug_fnv,
-        },
-        None => CaseOutcome {
-            index: item.index,
-            stop: item.stop,
-            raced: item.report.is_some(),
-            fixed: false,
-            llm_calls: 0,
-            validations: 0,
-            rejected_static: 0,
-            detect_vm_steps: item.detect_vm_steps,
-            validation_vm_steps: 0,
-            peak_shadow_bytes: item.peak_shadow_bytes,
-            patch_loc: 0,
-            bug_fnv: item.bug_fnv,
-        },
-    };
-    (item.shard, o)
 }
 
 // ── Collection ───────────────────────────────────────────────────────
@@ -961,20 +872,16 @@ fn resolve_snapshot(cfg: &CampaignConfig, resume: Option<&Snapshot>) -> Result<S
 
 /// Runs a campaign. `resume` continues from a snapshot (validated
 /// against the config fingerprint); `snapshot_path` receives checkpoint
-/// and final snapshots. `cfg.workers == 1` runs the serial reference
-/// executor; more workers run the pipelined one — both produce
-/// bit-identical snapshots and deterministic counters.
+/// and final snapshots. `cfg.workers == 1` runs the worker loop inline on
+/// the calling thread; more workers run it on that many threads — both
+/// produce bit-identical snapshots and deterministic counters.
 pub fn run_campaign(
     cfg: &CampaignConfig,
     resume: Option<&Snapshot>,
     snapshot_path: Option<&Path>,
 ) -> Result<CampaignRun, String> {
     let snap = resolve_snapshot(cfg, resume)?;
-    let run = if cfg.workers <= 1 {
-        run_serial(cfg, snap, snapshot_path)
-    } else {
-        run_pipelined(cfg, snap, snapshot_path)
-    };
+    let run = run_pool(cfg, snap, snapshot_path);
     if let Some(path) = snapshot_path {
         run.snapshot
             .save(path)
@@ -983,236 +890,49 @@ pub fn run_campaign(
     Ok(run)
 }
 
-/// The serial reference executor: one thread, no channels — the
-/// bit-identity baseline and the deterministic-counter source the
-/// perfscan campaign section gates.
-fn run_serial(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>) -> CampaignRun {
+/// The one executor: `cfg.workers` threads each run [`Pool::work`] and
+/// send outcomes to the collector on the calling thread. One worker runs
+/// the same loop inline and folds each outcome as it is made — no
+/// threads, no channel.
+fn run_pool(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>) -> CampaignRun {
     let start = Instant::now();
-    let stream = CorpusStream::new(cfg.stream);
-    let queues = ShardQueues::from_snapshot(&snap);
-    let resident = Resident::new();
-    let mut collector = Collector::new(cfg, snap, snapshot_path);
-    let mut stage_cases = [0u64; 4];
-    let mut stage_busy = [0f64; 4];
-    let mut peak_in_flight = 0u64;
-
-    while !collector.halted {
-        let Some((index, shard)) = queues.claim(0) else {
-            break;
-        };
-        peak_in_flight = 1;
-        let mut item = timed(&mut stage_busy[0], || {
-            stage_detect(cfg, &stream, index, shard)
-        });
-        resident.add(item.bytes);
-        stage_cases[0] += 1;
-        timed(&mut stage_busy[1], || stage_diagnose(&mut item));
-        stage_cases[1] += 1;
-        timed(&mut stage_busy[2], || stage_fix(cfg, &mut item, &resident));
-        stage_cases[2] += 1;
-        let (shard, outcome) = timed(&mut stage_busy[3], || stage_validate(cfg, item));
-        stage_cases[3] += 1;
-        collector.accept(shard, outcome);
-    }
-
-    let interrupted = collector.halted;
-    let (snap, cstats) = collector.finish();
-    let metrics = CampaignMetrics {
-        schema: CAMPAIGN_SCHEMA,
-        cases_done: cstats.folds,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        stage_cases: stage_cases.to_vec(),
-        stage_busy_seconds: stage_busy.to_vec(),
-        queue_pops: queues.pops.load(Ordering::Relaxed),
-        steals: queues.steals.load(Ordering::Relaxed),
-        steal_probes: queues.probes.load(Ordering::Relaxed),
-        channel_peak_depth: vec![0; 3],
-        peak_in_flight,
-        peak_pending: cstats.peak_pending as u64,
-        peak_resident_case_bytes: resident.peak.load(Ordering::Relaxed),
-        folds: cstats.folds,
-        checkpoints: cstats.checkpoints,
-        tallies: snap.tallies(),
+    let pool = Pool {
+        cfg,
+        stream: CorpusStream::new(cfg.stream),
+        queues: ShardQueues::from_snapshot(&snap),
+        gate: Gate::new(cfg.in_flight_limit()),
+        resident: Resident::new(),
+        busy: Mutex::new([0.0; 4]),
     };
-    CampaignRun {
-        snapshot: snap,
-        metrics,
-        interrupted,
-    }
-}
-
-/// Runs one stage call, adding its wall time to `busy`.
-fn timed<T>(busy: &mut f64, f: impl FnOnce() -> T) -> T {
-    let t0 = Instant::now();
-    let out = f();
-    *busy += t0.elapsed().as_secs_f64();
-    out
-}
-
-/// Receives from a shared receiver (std mpsc receivers are single-
-/// consumer; the mutex serializes the handoff, not the processing).
-fn recv_shared<T>(rx: &Mutex<Receiver<T>>) -> Option<T> {
-    rx.lock().expect("stage channel poisoned").recv().ok()
-}
-
-struct Depth {
-    now: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl Depth {
-    fn new() -> Self {
-        Depth {
-            now: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-        }
-    }
-
-    /// Called *before* the send: the consumer's `received` may run
-    /// before a post-send increment would, underflowing the counter.
-    fn sending(&self) {
-        let now = self.now.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn received(&self) {
-        self.now.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The pipelined executor: detect/fix/validate worker pools and a
-/// diagnose worker over bounded channels inside one `thread::scope`;
-/// the calling thread is the collector.
-fn run_pipelined(
-    cfg: &CampaignConfig,
-    snap: Snapshot,
-    snapshot_path: Option<&Path>,
-) -> CampaignRun {
-    let start = Instant::now();
-    let stream = CorpusStream::new(cfg.stream);
-    let queues = ShardQueues::from_snapshot(&snap);
-    let resident = Resident::new();
-    let gate = Gate::new(cfg.in_flight_limit());
-    let halt = AtomicBool::new(false);
-    let workers = cfg.workers.max(2);
-    let cap = cfg.in_flight_limit();
-    let stage_cases: [AtomicU64; 4] = Default::default();
-    let depths = [Depth::new(), Depth::new(), Depth::new()];
-    let stage_busy = Mutex::new([0f64; 4]);
-
-    let (tx_ab, rx_ab) = sync_channel::<Item>(cap);
-    let (tx_bc, rx_bc) = sync_channel::<Item>(cap);
-    let (tx_cd, rx_cd) = sync_channel::<Item>(cap);
-    let (tx_out, rx_out) = sync_channel::<(usize, CaseOutcome)>(cap);
-    let rx_bc = Mutex::new(rx_bc);
-    let rx_cd = Mutex::new(rx_cd);
-
     let mut collector = Collector::new(cfg, snap, snapshot_path);
-    std::thread::scope(|s| {
-        // Stage 1: detect workers (worker w's home shard is w mod shards).
-        for w in 0..workers {
-            let tx = tx_ab.clone();
-            let (queues, gate, halt, resident, stream) =
-                (&queues, &gate, &halt, &resident, &stream);
-            let (stage_cases, stage_busy, depth) = (&stage_cases, &stage_busy, &depths[0]);
-            let home = w % cfg.shards.max(1);
-            s.spawn(move || {
-                let mut busy = 0f64;
-                loop {
-                    if halt.load(Ordering::Relaxed) || !gate.acquire() {
-                        break;
-                    }
-                    let Some((index, shard)) = queues.claim(home) else {
-                        gate.release();
-                        break;
-                    };
-                    let item = timed(&mut busy, || stage_detect(cfg, stream, index, shard));
-                    resident.add(item.bytes);
-                    stage_cases[0].fetch_add(1, Ordering::Relaxed);
-                    depth.sending();
-                    if tx.send(item).is_err() {
-                        break;
-                    }
-                }
-                stage_busy.lock().expect("busy poisoned")[0] += busy;
-            });
+    let mut fold = |shard: usize, outcome: CaseOutcome| {
+        for _ in 0..collector.accept(shard, outcome) {
+            pool.gate.release();
         }
-        drop(tx_ab);
-
-        // Stage 2: one diagnose worker (location extraction is cheap).
-        {
-            let tx = tx_bc.clone();
-            let (stage_cases, stage_busy) = (&stage_cases, &stage_busy);
-            let (d_in, d_out) = (&depths[0], &depths[1]);
-            s.spawn(move || {
-                let mut busy = 0f64;
-                while let Ok(mut item) = rx_ab.recv() {
-                    d_in.received();
-                    timed(&mut busy, || stage_diagnose(&mut item));
-                    stage_cases[1].fetch_add(1, Ordering::Relaxed);
-                    d_out.sending();
-                    if tx.send(item).is_err() {
-                        break;
-                    }
-                }
-                stage_busy.lock().expect("busy poisoned")[1] += busy;
-            });
+        if collector.halted {
+            pool.gate.halt();
         }
-        drop(tx_bc);
-
-        // Stage 3: fix workers.
-        for _ in 0..workers {
-            let tx = tx_cd.clone();
-            let (rx, resident) = (&rx_bc, &resident);
-            let (stage_cases, stage_busy) = (&stage_cases, &stage_busy);
-            let (d_in, d_out) = (&depths[1], &depths[2]);
-            s.spawn(move || {
-                let mut busy = 0f64;
-                while let Some(mut item) = recv_shared(rx) {
-                    d_in.received();
-                    timed(&mut busy, || stage_fix(cfg, &mut item, resident));
-                    stage_cases[2].fetch_add(1, Ordering::Relaxed);
-                    d_out.sending();
-                    if tx.send(item).is_err() {
-                        break;
-                    }
-                }
-                stage_busy.lock().expect("busy poisoned")[2] += busy;
-            });
-        }
-        drop(tx_cd);
-
-        // Stage 4: validate workers.
-        for _ in 0..workers {
-            let tx: SyncSender<(usize, CaseOutcome)> = tx_out.clone();
-            let rx = &rx_cd;
-            let (stage_cases, stage_busy, d_in) = (&stage_cases, &stage_busy, &depths[2]);
-            s.spawn(move || {
-                let mut busy = 0f64;
-                while let Some(item) = recv_shared(rx) {
-                    d_in.received();
-                    let out = timed(&mut busy, || stage_validate(cfg, item));
-                    stage_cases[3].fetch_add(1, Ordering::Relaxed);
-                    if tx.send(out).is_err() {
-                        break;
-                    }
-                }
-                stage_busy.lock().expect("busy poisoned")[3] += busy;
-            });
-        }
-        drop(tx_out);
-
-        // Collector (this thread): fold, release gate slots, halt.
-        while let Ok((shard, outcome)) = rx_out.recv() {
-            let folded = collector.accept(shard, outcome);
-            for _ in 0..folded {
-                gate.release();
+    };
+    if cfg.workers <= 1 {
+        pool.work(0, |shard, outcome| {
+            fold(shard, outcome);
+            true
+        });
+    } else {
+        // The gate bounds outcomes in flight, so sends never block for long.
+        let (tx, rx) = sync_channel::<(usize, CaseOutcome)>(cfg.in_flight_limit());
+        std::thread::scope(|s| {
+            for w in 0..cfg.workers {
+                let (tx, pool) = (tx.clone(), &pool);
+                let home = w % cfg.shards.max(1);
+                s.spawn(move || pool.work(home, |shard, o| tx.send((shard, o)).is_ok()));
             }
-            if collector.halted && !halt.swap(true, Ordering::Relaxed) {
-                gate.halt();
+            drop(tx);
+            while let Ok((shard, outcome)) = rx.recv() {
+                fold(shard, outcome);
             }
-        }
-    });
+        });
+    }
 
     let interrupted = collector.halted;
     let (snap, cstats) = collector.finish();
@@ -1220,21 +940,13 @@ fn run_pipelined(
         schema: CAMPAIGN_SCHEMA,
         cases_done: cstats.folds,
         wall_seconds: start.elapsed().as_secs_f64(),
-        stage_cases: stage_cases
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect(),
-        stage_busy_seconds: stage_busy.lock().expect("busy poisoned").to_vec(),
-        queue_pops: queues.pops.load(Ordering::Relaxed),
-        steals: queues.steals.load(Ordering::Relaxed),
-        steal_probes: queues.probes.load(Ordering::Relaxed),
-        channel_peak_depth: depths
-            .iter()
-            .map(|d| d.peak.load(Ordering::Relaxed))
-            .collect(),
-        peak_in_flight: gate.peak() as u64,
+        stage_busy_seconds: pool.busy.into_inner().expect("busy poisoned").to_vec(),
+        queue_pops: pool.queues.pops.load(Ordering::Relaxed),
+        steals: pool.queues.steals.load(Ordering::Relaxed),
+        steal_probes: pool.queues.probes.load(Ordering::Relaxed),
+        peak_in_flight: pool.gate.peak() as u64,
         peak_pending: cstats.peak_pending as u64,
-        peak_resident_case_bytes: resident.peak.load(Ordering::Relaxed),
+        peak_resident_case_bytes: pool.resident.peak.load(Ordering::Relaxed),
         folds: cstats.folds,
         checkpoints: cstats.checkpoints,
         tallies: snap.tallies(),
@@ -1282,7 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_digest_matches_serial_reference() {
+    fn pooled_digest_matches_serial_reference() {
         let cfg = small_cfg(18, 3);
         let serial = run_campaign(&cfg, None, None).unwrap();
         assert!(!serial.interrupted);

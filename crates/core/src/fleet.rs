@@ -25,8 +25,8 @@
 use crate::database::ExampleDb;
 use crate::pipeline::{DrFix, FixOutcome, PipelineConfig};
 use corpus::RaceCase;
-use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// SplitMix64: the standard 64-bit finalizing mixer (Steele et al.),
@@ -183,134 +183,48 @@ pub struct FleetRun<T> {
     pub stats: FleetStats,
 }
 
-/// The result of a streaming fleet reduction: the accumulator plus
-/// throughput stats and the proof that collection stayed bounded.
-#[derive(Debug, Clone)]
-pub struct FoldRun<A> {
-    /// The final accumulator, folded in strict index order.
-    pub acc: A,
-    /// Throughput measurements.
-    pub stats: FleetStats,
-    /// High-water count of completed-but-unfolded results — bounded by
-    /// the reorder window, never by the case count.
-    pub peak_pending: usize,
-}
-
-/// Shared state of one streaming reduction: the claim cursor, the folded
-/// frontier, and the bounded reorder buffer between them.
-struct FoldCore<T, A, F> {
-    next_claim: usize,
-    folded: usize,
-    pending: BTreeMap<usize, T>,
-    acc: Option<A>,
-    fold: F,
-    peak_pending: usize,
-}
-
-/// Runs `job(0..n)` across the fleet's workers, folding every result
-/// into one accumulator **in strict index order** as soon as the
-/// contiguous frontier allows — the streaming counterpart of
-/// [`run_indexed`].
+/// Runs `job(0..n)` across the fleet's workers and returns the results
+/// in index order.
 ///
-/// Workers may claim at most `window` indices beyond the folded
-/// frontier (a bounded hand-off buffer); a worker that gets ahead of a
-/// slow frontier case blocks until folding catches up. Completed
-/// results therefore occupy O(`window`) memory, never O(`n`) — the
-/// high-water mark is reported as [`FoldRun::peak_pending`] so tests
-/// can assert the bound instead of trusting it.
-///
-/// Determinism: the fold order is `0, 1, 2, …` whatever the thread
-/// count or completion order, so any order-sensitive accumulator
-/// (digests, first-error capture, running tallies) matches the serial
-/// path bit-for-bit.
-pub fn run_fold<T, A, J, F>(
-    cfg: &FleetConfig,
-    n: usize,
-    window: usize,
-    job: J,
-    init: A,
-    fold: F,
-) -> FoldRun<A>
+/// Workers claim indices off one atomic cursor and write each result
+/// into its index's slot, so output order is corpus order whatever
+/// order jobs finish in. Because `job` receives only the index — and the
+/// drfix jobs derive all randomness from [`derive_case_seed`] — the
+/// result vector is bit-identical for every thread count.
+pub fn run_indexed<T, F>(cfg: &FleetConfig, n: usize, job: F) -> FleetRun<T>
 where
     T: Send,
-    A: Send,
-    J: Fn(usize) -> T + Sync,
-    F: FnMut(A, usize, T) -> A + Send,
+    F: Fn(usize) -> T + Sync,
 {
     let start = Instant::now();
     let threads = cfg.threads.max(1).min(n.max(1));
-    let window = window.max(1);
-
     if threads == 1 {
-        // Serial fast path: fold immediately, nothing is ever buffered.
-        let mut fold = fold;
-        let mut acc = init;
-        for i in 0..n {
-            acc = fold(acc, i, job(i));
-        }
+        let results = (0..n).map(&job).collect();
         let wall = start.elapsed().as_secs_f64();
-        return FoldRun {
-            acc,
+        return FleetRun {
+            results,
             stats: FleetStats {
                 threads: 1,
                 cases: n,
                 wall_seconds: wall,
                 busy_seconds: vec![wall],
             },
-            peak_pending: 0,
         };
     }
 
-    let core = Mutex::new(FoldCore {
-        next_claim: 0,
-        folded: 0,
-        pending: BTreeMap::new(),
-        acc: Some(init),
-        fold,
-        peak_pending: 0,
-    });
-    let space = Condvar::new();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let busy_seconds: Vec<f64> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
                     let t0 = Instant::now();
                     loop {
-                        // Claim the next index, waiting while the whole
-                        // window is in flight (claimed but unfolded).
-                        let i = {
-                            let mut st = core.lock().expect("fleet fold poisoned");
-                            loop {
-                                if st.next_claim >= n {
-                                    return t0.elapsed().as_secs_f64();
-                                }
-                                if st.next_claim - st.folded < window {
-                                    let i = st.next_claim;
-                                    st.next_claim += 1;
-                                    break i;
-                                }
-                                st = space.wait(st).expect("fleet fold poisoned");
-                            }
-                        };
-                        let out = job(i);
-                        let mut st = core.lock().expect("fleet fold poisoned");
-                        st.pending.insert(i, out);
-                        st.peak_pending = st.peak_pending.max(st.pending.len());
-                        // Fold everything the new result made contiguous.
-                        let mut advanced = false;
-                        loop {
-                            let idx = st.folded;
-                            let Some(v) = st.pending.remove(&idx) else {
-                                break;
-                            };
-                            let acc = st.acc.take().expect("fold accumulator lost");
-                            st.acc = Some((st.fold)(acc, idx, v));
-                            st.folded += 1;
-                            advanced = true;
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return t0.elapsed().as_secs_f64();
                         }
-                        if advanced {
-                            space.notify_all();
-                        }
+                        *slots[i].lock().expect("fleet slot poisoned") = Some(job(i));
                     }
                 })
             })
@@ -320,51 +234,20 @@ where
             .map(|h| h.join().expect("fleet worker panicked"))
             .collect()
     });
-
-    let st = core.into_inner().expect("fleet fold poisoned");
-    debug_assert_eq!(st.folded, n, "fold frontier stalled");
-    debug_assert!(st.pending.is_empty(), "unfolded results left behind");
-    FoldRun {
-        acc: st.acc.expect("fold accumulator lost"),
+    FleetRun {
+        results: slots
+            .into_iter()
+            .map(|slot| {
+                let out = slot.into_inner().expect("fleet slot poisoned");
+                out.expect("a worker ran every index")
+            })
+            .collect(),
         stats: FleetStats {
             threads,
             cases: n,
             wall_seconds: start.elapsed().as_secs_f64(),
             busy_seconds,
         },
-        peak_pending: st.peak_pending,
-    }
-}
-
-/// Runs `job(0..n)` across the fleet's workers and returns the results
-/// in index order.
-///
-/// Implemented over [`run_fold`] with the fold being a plain push — the
-/// window spans the whole queue because the caller asked for every
-/// result anyway, so claim gating would only add waits. Because `job`
-/// receives only the index — and the drfix jobs derive all randomness
-/// from [`derive_case_seed`] — the result vector is bit-identical for
-/// every thread count.
-pub fn run_indexed<T, F>(cfg: &FleetConfig, n: usize, job: F) -> FleetRun<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let run = run_fold(
-        cfg,
-        n,
-        n.max(1),
-        job,
-        Vec::with_capacity(n),
-        |mut acc: Vec<T>, i, out| {
-            debug_assert_eq!(acc.len(), i, "fold left index order");
-            acc.push(out);
-            acc
-        },
-    );
-    FleetRun {
-        results: run.acc,
-        stats: run.stats,
     }
 }
 
@@ -427,36 +310,6 @@ mod tests {
             assert_eq!(run.results, (0..100).map(|i| i * 3).collect::<Vec<_>>());
             assert_eq!(run.stats.cases, 100);
             assert!(run.stats.wall_seconds >= 0.0);
-        }
-    }
-
-    #[test]
-    fn run_fold_streams_in_index_order_with_bounded_pending() {
-        // An order-sensitive accumulator: folding out of order would
-        // change the digest, so equality across thread counts proves
-        // strict index-order folding.
-        let digest_of = |threads: usize, window: usize| {
-            run_fold(
-                &FleetConfig::new(threads),
-                500,
-                window,
-                |i| i as u64,
-                FNV1A_OFFSET,
-                |h, i, v| fnv1a64_fold(h, &(i as u64 ^ v.rotate_left(17)).to_le_bytes()),
-            )
-        };
-        let serial = digest_of(1, 8);
-        assert_eq!(serial.peak_pending, 0, "serial path buffers nothing");
-        for threads in [2, 4, 8] {
-            for window in [1, 3, 16] {
-                let run = digest_of(threads, window);
-                assert_eq!(run.acc, serial.acc, "digest diverged ×{threads} w{window}");
-                assert!(
-                    run.peak_pending <= window,
-                    "pending {} exceeded window {window}",
-                    run.peak_pending
-                );
-            }
         }
     }
 

@@ -5,10 +5,11 @@
 //! the model for a patch, splice it into the codebase, and validate under
 //! many schedules. The first validated patch wins.
 //!
-//! A stage parses each source once and lends the AST to every consumer in
-//! it — race-info extraction, the prompt builder, the model, the splice
-//! and validation. ASTs are borrowed, never cloned, and never leave the
-//! stage that parsed them: what crosses a stage boundary is text.
+//! `DrFix::run_case` is the one per-case sequence. It parses the case
+//! once and lends the ASTs to every consumer — detection, race-info
+//! extraction, the prompt builder, the model and the splice. ASTs are
+//! borrowed, never cloned, and drop before the first validation schedule:
+//! what validation sees is text plus each candidate's own parse.
 
 use crate::database::{ExampleDb, RagMode};
 use crate::raceinfo::{self, FixLocation, LocationKind, RaceInfo};
@@ -16,9 +17,10 @@ use crate::validate::{build_and_gate, run_schedules, ValidationOptions, Verdict}
 use golite::ast::{Decl, Import};
 use golite::visit::RenamePkg;
 use golite::ParsedFile;
-use govm::{CompileOptions, SchedulePolicy, TestConfig, VmOptions};
+use govm::{CompileOptions, SchedulePolicy, StopReason, TestConfig, VmOptions};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::time::Instant;
 use synthllm::{Example, Feedback, FixRequest, ModelTier, RaceCategory, Scope, SynthLlm};
 
 /// Pipeline configuration — every ablation of §5 is a toggle here.
@@ -185,6 +187,24 @@ impl FixOutcome {
     }
 }
 
+/// What [`DrFix::run_case`] found and did on one case.
+pub(crate) struct CaseRun {
+    /// Why the detection campaign stopped.
+    pub(crate) stop: StopReason,
+    /// VM instructions spent detecting.
+    pub(crate) detect_vm_steps: u64,
+    /// Detector shadow-memory high-water during detection.
+    pub(crate) peak_shadow_bytes: u64,
+    /// The first race detection exposed.
+    pub(crate) race: Option<racedet::RaceReport>,
+    /// The fix arm's outcome; `None` in detect-only runs.
+    pub(crate) fix: Option<FixOutcome>,
+    /// Seconds spent detecting (parse and compile included), diagnosing,
+    /// in the fix arm's static half (the whole single-path loop), and
+    /// deciding the tournament.
+    pub(crate) phase_seconds: [f64; 4],
+}
+
 /// The Dr.Fix system: configuration plus the example database.
 pub struct DrFix<'db> {
     pub(crate) cfg: PipelineConfig,
@@ -203,36 +223,74 @@ impl<'db> DrFix<'db> {
     }
 
     /// Runs the full loop on one case: `files` is the codebase, `test`
-    /// the test that exercises the race.
-    ///
-    /// The sources are parsed once, and detection, diagnosis and the fix
-    /// arm borrow the ASTs. The campaign orchestrator runs the same
-    /// halves — detect, diagnose, the fix arm's static half, validation —
-    /// in separate pipeline stages, each parsing for itself.
+    /// the test that exercises the race. A thin wrapper over the one
+    /// per-case sequence the campaign workers run too.
     pub fn fix_case(&self, files: &[(String, String)], test: &str) -> FixOutcome {
-        // Sources that do not parse do not build, so nothing reproduces.
-        let Ok(parsed) = golite::parse_sources(files) else {
-            return Self::unreproduced_outcome();
+        self.run_case(files, test, true)
+            .fix
+            .expect("fix mode always decides")
+    }
+
+    /// The crate's one detect → diagnose → fix → validate sequence. The
+    /// sources are parsed once; detection, diagnosis and the fix arm
+    /// borrow the ASTs, which drop before any candidate is validated.
+    /// With `fix` unset the case is only detected: no diagnosis, no fix
+    /// arm, and [`CaseRun::fix`] is `None`.
+    pub(crate) fn run_case(&self, files: &[(String, String)], test: &str, fix: bool) -> CaseRun {
+        let mut run = CaseRun {
+            stop: StopReason::Completed,
+            detect_vm_steps: 0,
+            peak_shadow_bytes: 0,
+            race: None,
+            fix: None,
+            phase_seconds: [0.0; 4],
         };
-        let report = govm::compile_package(&parsed, &CompileOptions::default())
-            .ok()
-            .and_then(|prog| self.detect_outcome(&prog, test).races.into_iter().next());
-        let Some(report) = report else {
-            return Self::unreproduced_outcome();
+        let mut clock = Instant::now();
+        let mut lap = |run: &mut CaseRun, phase: usize| {
+            let now = Instant::now();
+            run.phase_seconds[phase] += (now - clock).as_secs_f64();
+            clock = now;
         };
-        let info = raceinfo::extract_parsed(&report, &parsed);
+        // Sources that do not parse or build cannot reproduce a race: the
+        // detection campaign folds as a completed zero-step run.
+        let parsed = golite::parse_sources(files).ok();
+        let detected = parsed.as_ref().and_then(|parsed| {
+            let prog = govm::compile_package(parsed, &CompileOptions::default()).ok()?;
+            Some(self.detect_outcome(&prog, test))
+        });
+        if let Some(out) = detected {
+            run.stop = out.stop;
+            run.detect_vm_steps = out.counters.vm_steps;
+            run.peak_shadow_bytes = out.counters.peak_shadow_bytes;
+            run.race = out.races.into_iter().next();
+        }
+        lap(&mut run, 0);
+        if !fix {
+            return run;
+        }
+        let (Some(parsed), Some(report)) = (parsed, &run.race) else {
+            run.fix = Some(Self::unreproduced_outcome());
+            return run;
+        };
+        let info = raceinfo::extract_parsed(report, &parsed);
+        lap(&mut run, 1);
         let Some(tcfg) = &self.cfg.tournament else {
-            return self.fix_single_path(&parsed, test, &info);
+            run.fix = Some(self.fix_single_path(&parsed, test, &info));
+            lap(&mut run, 2);
+            return run;
         };
         let build = self.tournament_pool(&parsed, &info, tcfg);
         // Validation works from text: release the ASTs first.
         drop(parsed);
-        self.tournament_decide(test, &info, tcfg, build)
+        lap(&mut run, 2);
+        run.fix = Some(self.tournament_decide(test, &info, tcfg, build));
+        lap(&mut run, 3);
+        run
     }
 
     /// The outcome of a case whose race never reproduced under the
     /// detection schedules — identical whichever arm would have run.
-    pub(crate) fn unreproduced_outcome() -> FixOutcome {
+    fn unreproduced_outcome() -> FixOutcome {
         FixOutcome {
             duration_minutes: 4.0,
             failure: Some(FailureKind::NotReproduced),
@@ -240,7 +298,7 @@ impl<'db> DrFix<'db> {
         }
     }
 
-    /// The single-path loop (Listing 13) over the stage's parsed sources:
+    /// The single-path loop (Listing 13) over the case's parsed sources:
     /// one candidate per `(location, scope, example, retry)`, validated at
     /// once; the first validated patch wins.
     pub(crate) fn fix_single_path(
@@ -346,8 +404,7 @@ impl<'db> DrFix<'db> {
 
     /// Runs the detection campaign on the compiled case, returning the
     /// full [`govm`] test outcome (stop reason, counters, any exposed
-    /// races); the campaign orchestrator keeps the whole outcome for its
-    /// per-stage metrics and stop-reason tallies.
+    /// races).
     pub(crate) fn detect_outcome(&self, prog: &govm::Program, test: &str) -> govm::TestOutcome {
         let cfg = TestConfig {
             runs: self.cfg.detect_runs,
@@ -415,7 +472,7 @@ pub(crate) struct Site<'a> {
     pub(crate) scope: Scope,
     /// The prompt code (`FixRequest::code`).
     code: String,
-    /// The prompt parsed once: the stage's AST of the original file at
+    /// The prompt parsed once: the case's AST of the original file at
     /// file scope, the wrapper's own parse at function scope.
     pub(crate) prompt: Cow<'a, golite::File>,
     context_funcs: usize,
@@ -425,7 +482,7 @@ pub(crate) struct Site<'a> {
 }
 
 impl<'a> Site<'a> {
-    /// Builds the site's prompt from the stage's parse of `loc.file`;
+    /// Builds the site's prompt from the case's parse of `loc.file`;
     /// `None` when the file or the function is not there.
     fn new(
         cfg: &PipelineConfig,
@@ -487,7 +544,7 @@ impl<'a> Site<'a> {
 /// Splices the model's output for `loc` at `scope` into the original
 /// file and returns the patched file's text. File-scope output is the
 /// whole file, taken as is; function-scope output is a wrapper, parsed
-/// here once and spliced into the stage's parse of the original.
+/// here once and spliced into the case's parse of the original.
 pub(crate) fn splice(
     parsed: &[ParsedFile],
     loc: &FixLocation,
@@ -524,7 +581,7 @@ pub(crate) fn patched_sources(
 
 /// A patched codebase as `(name, source, ast)` triples for the compiler
 /// and the analyzer: `ast`, the parse of the rewritten `file`, stands for
-/// that file and the stage's originals for every other.
+/// that file and the case's originals for every other.
 pub(crate) fn patched_view<'a>(
     parsed: &'a [ParsedFile],
     patched: &[(String, String)],
@@ -807,7 +864,7 @@ mod tests {
 
     /// A site whose prompt does not parse is never built, so the prompt
     /// never reaches the model and costs no model call in either arm. A
-    /// function-scope prompt is printed from the stage's AST and so always
+    /// function-scope prompt is printed from the case's AST and so always
     /// reparses; the test breaks it by planting an import path the printer
     /// cannot quote.
     #[test]

@@ -60,7 +60,7 @@ pub fn extract(report: &RaceReport, codebase: &[(String, String)]) -> RaceInfo {
     extract_parsed(report, &parsed)
 }
 
-/// [`extract`] over the stage's parsed sources.
+/// [`extract`] over the case's parsed sources.
 pub(crate) fn extract_parsed(report: &RaceReport, codebase: &[ParsedFile]) -> RaceInfo {
     let mut locations: Vec<FixLocation> = Vec::new();
     let mut push = |kind: LocationKind, function: &str, line: Option<u32>| {

@@ -203,10 +203,8 @@ fn pass_feedback(pass: u32) -> Vec<Feedback> {
 
 /// The output of the tournament's static half (phases 1–2): the
 /// candidate pool in discovery order plus the accounting accrued while
-/// building it — text only, no AST. The campaign orchestrator carries
-/// this value from its fix stage (zero VM steps) to its validate stage;
-/// within one process the split is invisible — [`DrFix::fix_case`] runs
-/// exactly `tournament_pool` then `tournament_decide`.
+/// building it — text only, no AST, so the case's ASTs can drop before
+/// `tournament_decide` runs a single schedule.
 pub(crate) struct PoolBuild {
     pool: Vec<PoolEntry>,
     llm_calls: u32,
@@ -259,10 +257,8 @@ impl Admission<'_> {
 
 impl DrFix<'_> {
     /// Phases 1–2: enumerate the candidate pool and run the iterated
-    /// static-repair loop over the stage's parsed sources. Consults only
-    /// the synthetic model and `statcheck` — **zero VM instructions** — so
-    /// the campaign can run it in a stage that never touches the
-    /// scheduler.
+    /// static-repair loop over the case's parsed sources. Consults only
+    /// the synthetic model and `statcheck` — **zero VM instructions**.
     ///
     /// Sites are built one at a time. A site — its prompt parse included —
     /// is kept past its enumeration only while one of its candidates
@@ -411,7 +407,7 @@ impl DrFix<'_> {
 
     /// Phase 3: rank the pool, validate survivors under schedule-diverse
     /// campaigns, crown the winner, and assemble the [`FixOutcome`].
-    /// This is the tournament's only dynamic stage.
+    /// This is the tournament's only dynamic phase.
     pub(crate) fn tournament_decide(
         &self,
         test: &str,

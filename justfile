@@ -75,7 +75,7 @@ perf-baseline:
     -u DRFIX_PERF_NOCACHE -u DRFIX_PERF_NOGC \
     DRFIX_PERF_REPEAT=10 cargo run --release -q -p bench --bin perfscan
 
-# The CI `campaign-smoke` job: kill a pipelined campaign at its first
+# The CI `campaign-smoke` job: kill a 4-worker campaign at its first
 # checkpoint, resume it, and require the resumed digest to equal the
 # uninterrupted serial reference bit-for-bit (see the Makefile recipe).
 campaign-smoke:

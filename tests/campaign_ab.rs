@@ -78,10 +78,10 @@ fn campaign_is_bit_identical_across_shard_and_worker_plans() {
     assert_eq!(run.snapshot.digest(), ref_digest);
 }
 
-/// The stage-split proof: detect → diagnose → fix → validate run as
-/// four pipelined stages must produce exactly what the monolithic
-/// `DrFix::fix_case` produces on every streamed case — same fixes, same
-/// LLM-call ledger, same validation instruction counts.
+/// A fix-mode campaign on four workers must produce exactly what direct
+/// `DrFix::fix_case` calls produce on every streamed case — same fixes,
+/// same LLM-call ledger, same validation instruction counts — so the
+/// pool's claiming, per-case seeding and compaction change nothing.
 #[test]
 fn fix_mode_campaign_agrees_with_direct_fix_case() {
     let cases = 10usize;
@@ -195,6 +195,13 @@ fn resident_memory_is_bounded_by_the_window_not_the_campaign() {
     assert!(
         run.metrics.peak_resident_case_bytes <= bound,
         "resident case bytes scale with the campaign, not the window: {} > {bound}",
+        run.metrics.peak_resident_case_bytes
+    );
+    // Each worker holds only the case it is running.
+    let per_worker = cfg.workers as u64 * 8192;
+    assert!(
+        run.metrics.peak_resident_case_bytes <= per_worker,
+        "resident case bytes exceed one case per worker: {} > {per_worker}",
         run.metrics.peak_resident_case_bytes
     );
     assert!(run.metrics.steals > 0, "work-stealing never engaged");
