@@ -21,7 +21,9 @@ use govm::{CompileOptions, SchedulePolicy, StopReason, TestConfig, VmOptions};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::time::Instant;
-use synthllm::{Example, Feedback, FixRequest, ModelTier, RaceCategory, Scope, SynthLlm};
+use synthllm::{
+    Example, Feedback, FixRequest, ModelTier, Prompt, RaceCategory, Scope, SynthLlm,
+};
 
 /// Pipeline configuration — every ablation of §5 is a toggle here.
 #[derive(Debug, Clone)]
@@ -472,9 +474,10 @@ pub(crate) struct Site<'a> {
     pub(crate) scope: Scope,
     /// The prompt code (`FixRequest::code`).
     code: String,
-    /// The prompt parsed once: the case's AST of the original file at
-    /// file scope, the wrapper's own parse at function scope.
-    pub(crate) prompt: Cow<'a, golite::File>,
+    /// The prompt parsed once — the case's AST of the original file at
+    /// file scope, the wrapper's own parse at function scope — with the
+    /// model work every request on it shares.
+    pub(crate) prompt: Prompt<'a>,
     context_funcs: usize,
     /// The empty example first (§4.4), then the retrieved one, if any —
     /// retrieval only helps when the empty example fails (§5.7.1).
@@ -514,7 +517,7 @@ impl<'a> Site<'a> {
             loc,
             scope,
             code,
-            prompt,
+            prompt: Prompt::new(prompt),
             context_funcs,
             arms,
         })

@@ -145,6 +145,12 @@ pub struct TournamentReport {
     pub repair_iters: u32,
     /// Static probes run (the whole repair loop's cost — all zero-VM).
     pub lint_probes: u32,
+    /// Model outputs offered to the pool: every enumerated candidate and
+    /// every repair that changed its code.
+    pub outputs_seen: u32,
+    /// Outputs spliced: those not already spliced under the same key (see
+    /// [`TournamentReport::outputs_seen`]; a repeat is skipped unspliced).
+    pub outputs_spliced: u32,
 }
 
 /// The tournament ranking: confidence (desc), then patch LoC (asc),
@@ -210,34 +216,68 @@ pub(crate) struct PoolBuild {
     llm_calls: u32,
     lint_probes: u32,
     total_repairs: u32,
+    outputs_seen: u32,
+    outputs_spliced: u32,
 }
 
-/// Admits candidates to the pool: splices each one, drops it when its
-/// patched sources repeat a pooled candidate's byte for byte, and parses
-/// and probes the rest. Dedup runs before the parse, so a duplicate costs
-/// a splice and never a parse; each parse is dropped right after its
-/// probe, so the pool holds text only. Dedup compares against the pool's
-/// own text, filtered by a hash per entry, so no second copy is kept.
+/// What a splice reads besides the case: the file it rewrites, the
+/// function it replaces (`None` at file scope, where the output is the
+/// file verbatim) and the model's output. Equal keys splice equally.
+struct SpliceKey {
+    hash: u64,
+    file: String,
+    func: Option<String>,
+    code: String,
+}
+
+/// Admits candidates to the pool: skips an output already spliced under
+/// the same [`SpliceKey`], splices the rest, drops a splice whose patched
+/// sources repeat a pooled candidate's byte for byte, and parses and
+/// probes what remains. A repeated key costs no splice; a duplicate
+/// splice costs no parse; each parse is dropped right after its probe, so
+/// the pool holds text only. Both dedups filter by hash and confirm by
+/// equality; the patched-source one compares against the pool's own text.
 struct Admission<'a> {
     parsed: &'a [ParsedFile],
     /// Hash of each pool entry's patched sources, parallel to the pool:
     /// every admitted candidate is pushed to the pool.
     hashes: Vec<u64>,
+    /// Every output spliced so far.
+    spliced: Vec<SpliceKey>,
     lint_probes: u32,
+    outputs_seen: u32,
 }
 
 /// An admitted candidate: its patched sources, patch LoC and probe.
 type Admitted = (Vec<(String, String)>, usize, StaticProbe);
 
 impl Admission<'_> {
-    /// `None` when `code` does not splice at `site`, repeats a candidate
-    /// in `pool`, or leaves a file that does not parse (whole-file output
-    /// is taken verbatim; a spliced function is printed, so it parses). A
-    /// candidate that does not parse is not remembered: a repeat of it
-    /// fails the same way.
+    /// `None` when `code` was spliced under the same key before, does not
+    /// splice at `site`, repeats a candidate in `pool`, or leaves a file
+    /// that does not parse (whole-file output is taken verbatim; a spliced
+    /// function is printed, so it parses). A repeated key is always
+    /// `None`: its first splice failed, or was admitted or dropped as a
+    /// duplicate, and either way the pool already holds its result.
     fn admit(&mut self, pool: &[PoolEntry], site: &Site, code: &str) -> Option<Admitted> {
         debug_assert_eq!(self.hashes.len(), pool.len());
+        self.outputs_seen += 1;
         let file = &site.loc.file;
+        let func = (site.scope == Scope::Func).then_some(site.loc.function.as_str());
+        let mut hasher = DefaultHasher::new();
+        (file, func, code).hash(&mut hasher);
+        let hash = hasher.finish();
+        let mut spliced = self.spliced.iter();
+        if spliced.any(|k| {
+            k.hash == hash && k.code == code && k.func.as_deref() == func && k.file == *file
+        }) {
+            return None;
+        }
+        self.spliced.push(SpliceKey {
+            hash,
+            file: file.clone(),
+            func: func.map(str::to_owned),
+            code: code.to_owned(),
+        });
         let src = splice(self.parsed, site.loc, site.scope, code).ok()?;
         let patched = patched_sources(self.parsed, file, &src);
         let mut hasher = DefaultHasher::new();
@@ -274,7 +314,9 @@ impl DrFix<'_> {
         let mut admission = Admission {
             parsed,
             hashes: Vec::new(),
+            spliced: Vec::new(),
             lint_probes: 0,
+            outputs_seen: 0,
         };
 
         // ── Phase 1: enumerate the candidate pool ────────────────────
@@ -402,6 +444,8 @@ impl DrFix<'_> {
             llm_calls,
             lint_probes: admission.lint_probes,
             total_repairs,
+            outputs_seen: admission.outputs_seen,
+            outputs_spliced: admission.spliced.len() as u32,
         }
     }
 
@@ -420,6 +464,8 @@ impl DrFix<'_> {
             llm_calls,
             lint_probes,
             total_repairs,
+            outputs_seen,
+            outputs_spliced,
         } = build;
         let mut out = FixOutcome {
             llm_calls,
@@ -532,6 +578,8 @@ impl DrFix<'_> {
             winner,
             repair_iters: total_repairs,
             lint_probes,
+            outputs_seen,
+            outputs_spliced,
         });
         out
     }
@@ -627,22 +675,26 @@ mod tests {
         Ok(golite::print_file(&orig))
     }
 
-    #[test]
-    fn borrowed_splice_matches_the_reference_on_a_mixed_stream() {
-        use corpus::stream::{CorpusStream, StreamConfig, StreamFamily};
+    /// Calls `f` on each of the first `n` cases of `family` whose race
+    /// reproduces, with `drbench`'s fix-service seeds and tournament: the
+    /// case index, its pipeline, its parse and its race.
+    fn raced_cases(
+        family: corpus::stream::StreamFamily,
+        n: usize,
+        mut f: impl FnMut(usize, &DrFix, &[ParsedFile], &RaceInfo),
+    ) {
+        use corpus::stream::{CorpusStream, StreamConfig};
         let stream = CorpusStream::new(StreamConfig {
-            family: StreamFamily::Mixed,
+            family,
             seed: 0xD27F17,
         });
-        let tcfg = TournamentConfig::default();
-        let mut compared = 0;
-        for i in 0..60 {
+        for i in 0..n {
             let case = stream.case(i);
             let drfix = DrFix::new(
                 crate::PipelineConfig {
                     seed: crate::fleet::derive_case_seed(0, i as u64),
                     detect_runs: 12,
-                    tournament: Some(tcfg.clone()),
+                    tournament: Some(TournamentConfig::default()),
                     ..crate::PipelineConfig::default()
                 },
                 None,
@@ -655,10 +707,19 @@ mod tests {
                 continue;
             };
             let info = crate::raceinfo::extract_parsed(report, &parsed);
+            f(i, &drfix, &parsed, &info);
+        }
+    }
+
+    #[test]
+    fn borrowed_splice_matches_the_reference_on_a_mixed_stream() {
+        let tcfg = TournamentConfig::default();
+        let mut compared = 0;
+        raced_cases(corpus::stream::StreamFamily::Mixed, 60, |i, drfix, parsed, info| {
             // Every candidate the pool build can splice at function
             // scope: each enumeration, and each repair iteration of it.
             let llm = SynthLlm::new(drfix.cfg.tier, drfix.cfg.seed);
-            for site in drfix.sites(&parsed, &info) {
+            for site in drfix.sites(parsed, info) {
                 if site.scope != Scope::Func {
                     continue;
                 }
@@ -667,7 +728,7 @@ mod tests {
                 let func = &site.loc.function;
                 for arm in &site.arms {
                     for pass in 0..=drfix.cfg.retries {
-                        let req = site.request(&info, arm, pass_feedback(pass));
+                        let req = site.request(info, arm, pass_feedback(pass));
                         for cand in llm.enumerate(&req, &site.prompt, tcfg.max_candidates) {
                             let repairs = (0..tcfg.repair_max_iters).filter_map(|iter| {
                                 llm.repair(&req, &site.prompt, &cand, "inconsistent-lock", iter)
@@ -679,7 +740,7 @@ mod tests {
                                 let want = reference_integrate_func_patch(src, &code, func);
                                 assert!(want.is_ok(), "case {i}: {want:?}");
                                 assert_eq!(
-                                    splice(&parsed, site.loc, site.scope, &code),
+                                    splice(parsed, site.loc, site.scope, &code),
                                     want,
                                     "case {i}: the splice diverged from the reference"
                                 );
@@ -689,11 +750,92 @@ mod tests {
                     }
                 }
             }
-        }
+        });
         assert!(
             compared > 200,
             "only {compared} function-scope candidates compared"
         );
+    }
+
+    /// A site's shared [`synthllm::Prompt`] answers every request exactly
+    /// as a fresh prompt would: over every arm, pass and repair iteration
+    /// of the pool build, `generate`, `enumerate` and `repair` through the
+    /// site's one prompt equal the same calls on a new prompt each.
+    #[test]
+    fn the_prompt_cache_changes_no_model_output() {
+        use corpus::stream::StreamFamily;
+        use synthllm::Prompt;
+        let tcfg = TournamentConfig::default();
+        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            format!("{a:?}") == format!("{b:?}")
+        };
+        let mut compared = 0;
+        for family in [StreamFamily::Mixed, StreamFamily::Tournament] {
+            raced_cases(family, 60, |i, drfix, parsed, info| {
+                let llm = SynthLlm::new(drfix.cfg.tier, drfix.cfg.seed);
+                for site in drfix.sites(parsed, info) {
+                    let shared = &site.prompt;
+                    let fresh = || Prompt::new(std::borrow::Cow::Borrowed(shared.file()));
+                    for arm in &site.arms {
+                        for pass in 0..=drfix.cfg.retries {
+                            let req = site.request(info, arm, pass_feedback(pass));
+                            let gen = llm.generate(&req, shared);
+                            assert!(same(&gen, &llm.generate(&req, &fresh())), "case {i}");
+                            let max = tcfg.max_candidates;
+                            let cands = llm.enumerate(&req, shared, max);
+                            let want = llm.enumerate(&req, &fresh(), max);
+                            assert!(same(&cands, &want), "case {i}: enumerate");
+                            for cand in &cands {
+                                for rule in ["inconsistent-lock", "double-lock"] {
+                                    for iter in 0..tcfg.repair_max_iters {
+                                        let got = llm.repair(&req, shared, cand, rule, iter);
+                                        let want = llm.repair(&req, &fresh(), cand, rule, iter);
+                                        assert!(same(&got, &want), "case {i}: repair");
+                                        compared += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            });
+        }
+        assert!(compared > 500, "only {compared} repairs compared");
+    }
+
+    /// The report counts the outputs offered and the outputs spliced; a
+    /// repeated splice key is skipped, so the second count is lower, and
+    /// every pooled candidate was spliced and probed once.
+    #[test]
+    fn report_counts_outputs_seen_and_spliced() {
+        use corpus::stream::{CorpusStream, StreamConfig, StreamFamily};
+        let stream = CorpusStream::new(StreamConfig {
+            family: StreamFamily::Mixed,
+            seed: 0xD27F17,
+        });
+        let (mut seen, mut spliced, mut pooled) = (0, 0, 0);
+        for i in 0..30 {
+            let case = stream.case(i);
+            let drfix = DrFix::new(
+                crate::PipelineConfig {
+                    seed: crate::fleet::derive_case_seed(0, i as u64),
+                    detect_runs: 12,
+                    tournament: Some(TournamentConfig::default()),
+                    ..crate::PipelineConfig::default()
+                },
+                None,
+            );
+            let out = drfix.fix_case(&case.files, &case.test);
+            let Some(t) = out.tournament else { continue };
+            assert!(t.outputs_seen >= t.outputs_spliced, "case {i}");
+            assert!(t.outputs_spliced >= t.lint_probes, "case {i}");
+            assert_eq!(t.lint_probes as usize, t.candidates.len(), "case {i}");
+            seen += t.outputs_seen;
+            spliced += t.outputs_spliced;
+            pooled += t.lint_probes;
+        }
+        assert!(pooled > 0 && spliced > pooled, "{spliced} spliced, {pooled} pooled");
+        assert!(seen > 2 * spliced, "{seen} seen, {spliced} spliced");
     }
 
     #[test]

@@ -139,13 +139,21 @@ impl RaceCase {
 
 /// Counts changed lines between two texts (symmetric difference of line
 /// multisets — a cheap but stable proxy for diff size).
+///
+/// Lines the two texts share at the front and at the back cancel in the
+/// multiset difference, so only the differing middle is counted.
 pub fn diff_lines(a: &str, b: &str) -> usize {
     use std::collections::HashMap;
+    let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+    let head = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[head..], &b[head..]);
+    let tail = a.iter().rev().zip(b.iter().rev()).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[..a.len() - tail], &b[..b.len() - tail]);
     let mut counts: HashMap<&str, i64> = HashMap::new();
-    for l in a.lines() {
+    for &l in a {
         *counts.entry(l).or_default() += 1;
     }
-    for l in b.lines() {
+    for &l in b {
         *counts.entry(l).or_default() -= 1;
     }
     counts.values().map(|v| v.unsigned_abs() as usize).sum()

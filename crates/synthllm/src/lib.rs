@@ -21,7 +21,7 @@
 //! # Example
 //!
 //! ```
-//! use synthllm::{FixRequest, ModelTier, Scope, SynthLlm};
+//! use synthllm::{FixRequest, ModelTier, Prompt, Scope, SynthLlm};
 //!
 //! let code = "package p\n\nimport \"sync\"\n\nfunc F() {\n\terr := work()\n\tvar wg sync.WaitGroup\n\twg.Add(1)\n\tgo func() {\n\t\tdefer wg.Done()\n\t\terr = work()\n\t\tuse(err)\n\t}()\n\terr = work()\n\twg.Wait()\n\tuse(err)\n}\n\nfunc work() error { return nil }\nfunc use(e error) {}\n";
 //! let llm = SynthLlm::new(ModelTier::Gpt4o, 7);
@@ -36,7 +36,7 @@
 //!     focus_func: None,
 //!     case_key: "demo".into(),
 //! };
-//! let prompt = golite::parse_file(&req.code).unwrap();
+//! let prompt = Prompt::new(std::borrow::Cow::Owned(golite::parse_file(&req.code).unwrap()));
 //! let resp = llm.generate(&req, &prompt);
 //! assert!(resp.code.is_some());
 //! ```
@@ -46,12 +46,14 @@
 pub mod capability;
 pub mod diagnose;
 pub mod model;
+pub mod prompt;
 pub mod rewrite;
 pub mod strategy;
 
 pub use capability::{CapabilityModel, ModelTier};
 pub use diagnose::{diagnose, Diagnosis};
 pub use model::{Candidate, SynthLlm};
+pub use prompt::Prompt;
 pub use strategy::StrategyKind;
 
 use serde::{Deserialize, Serialize};

@@ -9,9 +9,9 @@
 //! and botching, and (5) applies a *real* AST rewrite.
 
 use crate::capability::{draw, CapabilityModel, ModelTier};
-use crate::diagnose::{diagnose, Diagnosis, Target};
-use crate::strategy::{self, StrategyKind};
-use crate::{FixRequest, FixResponse, RaceCategory, Scope};
+use crate::diagnose::{Diagnosis, Target};
+use crate::strategy::StrategyKind;
+use crate::{FixRequest, FixResponse, Prompt, RaceCategory, Scope};
 
 /// One enumerated candidate patch (tournament mode, §4.4 generalized):
 /// a complete revised source plus the model's self-reported confidence.
@@ -46,8 +46,8 @@ pub struct SynthLlm {
     seed: u64,
 }
 
-/// Score-ranked diagnoses plus the strategy excluded by feedback.
-type RankedDiagnoses = (Vec<(f64, Diagnosis)>, Option<StrategyKind>);
+/// Score-ranked diagnoses plus the idiom of the retrieved example.
+type RankedDiagnoses<'d> = (Vec<(f64, &'d Diagnosis)>, Option<StrategyKind>);
 
 impl SynthLlm {
     /// Creates a model of the given tier with a sampling seed.
@@ -64,10 +64,12 @@ impl SynthLlm {
     }
 
     /// Generates a candidate fix for the request. `prompt` is `req.code`
-    /// parsed: the caller parses a prompt once and every call on it borrows
-    /// that parse. The response is text, as a model's would be.
-    pub fn generate(&self, req: &FixRequest, prompt: &golite::File) -> FixResponse {
-        let (ranked, example_idiom) = match self.rank_diagnoses(req, prompt) {
+    /// parsed: the caller builds a [`Prompt`] once and every call on it
+    /// shares its parse and its cached model work. The response is text,
+    /// as a model's would be.
+    pub fn generate(&self, req: &FixRequest, prompt: &Prompt) -> FixResponse {
+        let diags = prompt.diagnoses(&req.racy_var);
+        let (ranked, example_idiom) = match self.rank_diagnoses(req, &diags) {
             Ok(r) => r,
             Err(note) => {
                 return FixResponse {
@@ -96,9 +98,8 @@ impl SynthLlm {
         if misloc_roll < misloc_p {
             // Lost in the middle: the model rewrites a plausible-looking
             // but wrong site; the emitted code changes nothing relevant.
-            let degraded_code = golite::print_file(prompt);
             return FixResponse {
-                code: Some(degraded_code),
+                code: Some(prompt.printed().to_owned()),
                 strategy: ranked.first().map(|(_, d)| d.strategy),
                 degraded: true,
                 note: "long-context attention slipped to the wrong site".into(),
@@ -115,10 +116,10 @@ impl SynthLlm {
         // scope) is skipped, like an LLM revising its plan.
         for (i, (_, diag)) in ranked.iter().take(4).enumerate() {
             let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
-            match strategy::apply(diag.strategy, prompt, &diag.target, botch) {
-                Ok(new_file) => {
+            match prompt.render(diag.strategy, &diag.target, botch) {
+                Ok(code) => {
                     return FixResponse {
-                        code: Some(golite::print_file(&new_file)),
+                        code: Some(code),
                         strategy: Some(diag.strategy),
                         degraded: botch != 0,
                         note: format!(
@@ -154,8 +155,9 @@ impl SynthLlm {
     /// `generate` would return is always in the list (when it returns
     /// one at all); the list simply keeps going past the first success.
     /// `prompt` is `req.code` parsed, as for [`SynthLlm::generate`].
-    pub fn enumerate(&self, req: &FixRequest, prompt: &golite::File, max: usize) -> Vec<Candidate> {
-        let Ok((ranked, example_idiom)) = self.rank_diagnoses(req, prompt) else {
+    pub fn enumerate(&self, req: &FixRequest, prompt: &Prompt, max: usize) -> Vec<Candidate> {
+        let diags = prompt.diagnoses(&req.racy_var);
+        let Ok((ranked, example_idiom)) = self.rank_diagnoses(req, &diags) else {
             return Vec::new();
         };
         let attempt_tag = format!("attempt{}", req.feedback.len());
@@ -176,7 +178,7 @@ impl SynthLlm {
             // candidate, so the tournament sees what single-path saw.
             let (_, top) = &ranked[0];
             return vec![Candidate {
-                code: golite::print_file(prompt),
+                code: prompt.printed().to_owned(),
                 strategy: top.strategy,
                 target: top.target.clone(),
                 degraded: true,
@@ -191,9 +193,9 @@ impl SynthLlm {
         let mut out = Vec::new();
         for (score, diag) in ranked.iter().take(max) {
             let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
-            if let Ok(new_file) = strategy::apply(diag.strategy, prompt, &diag.target, botch) {
+            if let Ok(code) = prompt.render(diag.strategy, &diag.target, botch) {
                 out.push(Candidate {
-                    code: golite::print_file(&new_file),
+                    code,
                     strategy: diag.strategy,
                     target: diag.target.clone(),
                     degraded: botch != 0,
@@ -221,7 +223,7 @@ impl SynthLlm {
     pub fn repair(
         &self,
         req: &FixRequest,
-        prompt: &golite::File,
+        prompt: &Prompt,
         cand: &Candidate,
         rule: &str,
         iter: u32,
@@ -234,23 +236,24 @@ impl SynthLlm {
             &tag,
         );
         let botch = if roll < skill { 0 } else { 1 };
-        let new_file = strategy::apply(cand.strategy, prompt, &cand.target, botch).ok()?;
+        let code = prompt.render(cand.strategy, &cand.target, botch).ok()?;
         Some(Candidate {
-            code: golite::print_file(&new_file),
+            code,
             degraded: botch != 0,
             note: format!("revised {} after `{rule}`", cand.strategy.display()),
             ..cand.clone()
         })
     }
 
-    /// Shared diagnosis + ranking of [`SynthLlm::generate`] and
-    /// [`SynthLlm::enumerate`]; `Err` carries the decline note.
-    fn rank_diagnoses(
+    /// Shared ranking of [`SynthLlm::generate`] and
+    /// [`SynthLlm::enumerate`] over the prompt's diagnoses; `Err` carries
+    /// the decline note.
+    fn rank_diagnoses<'d>(
         &self,
         req: &FixRequest,
-        file: &golite::ast::File,
-    ) -> Result<RankedDiagnoses, &'static str> {
-        let mut candidates = diagnose(file, &req.racy_var);
+        diags: &'d [Diagnosis],
+    ) -> Result<RankedDiagnoses<'d>, &'static str> {
+        let mut candidates: Vec<&Diagnosis> = diags.iter().collect();
         // The prompt points at one function (leaf/test/LCA location):
         // function-level diagnoses elsewhere are out of focus. Type- and
         // global-level repairs stay visible from any location.
@@ -275,7 +278,7 @@ impl SynthLlm {
             .and_then(|e| classify_example(&e.buggy, &e.fixed));
 
         // Rank.
-        let mut ranked: Vec<(f64, Diagnosis)> = candidates
+        let mut ranked: Vec<(f64, &Diagnosis)> = candidates
             .into_iter()
             .map(|d| {
                 let mut score = d.score * (0.4 + 0.6 * self.cap.skill(d.strategy));
@@ -437,6 +440,7 @@ fn wg_add_before_go(src: &str) -> bool {
 mod tests {
     use super::*;
     use crate::{Example, Feedback};
+    use std::borrow::Cow;
 
     const ERR_RACE: &str = r#"package p
 
@@ -465,8 +469,8 @@ func task2() error { return nil }
 func note()        {}
 "#;
 
-    fn prompt(r: &FixRequest) -> golite::File {
-        golite::parse_file(&r.code).expect("prompt parses")
+    fn prompt(r: &FixRequest) -> Prompt<'static> {
+        Prompt::new(Cow::Owned(golite::parse_file(&r.code).expect("prompt parses")))
     }
 
     fn req(code: &str, var: &str) -> FixRequest {
