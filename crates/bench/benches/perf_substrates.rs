@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the substrates: frontend throughput,
-//! skeletonization, embedding, vector search, and VM+detector overhead.
+//! skeletonization, embedding, vector search, VM+detector overhead, and
+//! the statcheck probe the tournament runs on every candidate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use govm::{compile_sources, CompileOptions, Vm, VmOptions};
@@ -124,11 +125,51 @@ fn bench_vm(c: &mut Criterion) {
     });
 }
 
+/// The statcheck probe on a fixed candidate set: every tournament
+/// candidate of the first 24 mixed-stream cases (`drbench`'s fix-service
+/// seeds), parsed once up front. One iteration probes every candidate, as
+/// the pool build does on admission.
+fn bench_statcheck(c: &mut Criterion) {
+    use corpus::stream::{CorpusStream, StreamConfig, StreamFamily};
+    use drfix::{DrFix, PipelineConfig, TournamentConfig};
+    let stream = CorpusStream::new(StreamConfig {
+        family: StreamFamily::Mixed,
+        seed: 0xD27F17,
+    });
+    let mut candidates = Vec::new();
+    for i in 0..24 {
+        let case = stream.case(i);
+        let p = PipelineConfig {
+            seed: drfix::fleet::derive_case_seed(0, i as u64),
+            detect_runs: 12,
+            tournament: Some(TournamentConfig {
+                keep_candidates: true,
+                ..TournamentConfig::default()
+            }),
+            ..PipelineConfig::default()
+        };
+        let fix = DrFix::new(p, None).fix_case(&case.files, &case.test);
+        for cand in fix.tournament.iter().flat_map(|t| &t.candidates) {
+            let patch = cand.patch.as_ref().expect("kept");
+            candidates.push(golite::parse_sources(patch).expect("candidates parse"));
+        }
+    }
+    c.bench_function(&format!("statcheck_probe_{}_candidates", candidates.len()), |b| {
+        b.iter(|| {
+            candidates
+                .iter()
+                .map(|parsed| statcheck::check_parsed(std::hint::black_box(parsed)).len())
+                .sum::<usize>()
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_frontend,
     bench_pipeline_parts,
     bench_vm,
-    bench_fleet
+    bench_fleet,
+    bench_statcheck
 );
 criterion_main!(benches);

@@ -10,12 +10,16 @@
 //! literal runs on another goroutine and an escaping closure runs at an
 //! unknown time, so each gets an independent context whose entry lockset
 //! is empty.
+//!
+//! Lock and variable paths are recorded per check as [`PathId`]s into one
+//! text buffer (see [`Paths`]); names, callees and declared variables
+//! borrow the AST.
 
 use golite::ast::{
     Block, CommClause, Decl, Expr, File, FuncDecl, FuncSig, Stmt, Type, UnOp, VarDecl,
 };
 use golite::Span;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Sentinel for "control flow diverged" (after `return`/`break`/…).
 const NO_BLOCK: usize = usize::MAX;
@@ -51,15 +55,100 @@ impl LockMethod {
     }
 }
 
+/// A qualified lock or variable path of one check (see [`Paths`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PathId(u32);
+
+/// The qualified lock and variable paths of one check. While contexts are
+/// built, every path occurrence gets an id of its own and its text is
+/// appended to one shared buffer, so recording a path allocates nothing.
+/// [`Paths::sort`] then gives equal paths one id, numbered in the paths'
+/// byte order: from then on ids compare exactly as the path texts do, and
+/// a set or map keyed by [`PathId`] iterates as one keyed by text.
+#[derive(Debug, Default)]
+pub struct Paths {
+    text: String,
+    /// Each id's text as offsets into `text`.
+    spans: Vec<PathSpan>,
+}
+
+/// Where one path's text lies in [`Paths`]' buffer: `start..end`, of
+/// which `shown..end` is the part messages show (the path without its
+/// `owner::` qualifier).
+#[derive(Debug, Clone, Copy)]
+struct PathSpan {
+    start: u32,
+    shown: u32,
+    end: u32,
+}
+
+impl Paths {
+    /// The buffer's length: where the next path's text starts.
+    fn mark(&self) -> u32 {
+        u32::try_from(self.text.len()).expect("paths fit in 4 GiB")
+    }
+
+    /// Records the path appended to the buffer since `start`, shown from
+    /// `shown` on (both values of [`Paths::mark`]).
+    fn finish(&mut self, start: u32, shown: u32) -> PathId {
+        let end = self.mark();
+        let id = PathId(u32::try_from(self.spans.len()).expect("fewer than 2^32 paths"));
+        self.spans.push(PathSpan { start, shown, end });
+        id
+    }
+
+    fn slice(&self, from: u32, to: u32) -> &str {
+        &self.text[from as usize..to as usize]
+    }
+
+    /// The path an id stands for.
+    pub fn name(&self, id: PathId) -> &str {
+        let s = self.spans[id.0 as usize];
+        self.slice(s.start, s.end)
+    }
+
+    /// The path without its `owner::` qualifier.
+    pub fn shown(&self, id: PathId) -> &str {
+        let s = self.spans[id.0 as usize];
+        self.slice(s.shown, s.end)
+    }
+
+    /// Gives equal paths one id, numbered in path order, and rewrites
+    /// every op of `contexts` — all the contexts built against these
+    /// paths — to match.
+    pub fn sort<'c, 'a: 'c>(&mut self, contexts: impl IntoIterator<Item = &'c mut Context<'a>>) {
+        let mut order: Vec<(&str, u32)> = (0..self.spans.len() as u32)
+            .map(|id| (self.name(PathId(id)), id))
+            .collect();
+        order.sort_unstable();
+        let mut rank = vec![PathId(0); order.len()];
+        let mut distinct: Vec<PathSpan> = Vec::new();
+        for (i, &(name, id)) in order.iter().enumerate() {
+            if i == 0 || name != order[i - 1].0 {
+                distinct.push(self.spans[id as usize]);
+            }
+            rank[id as usize] = PathId(distinct.len() as u32 - 1);
+        }
+        self.spans = distinct;
+        for ctx in contexts {
+            for op in ctx.cfg.blocks.iter_mut().flat_map(|b| &mut b.ops) {
+                if let Op::Sync { lock: id, .. } | Op::Access { path: id, .. } = op {
+                    *id = rank[id.0 as usize];
+                }
+            }
+        }
+    }
+}
+
 /// One lowered operation.
 #[derive(Debug, Clone)]
-pub enum Op {
+pub enum Op<'a> {
     /// A lock operation on the lock named `lock` (qualified id).
     Sync {
         /// Qualified lock id: package-level locks keep their bare path,
         /// method-receiver locks rewrite to `Type.path`, and locals are
         /// scoped as `func::path`.
-        lock: String,
+        lock: PathId,
         /// Which mutex method.
         method: LockMethod,
         /// `true` when registered via `defer` (runs at function exit).
@@ -70,7 +159,7 @@ pub enum Op {
     /// A read or write of a variable path.
     Access {
         /// Qualified variable path.
-        path: String,
+        path: PathId,
         /// `true` for writes (assignment targets, `++`/`--`).
         write: bool,
         /// Source span.
@@ -79,7 +168,7 @@ pub enum Op {
     /// A direct call to a file-local function or method.
     Call {
         /// Callee name (receiver-type-agnostic for methods).
-        callee: String,
+        callee: &'a str,
         /// Source span.
         span: Span,
     },
@@ -95,18 +184,18 @@ pub enum Op {
 
 /// A basic block: straight-line ops plus successor edges.
 #[derive(Debug, Default)]
-pub struct BasicBlock {
+pub struct BasicBlock<'a> {
     /// Ops in execution order.
-    pub ops: Vec<Op>,
+    pub ops: Vec<Op<'a>>,
     /// Successor block indices.
     pub succs: Vec<usize>,
 }
 
 /// A control-flow graph; block 0 is the entry.
 #[derive(Debug)]
-pub struct Cfg {
+pub struct Cfg<'a> {
     /// Basic blocks.
-    pub blocks: Vec<BasicBlock>,
+    pub blocks: Vec<BasicBlock<'a>>,
     /// The synthetic exit block (no ops, no successors).
     pub exit: usize,
 }
@@ -124,43 +213,57 @@ pub enum ContextKind {
 
 /// One analyzed execution context: a function body or closure body.
 #[derive(Debug)]
-pub struct Context {
+pub struct Context<'a> {
     /// Name of the owning top-level function (closures inherit it).
-    pub func: String,
+    pub func: &'a str,
     /// Context kind.
     pub kind: ContextKind,
     /// Control-flow graph.
-    pub cfg: Cfg,
+    pub cfg: Cfg<'a>,
     /// Names declared inside this context (params, `:=`, `var`, range
-    /// bindings) — accesses to these are context-private.
-    pub declared: BTreeSet<String>,
+    /// bindings), sorted and deduplicated — accesses to these are
+    /// context-private.
+    pub declared: Vec<&'a str>,
     /// Span of the context's body.
     pub span: Span,
 }
 
-/// File-level naming facts shared by every context of one file.
-#[derive(Debug, Default)]
-pub struct FileEnv {
-    /// Imported package names (aliases resolved).
-    pub packages: BTreeSet<String>,
-    /// Top-level function and method names.
-    pub funcs: BTreeSet<String>,
-    /// Declared type names.
-    pub types: BTreeSet<String>,
-    /// Package-level variable names.
-    pub globals: BTreeSet<String>,
+impl Context<'_> {
+    /// Whether `name` is declared inside this context.
+    pub fn declares(&self, name: &str) -> bool {
+        self.declared.binary_search(&name).is_ok()
+    }
 }
 
-impl FileEnv {
+/// What a top-level name denotes, as a set of [`FileEnv`] kind bits: a
+/// name can be, say, both a function and a package.
+type Kinds = u8;
+/// An imported package name (alias resolved).
+const PACKAGE: Kinds = 1;
+/// A top-level function or method name.
+const FUNC: Kinds = 2;
+/// A declared type name.
+const TYPE: Kinds = 4;
+/// A package-level variable or constant name.
+const GLOBAL: Kinds = 8;
+
+/// File-level naming facts shared by every context of one file: what
+/// each top-level name denotes, found with one lookup per name.
+#[derive(Debug, Default)]
+pub struct FileEnv<'a> {
+    kinds: HashMap<&'a str, Kinds>,
+}
+
+impl<'a> FileEnv<'a> {
     /// Collects the naming facts of `file`.
-    pub fn new(file: &File) -> FileEnv {
+    pub fn new(file: &'a File) -> FileEnv<'a> {
         FileEnv::for_program(std::iter::once(file))
     }
 
     /// Collects naming facts across every file of a program, so that a
     /// package-level variable declared in one file qualifies the same
     /// way when used from another.
-    pub fn for_program<'a>(files: impl IntoIterator<Item = &'a File>) -> FileEnv {
+    pub fn for_program(files: impl IntoIterator<Item = &'a File>) -> FileEnv<'a> {
         let mut env = FileEnv::default();
         for file in files {
             env.add_file(file);
@@ -168,28 +271,31 @@ impl FileEnv {
         env
     }
 
-    fn add_file(&mut self, file: &File) {
-        let env = self;
+    fn add_file(&mut self, file: &'a File) {
+        let mut add = |name: &'a str, kind: Kinds| *self.kinds.entry(name).or_default() |= kind;
         for imp in &file.imports {
-            let name = imp
-                .alias
-                .clone()
-                .unwrap_or_else(|| imp.path.rsplit('/').next().unwrap_or(&imp.path).to_owned());
-            env.packages.insert(name);
+            let name = match &imp.alias {
+                Some(alias) => alias.as_str(),
+                None => imp.path.rsplit('/').next().unwrap_or(&imp.path),
+            };
+            add(name, PACKAGE);
         }
         for d in &file.decls {
             match d {
-                Decl::Func(f) => {
-                    env.funcs.insert(f.name.clone());
-                }
-                Decl::Type(t) => {
-                    env.types.insert(t.name.clone());
-                }
+                Decl::Func(f) => add(&f.name, FUNC),
+                Decl::Type(t) => add(&t.name, TYPE),
                 Decl::Var(v) | Decl::Const(v) => {
-                    env.globals.extend(v.names.iter().cloned());
+                    for name in &v.names {
+                        add(name, GLOBAL);
+                    }
                 }
             }
         }
+    }
+
+    /// Whether `name` denotes any of `kinds`.
+    fn is(&self, name: &str, kinds: Kinds) -> bool {
+        self.kinds.get(name).is_some_and(|k| k & kinds != 0)
     }
 }
 
@@ -240,43 +346,63 @@ fn is_builtin(name: &str) -> bool {
 /// Renders a pure lvalue chain (`a`, `a.b`, `a.b[i].c`, `(*p).f`) as a
 /// dotted path, dropping index expressions: `m[k]` renders as `m`.
 pub fn path_of(e: &Expr) -> Option<String> {
+    let mut path = String::new();
+    push_path(e, &mut path).then_some(path)
+}
+
+/// Appends [`path_of`]`(e)` to `buf`; `false` (with `buf` holding a
+/// partial path) when `e` is not a pure lvalue chain.
+fn push_path(e: &Expr, buf: &mut String) -> bool {
     match e {
-        Expr::Ident { name, .. } => Some(name.clone()),
-        Expr::Selector { expr, name, .. } => Some(format!("{}.{name}", path_of(expr)?)),
-        Expr::Index { expr, .. } | Expr::SliceExpr { expr, .. } => path_of(expr),
-        Expr::Paren { expr, .. } | Expr::TypeAssert { expr, .. } => path_of(expr),
+        Expr::Ident { name, .. } => {
+            buf.push_str(name);
+            true
+        }
+        Expr::Selector { expr, name, .. } => {
+            let ok = push_path(expr, buf);
+            buf.push('.');
+            buf.push_str(name);
+            ok
+        }
+        Expr::Index { expr, .. } | Expr::SliceExpr { expr, .. } => push_path(expr, buf),
+        Expr::Paren { expr, .. } | Expr::TypeAssert { expr, .. } => push_path(expr, buf),
         Expr::Unary {
             op: UnOp::Deref | UnOp::Addr,
             expr,
             ..
-        } => path_of(expr),
-        _ => None,
+        } => push_path(expr, buf),
+        _ => false,
     }
 }
 
 /// The builder turning one body into a [`Cfg`].
-struct Builder<'a> {
-    blocks: Vec<BasicBlock>,
+struct Builder<'a, 'e> {
+    blocks: Vec<BasicBlock<'a>>,
     exit: usize,
     /// `(break_target, continue_target)` stack; `continue_target` is
     /// `NO_BLOCK` for switch/select scopes.
     scopes: Vec<(usize, usize)>,
-    declared: BTreeSet<String>,
-    env: &'a FileEnv,
+    declared: Vec<&'a str>,
+    env: &'e FileEnv<'a>,
+    paths: &'e mut Paths,
     /// Substitution applied to path roots: method receivers rewrite to
     /// their type name so `s.mu` means the same lock in every method.
-    recv: Option<(String, String)>,
+    recv: Option<(&'a str, &'e str)>,
+    /// Scratch for the raw path under lowering.
+    raw: String,
 }
 
-impl<'a> Builder<'a> {
-    fn new(env: &'a FileEnv, recv: Option<(String, String)>) -> Self {
+impl<'a, 'e> Builder<'a, 'e> {
+    fn new(env: &'e FileEnv<'a>, paths: &'e mut Paths, recv: Option<(&'a str, &'e str)>) -> Self {
         Builder {
             blocks: vec![BasicBlock::default()],
             exit: 0,
             scopes: Vec::new(),
-            declared: BTreeSet::new(),
+            declared: Vec::new(),
             env,
+            paths,
             recv,
+            raw: String::new(),
         }
     }
 
@@ -291,34 +417,58 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn push(&mut self, block: usize, op: Op) {
+    fn push(&mut self, block: usize, op: Op<'a>) {
         if block != NO_BLOCK {
             self.blocks[block].ops.push(op);
         }
     }
 
-    /// Qualifies a raw lvalue path into a stable id: package-level names
-    /// stay bare, method-receiver roots rewrite to the receiver type,
-    /// and everything else is scoped to the owning function.
-    fn qualify(&self, raw: &str, owner: &str) -> String {
+    /// Renders `e`'s lvalue path into the raw-path scratch; `false` when
+    /// `e` is not a pure lvalue chain.
+    fn render(&mut self, e: &Expr) -> bool {
+        self.raw.clear();
+        push_path(e, &mut self.raw)
+    }
+
+    /// Qualifies the raw path into a stable id: package-level names stay
+    /// bare, method-receiver roots rewrite to the receiver type, and
+    /// everything else is scoped to the owning function.
+    fn qualify(&mut self, owner: &str) -> PathId {
+        let raw = self.raw.as_str();
         let root = raw.split('.').next().unwrap_or(raw);
-        if let Some((recv_name, type_name)) = &self.recv {
-            if root == recv_name {
-                return format!("{type_name}{}", &raw[root.len()..]);
+        self.qualify_root(root.len(), self.env.is(root, GLOBAL), owner)
+    }
+
+    /// [`Builder::qualify`] given the length of the raw path's root and
+    /// whether that root names a package-level variable.
+    fn qualify_root(&mut self, root_len: usize, global: bool, owner: &str) -> PathId {
+        let raw = self.raw.as_str();
+        let root = &raw[..root_len];
+        let start = self.paths.mark();
+        let q = &mut self.paths.text;
+        match self.recv {
+            Some((recv_name, type_name)) if root == recv_name => {
+                q.push_str(type_name);
+                q.push_str(&raw[root.len()..]);
+            }
+            _ if global => q.push_str(raw),
+            _ => {
+                q.push_str(owner);
+                q.push_str("::");
+                let shown = self.paths.mark();
+                self.paths.text.push_str(raw);
+                return self.paths.finish(start, shown);
             }
         }
-        if self.env.globals.contains(root) {
-            return raw.to_owned();
-        }
-        format!("{owner}::{raw}")
+        self.paths.finish(start, start)
     }
 
     // ---- expression lowering -------------------------------------------------
 
     /// Emits read accesses (and nested sync/call ops) for `e`.
-    fn reads(&mut self, block: usize, e: &Expr, owner: &str) {
-        if let Some(p) = path_of(e) {
-            self.access(block, &p, false, e.span(), owner);
+    fn reads(&mut self, block: usize, e: &'a Expr, owner: &str) {
+        if self.render(e) {
+            self.access(block, false, e.span(), owner);
             // Index expressions inside the chain still execute.
             self.index_reads(block, e, owner);
             return;
@@ -359,7 +509,7 @@ impl<'a> Builder<'a> {
     }
 
     /// Emits reads for index/slice-bound expressions nested in a chain.
-    fn index_reads(&mut self, block: usize, e: &Expr, owner: &str) {
+    fn index_reads(&mut self, block: usize, e: &'a Expr, owner: &str) {
         match e {
             Expr::Index { expr, index, .. } => {
                 self.index_reads(block, expr, owner);
@@ -382,23 +532,24 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Emits an access op unless the path is a non-variable name.
-    fn access(&mut self, block: usize, raw: &str, write: bool, span: Span, owner: &str) {
+    /// Emits an access op for the raw path unless it names a non-variable.
+    fn access(&mut self, block: usize, write: bool, span: Span, owner: &str) {
+        let raw = self.raw.as_str();
         let root = raw.split('.').next().unwrap_or(raw);
-        if is_builtin(root)
-            || self.env.packages.contains(root)
-            || self.env.types.contains(root)
-            || (self.env.funcs.contains(root) && raw == root)
-        {
+        if is_builtin(root) {
             return;
         }
-        let path = self.qualify(raw, owner);
+        let kinds = self.env.kinds.get(root).copied().unwrap_or(0);
+        if kinds & (PACKAGE | TYPE) != 0 || (kinds & FUNC != 0 && raw == root) {
+            return;
+        }
+        let path = self.qualify_root(root.len(), kinds & GLOBAL != 0, owner);
         self.push(block, Op::Access { path, write, span });
     }
 
     /// Lowers a call expression: sync ops for mutex methods, call ops
     /// for file-local callees, plus argument reads.
-    fn call(&mut self, block: usize, e: &Expr, owner: &str) {
+    fn call(&mut self, block: usize, e: &'a Expr, owner: &str) {
         let Expr::Call {
             fun, args, span, ..
         } = e
@@ -409,18 +560,16 @@ impl<'a> Builder<'a> {
             Expr::Selector {
                 expr: recv, name, ..
             } => {
-                let recv_path = path_of(recv);
+                let is_path = self.render(recv);
                 let is_pkg = recv
                     .as_ident()
-                    .map(|r| self.env.packages.contains(r))
+                    .map(|r| self.env.is(r, PACKAGE))
                     .unwrap_or(false);
                 if !is_pkg {
-                    if let (Some(m), Some(p), true) = (
-                        LockMethod::from_name(name),
-                        recv_path.as_deref(),
-                        args.is_empty(),
-                    ) {
-                        let lock = self.qualify(p, owner);
+                    if let (Some(m), true, true) =
+                        (LockMethod::from_name(name), is_path, args.is_empty())
+                    {
+                        let lock = self.qualify(owner);
                         self.push(
                             block,
                             Op::Sync {
@@ -432,13 +581,13 @@ impl<'a> Builder<'a> {
                         );
                         return;
                     }
-                    if let Some(p) = &recv_path {
-                        self.access(block, p, false, recv.span(), owner);
-                        if self.env.funcs.contains(name.as_str()) {
+                    if is_path {
+                        self.access(block, false, recv.span(), owner);
+                        if self.env.is(name, FUNC) {
                             self.push(
                                 block,
                                 Op::Call {
-                                    callee: name.clone(),
+                                    callee: name,
                                     span: *span,
                                 },
                             );
@@ -449,17 +598,19 @@ impl<'a> Builder<'a> {
                 }
             }
             Expr::Ident { name, .. } => {
-                if self.env.funcs.contains(name.as_str()) {
+                if self.env.is(name, FUNC) {
                     self.push(
                         block,
                         Op::Call {
-                            callee: name.clone(),
+                            callee: name,
                             span: *span,
                         },
                     );
                 } else if !is_builtin(name) {
                     // Calling through a function-typed variable.
-                    self.access(block, name, false, fun.span(), owner);
+                    self.raw.clear();
+                    self.raw.push_str(name);
+                    self.access(block, false, fun.span(), owner);
                 }
             }
             Expr::FuncLit { .. } => {} // IIFE body is its own context
@@ -471,9 +622,9 @@ impl<'a> Builder<'a> {
     }
 
     /// Emits a write access for an assignment target.
-    fn write_target(&mut self, block: usize, e: &Expr, owner: &str) {
-        if let Some(p) = path_of(e) {
-            self.access(block, &p, true, e.span(), owner);
+    fn write_target(&mut self, block: usize, e: &'a Expr, owner: &str) {
+        if self.render(e) {
+            self.access(block, true, e.span(), owner);
             self.index_reads(block, e, owner);
         } else {
             self.reads(block, e, owner);
@@ -482,7 +633,7 @@ impl<'a> Builder<'a> {
 
     // ---- statement lowering --------------------------------------------------
 
-    fn stmts(&mut self, mut cur: usize, list: &[Stmt], owner: &str) -> usize {
+    fn stmts(&mut self, mut cur: usize, list: &'a [Stmt], owner: &str) -> usize {
         for s in list {
             if cur == NO_BLOCK {
                 break; // unreachable code after return/break/continue
@@ -492,14 +643,14 @@ impl<'a> Builder<'a> {
         cur
     }
 
-    fn var_decl(&mut self, cur: usize, d: &VarDecl, owner: &str) {
-        self.declared.extend(d.names.iter().cloned());
+    fn var_decl(&mut self, cur: usize, d: &'a VarDecl, owner: &str) {
+        self.declared.extend(d.names.iter().map(String::as_str));
         for v in &d.values {
             self.reads(cur, v, owner);
         }
     }
 
-    fn stmt(&mut self, cur: usize, s: &Stmt, owner: &str) -> usize {
+    fn stmt(&mut self, cur: usize, s: &'a Stmt, owner: &str) -> usize {
         match s {
             Stmt::Decl(d) => {
                 self.var_decl(cur, d, owner);
@@ -509,7 +660,7 @@ impl<'a> Builder<'a> {
                 for v in values {
                     self.reads(cur, v, owner);
                 }
-                self.declared.extend(names.iter().cloned());
+                self.declared.extend(names.iter().map(String::as_str));
                 cur
             }
             Stmt::Assign { lhs, rhs, .. } => {
@@ -538,10 +689,8 @@ impl<'a> Builder<'a> {
                 // Arguments are evaluated on the spawning goroutine; the
                 // callee body (if a literal) is a separate context.
                 if let Expr::Call { args, fun, .. } = call {
-                    if !matches!(fun.as_ref(), Expr::FuncLit { .. }) {
-                        if let Some(p) = path_of(fun) {
-                            self.access(cur, &p, false, fun.span(), owner);
-                        }
+                    if !matches!(fun.as_ref(), Expr::FuncLit { .. }) && self.render(fun) {
+                        self.access(cur, false, fun.span(), owner);
                     }
                     for a in args {
                         self.reads(cur, a, owner);
@@ -648,7 +797,7 @@ impl<'a> Builder<'a> {
                 for bind in [&r.key, &r.value].into_iter().flatten() {
                     if r.define {
                         if let Some(n) = bind.as_ident() {
-                            self.declared.insert(n.to_owned());
+                            self.declared.push(n);
                         }
                     } else {
                         self.write_target(body_b, bind, owner);
@@ -706,7 +855,7 @@ impl<'a> Builder<'a> {
                             for t in lhs {
                                 if *define {
                                     if let Some(n) = t.as_ident() {
-                                        self.declared.insert(n.to_owned());
+                                        self.declared.push(n);
                                     }
                                 } else {
                                     self.write_target(cb, t, owner);
@@ -749,16 +898,16 @@ impl<'a> Builder<'a> {
     /// Lowers `defer call`: deferred lock ops are recorded at the
     /// registration point; a deferred closure is scanned (shallowly) for
     /// the lock calls it will run.
-    fn defer_call(&mut self, cur: usize, call: &Expr, span: Span, owner: &str) {
+    fn defer_call(&mut self, cur: usize, call: &'a Expr, span: Span, owner: &str) {
         if let Expr::Call { fun, args, .. } = call {
             if let Expr::Selector {
                 expr: recv, name, ..
             } = fun.as_ref()
             {
-                if let (Some(m), Some(p), true) =
-                    (LockMethod::from_name(name), path_of(recv), args.is_empty())
+                if let (Some(m), true, true) =
+                    (LockMethod::from_name(name), self.render(recv), args.is_empty())
                 {
-                    let lock = self.qualify(&p, owner);
+                    let lock = self.qualify(owner);
                     self.push(
                         cur,
                         Op::Sync {
@@ -781,10 +930,10 @@ impl<'a> Builder<'a> {
                             expr: recv, name, ..
                         } = fun.as_ref()
                         {
-                            if let (Some(m), Some(p), true) =
-                                (LockMethod::from_name(name), path_of(recv), args.is_empty())
+                            if let (Some(m), true, true) =
+                                (LockMethod::from_name(name), self.render(recv), args.is_empty())
                             {
-                                let lock = self.qualify(&p, owner);
+                                let lock = self.qualify(owner);
                                 self.push(
                                     cur,
                                     Op::Sync {
@@ -810,23 +959,20 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// Builds the CFG for one body.
-fn build_cfg(
-    env: &FileEnv,
-    recv: Option<(String, String)>,
-    params: &FuncSig,
-    extra_declared: &[String],
-    body: &Block,
+/// Builds the CFG for one body, with its sorted declared names.
+fn build_cfg<'a>(
+    env: &FileEnv<'a>,
+    paths: &mut Paths,
+    recv: Option<(&'a str, &str)>,
+    params: &'a FuncSig,
+    extra_declared: Option<&'a str>,
+    body: &'a Block,
     owner: &str,
-) -> (Cfg, BTreeSet<String>) {
-    let mut b = Builder::new(env, recv);
+) -> (Cfg<'a>, Vec<&'a str>) {
+    let mut b = Builder::new(env, paths, recv);
     b.exit = b.new_block();
-    for (name, _) in params.param_names() {
-        b.declared.insert(name.to_owned());
-    }
-    for n in extra_declared {
-        b.declared.insert(n.clone());
-    }
+    b.declared.extend(params.param_names().map(|(name, _)| name));
+    b.declared.extend(extra_declared);
     let end = b.stmts(0, &body.stmts, owner);
     if end != NO_BLOCK {
         let span = Span::new(body.span.hi.saturating_sub(1), body.span.hi);
@@ -835,12 +981,15 @@ fn build_cfg(
         b.edge(end, exit);
     }
     let exit = b.exit;
+    let mut declared = b.declared;
+    declared.sort_unstable();
+    declared.dedup();
     (
         Cfg {
             blocks: b.blocks,
             exit,
         },
-        b.declared,
+        declared,
     )
 }
 
@@ -1035,32 +1184,37 @@ fn collect_lits<'a>(body: &'a Block, out: &mut Vec<(&'a Expr, ContextKind)>) {
 }
 
 /// The receiver qualification for a method: `(binding name, type name)`.
-fn receiver_of(f: &FuncDecl) -> Option<(String, String)> {
+fn receiver_of(f: &FuncDecl) -> Option<(&str, String)> {
     let r = f.receiver.as_ref()?;
     let ty = match &r.ty {
         Type::Pointer(inner) => inner.as_named_path(),
         other => other.as_named_path(),
     }?;
-    Some((r.name.clone(), ty))
+    Some((&r.name, ty))
 }
 
-/// Builds every analysis context of `file` (single-file program).
-pub fn contexts(file: &File) -> Vec<Context> {
-    contexts_with(file, &FileEnv::new(file))
+/// Builds every analysis context of `file` (single-file program), with
+/// path ids in path order.
+pub fn contexts(file: &File) -> (Vec<Context<'_>>, Paths) {
+    let mut paths = Paths::default();
+    let mut ctxs = contexts_with(file, &FileEnv::new(file), &mut paths);
+    paths.sort(&mut ctxs);
+    (ctxs, paths)
 }
 
 /// Builds every analysis context of `file` against a (possibly
-/// program-wide) naming environment.
-pub fn contexts_with(file: &File, env: &FileEnv) -> Vec<Context> {
+/// program-wide) naming environment, interning paths into `paths`.
+pub fn contexts_with<'a>(file: &'a File, env: &FileEnv<'a>, paths: &mut Paths) -> Vec<Context<'a>> {
     let mut out = Vec::new();
     for d in &file.decls {
         let Decl::Func(f) = d else { continue };
         let Some(body) = &f.body else { continue };
         let recv = receiver_of(f);
-        let extra: Vec<String> = recv.iter().map(|(n, _)| n.clone()).collect();
-        let (cfg, declared) = build_cfg(env, recv.clone(), &f.sig, &extra, body, &f.name);
+        let recv = recv.as_ref().map(|(n, t)| (*n, t.as_str()));
+        let extra = recv.map(|(n, _)| n);
+        let (cfg, declared) = build_cfg(env, paths, recv, &f.sig, extra, body, &f.name);
         out.push(Context {
-            func: f.name.clone(),
+            func: &f.name,
             kind: ContextKind::Function,
             cfg,
             declared,
@@ -1083,9 +1237,9 @@ pub fn contexts_with(file: &File, env: &FileEnv) -> Vec<Context> {
             if !seen.insert((span.lo, span.hi)) {
                 continue;
             }
-            let (cfg, declared) = build_cfg(env, recv.clone(), sig, &[], lb, &f.name);
+            let (cfg, declared) = build_cfg(env, paths, recv, sig, None, lb, &f.name);
             out.push(Context {
-                func: f.name.clone(),
+                func: &f.name,
                 kind,
                 cfg,
                 declared,
@@ -1109,7 +1263,7 @@ mod tests {
         let file = parse(
             "package p\n\nimport \"sync\"\n\nfunc F() {\n\tvar mu sync.Mutex\n\tgo func() {\n\t\tmu.Lock()\n\t\tmu.Unlock()\n\t}()\n\tf2 := func() {}\n\tf2()\n}\n",
         );
-        let ctxs = contexts(&file);
+        let (ctxs, _) = contexts(&file);
         assert_eq!(ctxs.len(), 3);
         assert_eq!(ctxs[0].kind, ContextKind::Function);
         assert!(ctxs
@@ -1123,14 +1277,14 @@ mod tests {
         let file = parse(
             "package p\n\nimport \"sync\"\n\nvar g sync.Mutex\n\nfunc F() {\n\tvar mu sync.Mutex\n\tmu.Lock()\n\tg.Lock()\n\tg.Unlock()\n\tmu.Unlock()\n}\n",
         );
-        let ctxs = contexts(&file);
-        let locks: Vec<String> = ctxs[0]
+        let (ctxs, paths) = contexts(&file);
+        let locks: Vec<&str> = ctxs[0]
             .cfg
             .blocks
             .iter()
             .flat_map(|b| &b.ops)
             .filter_map(|op| match op {
-                Op::Sync { lock, .. } => Some(lock.clone()),
+                Op::Sync { lock, .. } => Some(paths.name(*lock)),
                 _ => None,
             })
             .collect();
@@ -1142,7 +1296,7 @@ mod tests {
         let file = parse(
             "package p\n\nimport \"sync\"\n\ntype S struct {\n\tmu sync.Mutex\n\tn int\n}\n\nfunc (s *S) A() {\n\ts.mu.Lock()\n\ts.mu.Unlock()\n}\n\nfunc (t *S) B() {\n\tt.mu.Lock()\n\tt.mu.Unlock()\n}\n",
         );
-        let ctxs = contexts(&file);
+        let (ctxs, paths) = contexts(&file);
         let lock_of = |i: usize| {
             ctxs[i]
                 .cfg
@@ -1150,7 +1304,7 @@ mod tests {
                 .iter()
                 .flat_map(|b| &b.ops)
                 .find_map(|op| match op {
-                    Op::Sync { lock, .. } => Some(lock.clone()),
+                    Op::Sync { lock, .. } => Some(paths.name(*lock)),
                     _ => None,
                 })
                 .unwrap()
@@ -1164,7 +1318,7 @@ mod tests {
         let file = parse(
             "package p\n\nfunc F(xs []int) int {\n\tn := 0\n\tfor _, x := range xs {\n\t\tif x > 0 {\n\t\t\tn = n + x\n\t\t\tcontinue\n\t\t}\n\t\tbreak\n\t}\n\treturn n\n}\n",
         );
-        let ctxs = contexts(&file);
+        let (ctxs, _) = contexts(&file);
         let cfg = &ctxs[0].cfg;
         assert!(cfg.blocks.len() >= 5);
         let exits = cfg

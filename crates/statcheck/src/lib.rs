@@ -33,8 +33,8 @@ pub mod lints;
 pub mod lockorder;
 pub mod lockset;
 
-use cfg::ContextKind;
-use lockset::{display_path, AccessFact};
+use cfg::{ContextKind, PathId, Paths};
+use lockset::AccessFact;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
@@ -66,30 +66,32 @@ pub fn check_parsed<F: Borrow<golite::File>>(files: &[(String, String, F)]) -> V
     // Program-wide naming facts: a package-level lock declared in one
     // file must qualify identically when used from another.
     let env = cfg::FileEnv::for_program(files.iter().map(|(_, _, f)| f.borrow()));
+    // Every file's contexts are built before any is analysed, so the path
+    // ids can be put in path order once for the whole program.
+    let mut paths = Paths::default();
+    let mut contexts: Vec<Vec<cfg::Context>> = files
+        .iter()
+        .map(|(_, _, f)| cfg::contexts_with(f.borrow(), &env, &mut paths))
+        .collect();
+    paths.sort(contexts.iter_mut().flatten());
     let mut reports: Vec<FileReport> = Vec::new();
-    let mut all_contexts = Vec::new(); // (file_idx, func, kind, result)
-    for (idx, (name, _, file)) in files.iter().enumerate() {
-        let file: &golite::File = file.borrow();
-        let mut diags = lints::ast_lints(file);
-        let ctxs = cfg::contexts_with(file, &env);
+    let mut analyzed: Vec<lockorder::Analyzed> = Vec::new();
+    for (idx, ((name, _, file), ctxs)) in files.iter().zip(&contexts).enumerate() {
+        let mut diags = lints::ast_lints(file.borrow());
         let mut accesses: Vec<AccessFact> = Vec::new();
-        for ctx in &ctxs {
-            let res = lockset::solve(ctx);
-            diags.extend(res.diags.iter().cloned());
-            accesses.extend(res.accesses.iter().cloned());
-            all_contexts.push((idx, ctx.func.clone(), ctx.kind, res));
+        for ctx in ctxs {
+            let mut res = lockset::solve(ctx, &paths);
+            diags.append(&mut res.diags);
+            accesses.append(&mut res.accesses);
+            analyzed.push((idx, ctx.func, ctx.kind, res));
         }
-        diags.extend(access_lints(&accesses));
+        diags.extend(access_lints(&accesses, &paths));
         reports.push(FileReport {
             file: name.clone(),
             diagnostics: diags,
         });
     }
-    let tagged: Vec<(usize, String, ContextKind, &lockset::ContextResult)> = all_contexts
-        .iter()
-        .map(|(i, f, k, r)| (*i, f.clone(), *k, r))
-        .collect();
-    for (idx, diag) in lockorder::lock_order_diagnostics(&tagged) {
+    for (idx, diag) in lockorder::lock_order_diagnostics(&analyzed, &paths) {
         reports[idx].diagnostics.push(diag);
     }
     for r in &mut reports {
@@ -135,14 +137,16 @@ pub fn count_severity(reports: &[FileReport], severity: Severity) -> usize {
 }
 
 /// Cross-context lints over the access facts of one file:
-/// `inconsistent-lock` and `rwmutex-confusion`.
-fn access_lints(accesses: &[AccessFact]) -> Vec<Diagnostic> {
+/// `inconsistent-lock` and `rwmutex-confusion`. Path ids are in path
+/// order, so groups are visited by path.
+fn access_lints(accesses: &[AccessFact], paths: &Paths) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut groups: BTreeMap<&str, Vec<&AccessFact>> = BTreeMap::new();
+    let mut groups: BTreeMap<PathId, Vec<&AccessFact>> = BTreeMap::new();
     for a in accesses {
-        groups.entry(a.path.as_str()).or_default().push(a);
+        groups.entry(a.path).or_default().push(a);
     }
     for (path, facts) in groups {
+        let path = paths.shown(path);
         let written = facts.iter().any(|a| a.write && a.concurrent);
         if !written {
             // Read-only data cannot race, and neither can writes that
@@ -165,32 +169,26 @@ fn access_lints(accesses: &[AccessFact]) -> Vec<Diagnostic> {
             .filter(|a| a.held_write.is_empty() && a.held_read.is_empty())
             .collect();
         if let (Some(g), Some(u)) = (guarded.first(), unguarded.iter().min_by_key(|a| a.span.lo)) {
-            let lock = g
-                .held_write
-                .iter()
-                .chain(g.held_read.iter())
-                .next()
-                .cloned()
-                .unwrap_or_default();
+            let lock = g.held_write.iter().chain(&g.held_read).next();
             diags.push(Diagnostic::warning(
                 "inconsistent-lock",
                 format!(
                     "`{}` is guarded by `{}` in some goroutines but accessed without a lock here",
-                    display_path(path),
-                    display_path(&lock)
+                    path,
+                    lock.map_or("", |&l| paths.shown(l))
                 ),
                 u.span,
             ));
         }
         for a in &shared {
             if a.write && a.held_write.is_empty() {
-                if let Some(lock) = a.held_read.iter().next() {
+                if let Some(&lock) = a.held_read.first() {
                     diags.push(Diagnostic::warning(
                         "rwmutex-confusion",
                         format!(
                             "write to `{}` while only the read lock of `{}` is held",
-                            display_path(path),
-                            display_path(lock)
+                            path,
+                            paths.shown(lock)
                         ),
                         a.span,
                     ));

@@ -5,144 +5,154 @@
 //! Error-tier rules here (`arity-mismatch`, `syncmap-range`,
 //! `waitgroup-double-add`) flag shapes that fail on every execution;
 //! the rest are heuristics and stay on the warning tier.
+//!
+//! All rules share one pre-order walk of the file ([`Lints`]); only
+//! `mixed-atomic` walks again, and only in files that call `atomic.*`.
 
 use crate::cfg::path_of;
-use golite::ast::{Decl, Expr, File, FuncSig, Stmt, Type, UnOp, VarDecl};
+use golite::ast::{Decl, Expr, File, FuncDecl, FuncSig, Stmt, Type, UnOp, VarDecl};
 use golite::{Diagnostic, Span};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs every AST lint over `file`.
 pub fn ast_lints(file: &File) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    arity_lint(file, &mut diags);
-    syncmap_lint(file, &mut diags);
-    waitgroup_lint(file, &mut diags);
-    mixed_atomic_lint(file, &mut diags);
-    copylocks_lint(file, &mut diags);
-    diags.sort_by_key(|d| (d.span.lo, d.span.hi, d.rule.clone()));
+    let mut lints = Lints::new(file);
+    for d in &file.decls {
+        match d {
+            Decl::Func(f) => {
+                lints.copy_env = lints.copylocks_signature(f);
+                if let Some(body) = &f.body {
+                    walk_lists(&body.stmts, &mut lints);
+                }
+                lints.copy_env = None;
+            }
+            Decl::Var(v) | Decl::Const(v) => {
+                for e in &v.values {
+                    walk_expr(e, &mut lints);
+                }
+            }
+            Decl::Type(_) => {}
+        }
+    }
+    let Lints {
+        mut diags,
+        atomic_paths,
+        ..
+    } = lints;
+    mixed_atomic_lint(file, &atomic_paths, &mut diags);
+    diags.sort_by(|a, b| (a.span.lo, a.span.hi, &a.rule).cmp(&(b.span.lo, b.span.hi, &b.rule)));
     diags.dedup();
     diags
 }
 
 // ---- generic walker ---------------------------------------------------------
 
-/// Walks every statement list, statement and expression (pre-order),
-/// descending into function-literal bodies.
-fn walk_lists(
-    list: &[Stmt],
-    on_list: &mut dyn FnMut(&[Stmt]),
-    on_stmt: &mut dyn FnMut(&Stmt),
-    on_expr: &mut dyn FnMut(&Expr),
-) {
-    on_list(list);
+/// Callbacks of the pre-order walk: every statement list, statement and
+/// expression, descending into function-literal bodies.
+trait Visit<'a> {
+    fn list(&mut self, _list: &'a [Stmt]) {}
+    fn stmt(&mut self, _s: &'a Stmt) {}
+    fn expr(&mut self, _e: &'a Expr) {}
+}
+
+fn walk_lists<'a>(list: &'a [Stmt], v: &mut impl Visit<'a>) {
+    v.list(list);
     for s in list {
-        walk_stmt(s, on_list, on_stmt, on_expr);
+        walk_stmt(s, v);
     }
 }
 
-fn walk_stmt(
-    s: &Stmt,
-    on_list: &mut dyn FnMut(&[Stmt]),
-    on_stmt: &mut dyn FnMut(&Stmt),
-    on_expr: &mut dyn FnMut(&Expr),
-) {
-    on_stmt(s);
-    let mut expr = |e: &Expr| walk_expr(e, on_list, on_stmt, on_expr);
+fn walk_stmt<'a>(s: &'a Stmt, v: &mut impl Visit<'a>) {
+    v.stmt(s);
     match s {
-        Stmt::Decl(d) => d.values.iter().for_each(&mut expr),
-        Stmt::ShortVar { values, .. } => values.iter().for_each(&mut expr),
-        Stmt::Assign { lhs, rhs, .. } => lhs.iter().chain(rhs).for_each(&mut expr),
-        Stmt::IncDec { expr: e, .. } => expr(e),
-        Stmt::Expr(e) => expr(e),
+        Stmt::Decl(d) => d.values.iter().for_each(|e| walk_expr(e, v)),
+        Stmt::ShortVar { values, .. } => values.iter().for_each(|e| walk_expr(e, v)),
+        Stmt::Assign { lhs, rhs, .. } => lhs.iter().chain(rhs).for_each(|e| walk_expr(e, v)),
+        Stmt::IncDec { expr: e, .. } => walk_expr(e, v),
+        Stmt::Expr(e) => walk_expr(e, v),
         Stmt::Send { chan, value, .. } => {
-            expr(chan);
-            expr(value);
+            walk_expr(chan, v);
+            walk_expr(value, v);
         }
-        Stmt::Go { call, .. } | Stmt::Defer { call, .. } => expr(call),
-        Stmt::Return { values, .. } => values.iter().for_each(&mut expr),
+        Stmt::Go { call, .. } | Stmt::Defer { call, .. } => walk_expr(call, v),
+        Stmt::Return { values, .. } => values.iter().for_each(|e| walk_expr(e, v)),
         Stmt::If(ifs) => {
             if let Some(init) = &ifs.init {
-                walk_stmt(init, on_list, on_stmt, on_expr);
+                walk_stmt(init, v);
             }
-            walk_expr(&ifs.cond, on_list, on_stmt, on_expr);
-            walk_lists(&ifs.then.stmts, on_list, on_stmt, on_expr);
+            walk_expr(&ifs.cond, v);
+            walk_lists(&ifs.then.stmts, v);
             if let Some(e) = &ifs.else_ {
-                walk_stmt(e, on_list, on_stmt, on_expr);
+                walk_stmt(e, v);
             }
         }
         Stmt::For(f) => {
             if let Some(init) = &f.init {
-                walk_stmt(init, on_list, on_stmt, on_expr);
+                walk_stmt(init, v);
             }
             if let Some(c) = &f.cond {
-                walk_expr(c, on_list, on_stmt, on_expr);
+                walk_expr(c, v);
             }
             if let Some(p) = &f.post {
-                walk_stmt(p, on_list, on_stmt, on_expr);
+                walk_stmt(p, v);
             }
-            walk_lists(&f.body.stmts, on_list, on_stmt, on_expr);
+            walk_lists(&f.body.stmts, v);
         }
         Stmt::Range(r) => {
-            walk_expr(&r.expr, on_list, on_stmt, on_expr);
-            walk_lists(&r.body.stmts, on_list, on_stmt, on_expr);
+            walk_expr(&r.expr, v);
+            walk_lists(&r.body.stmts, v);
         }
         Stmt::Switch(sw) => {
             if let Some(init) = &sw.init {
-                walk_stmt(init, on_list, on_stmt, on_expr);
+                walk_stmt(init, v);
             }
             if let Some(tag) = &sw.tag {
-                walk_expr(tag, on_list, on_stmt, on_expr);
+                walk_expr(tag, v);
             }
             for c in &sw.cases {
                 for e in &c.exprs {
-                    walk_expr(e, on_list, on_stmt, on_expr);
+                    walk_expr(e, v);
                 }
-                walk_lists(&c.body, on_list, on_stmt, on_expr);
+                walk_lists(&c.body, v);
             }
         }
         Stmt::Select(sel) => {
             for c in &sel.cases {
-                walk_lists(&c.body, on_list, on_stmt, on_expr);
+                walk_lists(&c.body, v);
             }
         }
-        Stmt::Block(b) => walk_lists(&b.stmts, on_list, on_stmt, on_expr),
-        Stmt::Labeled { stmt, .. } => walk_stmt(stmt, on_list, on_stmt, on_expr),
+        Stmt::Block(b) => walk_lists(&b.stmts, v),
+        Stmt::Labeled { stmt, .. } => walk_stmt(stmt, v),
         _ => {}
     }
 }
 
-fn walk_expr(
-    e: &Expr,
-    on_list: &mut dyn FnMut(&[Stmt]),
-    on_stmt: &mut dyn FnMut(&Stmt),
-    on_expr: &mut dyn FnMut(&Expr),
-) {
-    on_expr(e);
-    let mut expr = |e: &Expr| walk_expr(e, on_list, on_stmt, on_expr);
+fn walk_expr<'a>(e: &'a Expr, v: &mut impl Visit<'a>) {
+    v.expr(e);
     match e {
-        Expr::FuncLit { body, .. } => walk_lists(&body.stmts, on_list, on_stmt, on_expr),
+        Expr::FuncLit { body, .. } => walk_lists(&body.stmts, v),
         Expr::Call { fun, args, .. } => {
-            expr(fun);
-            args.iter().for_each(&mut expr);
+            walk_expr(fun, v);
+            args.iter().for_each(|a| walk_expr(a, v));
         }
         Expr::CompositeLit { elems, .. } => {
             for el in elems {
                 if let Some(k) = &el.key {
-                    expr(k);
+                    walk_expr(k, v);
                 }
-                expr(&el.value);
+                walk_expr(&el.value, v);
             }
         }
-        Expr::Make { args, .. } => args.iter().for_each(&mut expr),
+        Expr::Make { args, .. } => args.iter().for_each(|a| walk_expr(a, v)),
         Expr::Selector { expr: inner, .. }
         | Expr::Paren { expr: inner, .. }
         | Expr::TypeAssert { expr: inner, .. }
-        | Expr::Unary { expr: inner, .. } => expr(inner),
+        | Expr::Unary { expr: inner, .. } => walk_expr(inner, v),
         Expr::Index {
             expr: inner, index, ..
         } => {
-            expr(inner);
-            expr(index);
+            walk_expr(inner, v);
+            walk_expr(index, v);
         }
         Expr::SliceExpr {
             expr: inner,
@@ -150,38 +160,86 @@ fn walk_expr(
             hi,
             ..
         } => {
-            expr(inner);
+            walk_expr(inner, v);
             for b in [lo, hi].into_iter().flatten() {
-                expr(b);
+                walk_expr(b, v);
             }
         }
         Expr::Binary { lhs, rhs, .. } => {
-            expr(lhs);
-            expr(rhs);
+            walk_expr(lhs, v);
+            walk_expr(rhs, v);
         }
         _ => {}
     }
 }
 
-fn walk_file(
-    file: &File,
-    on_list: &mut dyn FnMut(&[Stmt]),
-    on_stmt: &mut dyn FnMut(&Stmt),
-    on_expr: &mut dyn FnMut(&Expr),
-) {
-    for d in &file.decls {
-        match d {
-            Decl::Func(f) => {
-                if let Some(body) = &f.body {
-                    walk_lists(&body.stmts, on_list, on_stmt, on_expr);
+// ---- the fused walk ---------------------------------------------------------
+
+/// The state of every lint that rides the shared walk.
+struct Lints<'a> {
+    diags: Vec<Diagnostic>,
+    /// `syncmap-range`: package-level `sync.Map` variables, struct fields
+    /// of that type, and locals declared so far (Go declares before use,
+    /// so the ordered walk sees declarations ahead of their ranges).
+    sync_globals: BTreeSet<&'a str>,
+    sync_fields: BTreeSet<&'a str>,
+    sync_locals: BTreeSet<&'a str>,
+    /// `mixed-atomic`: paths updated through `atomic.*` calls.
+    atomic_paths: BTreeSet<String>,
+    /// `copylocks`: types whose values embed a lock.
+    bearing: BTreeSet<String>,
+    /// `copylocks`: the current function's shallow local type env; `None`
+    /// outside function bodies, or when no type bears a lock.
+    copy_env: Option<BTreeMap<String, (String, bool)>>,
+}
+
+impl<'a> Lints<'a> {
+    fn new(file: &'a File) -> Self {
+        let mut sync_globals = BTreeSet::new();
+        let mut sync_fields = BTreeSet::new();
+        for d in &file.decls {
+            match d {
+                Decl::Var(v) if v.ty.as_ref().is_some_and(is_sync_map) => {
+                    sync_globals.extend(v.names.iter().map(String::as_str));
                 }
-            }
-            Decl::Var(v) | Decl::Const(v) => {
-                for e in &v.values {
-                    walk_expr(e, on_list, on_stmt, on_expr);
+                Decl::Type(t) => {
+                    if let Type::Struct(fs) = &t.ty {
+                        for f in fs.iter().filter(|f| is_sync_map(&f.ty)) {
+                            sync_fields.extend(f.names.iter().map(String::as_str));
+                        }
+                    }
                 }
+                _ => {}
             }
-            Decl::Type(_) => {}
+        }
+        Lints {
+            diags: Vec::new(),
+            sync_globals,
+            sync_fields,
+            sync_locals: BTreeSet::new(),
+            atomic_paths: BTreeSet::new(),
+            bearing: lock_bearing_types(file),
+            copy_env: None,
+        }
+    }
+}
+
+impl<'a> Visit<'a> for Lints<'a> {
+    fn list(&mut self, list: &'a [Stmt]) {
+        waitgroup_lint(list, &mut self.diags);
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) {
+        self.syncmap_stmt(s);
+        if let Some(env) = &mut self.copy_env {
+            copylocks_stmt(env, &self.bearing, &mut self.diags, s);
+        }
+    }
+
+    fn expr(&mut self, e: &'a Expr) {
+        arity_lint(e, &mut self.diags);
+        if let Some(p) = atomic_target(e) {
+            self.atomic_paths.insert(p);
         }
     }
 }
@@ -192,33 +250,31 @@ fn flat_param_count(sig: &FuncSig) -> usize {
     sig.param_names().count()
 }
 
-fn arity_lint(file: &File, diags: &mut Vec<Diagnostic>) {
-    walk_file(file, &mut |_| {}, &mut |_| {}, &mut |e| {
-        let Expr::Call {
-            fun, args, span, ..
-        } = e
-        else {
-            return;
-        };
-        let Expr::FuncLit { sig, .. } = fun.as_ref() else {
-            return;
-        };
-        if sig.params.iter().any(|p| p.variadic) {
-            return;
-        }
-        let want = flat_param_count(sig);
-        if args.len() != want {
-            diags.push(Diagnostic::error(
-                "arity-mismatch",
-                format!(
-                    "function literal takes {want} argument{} but is called with {}",
-                    if want == 1 { "" } else { "s" },
-                    args.len()
-                ),
-                *span,
-            ));
-        }
-    });
+fn arity_lint(e: &Expr, diags: &mut Vec<Diagnostic>) {
+    let Expr::Call {
+        fun, args, span, ..
+    } = e
+    else {
+        return;
+    };
+    let Expr::FuncLit { sig, .. } = fun.as_ref() else {
+        return;
+    };
+    if sig.params.iter().any(|p| p.variadic) {
+        return;
+    }
+    let want = flat_param_count(sig);
+    if args.len() != want {
+        diags.push(Diagnostic::error(
+            "arity-mismatch",
+            format!(
+                "function literal takes {want} argument{} but is called with {}",
+                if want == 1 { "" } else { "s" },
+                args.len()
+            ),
+            *span,
+        ));
+    }
 }
 
 // ---- syncmap-range (error) --------------------------------------------------
@@ -227,69 +283,42 @@ fn is_sync_map(ty: &Type) -> bool {
     ty.is_named("sync.Map")
 }
 
-fn syncmap_lint(file: &File, diags: &mut Vec<Diagnostic>) {
-    let mut globals: BTreeSet<String> = BTreeSet::new();
-    let mut fields: BTreeSet<String> = BTreeSet::new();
-    for d in &file.decls {
-        match d {
-            Decl::Var(v) if v.ty.as_ref().is_some_and(is_sync_map) => {
-                globals.extend(v.names.iter().cloned());
+impl<'a> Lints<'a> {
+    fn syncmap_stmt(&mut self, s: &'a Stmt) {
+        let range = match s {
+            Stmt::Decl(VarDecl {
+                names, ty: Some(t), ..
+            }) if is_sync_map(t) => {
+                self.sync_locals.extend(names.iter().map(String::as_str));
+                return;
             }
-            Decl::Type(t) => {
-                if let Type::Struct(fs) = &t.ty {
-                    for f in fs {
-                        if is_sync_map(&f.ty) {
-                            fields.extend(f.names.iter().cloned());
-                        }
+            Stmt::ShortVar { names, values, .. } => {
+                if let [Expr::CompositeLit { ty: Some(t), .. }] = values.as_slice() {
+                    if is_sync_map(t) {
+                        self.sync_locals.extend(names.iter().map(String::as_str));
                     }
                 }
+                return;
             }
-            _ => {}
+            Stmt::Range(r) => r,
+            _ => return,
+        };
+        let hit = match &range.expr {
+            Expr::Ident { name, .. } => {
+                self.sync_globals.contains(name.as_str()) || self.sync_locals.contains(name.as_str())
+            }
+            Expr::Selector { name, .. } => self.sync_fields.contains(name.as_str()),
+            _ => false,
+        };
+        if hit {
+            let name = path_of(&range.expr).unwrap_or_else(|| "sync.Map".to_owned());
+            self.diags.push(Diagnostic::error(
+                "syncmap-range",
+                format!("cannot range over `{name}` of type sync.Map; use its Range method"),
+                range.expr.span(),
+            ));
         }
     }
-    // Locals declare before use, so one ordered walk sees declarations
-    // ahead of the ranges that use them.
-    let mut locals: BTreeSet<String> = BTreeSet::new();
-    walk_file(
-        file,
-        &mut |_| {},
-        &mut |s| {
-            let range = match s {
-                Stmt::Decl(VarDecl {
-                    names, ty: Some(t), ..
-                }) if is_sync_map(t) => {
-                    locals.extend(names.iter().cloned());
-                    return;
-                }
-                Stmt::ShortVar { names, values, .. } => {
-                    if values.len() == 1 {
-                        if let Expr::CompositeLit { ty: Some(t), .. } = &values[0] {
-                            if is_sync_map(t) {
-                                locals.extend(names.iter().cloned());
-                            }
-                        }
-                    }
-                    return;
-                }
-                Stmt::Range(r) => r,
-                _ => return,
-            };
-            let hit = match &range.expr {
-                Expr::Ident { name, .. } => globals.contains(name) || locals.contains(name),
-                Expr::Selector { name, .. } => fields.contains(name),
-                _ => false,
-            };
-            if hit {
-                let name = path_of(&range.expr).unwrap_or_else(|| "sync.Map".to_owned());
-                diags.push(Diagnostic::error(
-                    "syncmap-range",
-                    format!("cannot range over `{name}` of type sync.Map; use its Range method"),
-                    range.expr.span(),
-                ));
-            }
-        },
-        &mut |_| {},
-    );
 }
 
 // ---- waitgroup-double-add (error) -------------------------------------------
@@ -308,52 +337,54 @@ fn add_receiver(e: &Expr) -> Option<(String, Span)> {
     Some((path_of(expr)?, *span))
 }
 
-fn find_add_in(stmts: &[Stmt], path: &str) -> Option<Span> {
-    let mut found = None;
-    walk_lists(stmts, &mut |_| {}, &mut |_| {}, &mut |e| {
-        if found.is_none() {
+/// The first `path.Add(...)` call in a statement list, nested ones included.
+struct FindAdd<'p> {
+    path: &'p str,
+    found: Option<Span>,
+}
+
+impl Visit<'_> for FindAdd<'_> {
+    fn expr(&mut self, e: &Expr) {
+        if self.found.is_none() {
             if let Some((p, span)) = add_receiver(e) {
-                if p == path {
-                    found = Some(span);
+                if p == self.path {
+                    self.found = Some(span);
                 }
             }
         }
-    });
-    found
+    }
 }
 
-fn waitgroup_lint(file: &File, diags: &mut Vec<Diagnostic>) {
-    walk_file(
-        file,
-        &mut |list| {
-            for w in list.windows(2) {
-                let Stmt::Expr(e) = &w[0] else { continue };
-                let Some((path, _)) = add_receiver(e) else {
-                    continue;
-                };
-                let Stmt::Go { call, .. } = &w[1] else {
-                    continue;
-                };
-                let Expr::Call { fun, .. } = call else {
-                    continue;
-                };
-                let Expr::FuncLit { body, .. } = fun.as_ref() else {
-                    continue;
-                };
-                if let Some(span) = find_add_in(&body.stmts, &path) {
-                    diags.push(Diagnostic::error(
-                        "waitgroup-double-add",
-                        format!(
-                            "`{path}.Add` is called both before `go` and inside the goroutine: the counter never drains and Wait deadlocks"
-                        ),
-                        span,
-                    ));
-                }
-            }
-        },
-        &mut |_| {},
-        &mut |_| {},
-    );
+fn waitgroup_lint(list: &[Stmt], diags: &mut Vec<Diagnostic>) {
+    for w in list.windows(2) {
+        let Stmt::Expr(e) = &w[0] else { continue };
+        let Some((path, _)) = add_receiver(e) else {
+            continue;
+        };
+        let Stmt::Go { call, .. } = &w[1] else {
+            continue;
+        };
+        let Expr::Call { fun, .. } = call else {
+            continue;
+        };
+        let Expr::FuncLit { body, .. } = fun.as_ref() else {
+            continue;
+        };
+        let mut find = FindAdd {
+            path: &path,
+            found: None,
+        };
+        walk_lists(&body.stmts, &mut find);
+        if let Some(span) = find.found {
+            diags.push(Diagnostic::error(
+                "waitgroup-double-add",
+                format!(
+                    "`{path}.Add` is called both before `go` and inside the goroutine: the counter never drains and Wait deadlocks"
+                ),
+                span,
+            ));
+        }
+    }
 }
 
 // ---- mixed-atomic (warning) -------------------------------------------------
@@ -381,13 +412,9 @@ fn atomic_target(e: &Expr) -> Option<String> {
     path_of(inner)
 }
 
-fn mixed_atomic_lint(file: &File, diags: &mut Vec<Diagnostic>) {
-    let mut atomic_paths: BTreeSet<String> = BTreeSet::new();
-    walk_file(file, &mut |_| {}, &mut |_| {}, &mut |e| {
-        if let Some(p) = atomic_target(e) {
-            atomic_paths.insert(p);
-        }
-    });
+/// Reports plain accesses, inside goroutines, to the paths the shared
+/// walk saw updated atomically.
+fn mixed_atomic_lint(file: &File, atomic_paths: &BTreeSet<String>, diags: &mut Vec<Diagnostic>) {
     if atomic_paths.is_empty() {
         return;
     }
@@ -546,7 +573,7 @@ fn mixed_atomic_lint(file: &File, diags: &mut Vec<Diagnostic>) {
     for d in &file.decls {
         if let Decl::Func(f) = d {
             if let Some(body) = &f.body {
-                scan_stmts(&body.stmts, false, &atomic_paths, &mut plain);
+                scan_stmts(&body.stmts, false, atomic_paths, &mut plain);
             }
         }
     }
@@ -634,11 +661,12 @@ fn check_copy(
     env: &mut BTreeMap<String, (String, bool)>,
     bearing: &BTreeSet<String>,
     diags: &mut Vec<Diagnostic>,
-    names: &[String],
+    names: &[impl AsRef<str>],
     values: &[Expr],
     span: Span,
 ) {
     for (i, name) in names.iter().enumerate() {
+        let name = name.as_ref();
         if name == "_" {
             continue; // `_ = x` discards the value; nothing retains the copy
         }
@@ -654,17 +682,18 @@ fn check_copy(
                 span,
             ));
         }
-        env.insert(name.clone(), (t, ptr));
+        env.insert(name.to_owned(), (t, ptr));
     }
 }
 
-fn copylocks_lint(file: &File, diags: &mut Vec<Diagnostic>) {
-    let bearing = lock_bearing_types(file);
-    if bearing.is_empty() {
-        return;
-    }
-    for d in &file.decls {
-        let Decl::Func(f) = d else { continue };
+impl Lints<'_> {
+    /// Checks `f`'s receiver and parameters and returns the function's
+    /// initial type env; `None` when no type of the file bears a lock.
+    fn copylocks_signature(&mut self, f: &FuncDecl) -> Option<BTreeMap<String, (String, bool)>> {
+        if self.bearing.is_empty() {
+            return None;
+        }
+        let (bearing, diags) = (&self.bearing, &mut self.diags);
         let mut env: BTreeMap<String, (String, bool)> = BTreeMap::new();
         if let Some(r) = &f.receiver {
             if let Some((t, ptr)) = named_of(&r.ty) {
@@ -697,43 +726,44 @@ fn copylocks_lint(file: &File, diags: &mut Vec<Diagnostic>) {
                 }
             }
         }
-        let Some(body) = &f.body else { continue };
-        // Ordered walk: declarations precede uses in Go, so a single
-        // pass keeps the env accurate enough for this shallow check.
-        walk_lists(
-            &body.stmts,
-            &mut |_| {},
-            &mut |s| match s {
-                Stmt::ShortVar {
-                    names,
-                    values,
-                    span,
-                    ..
-                } => check_copy(&mut env, &bearing, diags, names, values, *span),
-                Stmt::Decl(d) => {
-                    if let Some(t) = &d.ty {
-                        if let Some((t, ptr)) = named_of(t) {
-                            for name in &d.names {
-                                env.insert(name.clone(), (t.clone(), ptr));
-                            }
-                        }
-                    } else {
-                        check_copy(&mut env, &bearing, diags, &d.names, &d.values, d.span);
+        Some(env)
+    }
+}
+
+/// The `copylocks` step for one statement of a function body. The walk is
+/// ordered and Go declares before use, so one pass keeps the env accurate
+/// enough for this shallow check.
+fn copylocks_stmt(
+    env: &mut BTreeMap<String, (String, bool)>,
+    bearing: &BTreeSet<String>,
+    diags: &mut Vec<Diagnostic>,
+    s: &Stmt,
+) {
+    match s {
+        Stmt::ShortVar {
+            names,
+            values,
+            span,
+            ..
+        } => check_copy(env, bearing, diags, names, values, *span),
+        Stmt::Decl(d) => {
+            if let Some(t) = &d.ty {
+                if let Some((t, ptr)) = named_of(t) {
+                    for name in &d.names {
+                        env.insert(name.clone(), (t.clone(), ptr));
                     }
                 }
-                Stmt::Assign { lhs, rhs, span, .. } => {
-                    let names: Vec<String> = lhs
-                        .iter()
-                        .map(|e| e.as_ident().unwrap_or("").to_owned())
-                        .collect();
-                    if names.iter().all(|n| !n.is_empty()) {
-                        check_copy(&mut env, &bearing, diags, &names, rhs, *span);
-                    }
-                }
-                _ => {}
-            },
-            &mut |_| {},
-        );
+            } else {
+                check_copy(env, bearing, diags, &d.names, &d.values, d.span);
+            }
+        }
+        Stmt::Assign { lhs, rhs, span, .. } => {
+            let names: Option<Vec<&str>> = lhs.iter().map(Expr::as_ident).collect();
+            if let Some(names) = names {
+                check_copy(env, bearing, diags, &names, rhs, *span);
+            }
+        }
+        _ => {}
     }
 }
 

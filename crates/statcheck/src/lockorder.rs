@@ -9,40 +9,38 @@
 //! orders — reported as a warning (the schedule may never interleave
 //! that way, so this stays on the heuristic tier).
 
-use crate::cfg::ContextKind;
-use crate::lockset::{display_path, ContextResult};
+use crate::cfg::{ContextKind, PathId, Paths};
+use crate::lockset::ContextResult;
 use golite::{Diagnostic, Span};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// One analyzed context: its file index, owning function, kind and result.
+pub type Analyzed<'a> = (usize, &'a str, ContextKind, ContextResult<'a>);
 
 /// A lock-order edge attributed to the file it was observed in.
 #[derive(Debug, Clone)]
 struct Edge {
-    held: String,
-    acquired: String,
+    held: PathId,
+    acquired: PathId,
     file_idx: usize,
     span: Span,
 }
 
 /// May-acquire summaries: function name → locks reachable from it.
-fn acquire_summaries(
-    results: &[(usize, String, ContextKind, &ContextResult)],
-) -> BTreeMap<String, BTreeSet<String>> {
-    let mut direct: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut callees: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+fn acquire_summaries<'a>(results: &[Analyzed<'a>]) -> BTreeMap<&'a str, BTreeSet<PathId>> {
+    let mut direct: BTreeMap<&str, BTreeSet<PathId>> = BTreeMap::new();
+    let mut callees: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (_, func, kind, res) in results {
         // Only the Function context runs when the function is *called*;
         // its closures run on their own schedule.
         if *kind != ContextKind::Function {
             continue;
         }
-        direct
-            .entry(func.clone())
-            .or_default()
-            .extend(res.acquires.iter().cloned());
+        direct.entry(func).or_default().extend(&res.acquires);
         callees
-            .entry(func.clone())
+            .entry(func)
             .or_default()
-            .extend(res.calls.iter().map(|c| c.callee.clone()));
+            .extend(res.calls.iter().map(|c| c.callee));
     }
     let mut summary = direct;
     loop {
@@ -51,10 +49,10 @@ fn acquire_summaries(
             let mut add = BTreeSet::new();
             for callee in calls {
                 if let Some(locks) = summary.get(callee) {
-                    add.extend(locks.iter().cloned());
+                    add.extend(locks.iter().copied());
                 }
             }
-            let entry = summary.entry(func.clone()).or_default();
+            let entry = summary.entry(func).or_default();
             for l in add {
                 changed |= entry.insert(l);
             }
@@ -67,31 +65,31 @@ fn acquire_summaries(
 
 /// Builds the global lock-order graph and reports one warning per
 /// inconsistently-ordered lock pair. Returns `(file_idx, diagnostic)`
-/// pairs so the caller can attach each to the right file.
-pub fn lock_order_diagnostics(
-    results: &[(usize, String, ContextKind, &ContextResult)],
-) -> Vec<(usize, Diagnostic)> {
+/// pairs so the caller can attach each to the right file; `paths`
+/// names the lock ids, which must be in path order (see
+/// [`Paths::sort`]).
+pub fn lock_order_diagnostics(results: &[Analyzed], paths: &Paths) -> Vec<(usize, Diagnostic)> {
     let summaries = acquire_summaries(results);
     let mut edges: Vec<Edge> = Vec::new();
     for (file_idx, _, _, res) in results {
         for e in &res.lock_edges {
             edges.push(Edge {
-                held: e.held.clone(),
-                acquired: e.acquired.clone(),
+                held: e.held,
+                acquired: e.acquired,
                 file_idx: *file_idx,
                 span: e.span,
             });
         }
         for call in &res.calls {
-            let Some(acquired) = summaries.get(&call.callee) else {
+            let Some(acquired) = summaries.get(call.callee) else {
                 continue;
             };
-            for l2 in acquired {
-                for l1 in &call.held {
+            for &l2 in acquired {
+                for &l1 in &call.held {
                     if l1 != l2 {
                         edges.push(Edge {
-                            held: l1.clone(),
-                            acquired: l2.clone(),
+                            held: l1,
+                            acquired: l2,
                             file_idx: *file_idx,
                             span: call.span,
                         });
@@ -101,19 +99,19 @@ pub fn lock_order_diagnostics(
         }
     }
     // Reachability closure over the lock graph.
-    let mut succs: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut succs: BTreeMap<PathId, BTreeSet<PathId>> = BTreeMap::new();
     for e in &edges {
-        succs.entry(&e.held).or_default().insert(&e.acquired);
+        succs.entry(e.held).or_default().insert(e.acquired);
     }
-    let reaches = |from: &str, to: &str| -> bool {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
+    let reaches = |from: PathId, to: PathId| -> bool {
+        let mut seen: BTreeSet<PathId> = BTreeSet::new();
         let mut stack = vec![from];
         while let Some(n) = stack.pop() {
             if n == to {
                 return true;
             }
-            if let Some(next) = succs.get(n) {
-                for s in next {
+            if let Some(next) = succs.get(&n) {
+                for &s in next {
                     if seen.insert(s) {
                         stack.push(s);
                     }
@@ -123,16 +121,12 @@ pub fn lock_order_diagnostics(
         false
     };
     let mut out = Vec::new();
-    let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
+    let mut reported: BTreeSet<(PathId, PathId)> = BTreeSet::new();
     for e in &edges {
-        if !reaches(&e.acquired, &e.held) {
+        if !reaches(e.acquired, e.held) {
             continue;
         }
-        let key = if e.held <= e.acquired {
-            (e.held.clone(), e.acquired.clone())
-        } else {
-            (e.acquired.clone(), e.held.clone())
-        };
+        let key = (e.held.min(e.acquired), e.held.max(e.acquired));
         if !reported.insert(key) {
             continue;
         }
@@ -142,8 +136,8 @@ pub fn lock_order_diagnostics(
                 "lock-order-cycle",
                 format!(
                     "locks `{}` and `{}` are acquired in inconsistent order (potential deadlock)",
-                    display_path(&e.held),
-                    display_path(&e.acquired)
+                    paths.shown(e.held),
+                    paths.shown(e.acquired)
                 ),
                 e.span,
             ),
@@ -160,14 +154,12 @@ mod tests {
 
     fn diag_rules(src: &str) -> Vec<String> {
         let file = golite::parse_file(src).expect("test source parses");
-        let ctxs = contexts(&file);
-        let solved: Vec<_> = ctxs.iter().map(solve).collect();
-        let tagged: Vec<(usize, String, ContextKind, &ContextResult)> = ctxs
+        let (ctxs, paths) = contexts(&file);
+        let analyzed: Vec<Analyzed> = ctxs
             .iter()
-            .zip(&solved)
-            .map(|(c, r)| (0usize, c.func.clone(), c.kind, r))
+            .map(|c| (0usize, c.func, c.kind, solve(c, &paths)))
             .collect();
-        lock_order_diagnostics(&tagged)
+        lock_order_diagnostics(&analyzed, &paths)
             .into_iter()
             .map(|(_, d)| d.rule)
             .collect()
