@@ -460,11 +460,6 @@ pub struct PreOptimizationRef {
     /// VM steps of the exposure half on the seed tree (equal to the
     /// current scan by construction — pinned as a cross-check).
     pub exposure_vm_steps: u64,
-    /// Instructions/sec over the full workload (exposure + sync-heavy)
-    /// on the seed tree.
-    pub total_ips: f64,
-    /// VM steps of the full workload on the seed tree.
-    pub total_vm_steps: u64,
 }
 
 /// Default pre-optimization reference for the default workload scale.
@@ -476,8 +471,6 @@ pub fn pre_optimization_reference() -> PreOptimizationRef {
             .to_owned(),
         exposure_ips: 4_545_015.0,
         exposure_vm_steps: 431_835,
-        total_ips: 7_815_249.0,
-        total_vm_steps: 937_709,
     }
 }
 
@@ -1141,10 +1134,6 @@ pub struct Report {
     /// Exposure-corpus throughput vs the pre-optimization reference —
     /// the headline number (only meaningful at the default scale).
     pub exposure_speedup_vs_pre_optimization: f64,
-    /// Full-workload throughput vs the pre-optimization reference
-    /// (0 when the workload differs — e.g. the LargeHeap arms added in
-    /// schema 2 — making the ratio meaningless).
-    pub speedup_vs_pre_optimization: f64,
     /// SyncHeavy-category throughput vs the PR 4 reference — the
     /// lock-aware sync-epoch cache's headline number (only meaningful
     /// at the default scale).
@@ -1446,15 +1435,10 @@ pub fn run_scan(scale: &HotpathScale) -> Report {
     };
 
     let pre = pre_optimization_reference();
-    // The speedup claims are only apples-to-apples when this scan
-    // executed exactly the instructions the seed tree was measured on;
-    // at any other scale (or after a workload-changing edit) they are
-    // reported as 0 rather than as a bogus ratio.
-    let speedup = if pre.total_ips > 0.0 && total.counters.vm_steps == pre.total_vm_steps {
-        total.ips / pre.total_ips
-    } else {
-        0.0
-    };
+    // The speedup claim is only apples-to-apples when this scan executed
+    // exactly the instructions the seed tree was measured on; at any
+    // other scale (or after a workload-changing edit) it is reported as
+    // 0 rather than as a bogus ratio.
     let exposure_speedup =
         if pre.exposure_ips > 0.0 && exposure.counters.vm_steps == pre.exposure_vm_steps {
             exposure.ips / pre.exposure_ips
@@ -1545,7 +1529,6 @@ pub fn run_scan(scale: &HotpathScale) -> Report {
         pre_optimization: pre,
         pr4,
         exposure_speedup_vs_pre_optimization: exposure_speedup,
-        speedup_vs_pre_optimization: speedup,
         sync_heavy_speedup_vs_pr4: sync_heavy_speedup,
         sync_heavy_nocache_ips,
         sync_heavy_cache_speedup,
