@@ -154,14 +154,17 @@ fn bench_statcheck(c: &mut Criterion) {
             candidates.push(golite::parse_sources(patch).expect("candidates parse"));
         }
     }
-    c.bench_function(&format!("statcheck_probe_{}_candidates", candidates.len()), |b| {
-        b.iter(|| {
-            candidates
-                .iter()
-                .map(|parsed| statcheck::check_parsed(std::hint::black_box(parsed)).len())
-                .sum::<usize>()
-        })
-    });
+    c.bench_function(
+        &format!("statcheck_probe_{}_candidates", candidates.len()),
+        |b| {
+            b.iter(|| {
+                candidates
+                    .iter()
+                    .map(|parsed| statcheck::check_parsed(std::hint::black_box(parsed)).len())
+                    .sum::<usize>()
+            })
+        },
+    );
 }
 
 criterion_group!(

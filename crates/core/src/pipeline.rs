@@ -21,9 +21,7 @@ use govm::{CompileOptions, SchedulePolicy, StopReason, TestConfig, VmOptions};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::time::Instant;
-use synthllm::{
-    Example, Feedback, FixRequest, ModelTier, Prompt, RaceCategory, Scope, SynthLlm,
-};
+use synthllm::{Example, Feedback, FixRequest, ModelTier, Prompt, RaceCategory, Scope, SynthLlm};
 
 /// Pipeline configuration — every ablation of §5 is a toggle here.
 #[derive(Debug, Clone)]

@@ -715,42 +715,46 @@ mod tests {
     fn borrowed_splice_matches_the_reference_on_a_mixed_stream() {
         let tcfg = TournamentConfig::default();
         let mut compared = 0;
-        raced_cases(corpus::stream::StreamFamily::Mixed, 60, |i, drfix, parsed, info| {
-            // Every candidate the pool build can splice at function
-            // scope: each enumeration, and each repair iteration of it.
-            let llm = SynthLlm::new(drfix.cfg.tier, drfix.cfg.seed);
-            for site in drfix.sites(parsed, info) {
-                if site.scope != Scope::Func {
-                    continue;
-                }
-                let file = parsed.iter().find(|(n, _, _)| n == &site.loc.file);
-                let (_, src, _) = file.expect("the site's file");
-                let func = &site.loc.function;
-                for arm in &site.arms {
-                    for pass in 0..=drfix.cfg.retries {
-                        let req = site.request(info, arm, pass_feedback(pass));
-                        for cand in llm.enumerate(&req, &site.prompt, tcfg.max_candidates) {
-                            let repairs = (0..tcfg.repair_max_iters).filter_map(|iter| {
-                                llm.repair(&req, &site.prompt, &cand, "inconsistent-lock", iter)
-                            });
-                            let codes: Vec<String> = std::iter::once(cand.code.clone())
-                                .chain(repairs.map(|r| r.code))
-                                .collect();
-                            for code in codes {
-                                let want = reference_integrate_func_patch(src, &code, func);
-                                assert!(want.is_ok(), "case {i}: {want:?}");
-                                assert_eq!(
-                                    splice(parsed, site.loc, site.scope, &code),
-                                    want,
-                                    "case {i}: the splice diverged from the reference"
-                                );
-                                compared += 1;
+        raced_cases(
+            corpus::stream::StreamFamily::Mixed,
+            60,
+            |i, drfix, parsed, info| {
+                // Every candidate the pool build can splice at function
+                // scope: each enumeration, and each repair iteration of it.
+                let llm = SynthLlm::new(drfix.cfg.tier, drfix.cfg.seed);
+                for site in drfix.sites(parsed, info) {
+                    if site.scope != Scope::Func {
+                        continue;
+                    }
+                    let file = parsed.iter().find(|(n, _, _)| n == &site.loc.file);
+                    let (_, src, _) = file.expect("the site's file");
+                    let func = &site.loc.function;
+                    for arm in &site.arms {
+                        for pass in 0..=drfix.cfg.retries {
+                            let req = site.request(info, arm, pass_feedback(pass));
+                            for cand in llm.enumerate(&req, &site.prompt, tcfg.max_candidates) {
+                                let repairs = (0..tcfg.repair_max_iters).filter_map(|iter| {
+                                    llm.repair(&req, &site.prompt, &cand, "inconsistent-lock", iter)
+                                });
+                                let codes: Vec<String> = std::iter::once(cand.code.clone())
+                                    .chain(repairs.map(|r| r.code))
+                                    .collect();
+                                for code in codes {
+                                    let want = reference_integrate_func_patch(src, &code, func);
+                                    assert!(want.is_ok(), "case {i}: {want:?}");
+                                    assert_eq!(
+                                        splice(parsed, site.loc, site.scope, &code),
+                                        want,
+                                        "case {i}: the splice diverged from the reference"
+                                    );
+                                    compared += 1;
+                                }
                             }
                         }
                     }
                 }
-            }
-        });
+            },
+        );
         assert!(
             compared > 200,
             "only {compared} function-scope candidates compared"
@@ -766,9 +770,8 @@ mod tests {
         use corpus::stream::StreamFamily;
         use synthllm::Prompt;
         let tcfg = TournamentConfig::default();
-        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
-            format!("{a:?}") == format!("{b:?}")
-        };
+        let same =
+            |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| format!("{a:?}") == format!("{b:?}");
         let mut compared = 0;
         for family in [StreamFamily::Mixed, StreamFamily::Tournament] {
             raced_cases(family, 60, |i, drfix, parsed, info| {
@@ -834,7 +837,10 @@ mod tests {
             spliced += t.outputs_spliced;
             pooled += t.lint_probes;
         }
-        assert!(pooled > 0 && spliced > pooled, "{spliced} spliced, {pooled} pooled");
+        assert!(
+            pooled > 0 && spliced > pooled,
+            "{spliced} spliced, {pooled} pooled"
+        );
         assert!(seen > 2 * spliced, "{seen} seen, {spliced} spliced");
     }
 

@@ -147,7 +147,12 @@ pub fn diff_lines(a: &str, b: &str) -> usize {
     let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
     let head = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
     let (a, b) = (&a[head..], &b[head..]);
-    let tail = a.iter().rev().zip(b.iter().rev()).take_while(|(x, y)| x == y).count();
+    let tail = a
+        .iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count();
     let (a, b) = (&a[..a.len() - tail], &b[..b.len() - tail]);
     let mut counts: HashMap<&str, i64> = HashMap::new();
     for &l in a {

@@ -904,9 +904,11 @@ impl<'a, 'e> Builder<'a, 'e> {
                 expr: recv, name, ..
             } = fun.as_ref()
             {
-                if let (Some(m), true, true) =
-                    (LockMethod::from_name(name), self.render(recv), args.is_empty())
-                {
+                if let (Some(m), true, true) = (
+                    LockMethod::from_name(name),
+                    self.render(recv),
+                    args.is_empty(),
+                ) {
                     let lock = self.qualify(owner);
                     self.push(
                         cur,
@@ -930,9 +932,11 @@ impl<'a, 'e> Builder<'a, 'e> {
                             expr: recv, name, ..
                         } = fun.as_ref()
                         {
-                            if let (Some(m), true, true) =
-                                (LockMethod::from_name(name), self.render(recv), args.is_empty())
-                            {
+                            if let (Some(m), true, true) = (
+                                LockMethod::from_name(name),
+                                self.render(recv),
+                                args.is_empty(),
+                            ) {
                                 let lock = self.qualify(owner);
                                 self.push(
                                     cur,
@@ -971,7 +975,8 @@ fn build_cfg<'a>(
 ) -> (Cfg<'a>, Vec<&'a str>) {
     let mut b = Builder::new(env, paths, recv);
     b.exit = b.new_block();
-    b.declared.extend(params.param_names().map(|(name, _)| name));
+    b.declared
+        .extend(params.param_names().map(|(name, _)| name));
     b.declared.extend(extra_declared);
     let end = b.stmts(0, &body.stmts, owner);
     if end != NO_BLOCK {

@@ -6,7 +6,7 @@
 //! `waitgroup-double-add`) flag shapes that fail on every execution;
 //! the rest are heuristics and stay on the warning tier.
 //!
-//! All rules share one pre-order walk of the file ([`Lints`]); only
+//! All rules share one pre-order walk of the file (`Lints`); only
 //! `mixed-atomic` walks again, and only in files that call `atomic.*`.
 
 use crate::cfg::path_of;
@@ -305,7 +305,8 @@ impl<'a> Lints<'a> {
         };
         let hit = match &range.expr {
             Expr::Ident { name, .. } => {
-                self.sync_globals.contains(name.as_str()) || self.sync_locals.contains(name.as_str())
+                self.sync_globals.contains(name.as_str())
+                    || self.sync_locals.contains(name.as_str())
             }
             Expr::Selector { name, .. } => self.sync_fields.contains(name.as_str()),
             _ => false,

@@ -344,8 +344,9 @@ fn transfer<'a>(
                 for &(lock, state) in &flow.locks {
                     let Some(held) = state else { continue };
                     let (du, dr) = lookup(&flow.deferred, lock, (0, 0));
-                    let leaked =
-                        all(held, |w, r| w.saturating_sub(du) + r.saturating_sub(dr) >= 1);
+                    let leaked = all(held, |w, r| {
+                        w.saturating_sub(du) + r.saturating_sub(dr) >= 1
+                    });
                     if leaked {
                         out.diags.push(Diagnostic::warning(
                             "missing-unlock",

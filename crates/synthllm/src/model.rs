@@ -470,7 +470,9 @@ func note()        {}
 "#;
 
     fn prompt(r: &FixRequest) -> Prompt<'static> {
-        Prompt::new(Cow::Owned(golite::parse_file(&r.code).expect("prompt parses")))
+        Prompt::new(Cow::Owned(
+            golite::parse_file(&r.code).expect("prompt parses"),
+        ))
     }
 
     fn req(code: &str, var: &str) -> FixRequest {

@@ -125,7 +125,10 @@ fn statcheck_reports_match_the_golden() {
         .enumerate()
         .find(|(_, (e, a))| e != a)
     {
-        panic!("statcheck report drifted at golden line {}:\n  want {e}\n  got  {a}", n + 1);
+        panic!(
+            "statcheck report drifted at golden line {}:\n  want {e}\n  got  {a}",
+            n + 1
+        );
     }
     assert_eq!(
         expected.lines().count(),
