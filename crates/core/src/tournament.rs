@@ -255,9 +255,10 @@ impl Admission<'_> {
     /// `None` when `code` was spliced under the same key before, does not
     /// splice at `site`, repeats a candidate in `pool`, or leaves a file
     /// that does not parse (whole-file output is taken verbatim; a spliced
-    /// function is printed, so it parses). A repeated key is always
-    /// `None`: its first splice failed, or was admitted or dropped as a
-    /// duplicate, and either way the pool already holds its result.
+    /// function is printed, so it parses). Skipping a repeated key loses
+    /// nothing: the first splice under it either failed, as a second
+    /// would, or left its patched sources in the pool, which a second
+    /// would repeat.
     fn admit(&mut self, pool: &[PoolEntry], site: &Site, code: &str) -> Option<Admitted> {
         debug_assert_eq!(self.hashes.len(), pool.len());
         self.outputs_seen += 1;

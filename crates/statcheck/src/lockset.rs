@@ -92,26 +92,11 @@ impl Flow {
 
     /// The join of `self` and `other`.
     fn join(&self, other: &Flow) -> Flow {
-        let (a, b) = (&self.locks, &other.locks);
-        let mut locks = Vec::with_capacity(a.len().max(b.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
-            let key = match (a.get(i), b.get(j)) {
-                (Some(x), Some(y)) => x.0.min(y.0),
-                (Some(x), None) => x.0,
-                (None, Some(y)) => y.0,
-                (None, None) => unreachable!("loop condition"),
-            };
-            let side = |m: &[(PathId, PairSet)], k: &mut usize| match m.get(*k) {
-                Some(&(id, v)) if id == key => {
-                    *k += 1;
-                    v
-                }
-                _ => Some(UNHELD),
-            };
-            let (x, y) = (side(a, &mut i), side(b, &mut j));
-            locks.push((key, join_pairs(x, y)));
-        }
+        let mut locks: Vec<(PathId, PairSet)> = (self.locks.iter().chain(&other.locks))
+            .map(|&(k, _)| (k, join_pairs(self.pairs(k), other.pairs(k))))
+            .collect();
+        locks.sort_unstable_by_key(|e| e.0);
+        locks.dedup_by_key(|e| e.0);
         // Keys only in `other` merge with our implicit (0, 0): they stay 0.
         let deferred = self
             .deferred
