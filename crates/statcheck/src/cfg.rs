@@ -444,23 +444,27 @@ impl<'a, 'e> Builder<'a, 'e> {
     fn qualify_root(&mut self, root_len: usize, global: bool, owner: &str) -> PathId {
         let raw = self.raw.as_str();
         let root = &raw[..root_len];
-        let start = self.paths.mark();
-        let q = &mut self.paths.text;
-        match self.recv {
+        let paths = &mut *self.paths;
+        let start = paths.mark();
+        let shown = match self.recv {
             Some((recv_name, type_name)) if root == recv_name => {
-                q.push_str(type_name);
-                q.push_str(&raw[root.len()..]);
+                paths.text.push_str(type_name);
+                paths.text.push_str(&raw[root_len..]);
+                start
             }
-            _ if global => q.push_str(raw),
+            _ if global => {
+                paths.text.push_str(raw);
+                start
+            }
             _ => {
-                q.push_str(owner);
-                q.push_str("::");
-                let shown = self.paths.mark();
-                self.paths.text.push_str(raw);
-                return self.paths.finish(start, shown);
+                paths.text.push_str(owner);
+                paths.text.push_str("::");
+                let shown = paths.mark();
+                paths.text.push_str(raw);
+                shown
             }
-        }
-        self.paths.finish(start, start)
+        };
+        paths.finish(start, shown)
     }
 
     // ---- expression lowering -------------------------------------------------
@@ -1316,6 +1320,31 @@ mod tests {
         };
         assert_eq!(lock_of(0), "S.mu");
         assert_eq!(lock_of(0), lock_of(1));
+    }
+
+    #[test]
+    fn sorted_path_ids_compare_as_their_paths() {
+        let file = parse(
+            "package p\n\nimport \"sync\"\n\nvar zeta sync.Mutex\nvar alpha int\n\nfunc F() {\n\tzeta.Lock()\n\talpha++\n\tb := alpha\n\tzeta.Unlock()\n\tgo func() {\n\t\tzeta.Lock()\n\t\talpha = b\n\t\tzeta.Unlock()\n\t}()\n}\n",
+        );
+        let (ctxs, paths) = contexts(&file);
+        let ids: Vec<PathId> = ctxs
+            .iter()
+            .flat_map(|c| c.cfg.blocks.iter().flat_map(|b| &b.ops))
+            .filter_map(|op| match op {
+                Op::Sync { lock: id, .. } | Op::Access { path: id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        assert!(ids.len() > 6, "{ids:?}");
+        for &x in &ids {
+            for &y in &ids {
+                assert_eq!(x.cmp(&y), paths.name(x).cmp(paths.name(y)));
+            }
+        }
+        assert_eq!(paths.shown(ids[0]), "zeta");
+        assert!(ids.iter().any(|&id| paths.name(id) == "F::b"));
+        assert!(ids.iter().any(|&id| paths.shown(id) == "b"));
     }
 
     #[test]

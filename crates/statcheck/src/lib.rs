@@ -257,6 +257,26 @@ mod tests {
     }
 
     #[test]
+    fn findings_at_one_span_come_in_lock_name_order() {
+        // `b` is locked first, yet both leaks at the one exit are
+        // reported in path order, as they were when paths were strings.
+        let src = "package main\n\nimport \"sync\"\n\nvar a sync.Mutex\nvar b sync.Mutex\n\nfunc main() {\n\tb.Lock()\n\ta.Lock()\n}\n";
+        let report = check_file("main.go", src).expect("parses");
+        let messages: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(
+            messages,
+            [
+                "lock `a` is still held at this return",
+                "lock `b` is still held at this return"
+            ]
+        );
+    }
+
+    #[test]
     fn error_helpers_see_only_errors() {
         let src = "package main\n\nimport \"sync\"\n\nvar mu sync.Mutex\n\nfunc main() {\n\tmu.Unlock()\n}\n";
         let reports = check_sources(&[("m.go".to_owned(), src.to_owned())]).unwrap();
