@@ -140,13 +140,16 @@ campaign-scale:
 	  --report target/campaign-smoke/scale-report.json
 
 ## The CI `drbench-smoke` job: the benchmark's self-test, then one traced
-## 60-case fix-service run. drbench exits 1 unless the serial, pipelined
-## and replay digests agree and the replayed validation steps match what
-## the fix arm reported.
+## 60-case fix-service run and one traced 20-case fix-deep-validate run
+## (1000 validation schedules per candidate). drbench exits 1 unless the
+## serial, pipelined and replay digests agree and the replayed validation
+## steps match what the fix arm reported.
 drbench-smoke:
 	$(CARGO) test --offline --manifest-path drbench/Cargo.toml
 	$(CARGO) run --release -q --offline --manifest-path drbench/Cargo.toml -- \
 	  --workload fix-service --cases 60 --trace 1
+	$(CARGO) run --release -q --offline --manifest-path drbench/Cargo.toml -- \
+	  --workload fix-deep-validate --cases 20 --trace 1
 
 ## The CI `soak-smoke` job: the streaming-soak test at reduced scale —
 ## shadow GC + clock reclamation must keep a churning workload's

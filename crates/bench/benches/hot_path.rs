@@ -6,16 +6,16 @@
 //! 1. **Campaign throughput** per exposure-corpus category — the same
 //!    workload as `perfscan` at reduced scale, reporting
 //!    instructions/sec and the same-epoch fast-path hit rate.
-//! 2. **VM construction** — `Vm::new` (re-interning the string pool
-//!    every run) vs `Vm::with_context` (the shared [`govm::ProgContext`]
-//!    campaigns use). Construction used to be 26–47% of a short
-//!    campaign run.
+//! 2. **Per-schedule VM cost** — a fresh `Vm` built for every schedule
+//!    vs one [`govm::TestVm`] reset between schedules (what campaigns
+//!    use). Building and tearing down a VM per run used to cost more
+//!    than the short runs themselves.
 //! 3. **Detector event cost** — same-epoch repeats (fast path) vs
 //!    epoch-advancing accesses (slow path, stack snapshot + full
 //!    transfer function), in events/sec.
 //!
 //! The bench asserts its contract — fast path dominating the spin-heavy
-//! categories, shared-context construction strictly cheaper, counters
+//! categories, the reused VM strictly cheaper per schedule, counters
 //! replaying deterministically — so `make perf-smoke`-adjacent CI runs
 //! fail loudly instead of silently reporting nonsense.
 //!
@@ -23,10 +23,9 @@
 //! (shared with `perfscan`).
 
 use bench::hotpath::{self, HotpathScale};
-use govm::{compile_sources, CompileOptions, ProgContext, Vm, VmOptions};
+use govm::{compile_sources, run_test_with, CompileOptions, TestVm, VmOptions};
 use racedet::{Detector, FastPath, StackGen};
 use std::hint::black_box;
-use std::rc::Rc;
 use std::time::Instant;
 
 fn main() {
@@ -55,7 +54,7 @@ fn main() {
         report.exposure.counters
     );
 
-    // 2. VM construction: fresh interning vs shared context.
+    // 2. Per-schedule cost: a fresh VM per run vs one reset VM.
     let (name, src, test) = hotpath::sync_heavy_cases()
         .into_iter()
         .next()
@@ -65,43 +64,32 @@ fn main() {
         &CompileOptions::default(),
     )
     .expect("sync-heavy case compiles");
-    let n = 4000u64;
+    let n = 2000u64;
+    let opts = |seed| VmOptions {
+        seed,
+        ..VmOptions::default()
+    };
     let t0 = Instant::now();
     for i in 0..n {
-        let vm = Vm::new(
-            &prog,
-            VmOptions {
-                seed: i,
-                ..VmOptions::default()
-            },
-        );
-        black_box(&vm);
+        black_box(run_test_with(&prog, test, opts(i)));
     }
     let fresh_ns = t0.elapsed().as_secs_f64() * 1e9 / n as f64;
-    let ctx = Rc::new(ProgContext::new(&prog));
+    let mut tvm = TestVm::new(&prog);
     let t0 = Instant::now();
     for i in 0..n {
-        let vm = Vm::with_context(
-            &prog,
-            VmOptions {
-                seed: i,
-                ..VmOptions::default()
-            },
-            ctx.clone(),
-        );
-        black_box(&vm);
+        black_box(tvm.run(test, opts(i)));
     }
-    let shared_ns = t0.elapsed().as_secs_f64() * 1e9 / n as f64;
+    let reused_ns = t0.elapsed().as_secs_f64() * 1e9 / n as f64;
     println!(
-        "vm construction ({test}, pool {} names): fresh {:.0}ns vs shared-context {:.0}ns ({:.1}x)",
+        "schedule ({test}, pool {} names): fresh VM {:.0}ns vs reset VM {:.0}ns ({:.1}x)",
         prog.pool.len(),
         fresh_ns,
-        shared_ns,
-        fresh_ns / shared_ns.max(1e-9),
+        reused_ns,
+        fresh_ns / reused_ns.max(1e-9),
     );
     assert!(
-        shared_ns < fresh_ns,
-        "shared-context construction must be cheaper: {shared_ns:.0}ns vs {fresh_ns:.0}ns"
+        reused_ns < fresh_ns,
+        "a reset VM must run a schedule cheaper: {reused_ns:.0}ns vs {fresh_ns:.0}ns"
     );
 
     // 3. Detector event cost, fast vs slow path.

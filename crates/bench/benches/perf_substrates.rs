@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks for the substrates: frontend throughput,
-//! skeletonization, embedding, vector search, VM+detector overhead, and
-//! the statcheck probe the tournament runs on every candidate.
+//! skeletonization, embedding, vector search, VM+detector overhead, a
+//! 1000-schedule validation campaign, and the statcheck probe the
+//! tournament runs on every candidate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use govm::{compile_sources, CompileOptions, Vm, VmOptions};
+use govm::{compile_sources, run_test_many, CompileOptions, TestConfig, Vm, VmOptions};
 use skeleton::{skeletonize, SkeletonOptions};
 
 const PROGRAM: &str = r#"package bench
@@ -125,6 +126,46 @@ fn bench_vm(c: &mut Criterion) {
     });
 }
 
+/// The per-schedule path on its own: `run_test_many` with the paper's
+/// 1000 validation schedules, on the first fixable stream case
+/// (`drbench`'s fix-deep-validate seed) before and after its reference
+/// fix — one racy and one clean candidate. One iteration runs both
+/// campaigns.
+fn bench_validation(c: &mut Criterion) {
+    use corpus::stream::{CorpusStream, StreamConfig, StreamFamily};
+    let case = CorpusStream::new(StreamConfig {
+        family: StreamFamily::Fixable,
+        seed: 0xD27F17,
+    })
+    .case(0);
+    let fixed = case.human_fix.clone().expect("fixable case has a fix");
+    let progs: Vec<_> = [&case.files, &fixed]
+        .into_iter()
+        .map(|files| compile_sources(files, &CompileOptions::default()).expect("compiles"))
+        .collect();
+    let cfg = TestConfig {
+        runs: 1000,
+        seed: 7,
+        ..TestConfig::default()
+    };
+    let raced = progs
+        .iter()
+        .map(|p| !run_test_many(p, &case.test, &cfg).races.is_empty());
+    assert_eq!(
+        raced.collect::<Vec<_>>(),
+        [true, false],
+        "one racy, one clean"
+    );
+    c.bench_function("validation_campaign_1000", |b| {
+        b.iter(|| {
+            progs
+                .iter()
+                .map(|p| run_test_many(p, &case.test, &cfg).steps)
+                .sum::<u64>()
+        })
+    });
+}
+
 /// The statcheck probe on a fixed candidate set: every tournament
 /// candidate of the first 24 mixed-stream cases (`drbench`'s fix-service
 /// seeds), parsed once up front. One iteration probes every candidate, as
@@ -172,6 +213,7 @@ criterion_group!(
     bench_frontend,
     bench_pipeline_parts,
     bench_vm,
+    bench_validation,
     bench_fleet,
     bench_statcheck
 );

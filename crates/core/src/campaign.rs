@@ -451,8 +451,8 @@ impl Snapshot {
 /// The machine-readable progress/metrics report (schema v7) a campaign
 /// emits: per-phase busy time, queue/steal accounting, and the
 /// bounded-memory evidence. Deterministic fields (everything but the
-/// wall-clock and busy-seconds floats and the high-waters of a threaded
-/// run) replay bit-identically on one worker — that is what the perfscan
+/// wall-clock, busy and gate-wait seconds and the high-waters of a
+/// threaded run) replay bit-identically on one worker — that is what the perfscan
 /// campaign section exact-gates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignMetrics {
@@ -467,6 +467,11 @@ pub struct CampaignMetrics {
     /// counts as detect; waiting on the claim gate is not busy time, so a
     /// phase's share of the sum is its share of the work.
     pub stage_busy_seconds: Vec<f64>,
+    /// Seconds workers spent blocked on the claim gate (the in-flight
+    /// window was full), summed over workers. Zero on one worker, which
+    /// folds each case before claiming the next. Wall-clock: reported,
+    /// never gated.
+    pub gate_wait_seconds: f64,
     /// Successful claims from the sharded queues.
     pub queue_pops: u64,
     /// Claims served by a non-home shard (work-stealing).
@@ -588,6 +593,8 @@ struct GateSt {
     in_flight: usize,
     peak: usize,
     halted: bool,
+    /// Time claimers spent blocked, summed.
+    wait_seconds: f64,
 }
 
 impl Gate {
@@ -597,6 +604,7 @@ impl Gate {
                 in_flight: 0,
                 peak: 0,
                 halted: false,
+                wait_seconds: 0.0,
             }),
             cv: Condvar::new(),
             limit: limit.max(1),
@@ -606,15 +614,21 @@ impl Gate {
     /// Takes one in-flight slot; `false` means the campaign halted.
     fn acquire(&self) -> bool {
         let mut st = self.st.lock().expect("gate poisoned");
+        let mut blocked: Option<Instant> = None;
         loop {
-            if st.halted {
-                return false;
-            }
-            if st.in_flight < self.limit {
+            let ready = st.halted || st.in_flight < self.limit;
+            if ready {
+                if let Some(t0) = blocked {
+                    st.wait_seconds += t0.elapsed().as_secs_f64();
+                }
+                if st.halted {
+                    return false;
+                }
                 st.in_flight += 1;
                 st.peak = st.peak.max(st.in_flight);
                 return true;
             }
+            blocked.get_or_insert_with(Instant::now);
             st = self.cv.wait(st).expect("gate poisoned");
         }
     }
@@ -635,6 +649,10 @@ impl Gate {
 
     fn peak(&self) -> usize {
         self.st.lock().expect("gate poisoned").peak
+    }
+
+    fn wait_seconds(&self) -> f64 {
+        self.st.lock().expect("gate poisoned").wait_seconds
     }
 }
 
@@ -941,6 +959,7 @@ fn run_pool(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>) 
         cases_done: cstats.folds,
         wall_seconds: start.elapsed().as_secs_f64(),
         stage_busy_seconds: pool.busy.into_inner().expect("busy poisoned").to_vec(),
+        gate_wait_seconds: pool.gate.wait_seconds(),
         queue_pops: pool.queues.pops.load(Ordering::Relaxed),
         steals: pool.queues.steals.load(Ordering::Relaxed),
         steal_probes: pool.queues.probes.load(Ordering::Relaxed),
@@ -976,6 +995,21 @@ mod tests {
         cfg.pipeline.seed = 0xFEED;
         cfg.checkpoint_every = 4;
         cfg
+    }
+
+    #[test]
+    fn gate_wait_is_zero_serially_and_counted_when_the_window_is_full() {
+        let serial = run_campaign(&small_cfg(16, 2), None, None).unwrap();
+        assert_eq!(serial.metrics.gate_wait_seconds, 0.0);
+        let mut cfg = small_cfg(16, 2);
+        cfg.workers = 2;
+        cfg.max_in_flight = 1;
+        let gated = run_campaign(&cfg, None, None).unwrap();
+        assert_eq!(gated.snapshot.digest(), serial.snapshot.digest());
+        assert!(
+            gated.metrics.gate_wait_seconds > 0.0,
+            "the second worker must block while the first holds the only slot"
+        );
     }
 
     #[test]

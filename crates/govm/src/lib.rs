@@ -36,6 +36,8 @@ pub mod vm;
 pub use bytecode::{Op, Program, TypeHint};
 pub use compile::{compile_package, compile_sources, CompileOptions};
 pub use sched::{Decision, SchedulePolicy, Scheduler, SeedStream};
-pub use testrun::{run_test, run_test_many, run_test_with, StopReason, TestConfig, TestOutcome};
+pub use testrun::{
+    run_test, run_test_many, run_test_with, StopReason, TestConfig, TestOutcome, TestVm,
+};
 pub use value::Value;
-pub use vm::{ProgContext, RunCounters, RunError, RunResult, Tier, Vm, VmOptions};
+pub use vm::{RunCounters, RunError, RunResult, Tier, Vm, VmOptions};

@@ -1,15 +1,16 @@
 //! Lowering pass: fused superinstructions for the register tier.
 //!
 //! The stack `Op` tier stays the golden reference; this pass runs after
-//! `govm::compile` (at [`crate::ProgContext`] build time) and produces,
-//! per function, a pc-indexed table of *fused superinstructions* — the
-//! hottest four-op stack sequences measured by `BENCH_hotpath.json`
-//! (statement-level native calls like `mu.Lock()`, counter updates like
-//! `n = n + 1`, and loop-condition compare-and-branch) collapsed into
-//! one dispatch each. The pc space is unchanged: a fused entry at `p`
-//! covers `code[p..p+4]`, and the register exec loop falls back to
-//! single-op execution at any pc without an entry (including mid-window
-//! jump targets), so lowering can never change program behaviour.
+//! `govm::compile` (once per [`crate::Vm`], when it builds its
+//! per-program tables) and produces, per function, a pc-indexed table
+//! of *fused superinstructions* — the hottest four-op stack sequences
+//! measured by `BENCH_hotpath.json` (statement-level native calls like
+//! `mu.Lock()`, counter updates like `n = n + 1`, and loop-condition
+//! compare-and-branch) collapsed into one dispatch each. The pc space is
+//! unchanged: a fused entry at `p` covers `code[p..p+4]`, and the
+//! register exec loop falls back to single-op execution at any pc
+//! without an entry (including mid-window jump targets), so lowering can
+//! never change program behaviour.
 //!
 //! Bit-identity with the stack tier is structural, not best-effort: a
 //! fused handler charges `vm.steps` before each covered sub-op exactly

@@ -172,7 +172,7 @@ pub(crate) enum BuiltinOutcome {
 /// Variants are keyed by *name*, not `(receiver, name)` — the receiver
 /// kind disambiguates at dispatch (`Done` serves both `wg.Done()` and
 /// `ctx.Done()`; `Lock` serves `Mutex` and `RWMutex`), exactly as the
-/// old string match did. [`crate::ProgContext`] resolves every
+/// old string match did. Each [`crate::Vm`] resolves every
 /// string-pool name to `Option<NativeMethod>` once at build, so
 /// call-time dispatch is a table load plus an integer match — no `&str`
 /// comparison on the hot path.
@@ -369,18 +369,18 @@ fn sfield_set(vm: &mut Vm, s: ObjRef, name: &str, v: Value) {
 }
 
 fn struct_type<'a>(vm: &'a Vm, v: &Value) -> Option<&'a str> {
-    struct_ref(v).map(|r| vm.heap.structs[r].type_name.as_str())
+    struct_ref(v).map(|r| &*vm.heap.structs[r].type_name)
 }
 
 fn make_struct(vm: &mut Vm, ty: &str, fields: Vec<(&str, Value)>) -> Value {
-    let fields = fields
+    let fields: Vec<_> = fields
         .into_iter()
         .map(|(n, v)| {
             let id = vm.intern(n);
-            (n.to_owned(), v, id)
+            (vm.name(id).clone(), v, id)
         })
         .collect();
-    vm.heap.alloc_struct_named(ty.to_owned(), fields)
+    vm.heap.alloc_struct_named(ty.into(), fields)
 }
 
 fn render_all(vm: &Vm, args: &[Value], sep: &str) -> String {
@@ -433,7 +433,7 @@ fn step_source(vm: &mut Vm, gid: Gid, state_addr: u64) -> i64 {
 
 fn rand_state_addr(vm: &Vm, recv: &Value) -> Option<u64> {
     let r = struct_ref(recv)?;
-    match vm.heap.structs[r].type_name.as_str() {
+    match &*vm.heap.structs[r].type_name {
         "rand.Source" => vm.heap.structs[r].field("state"),
         "rand.Rand" => {
             let src = sfield(vm, r, "src")?;
@@ -796,14 +796,14 @@ pub(crate) fn dispatch_method(
     gid: Gid,
     recv: &Value,
     method: NativeMethod,
-    args: Vec<Value>,
+    args: &[Value],
 ) -> MethodOutcome {
     use MethodOutcome as M;
     use NativeMethod as N;
     match recv {
         Value::Mutex(r) => mutex_method(vm, gid, *r, method),
         Value::RwMutex(r) => rwmutex_method(vm, gid, *r, method),
-        Value::WaitGroup(r) => waitgroup_method(vm, gid, *r, method, &args),
+        Value::WaitGroup(r) => waitgroup_method(vm, gid, *r, method, args),
         Value::SyncMap(r) => syncmap_method(vm, gid, *r, method, args),
         Value::Chan(r) => {
             if method == N::Cancel {
@@ -835,7 +835,7 @@ pub(crate) fn dispatch_method(
         }
         Value::Struct(r) => {
             let ty = vm.heap.structs[*r].type_name.clone();
-            match (ty.as_str(), method) {
+            match (&*ty, method) {
                 ("testing.T", _) => testing_method(vm, gid, *r, method, args),
                 ("context.Context", N::Done) => {
                     let done = sfield(vm, *r, "done").unwrap_or(Value::Nil);
@@ -940,7 +940,7 @@ pub(crate) fn dispatch_method(
 /// Promotes `Lock`/`Unlock`/… through embedded sync primitives.
 fn promote_embedded(vm: &mut Vm, gid: Gid, s: ObjRef, method: NativeMethod) -> MethodOutcome {
     use NativeMethod as N;
-    let fields: Vec<(String, u64)> = vm.heap.structs[s].fields.clone();
+    let fields = vm.heap.structs[s].fields.clone();
     for (_, addr) in fields {
         let v = vm.heap.load_silent(addr).clone();
         match (&v, method) {
@@ -1131,7 +1131,7 @@ fn syncmap_method(
     gid: Gid,
     r: ObjRef,
     method: NativeMethod,
-    args: Vec<Value>,
+    args: &[Value],
 ) -> MethodOutcome {
     use MethodOutcome as M;
     use NativeMethod as N;
@@ -1185,14 +1185,17 @@ fn syncmap_method(
             }
         }
         N::Range => {
-            let f = args.into_iter().next().unwrap_or(Value::Nil);
+            let f = args.first().cloned().unwrap_or(Value::Nil);
             let entries: Vec<(MapKey, Value)> = vm.heap.syncmaps[r]
                 .entries
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect();
             for (k, v) in entries {
-                match run_nested_call(vm, gid, f.clone(), vec![k.to_value(), v]) {
+                let mut call_args = vm.arg_buf();
+                call_args.push(k.to_value());
+                call_args.push(v);
+                match run_nested_call(vm, gid, f.clone(), call_args) {
                     Ok(Value::Bool(false)) => break,
                     Ok(_) => {}
                     Err(e) => return M::Error(e),
@@ -1209,7 +1212,7 @@ fn testing_method(
     gid: Gid,
     t: ObjRef,
     method: NativeMethod,
-    args: Vec<Value>,
+    args: &[Value],
 ) -> MethodOutcome {
     use MethodOutcome as M;
     use NativeMethod as N;
@@ -1229,7 +1232,9 @@ fn testing_method(
                     ("$signaled", Value::Bool(false)),
                 ],
             );
-            match vm.spawn(Some(gid), f, vec![child_t.clone()]) {
+            let mut call_args = vm.arg_buf();
+            call_args.push(child_t.clone());
+            match vm.spawn(Some(gid), f, call_args) {
                 Ok(child) => {
                     vm.gos[child].on_exit = Some(OnExit::Subtest { tvalue: child_t });
                     // t.Run(name, f): argc 2 + callee = 3 operands.

@@ -199,20 +199,18 @@ pub(crate) fn exec(vm: &mut Vm, gid: Gid, op: &Op) -> Flow {
             Flow::Next
         }
         Op::MakeStructLit(spec) => {
-            let spec = vm.prog.struct_lits[*spec as usize].clone();
-            let mut values = Vec::with_capacity(spec.fields.len());
+            let prog = vm.prog;
+            let spec = &prog.struct_lits[*spec as usize];
+            let mut values = vm.arg_buf();
             for _ in 0..spec.fields.len() {
                 values.push(pop(vm, gid));
             }
             values.reverse();
-            let tname = vm.prog.str(spec.type_name).to_owned();
-            let fields: Vec<(String, Value, u32)> = spec
-                .fields
-                .iter()
-                .zip(values)
-                .map(|(f, v)| (vm.prog.str(*f).to_owned(), v, *f))
-                .collect();
-            let v = vm.heap.alloc_struct_named(tname, fields);
+            let v = vm.alloc_struct_lit(
+                spec.type_name,
+                spec.fields.iter().copied().zip(values.drain(..)),
+            );
+            vm.recycle_args(values);
             push(vm, gid, v);
             Flow::Next
         }
@@ -260,16 +258,14 @@ pub(crate) fn exec(vm: &mut Vm, gid: Gid, op: &Op) -> Flow {
             Flow::Next
         }
         Op::MakeClosure(spec) => {
-            let spec = vm.prog.closures[*spec as usize].clone();
+            let prog = vm.prog;
+            let spec = &prog.closures[*spec as usize];
+            let mut upvals = vm.addr_buf();
             let frame = frame_mut(vm, gid);
-            let upvals: Vec<Addr> = spec
-                .captures
-                .iter()
-                .map(|c| match c {
-                    crate::bytecode::UpvalSrc::Local(s) => frame.locals[*s as usize],
-                    crate::bytecode::UpvalSrc::Upval(u) => frame.upvals[*u as usize],
-                })
-                .collect();
+            upvals.extend(spec.captures.iter().map(|c| match c {
+                crate::bytecode::UpvalSrc::Local(s) => frame.locals[*s as usize],
+                crate::bytecode::UpvalSrc::Upval(u) => frame.upvals[*u as usize],
+            }));
             let v = vm.heap.alloc_closure(spec.func, upvals);
             push(vm, gid, v);
             Flow::Next
@@ -513,7 +509,7 @@ pub(crate) fn exec(vm: &mut Vm, gid: Gid, op: &Op) -> Flow {
 
         Op::Call { argc } => exec_call(vm, gid, *argc),
         Op::Go { argc } => {
-            let mut args = Vec::with_capacity(*argc as usize);
+            let mut args = vm.arg_buf();
             for _ in 0..*argc {
                 args.push(pop(vm, gid));
             }
@@ -525,13 +521,13 @@ pub(crate) fn exec(vm: &mut Vm, gid: Gid, op: &Op) -> Flow {
             }
         }
         Op::DeferCall { argc } => {
-            let mut args = Vec::with_capacity(*argc as usize);
+            let mut args = vm.arg_buf();
             for _ in 0..*argc {
                 args.push(pop(vm, gid));
             }
             args.reverse();
             let callee = pop(vm, gid);
-            frame_mut(vm, gid).defers.push((callee, args));
+            vm.push_defer(gid, callee, args);
             Flow::Next
         }
         Op::Return { n } => {
@@ -829,7 +825,7 @@ fn field_addr(vm: &mut Vm, gid: Gid, obj: &Value, name: u32, create: bool) -> Re
     }
     if create {
         let a = vm.heap.alloc_cell(Value::Nil, name);
-        vm.heap.structs[sref].fields.push((fname.to_string(), a));
+        vm.heap.structs[sref].fields.push((fname, a));
         let _ = gid;
         return Ok(a);
     }
@@ -994,7 +990,7 @@ fn shallow_copy_struct(vm: &mut Vm, gid: Gid, v: Value) -> Value {
         let s = &vm.heap.structs[r];
         (s.type_name.clone(), s.fields.clone())
     };
-    let copied: Vec<(String, Value, u32)> = fields
+    let copied: Vec<(Rc<str>, Value, u32)> = fields
         .into_iter()
         .map(|(n, a)| {
             let v = vm.read_cell(gid, a);
@@ -1121,7 +1117,7 @@ fn exec_call(vm: &mut Vm, gid: Gid, argc: u8) -> Flow {
             };
             // User-declared methods first.
             if vm.method_func(&recv, name).is_some() {
-                let mut args = Vec::with_capacity(argc as usize + 1);
+                let mut args = vm.arg_buf();
                 for _ in 0..argc {
                     args.push(pop(vm, gid));
                 }
@@ -1134,13 +1130,15 @@ fn exec_call(vm: &mut Vm, gid: Gid, argc: u8) -> Flow {
             } else {
                 // Native method: peek args (retry protocol — only pop on
                 // completion).
-                let args: Vec<Value> = (0..argc as usize)
-                    .map(|i| peek(vm, gid, argc as usize - 1 - i).clone())
-                    .collect();
+                let mut args = vm.arg_buf();
+                for i in 0..argc as usize {
+                    args.push(peek(vm, gid, argc as usize - 1 - i).clone());
+                }
                 let outcome = match vm.native_of(name) {
-                    Some(m) => natives::dispatch_method(vm, gid, &recv, m, args),
+                    Some(m) => natives::dispatch_method(vm, gid, &recv, m, &args),
                     None => natives::MethodOutcome::NotNative,
                 };
+                vm.recycle_args(args);
                 match outcome {
                     natives::MethodOutcome::Done(v) => {
                         for _ in 0..argc {
@@ -1148,10 +1146,8 @@ fn exec_call(vm: &mut Vm, gid: Gid, argc: u8) -> Flow {
                         }
                         pop(vm, gid); // callee placeholder
                         let mut recv = recv;
-                        if vm.method_box_pool.len() < 16 {
-                            *recv = Value::Nil;
-                            vm.method_box_pool.push(recv);
-                        }
+                        *recv = Value::Nil;
+                        vm.recycle_method_box(recv);
                         push(vm, gid, v);
                         Flow::Next
                     }
@@ -1180,7 +1176,7 @@ fn exec_call(vm: &mut Vm, gid: Gid, argc: u8) -> Flow {
             }
         }
         CallShape::Callable(callee) => {
-            let mut args = Vec::with_capacity(argc as usize);
+            let mut args = vm.arg_buf();
             for _ in 0..argc {
                 args.push(pop(vm, gid));
             }
@@ -1312,7 +1308,7 @@ pub(crate) fn exec_fused(vm: &mut Vm, gid: Gid, pc: usize, fu: Fused) -> (u64, F
             vm.steps += 1;
             set_pc(vm, gid, pc + 2);
             let outcome = match vm.native_of(name) {
-                Some(m) => natives::dispatch_method(vm, gid, &rv, m, Vec::new()),
+                Some(m) => natives::dispatch_method(vm, gid, &rv, m, &[]),
                 None => natives::MethodOutcome::NotNative,
             };
             match outcome {
@@ -1482,6 +1478,7 @@ fn exec_recv(vm: &mut Vm, gid: Gid, comma_ok: bool) -> Flow {
                       // Sender's release edge → receiver.
         let sclock = vm.det.release_snapshot(sgid);
         vm.det.acquire_clock(gid, &sclock);
+        vm.det.recycle_clock(sclock);
         // Receiver's release edge → sender ("receive happens before the
         // send completes").
         let rclock = vm.det.release_snapshot(gid);
@@ -1596,6 +1593,7 @@ fn deliver_to_receiver(vm: &mut Vm, sgid: Gid, rgid: Gid, ch: ObjRef, v: Value) 
     let sclock = vm.det.release_snapshot(sgid);
     let rclock = vm.det.release_snapshot(rgid);
     vm.det.acquire_clock(sgid, &rclock);
+    vm.det.recycle_clock(rclock);
 
     if vm.gos[rgid].select.is_some() {
         let found = vm.gos[rgid].select.as_ref().and_then(|s| {
@@ -1738,6 +1736,7 @@ pub(crate) fn try_select(vm: &mut Vm, gid: Gid, cases: &[ParkedCase]) -> Option<
                 if let Some((sgid, v)) = take_send_waiter(vm, *chan) {
                     let sclock = vm.det.release_snapshot(sgid);
                     vm.det.acquire_clock(gid, &sclock);
+                    vm.det.recycle_clock(sclock);
                     let rclock = vm.det.release_snapshot(gid);
                     complete_sender(vm, sgid, rclock);
                     if *push_value {

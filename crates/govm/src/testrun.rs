@@ -5,14 +5,16 @@
 //! stable bug hash) no longer appears. [`run_test_many`] is that loop:
 //! one compiled program, N seeded schedules — explored by the campaign's
 //! [`SchedulePolicy`], deduplicated by schedule signature, and bounded
-//! by an optional campaign-wide instruction budget.
+//! by an optional campaign-wide instruction budget. Every run of a
+//! campaign executes on one [`TestVm`], reset between runs.
 
 use crate::compile::{compile_sources, CompileOptions};
 use crate::sched::{SchedulePolicy, SeedStream};
 use crate::value::Value;
-use crate::vm::{ProgContext, RunCounters, RunError, RunResult, Vm, VmOptions};
+use crate::vm::{RunCounters, RunError, RunResult, Vm, VmOptions};
 use crate::Program;
 use racedet::RaceReport;
+use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Configuration for a test campaign.
@@ -105,7 +107,7 @@ pub enum StopReason {
 }
 
 /// Aggregate outcome of running one test under many schedules.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestOutcome {
     /// Distinct races observed across all runs (deduped by bug hash).
     pub races: Vec<RaceReport>,
@@ -157,11 +159,100 @@ pub fn run_test(prog: &Program, test: &str, seed: u64) -> RunResult {
     )
 }
 
-/// Runs `test` once under explicit VM options (seed and policy).
+/// Runs `test` once under explicit VM options (seed and policy): a
+/// campaign of one run.
 pub fn run_test_with(prog: &Program, test: &str, opts: VmOptions) -> RunResult {
-    let mut vm = Vm::new(prog, opts);
-    let t = make_t(&mut vm, test);
-    vm.run(test, vec![t])
+    TestVm::new(prog).run(test, opts)
+}
+
+/// One program's test VM, built once and reset between runs: what a
+/// schedule campaign executes on.
+///
+/// The heap, the goroutine table and the race detector are built once;
+/// each run resets them, keeping their capacity and recycling per-run
+/// buffers (frames, operand stacks, locals, creation stacks, detector
+/// clocks, shadow pages and record stacks). Every run is bit-identical
+/// to the same run on a freshly built VM — reports, counters, gauges,
+/// schedule signature and output. Retained memory is bounded by the
+/// largest run so far and is freed when the `TestVm` is dropped.
+pub struct TestVm<'p> {
+    vm: Vm<'p>,
+    /// `testing.T`'s type name.
+    t_type: Rc<str>,
+    /// `testing.T`'s field names with their ids, interned once.
+    t_fields: [(Rc<str>, u32); 3],
+    /// The name of the test run last, as a string value.
+    test_name: Rc<str>,
+    /// Scratch for race hashing.
+    names: Vec<&'p str>,
+}
+
+impl<'p> TestVm<'p> {
+    /// Builds the VM for `prog`.
+    pub fn new(prog: &'p Program) -> Self {
+        let mut vm = Vm::new(prog, VmOptions::default());
+        // A fresh VM interns these first too (its first act is building
+        // the root `testing.T`), so keeping them across resets leaves
+        // every name id as a fresh VM would assign it.
+        let t_fields = ["name", "$parent", "$signaled"].map(|f| {
+            let id = vm.intern(f);
+            (vm.name(id).clone(), id)
+        });
+        vm.keep_names();
+        TestVm {
+            vm,
+            t_type: Rc::from("testing.T"),
+            t_fields,
+            test_name: Rc::from(""),
+            names: Vec::new(),
+        }
+    }
+
+    /// Runs `test` once under `opts`, with every race reported.
+    pub fn run(&mut self, test: &str, opts: VmOptions) -> RunResult {
+        let error = self.execute(test, opts);
+        self.vm.finish_reporting_all(error)
+    }
+
+    /// [`TestVm::run`] for a campaign: resolves to a report only the
+    /// races whose bug hash is not in `seen`, appending those to `races`
+    /// (and their hashes to `seen`). The result's own `races` is empty.
+    fn run_new_races(
+        &mut self,
+        test: &str,
+        opts: VmOptions,
+        seen: &mut HashSet<u64>,
+        races: &mut Vec<RaceReport>,
+    ) -> RunResult {
+        let error = self.execute(test, opts);
+        for raw in self.vm.det.races() {
+            if seen.insert(self.vm.race_hash(raw, &mut self.names)) {
+                races.push(self.vm.race_report(raw));
+            }
+        }
+        self.vm.finish(error, Vec::new())
+    }
+
+    /// Resets the VM to `opts` and runs `test` with a root `testing.T`.
+    fn execute(&mut self, test: &str, opts: VmOptions) -> Option<RunError> {
+        self.vm.reset(opts);
+        if *self.test_name != *test {
+            self.test_name = Rc::from(test);
+        }
+        let [(name, name_id), (parent, parent_id), (signaled, signaled_id)] = &self.t_fields;
+        // A root testing.T with no parent.
+        let t = self.vm.heap.alloc_struct_named(
+            self.t_type.clone(),
+            [
+                (name.clone(), Value::Str(self.test_name.clone()), *name_id),
+                (parent.clone(), Value::Int(-1), *parent_id),
+                (signaled.clone(), Value::Bool(true), *signaled_id),
+            ],
+        );
+        let mut args = self.vm.arg_buf();
+        args.push(t);
+        self.vm.execute(test, args)
+    }
 }
 
 /// Runs `test` under `cfg.runs` seeded schedules, aggregating results.
@@ -172,8 +263,8 @@ pub fn run_test_with(prog: &Program, test: &str, opts: VmOptions) -> RunResult {
 /// spent — both default to off.
 pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcome {
     let mut races: Vec<RaceReport> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut sigs = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
+    let mut sigs = HashSet::new();
     let mut error = None;
     let mut failures: Vec<String> = Vec::new();
     let mut steps = 0;
@@ -184,9 +275,7 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
     let mut stop = StopReason::Completed;
     let mut counters = RunCounters::default();
     let mut fused_ops = 0u64;
-    // One shared name-table context for the whole campaign: the per-run
-    // VMs skip the pool re-interning that dominates short runs.
-    let ctx = Rc::new(ProgContext::new(prog));
+    let mut tvm = TestVm::new(prog);
     for i in 0..cfg.runs {
         // The budget never cancels the first run: a campaign that
         // executes zero schedules would report vacuously clean, which a
@@ -200,9 +289,7 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
         let mut vmo = cfg.vm.clone();
         vmo.seed = cfg.seed_stream.derive(cfg.seed, i as u64);
         vmo.policy = cfg.policy.clone();
-        let mut vm = Vm::with_context(prog, vmo, ctx.clone());
-        let t = make_t(&mut vm, test);
-        let r = vm.run(test, vec![t]);
+        let r = tvm.run_new_races(test, vmo, &mut seen, &mut races);
         executed += 1;
         steps += r.steps;
         counters.accumulate(&r.counters);
@@ -217,11 +304,6 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
         } else {
             duplicates += 1;
             dup_streak += 1;
-        }
-        for race in r.races {
-            if seen.insert(race.bug_hash()) {
-                races.push(race);
-            }
         }
         for f in r.test_failures {
             if !failures.contains(&f) {
@@ -273,18 +355,4 @@ pub fn compile_and_test_all(
         out.push((test, o));
     }
     Ok(out)
-}
-
-fn make_t(vm: &mut Vm, test: &str) -> Value {
-    // A root testing.T with no parent.
-    let fields = vec![
-        ("name".to_owned(), Value::str(test), vm.intern("name")),
-        ("$parent".to_owned(), Value::Int(-1), vm.intern("$parent")),
-        (
-            "$signaled".to_owned(),
-            Value::Bool(true),
-            vm.intern("$signaled"),
-        ),
-    ];
-    vm.heap.alloc_struct_named("testing.T", fields)
 }

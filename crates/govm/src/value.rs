@@ -279,15 +279,18 @@ pub struct MapObj {
 #[derive(Debug, Clone)]
 pub struct StructObj {
     /// Declared type name (used for method dispatch).
-    pub type_name: String,
+    pub type_name: Rc<str>,
     /// `(field name, cell)` pairs in declaration order.
-    pub fields: Vec<(String, Addr)>,
+    pub fields: Vec<(Rc<str>, Addr)>,
 }
 
 impl StructObj {
     /// Looks up a field cell by name.
     pub fn field(&self, name: &str) -> Option<Addr> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, a)| *a)
+        self.fields
+            .iter()
+            .find(|(n, _)| &**n == name)
+            .map(|(_, a)| *a)
     }
 }
 
@@ -425,12 +428,50 @@ pub struct Heap {
     pub syncmaps: Vec<SyncMapObj>,
     /// Iterator arena.
     pub iters: Vec<IterObj>,
+    /// Field lists of cleared structs, reused by later allocations.
+    spare_fields: Vec<Vec<(Rc<str>, Addr)>>,
 }
 
 impl Heap {
     /// Creates an empty heap.
     pub fn new() -> Self {
         Heap::default()
+    }
+
+    /// Empties every arena, keeping its capacity and the structs' field
+    /// lists (a VM reused across runs refills the same buffers).
+    pub fn clear(&mut self) {
+        // Destructured without `..`, so a new arena cannot be forgotten.
+        let Heap {
+            cells,
+            cell_names,
+            slices,
+            maps,
+            structs,
+            chans,
+            closures,
+            mutexes,
+            rwmutexes,
+            waitgroups,
+            syncmaps,
+            iters,
+            spare_fields,
+        } = self;
+        cells.clear();
+        cell_names.clear();
+        slices.clear();
+        maps.clear();
+        for mut s in structs.drain(..) {
+            s.fields.clear();
+            spare_fields.push(s.fields);
+        }
+        chans.clear();
+        closures.clear();
+        mutexes.clear();
+        rwmutexes.clear();
+        waitgroups.clear();
+        syncmaps.clear();
+        iters.clear();
     }
 
     /// Allocates a fresh cell named `name` holding `v`.
@@ -477,46 +518,22 @@ impl Heap {
         Value::Map(self.maps.len() - 1)
     }
 
-    /// Allocates a struct with the given fields (all field cells named by
-    /// the single `name` id; prefer [`Heap::alloc_struct_named`]).
-    pub fn alloc_struct(
-        &mut self,
-        type_name: impl Into<String>,
-        fields: Vec<(String, Value)>,
-        name: u32,
-    ) -> Value {
-        let fields = fields
-            .into_iter()
-            .map(|(n, v)| {
-                let a = self.alloc_cell(v, name);
-                (n, a)
-            })
-            .collect();
-        self.structs.push(StructObj {
-            type_name: type_name.into(),
-            fields,
-        });
-        Value::Struct(self.structs.len() - 1)
-    }
-
     /// Allocates a struct whose field cells carry per-field name ids, so
     /// race reports name the field (`Limit`, `lockMap`) rather than the
-    /// struct type.
+    /// struct type. Names are shared (`Rc`), so a struct of interned
+    /// names allocates only its field list.
     pub fn alloc_struct_named(
         &mut self,
-        type_name: impl Into<String>,
-        fields: Vec<(String, Value, u32)>,
+        type_name: Rc<str>,
+        fields: impl IntoIterator<Item = (Rc<str>, Value, u32)>,
     ) -> Value {
-        let fields = fields
-            .into_iter()
-            .map(|(n, v, id)| {
-                let a = self.alloc_cell(v, id);
-                (n, a)
-            })
-            .collect();
+        let mut list = self.spare_fields.pop().unwrap_or_default();
+        for (n, v, id) in fields {
+            list.push((n, self.alloc_cell(v, id)));
+        }
         self.structs.push(StructObj {
-            type_name: type_name.into(),
-            fields,
+            type_name,
+            fields: list,
         });
         Value::Struct(self.structs.len() - 1)
     }
@@ -605,10 +622,12 @@ mod tests {
     #[test]
     fn struct_field_lookup() {
         let mut h = Heap::new();
-        let v = h.alloc_struct(
-            "Point",
-            vec![("x".into(), Value::Int(1)), ("y".into(), Value::Int(2))],
-            0,
+        let v = h.alloc_struct_named(
+            "Point".into(),
+            [
+                ("x".into(), Value::Int(1), 0),
+                ("y".into(), Value::Int(2), 1),
+            ],
         );
         match v {
             Value::Struct(r) => {

@@ -12,7 +12,8 @@ use crate::natives::{self, NativeMethod};
 use crate::sched::{self, SchedulePolicy, Scheduler};
 use crate::value::*;
 use racedet::{
-    DetStats, Detector, FastPath, Frame as RFrame, GoroutineInfo, RaceReport, StackGen, VectorClock,
+    DetStats, Detector, FastPath, Frame as RFrame, GoroutineInfo, RaceReport, RawRace, StackGen,
+    VectorClock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -219,7 +220,7 @@ impl RunCounters {
 }
 
 /// The result of one program run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Data races detected, in report form.
     pub races: Vec<RaceReport>,
@@ -355,19 +356,121 @@ pub(crate) struct Goroutine {
     pub snap_depth_gen: u32,
 }
 
+impl Goroutine {
+    /// A runnable goroutine with no frames. Pre-sized: a fresh goroutine
+    /// pushes a frame and operands within its first instructions, and
+    /// the early `Vec` growth steps showed up in sync-heavy profiles.
+    fn new() -> Self {
+        Self::with_buffers(
+            Vec::with_capacity(4),
+            Vec::with_capacity(16),
+            Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    /// A runnable goroutine with no frames, built around empty buffers.
+    fn with_buffers(
+        frames: Vec<CallFrame>,
+        stack: Vec<Value>,
+        creation: Vec<Vec<u32>>,
+        snap: Vec<u32>,
+    ) -> Self {
+        Goroutine {
+            frames,
+            stack,
+            status: Status::Runnable,
+            creation,
+            wake: None,
+            select: None,
+            sleep_until: None,
+            parked_on: None,
+            parked_recv_comma_ok: false,
+            block_reason: "",
+            on_exit: None,
+            depth_gen: 0,
+            snap,
+            snap_gen: StackGen::NONE,
+            snap_depth_gen: u32::MAX,
+        }
+    }
+
+    /// A new runnable goroutine built around this one's buffers,
+    /// emptied (frames and creation stacks salvaged into `spare`).
+    fn recycle(mut self, spare: &mut Spare) -> Self {
+        for f in self.frames.drain(..) {
+            spare.put_frame(f);
+        }
+        for c in self.creation.drain(..) {
+            spare.put_ids(c);
+        }
+        self.stack.clear();
+        self.snap.clear();
+        Self::with_buffers(self.frames, self.stack, self.creation, self.snap)
+    }
+}
+
+/// Buffers that retired goroutines and returned frames leave behind,
+/// handed out again before anything is allocated. [`Vm::reset`] fills
+/// it with the whole goroutine table, so a reused VM allocates only
+/// where a run outgrows every earlier one. Purely physical.
+#[derive(Default)]
+struct Spare {
+    goroutines: Vec<Goroutine>,
+    /// `locals` / `upvals` buffers.
+    addrs: Vec<Vec<Addr>>,
+    /// Creation-stack buffers.
+    ids: Vec<Vec<u32>>,
+    /// Call-argument buffers.
+    args: Vec<Vec<Value>>,
+    /// Deferred-call lists.
+    defers: Vec<Vec<(Value, Vec<Value>)>>,
+}
+
+impl Spare {
+    fn put_frame(&mut self, mut f: CallFrame) {
+        self.put_addrs(f.locals);
+        self.put_addrs(f.upvals);
+        if f.defers.capacity() > 0 {
+            f.defers.clear();
+            self.defers.push(f.defers);
+        }
+    }
+
+    fn put_addrs(&mut self, mut v: Vec<Addr>) {
+        if v.capacity() > 0 {
+            v.clear();
+            self.addrs.push(v);
+        }
+    }
+
+    fn put_ids(&mut self, mut v: Vec<u32>) {
+        if v.capacity() > 0 {
+            v.clear();
+            self.ids.push(v);
+        }
+    }
+
+    fn put_args(&mut self, mut v: Vec<Value>) {
+        if v.capacity() > 0 {
+            v.clear();
+            self.args.push(v);
+        }
+    }
+}
+
 const UNBOUND: Addr = Addr::MAX;
 
 /// Immutable per-program runtime tables: the interned string pool and
-/// its reverse map.
+/// its reverse map, frame tables, fused superinstructions and native
+/// method ids.
 ///
-/// Building these is a large share of a short run's total cost (every
-/// pool name used to be re-allocated and re-hashed per `Vm`). A
-/// campaign builds one `ProgContext` and shares it across all of its
-/// runs via [`Vm::with_context`]; runtime-interned names layer on top
-/// per VM, with ids continuing past the pool, so sharing is invisible
-/// to program semantics.
+/// Built once per [`Vm`]; a campaign keeps one VM for all of its runs
+/// ([`Vm::reset`]), so the tables are built once per campaign.
+/// Runtime-interned names layer on top per run, with ids continuing
+/// past the pool.
 #[derive(Debug)]
-pub struct ProgContext {
+struct ProgContext {
     names: Vec<Rc<str>>,
     name_map: HashMap<Rc<str>, u32>,
     /// Interned stack frames: id → `(func, line)`. Frame identity is a
@@ -391,7 +494,7 @@ pub struct ProgContext {
 
 impl ProgContext {
     /// Interns `prog`'s string pool and stack-frame tables.
-    pub fn new(prog: &Program) -> Self {
+    fn new(prog: &Program) -> Self {
         let names: Vec<Rc<str>> = prog.pool.iter().map(|s| Rc::from(s.as_str())).collect();
         let name_map = names
             .iter()
@@ -463,12 +566,16 @@ pub struct Vm<'p> {
     pub(crate) steps: u64,
     pub(crate) opts: VmOptions,
     pub(crate) globals: Vec<Addr>,
-    /// Shared per-program tables (interned pool names); one campaign
-    /// builds this once and every run's VM reuses it.
-    ctx: Rc<ProgContext>,
+    /// Per-program tables (interned pool names, frame tables).
+    ctx: ProgContext,
     /// Names interned at runtime, ids continuing past `ctx.names`.
     extra_names: Vec<Rc<str>>,
     extra_name_map: HashMap<Rc<str>, u32>,
+    /// How many of `extra_names` survive [`Vm::reset`] (see
+    /// [`Vm::keep_names`]).
+    kept_names: usize,
+    /// Buffers kept for reuse across goroutines, frames and runs.
+    spare: Spare,
     /// Reusable runnable-set buffer for the scheduler loop.
     runnable_buf: Vec<Gid>,
     /// Recycled method-value receiver boxes (see `Op::BindMethod`).
@@ -541,31 +648,6 @@ impl<'p> Vm<'p> {
     /// the extension point for exploration strategies beyond the
     /// built-in [`SchedulePolicy`] variants.
     pub fn with_scheduler(prog: &'p Program, opts: VmOptions, sched: Box<dyn Scheduler>) -> Self {
-        Self::with_parts(prog, opts, sched, Rc::new(ProgContext::new(prog)))
-    }
-
-    /// Creates a VM from a pre-built per-program context.
-    ///
-    /// Campaigns ([`crate::run_test_many`]) build the [`ProgContext`]
-    /// once and hand a clone to every run, so the per-run constructor
-    /// does no name interning at all — a large share of a short run's
-    /// cost at campaign scale.
-    pub fn with_context(prog: &'p Program, opts: VmOptions, ctx: Rc<ProgContext>) -> Self {
-        let engine = opts.policy.build(opts.seed, opts.preempt_max);
-        Self::with_parts(prog, opts, engine, ctx)
-    }
-
-    fn with_parts(
-        prog: &'p Program,
-        opts: VmOptions,
-        sched: Box<dyn Scheduler>,
-        ctx: Rc<ProgContext>,
-    ) -> Self {
-        debug_assert_eq!(
-            ctx.names.len(),
-            prog.pool.len(),
-            "context built for another program"
-        );
         let mut det = Detector::new();
         det.set_sync_cache(opts.sync_epoch_cache);
         det.set_sample_mod(opts.sample_mod);
@@ -579,9 +661,11 @@ impl<'p> Vm<'p> {
             steps: 0,
             opts,
             globals: Vec::new(),
-            ctx,
+            ctx: ProgContext::new(prog),
             extra_names: Vec::new(),
             extra_name_map: HashMap::new(),
+            kept_names: 0,
+            spare: Spare::default(),
             runnable_buf: Vec::new(),
             method_box_pool: Vec::new(),
             snapshots_taken: 0,
@@ -601,12 +685,139 @@ impl<'p> Vm<'p> {
             sched_points: 0,
             last_running: None,
         };
-        for g in &prog.globals {
-            let zero = vm.zero_value(prog.hints[g.hint as usize]);
-            let a = vm.heap.alloc_cell(zero, g.name);
-            vm.globals.push(a);
-        }
+        vm.alloc_globals();
         vm
+    }
+
+    fn alloc_globals(&mut self) {
+        let prog = self.prog;
+        for g in &prog.globals {
+            let zero = self.zero_value(prog.hints[g.hint as usize]);
+            let a = self.heap.alloc_cell(zero, g.name);
+            self.globals.push(a);
+        }
+    }
+
+    /// Makes every name interned so far survive [`Vm::reset`]. A
+    /// campaign interns its per-run constants once, before its first
+    /// run, then calls this; a fresh VM that interned the same names
+    /// first assigns them the same ids, so keeping them is invisible.
+    pub(crate) fn keep_names(&mut self) {
+        self.kept_names = self.extra_names.len();
+    }
+
+    /// Returns the VM to the state [`Vm::new`] builds under `opts`, so
+    /// one VM serves a whole schedule campaign. Every per-run field is
+    /// re-initialised; buffers are kept: heap arenas, the goroutine
+    /// table, retired goroutines' frame, operand-stack and snapshot
+    /// buffers, locals, and the detector's clocks, shadow pages and
+    /// record stacks ([`Detector::reset`]). Retained capacity is bounded
+    /// by the largest run since the VM was built. A run after a reset is
+    /// bit-identical to the same run on a new VM.
+    pub(crate) fn reset(&mut self, opts: VmOptions) {
+        // Destructured without `..`, so a new field cannot be forgotten.
+        let Vm {
+            prog: _,
+            heap,
+            det,
+            gos,
+            rng,
+            steps,
+            opts: vm_opts,
+            globals,
+            ctx: _,
+            extra_names,
+            extra_name_map,
+            kept_names,
+            spare,
+            runnable_buf: _,
+            method_box_pool: _,
+            snapshots_taken,
+            stack_cache_hits,
+            exits_seen,
+            fused_ops,
+            peak_shadow_bytes,
+            output,
+            test_failures,
+            timers,
+            sleepers,
+            never_chan,
+            global_rand,
+            fatal,
+            sched,
+            sched_sig,
+            sched_points,
+            last_running,
+        } = self;
+        for c in heap.closures.drain(..) {
+            spare.put_addrs(c.upvals);
+        }
+        heap.clear();
+        det.reset();
+        det.set_sync_cache(opts.sync_epoch_cache);
+        det.set_sample_mod(opts.sample_mod);
+        det.set_sample_salt(opts.seed);
+        for g in gos.drain(..) {
+            let g = g.recycle(spare);
+            spare.goroutines.push(g);
+        }
+        *rng = StdRng::seed_from_u64(opts.seed);
+        *steps = 0;
+        globals.clear();
+        for name in extra_names.drain(*kept_names..) {
+            extra_name_map.remove(&name);
+        }
+        *snapshots_taken = 0;
+        *stack_cache_hits = 0;
+        *exits_seen = 0;
+        *fused_ops = 0;
+        *peak_shadow_bytes = 0;
+        output.clear();
+        test_failures.clear();
+        timers.clear();
+        *sleepers = 0;
+        *never_chan = None;
+        *global_rand = None;
+        *fatal = None;
+        *sched = opts.policy.build(opts.seed, opts.preempt_max);
+        *sched_sig = sched::SIGNATURE_SEED;
+        *sched_points = 0;
+        *last_running = None;
+        *vm_opts = opts;
+        self.alloc_globals();
+    }
+
+    /// An empty call-argument buffer (recycled by the frame push that
+    /// consumes it).
+    pub(crate) fn arg_buf(&mut self) -> Vec<Value> {
+        self.spare.args.pop().unwrap_or_default()
+    }
+
+    /// Defers `callee(args)` on `gid`'s current frame.
+    pub(crate) fn push_defer(&mut self, gid: Gid, callee: Value, args: Vec<Value>) {
+        let frame = self.gos[gid].frames.last_mut().expect("live frame");
+        if frame.defers.capacity() == 0 {
+            frame.defers = self.spare.defers.pop().unwrap_or_default();
+        }
+        frame.defers.push((callee, args));
+    }
+
+    /// Keeps an emptied method-value receiver box for the next bind.
+    pub(crate) fn recycle_method_box(&mut self, b: Box<Value>) {
+        if self.method_box_pool.len() < 16 {
+            self.method_box_pool.push(b);
+        }
+    }
+
+    /// A closure-capture buffer (recycled with the frame or closure that
+    /// ends up owning it).
+    pub(crate) fn addr_buf(&mut self) -> Vec<Addr> {
+        self.spare.addrs.pop().unwrap_or_default()
+    }
+
+    /// Returns a call-argument buffer for reuse.
+    pub(crate) fn recycle_args(&mut self, args: Vec<Value>) {
+        self.spare.put_args(args);
     }
 
     /// Interns a runtime string into the name table.
@@ -685,18 +896,34 @@ impl<'p> Vm<'p> {
                 let prog = self.prog;
                 match prog.struct_type(name) {
                     Some(def) => {
-                        let mut fields = Vec::with_capacity(def.fields.len());
-                        for &(fname, fhint) in &def.fields {
+                        let mut vals = self.arg_buf();
+                        for &(_, fhint) in &def.fields {
                             let v = self.zero_value(prog.hints[fhint as usize]);
-                            fields.push((prog.str(fname).to_owned(), v, fname));
+                            vals.push(v);
                         }
-                        self.heap
-                            .alloc_struct_named(prog.str(name).to_owned(), fields)
+                        let fields = def.fields.iter().map(|&(f, _)| f);
+                        let v = self.alloc_struct_lit(name, fields.zip(vals.drain(..)));
+                        self.spare.put_args(vals);
+                        v
                     }
                     None => Value::Nil,
                 }
             }
         }
+    }
+
+    /// Allocates a struct of pool-named type `type_name` from
+    /// `(pool field-name id, value)` pairs.
+    pub(crate) fn alloc_struct_lit(
+        &mut self,
+        type_name: u32,
+        fields: impl Iterator<Item = (u32, Value)>,
+    ) -> Value {
+        let names = &self.ctx.names;
+        self.heap.alloc_struct_named(
+            names[type_name as usize].clone(),
+            fields.map(|(f, v)| (names[f as usize].clone(), v, f)),
+        )
     }
 
     // -------------------------------------------------------------- stacks
@@ -776,14 +1003,6 @@ impl<'p> Vm<'p> {
         for f in self.gos[gid].frames.iter().rev() {
             out.push(self.ctx.frame_id_at(f.func, f.pc));
         }
-    }
-
-    /// Snapshot of `gid`'s stack as interned frame ids, innermost first
-    /// (served from the interned snapshot when current).
-    pub(crate) fn stack_snapshot(&mut self, gid: Gid) -> Vec<u32> {
-        let gen = self.stack_gen(gid);
-        self.refresh_snapshot(gid, gen);
-        self.gos[gid].snap.clone()
     }
 
     fn resolve_frame(&self, id: u32) -> RFrame {
@@ -898,34 +1117,21 @@ impl<'p> Vm<'p> {
             None if self.gos.is_empty() => 0,
             None => self.det.fork(0),
         };
-        let mut creation = Vec::new();
+        let mut g = self.spare.goroutines.pop().unwrap_or_else(Goroutine::new);
         if let Some(p) = parent {
-            creation.push(self.stack_snapshot(p));
-            if let Some(first) = self.gos[p].creation.first() {
-                creation.push(first.clone());
+            // Creation stacks: the parent's current stack, then the
+            // parent's own creation stack (two ancestry levels).
+            let gen = self.stack_gen(p);
+            self.refresh_snapshot(p, gen);
+            let parent = &self.gos[p];
+            for src in std::iter::once(&parent.snap).chain(parent.creation.first()) {
+                let mut ids = self.spare.ids.pop().unwrap_or_default();
+                ids.extend_from_slice(src);
+                g.creation.push(ids);
             }
         }
         debug_assert_eq!(gid, self.gos.len(), "goroutine ids stay dense");
-        self.gos.push(Goroutine {
-            // Pre-sized: a fresh goroutine pushes a frame and operands
-            // within its first instructions, and the early `Vec` growth
-            // steps showed up in sync-heavy profiles.
-            frames: Vec::with_capacity(4),
-            stack: Vec::with_capacity(16),
-            status: Status::Runnable,
-            creation,
-            wake: None,
-            select: None,
-            sleep_until: None,
-            parked_on: None,
-            parked_recv_comma_ok: false,
-            block_reason: "",
-            on_exit: None,
-            depth_gen: 0,
-            snap: Vec::new(),
-            snap_gen: StackGen::NONE,
-            snap_depth_gen: u32::MAX,
-        });
+        self.gos.push(g);
         self.push_call(gid, callee, args)
             .map_err(|e| format!("go: {e}"))?;
         Ok(gid)
@@ -941,20 +1147,21 @@ impl<'p> Vm<'p> {
         match callee {
             Value::Func(fid) => self.push_frame(gid, fid, Vec::new(), args),
             Value::Closure(c) => {
-                let clo = self.heap.closures[c].clone();
-                self.push_frame(gid, clo.func, clo.upvals, args)
+                let clo = &self.heap.closures[c];
+                let mut upvals = self.spare.addrs.pop().unwrap_or_default();
+                upvals.extend_from_slice(&clo.upvals);
+                self.push_frame(gid, clo.func, upvals, args)
             }
-            Value::Method { recv, name } => {
-                let mut all = Vec::with_capacity(args.len() + 1);
-                all.push(*recv);
-                all.append(&mut args);
-                if let Some(fid) = self.method_func(&all[0], name) {
-                    self.push_frame(gid, fid, Vec::new(), all)
+            Value::Method { mut recv, name } => {
+                args.insert(0, std::mem::replace(&mut *recv, Value::Nil));
+                self.recycle_method_box(recv);
+                if let Some(fid) = self.method_func(&args[0], name) {
+                    self.push_frame(gid, fid, Vec::new(), args)
                 } else {
                     Err(format!(
                         "unknown method `{}` on {}",
                         self.name(name),
-                        all[0].type_name()
+                        args[0].type_name()
                     ))
                 }
             }
@@ -981,10 +1188,12 @@ impl<'p> Vm<'p> {
         gid: Gid,
         fid: u32,
         upvals: Vec<Addr>,
-        args: Vec<Value>,
+        mut args: Vec<Value>,
     ) -> Result<(), String> {
-        let func = &self.prog.funcs[fid as usize];
+        let prog: &'p Program = self.prog;
+        let func = &prog.funcs[fid as usize];
         if args.len() != func.params as usize {
+            self.spare.put_addrs(upvals);
             return Err(format!(
                 "{} takes {} arguments, got {}",
                 func.name,
@@ -992,14 +1201,13 @@ impl<'p> Vm<'p> {
                 args.len()
             ));
         }
-        let n_slots = func.n_slots as usize;
-        let param_names = func.param_names.clone();
-        let mut locals = vec![UNBOUND; n_slots];
-        for (i, v) in args.into_iter().enumerate() {
-            let name = param_names.get(i).copied().unwrap_or(0);
-            let a = self.heap.alloc_cell(v, name);
-            locals[i] = a;
+        let mut locals = self.spare.addrs.pop().unwrap_or_default();
+        locals.resize(func.n_slots as usize, UNBOUND);
+        for (i, v) in args.drain(..).enumerate() {
+            let name = func.param_names.get(i).copied().unwrap_or(0);
+            locals[i] = self.heap.alloc_cell(v, name);
         }
+        self.spare.put_args(args);
         let stack_base = self.gos[gid].stack.len();
         self.gos[gid].frames.push(CallFrame {
             func: fid,
@@ -1021,26 +1229,42 @@ impl<'p> Vm<'p> {
 
     /// Runs `entry(args)` to completion (plus drain), returning the result.
     pub fn run(&mut self, entry: &str, args: Vec<Value>) -> RunResult {
+        let error = self.execute(entry, args);
+        self.finish_reporting_all(error)
+    }
+
+    /// [`Vm::finish`] with every recorded race resolved to a report.
+    pub(crate) fn finish_reporting_all(&mut self, error: Option<RunError>) -> RunResult {
+        let races = self
+            .det
+            .races()
+            .iter()
+            .map(|raw| self.race_report(raw))
+            .collect();
+        self.finish(error, races)
+    }
+
+    /// Runs `entry(args)` to completion (plus drain), leaving the races
+    /// in the detector; returns the abnormal termination, if any.
+    pub(crate) fn execute(&mut self, entry: &str, args: Vec<Value>) -> Option<RunError> {
         if let Some(init) = self.prog.init_func {
             match self.spawn(None, Value::Func(init), Vec::new()) {
                 Ok(g0) => {
                     self.drive(Some(g0), self.opts.max_steps);
                 }
-                Err(e) => return self.finish(Some(RunError::Internal(e))),
+                Err(e) => return Some(RunError::Internal(e)),
             }
         }
         if self.fatal.is_some() {
-            let err = self.fatal.take();
-            return self.finish(err);
+            return self.fatal.take();
         }
-        let entry_id = match self.prog.find_func(entry) {
-            Some(f) => f,
-            None => return self.finish(Some(RunError::Internal(format!("no function `{entry}`")))),
+        let Some(entry_id) = self.prog.find_func(entry) else {
+            return Some(RunError::Internal(format!("no function `{entry}`")));
         };
         let parent = if self.gos.is_empty() { None } else { Some(0) };
         let root = match self.spawn(parent, Value::Func(entry_id), args) {
             Ok(g) => g,
-            Err(e) => return self.finish(Some(RunError::Internal(e))),
+            Err(e) => return Some(RunError::Internal(e)),
         };
         self.drive(Some(root), self.opts.max_steps);
         if self.fatal.is_none() {
@@ -1050,42 +1274,55 @@ impl<'p> Vm<'p> {
                 .min(self.opts.max_steps.saturating_mul(2));
             self.drive(None, budget);
         }
-        let err = self.fatal.take();
-        self.finish(err)
+        self.fatal.take()
     }
 
-    fn finish(&mut self, error: Option<RunError>) -> RunResult {
-        let raws: Vec<racedet::RawRace> = self.det.races().to_vec();
-        let races = raws
-            .into_iter()
-            .map(|raw| {
-                let mk = |acc: &racedet::RawAccess, vm: &Vm| racedet::Access {
-                    kind: acc.kind,
-                    stack: acc.stack.iter().map(|&f| vm.resolve_frame(f)).collect(),
-                    goroutine: GoroutineInfo {
-                        id: acc.tid,
-                        creation: vm
-                            .gos
-                            .get(acc.tid)
-                            .map(|g| {
-                                g.creation
-                                    .iter()
-                                    .map(|st| st.iter().map(|&f| vm.resolve_frame(f)).collect())
-                                    .collect()
-                            })
-                            .unwrap_or_default(),
-                    },
-                };
-                RaceReport {
-                    accesses: [mk(&raw.cur, self), mk(&raw.prev, self)],
-                    var_name: self
-                        .name_opt(raw.var)
-                        .map(|n| n.to_string())
-                        .unwrap_or_default(),
-                    addr: raw.addr,
-                }
-            })
-            .collect();
+    /// Resolves a recorded race into report form: frames, goroutine
+    /// creation stacks and the variable name.
+    pub(crate) fn race_report(&self, raw: &RawRace) -> RaceReport {
+        let access = |acc: &racedet::RawAccess| racedet::Access {
+            kind: acc.kind,
+            stack: acc.stack.iter().map(|&f| self.resolve_frame(f)).collect(),
+            goroutine: GoroutineInfo {
+                id: acc.tid,
+                creation: self
+                    .gos
+                    .get(acc.tid)
+                    .map(|g| {
+                        g.creation
+                            .iter()
+                            .map(|st| st.iter().map(|&f| self.resolve_frame(f)).collect())
+                            .collect()
+                    })
+                    .unwrap_or_default(),
+            },
+        };
+        RaceReport {
+            accesses: [access(&raw.cur), access(&raw.prev)],
+            var_name: self
+                .name_opt(raw.var)
+                .map(|n| n.to_string())
+                .unwrap_or_default(),
+            addr: raw.addr,
+        }
+    }
+
+    /// The [`RaceReport::bug_hash`] of `raw`'s report, computed from the
+    /// interned race without building the report. `names` is scratch.
+    pub(crate) fn race_hash(&self, raw: &RawRace, names: &mut Vec<&'p str>) -> u64 {
+        let prog: &'p Program = self.prog;
+        names.clear();
+        for &f in raw.cur.stack.iter().chain(&raw.prev.stack) {
+            let (func, _) = self.ctx.frame_table[f as usize];
+            names.push(&prog.funcs[func as usize].name);
+        }
+        let var = self.name_opt(raw.var).map_or("", |n| n);
+        racedet::bug_hash_of(var, names)
+    }
+
+    /// Packages the finished run: `races` plus the run's output, test
+    /// failures, schedule signature and counters.
+    pub(crate) fn finish(&mut self, error: Option<RunError>, races: Vec<RaceReport>) -> RunResult {
         let det = *self.det.stats();
         // End-of-run lifecycle checkpoint: the gauge must cover runs
         // that never hit an exit checkpoint (or none at all).
@@ -1247,6 +1484,7 @@ impl<'p> Vm<'p> {
             }
             if let Some(c) = w.acquire {
                 self.det.acquire_clock(gid, &c);
+                self.det.recycle_clock(c);
             }
             if let Some(f) = self.gos[gid].frames.last_mut() {
                 match w.jump_to {
@@ -1499,35 +1737,29 @@ impl<'p> Vm<'p> {
             return;
         };
         if let Some((callee, args)) = frame.defers.pop() {
-            match &callee {
-                Value::Method { recv, name } => {
+            match callee {
+                Value::Method { mut recv, name } if self.method_func(&recv, name).is_none() => {
                     // Native defers (wg.Done, mu.Unlock) run eagerly,
                     // dispatching on the boxed receiver by reference.
-                    if self.method_func(recv, *name).is_none() {
-                        let outcome = match self.native_of(*name) {
-                            Some(m) => natives::dispatch_method(self, gid, recv, m, args),
-                            None => natives::MethodOutcome::NotNative,
-                        };
-                        match outcome {
-                            natives::MethodOutcome::Done(_) => {}
-                            natives::MethodOutcome::Error(e) => {
-                                self.do_panic(gid, e);
-                            }
-                            _ => {
-                                let method = self.name(*name).clone();
-                                self.do_panic(
-                                    gid,
-                                    format!("deferred native `{method}` would block"),
-                                );
-                            }
+                    let outcome = match self.native_of(name) {
+                        Some(m) => natives::dispatch_method(self, gid, &recv, m, &args),
+                        None => natives::MethodOutcome::NotNative,
+                    };
+                    self.spare.put_args(args);
+                    *recv = Value::Nil;
+                    self.recycle_method_box(recv);
+                    match outcome {
+                        natives::MethodOutcome::Done(_) => {}
+                        natives::MethodOutcome::Error(e) => {
+                            self.do_panic(gid, e);
                         }
-                        return;
-                    }
-                    if let Err(e) = self.push_call(gid, callee, args) {
-                        self.do_panic(gid, e);
+                        _ => {
+                            let method = self.name(name).clone();
+                            self.do_panic(gid, format!("deferred native `{method}` would block"));
+                        }
                     }
                 }
-                _ => {
+                callee => {
                     if let Err(e) = self.push_call(gid, callee, args) {
                         self.do_panic(gid, e);
                     }
@@ -1539,6 +1771,7 @@ impl<'p> Vm<'p> {
         let frame = self.gos[gid].frames.pop().expect("returning frame");
         self.gos[gid].depth_gen = self.gos[gid].depth_gen.wrapping_add(1);
         self.gos[gid].stack.truncate(frame.stack_base);
+        self.spare.put_frame(frame);
         if self.gos[gid].frames.is_empty() {
             self.gos[gid].status = Status::Done;
             natives::on_goroutine_exit(self, gid);
@@ -1565,18 +1798,22 @@ impl<'p> Vm<'p> {
 
     fn do_panic(&mut self, gid: Gid, msg: String) {
         // Release held synchronisation via native defers, then abort.
-        let frames = std::mem::take(&mut self.gos[gid].frames);
+        let mut frames = std::mem::take(&mut self.gos[gid].frames);
         self.gos[gid].depth_gen = self.gos[gid].depth_gen.wrapping_add(1);
-        for frame in frames.into_iter().rev() {
-            for (callee, args) in frame.defers.into_iter().rev() {
+        for mut frame in frames.drain(..).rev() {
+            for (callee, args) in frame.defers.drain(..).rev() {
                 if let Value::Method { recv, name } = &callee {
                     if self.method_func(recv, *name).is_none() {
                         if let Some(m) = self.native_of(*name) {
-                            let _ = natives::dispatch_method(self, gid, recv, m, args);
+                            let _ = natives::dispatch_method(self, gid, recv, m, &args);
                         }
                     }
                 }
             }
+            self.spare.put_frame(frame);
+        }
+        if self.gos[gid].frames.is_empty() {
+            self.gos[gid].frames = frames;
         }
         self.gos[gid].status = Status::Done;
         self.gos[gid].stack.clear();
@@ -1655,6 +1892,7 @@ impl<'p> Vm<'p> {
         };
         if let Some(a) = acquire {
             self.det.acquire_clock(gid, &a);
+            self.det.recycle_clock(a);
         }
         self.wake_chan_waiters(ch);
     }
@@ -1664,6 +1902,7 @@ impl<'p> Vm<'p> {
         let msg = self.heap.chans[ch].queue.pop_front();
         if let Some(m) = msg {
             self.det.acquire_clock(gid, &m.clock);
+            self.det.recycle_clock(m.clock);
             let snap = self.det.release_snapshot(gid);
             self.heap.chans[ch].slot_clocks.push_back(snap);
             self.wake_chan_waiters(ch);

@@ -49,6 +49,16 @@ impl VectorClock {
         self.entries.extend_from_slice(&other.entries);
     }
 
+    /// Components the buffer holds without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
+    /// Resets every component to zero, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Joins `other` into `self` (pointwise maximum).
     pub fn join(&mut self, other: &VectorClock) {
         if self.entries.len() < other.entries.len() {

@@ -400,10 +400,10 @@ struct ReaderRecords {
 }
 
 impl ReaderRecords {
-    fn with(rec: RawAccess, gen: StackGen) -> Self {
-        ReaderRecords {
-            recs: vec![(rec, gen)],
-        }
+    fn with(rec: RawAccess, gen: StackGen, spare: &mut Spare) -> Self {
+        let mut recs = spare.records.pop().unwrap_or_default();
+        recs.push((rec, gen));
+        ReaderRecords { recs }
     }
 
     /// The record the cache-off run would currently hold (MRU front).
@@ -429,7 +429,7 @@ impl ReaderRecords {
     /// record for `gen`, evicting the least-recently-used entry beyond
     /// [`READER_GENS`]. The matching-front case reuses the existing
     /// stack buffer — steady-state slow reads stay allocation-free.
-    fn store(&mut self, tid: ThreadId, stack: &[FrameId], gen: StackGen) {
+    fn store(&mut self, tid: ThreadId, stack: &[FrameId], gen: StackGen, spare: &mut Spare) {
         if let Some(i) = self.recs.iter().position(|(_, g)| *g == gen) {
             self.recs[..=i].rotate_right(1);
             let (a, _) = &mut self.recs[0];
@@ -439,18 +439,13 @@ impl ReaderRecords {
             a.stack.extend_from_slice(stack);
             return;
         }
-        self.recs.insert(
-            0,
-            (
-                RawAccess {
-                    kind: AccessKind::Read,
-                    stack: stack.to_vec(),
-                    tid,
-                },
-                gen,
-            ),
-        );
-        self.recs.truncate(READER_GENS);
+        self.recs
+            .insert(0, (spare.access(AccessKind::Read, stack, tid), gen));
+        if self.recs.len() > READER_GENS {
+            if let Some((evicted, _)) = self.recs.pop() {
+                spare.put_access(evicted);
+            }
+        }
     }
 }
 
@@ -462,10 +457,7 @@ enum ReadState {
     /// holding a short MRU list of records tagged with the [`StackGen`]
     /// they were captured under (the owner cache's freshness witness,
     /// per reader and per read site).
-    Shared(
-        VectorClock,
-        HashMap<ThreadId, ReaderRecords, FastBuildHasher>,
-    ),
+    Shared(VectorClock, ReaderMap),
 }
 
 #[derive(Debug, Clone)]
@@ -508,6 +500,239 @@ struct SyncState {
 /// One page of dense variable states (see [`PAGE_SIZE`]).
 type VarPage = Box<[VarState]>;
 
+/// One side of a race as the transfer functions see it: kind, stack,
+/// external thread id.
+type AccessRef<'a> = (AccessKind, &'a [FrameId], ThreadId);
+
+/// The stored access record, or — defensively, a non-zero epoch always
+/// has one — an empty-stack record attributed to the slot's current
+/// external owner.
+fn record_or<'a>(
+    rec: Option<&'a RawAccess>,
+    kind: AccessKind,
+    slot: usize,
+    slot_owner: &[ThreadId],
+) -> AccessRef<'a> {
+    match rec {
+        Some(a) => (a.kind, &a.stack[..], a.tid),
+        None => (kind, &[], slot_owner.get(slot).copied().unwrap_or(slot)),
+    }
+}
+
+/// The races one run recorded, deduplicated by variable and stack pair.
+#[derive(Debug, Default)]
+struct RaceLog {
+    list: Vec<RawRace>,
+    seen: HashSet<u64, FastBuildHasher>,
+}
+
+impl RaceLog {
+    /// Records the race between `prev` and `cur` on `addr` unless this
+    /// run already recorded one with the same variable and the same
+    /// (unordered) pair of stacks. The identity is hashed from the
+    /// borrowed stacks first, so a replayed race allocates nothing.
+    fn push(
+        &mut self,
+        spare: &mut Spare,
+        prev: AccessRef<'_>,
+        cur: AccessRef<'_>,
+        addr: Addr,
+        var: NameId,
+    ) {
+        let stack_hash = |stack: &[FrameId]| {
+            let mut sh = Fnv1a::new();
+            for fid in stack {
+                sh.write(&fid.to_le_bytes());
+            }
+            sh.finish()
+        };
+        let mut h = Fnv1a::new();
+        h.write(&var.to_le_bytes());
+        // Symmetric over the two stacks: hash the sorted pair of
+        // full-stack hashes.
+        let (a, b) = (stack_hash(prev.1), stack_hash(cur.1));
+        for s in [a.min(b), a.max(b)] {
+            h.write(&s.to_le_bytes());
+        }
+        if self.seen.insert(h.finish()) {
+            self.list.push(RawRace {
+                prev: spare.access(prev.0, prev.1, prev.2),
+                cur: spare.access(cur.0, cur.1, cur.2),
+                addr,
+                var,
+            });
+        }
+    }
+
+    fn clear(&mut self, spare: &mut Spare) {
+        for r in self.list.drain(..) {
+            spare.put_access(r.prev);
+            spare.put_access(r.cur);
+        }
+        self.seen.clear();
+    }
+}
+
+/// Per-reader record lists of one read-shared variable.
+type ReaderMap = HashMap<ThreadId, ReaderRecords, FastBuildHasher>;
+
+/// Per-address variable states: dense pages below `dense_limit`, a
+/// hash map above it.
+#[derive(Debug)]
+struct VarTable {
+    /// Dense states in lazily instantiated fixed-size pages.
+    pages: Vec<Option<VarPage>>,
+    /// Overflow states for sparse high addresses.
+    sparse: HashMap<Addr, VarState, FastBuildHasher>,
+    /// Dense/sparse crossover ([`DENSE_LIMIT`] unless overridden).
+    dense_limit: Addr,
+    /// Page indices instantiated since the last reset: exactly the
+    /// pages [`Detector::reset`] has to scrub.
+    touched: Vec<usize>,
+    /// Scrubbed pages from earlier runs, reused before allocating.
+    free: Vec<VarPage>,
+}
+
+impl VarTable {
+    fn new(dense_limit: Addr) -> Self {
+        VarTable {
+            pages: Vec::new(),
+            sparse: HashMap::default(),
+            dense_limit,
+            touched: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn state_mut(&mut self, addr: Addr) -> &mut VarState {
+        let i = addr as usize;
+        if addr < self.dense_limit {
+            let p = i >> PAGE_BITS;
+            if self.pages.get(p).map_or(true, Option::is_none) {
+                self.instantiate(p);
+            }
+            let page = self.pages[p].as_mut().expect("page instantiated");
+            &mut page[i & (PAGE_SIZE - 1)]
+        } else {
+            self.sparse.entry(addr).or_default()
+        }
+    }
+
+    #[cold]
+    fn instantiate(&mut self, p: usize) {
+        if p >= self.pages.len() {
+            self.pages.resize_with(p + 1, || None);
+        }
+        let page = self
+            .free
+            .pop()
+            .unwrap_or_else(|| vec![VarState::default(); PAGE_SIZE].into_boxed_slice());
+        self.pages[p] = Some(page);
+        self.touched.push(p);
+    }
+
+    /// Scrubs every state this run created back to pristine, salvaging
+    /// record buffers into `spare` and pages into the free list. Costs
+    /// in proportion to the pages the run touched.
+    fn reset(&mut self, spare: &mut Spare) {
+        for p in self.touched.drain(..) {
+            if let Some(mut page) = self.pages.get_mut(p).and_then(Option::take) {
+                for vs in page.iter_mut() {
+                    spare.put_state(vs);
+                }
+                self.free.push(page);
+            }
+        }
+        self.pages.clear();
+        for (_, mut vs) in self.sparse.drain() {
+            spare.put_state(&mut vs);
+        }
+    }
+}
+
+/// Buffers salvaged from retired shadow state and handed out again
+/// before anything is allocated: access-record stacks, clocks,
+/// reader maps and reader record lists. [`Detector::reset`] fills it, so
+/// a detector reused across runs allocates only where a run outgrows
+/// every earlier one. Purely physical; nothing logical reads it.
+#[derive(Debug, Default)]
+struct Spare {
+    stacks: Vec<Vec<FrameId>>,
+    clocks: Vec<VectorClock>,
+    readers: Vec<ReaderMap>,
+    records: Vec<Vec<(RawAccess, StackGen)>>,
+}
+
+impl Spare {
+    fn access(&mut self, kind: AccessKind, stack: &[FrameId], tid: ThreadId) -> RawAccess {
+        let mut buf = self.stacks.pop().unwrap_or_default();
+        buf.extend_from_slice(stack);
+        RawAccess {
+            kind,
+            stack: buf,
+            tid,
+        }
+    }
+
+    /// Keeps `a`'s stack buffer. Like every `put_*`, it drops a buffer
+    /// that never allocated, so each list holds at most as many
+    /// buffers as runs ever had live at once.
+    fn put_access(&mut self, mut a: RawAccess) {
+        if a.stack.capacity() > 0 {
+            a.stack.clear();
+            self.stacks.push(a.stack);
+        }
+    }
+
+    /// An all-zero clock.
+    fn clock(&mut self) -> VectorClock {
+        self.clocks.pop().unwrap_or_default()
+    }
+
+    fn clock_of(&mut self, c: &VectorClock) -> VectorClock {
+        let mut out = self.clock();
+        out.copy_from(c);
+        out
+    }
+
+    fn put_clock(&mut self, mut c: VectorClock) {
+        if c.capacity() > 0 {
+            c.clear();
+            self.clocks.push(c);
+        }
+    }
+
+    fn put_read(&mut self, r: ReadState) {
+        match r {
+            ReadState::Epoch(_, Some(a)) => self.put_access(a),
+            ReadState::Epoch(_, None) => {}
+            ReadState::Shared(vc, mut readers) => {
+                self.put_clock(vc);
+                for (_, mut r) in readers.drain() {
+                    for (a, _) in r.recs.drain(..) {
+                        self.put_access(a);
+                    }
+                    if r.recs.capacity() > 0 {
+                        self.records.push(r.recs);
+                    }
+                }
+                if readers.capacity() > 0 {
+                    self.readers.push(readers);
+                }
+            }
+        }
+    }
+
+    /// Resets `vs` to the pristine default, keeping its buffers.
+    fn put_state(&mut self, vs: &mut VarState) {
+        if let Some(a) = vs.w_access.take() {
+            self.put_access(a);
+        }
+        self.put_read(std::mem::take(vs).r);
+    }
+}
+
 /// The FastTrack detector for one program run.
 ///
 /// Thread identity is two-layered: the *external* [`ThreadId`]s handed
@@ -547,18 +772,14 @@ pub struct Detector {
     free_slots: Vec<(usize, VectorClock, u32)>,
     /// Join of every exited thread's final clock.
     retired: VectorClock,
-    /// Dense per-address variable state (addresses below `dense_limit`),
-    /// in lazily allocated fixed-size pages.
-    vars: Vec<Option<VarPage>>,
-    /// Overflow variable state for sparse high addresses.
-    vars_sparse: HashMap<Addr, VarState, FastBuildHasher>,
+    /// Per-address variable states.
+    vars: VarTable,
     syncs: HashMap<u64, SyncState, FastBuildHasher>,
-    races: Vec<RawRace>,
-    dedup: HashSet<u64, FastBuildHasher>,
+    races: RaceLog,
     stats: DetStats,
     shadow: ShadowStats,
-    /// Dense/sparse crossover ([`DENSE_LIMIT`] unless overridden).
-    dense_limit: Addr,
+    /// Buffers kept from earlier runs (see [`Detector::reset`]).
+    spare: Spare,
     /// Lock-aware caching (owner second chance + sync release epochs);
     /// on by default, off for differential testing.
     sync_cache: bool,
@@ -579,14 +800,12 @@ impl Default for Detector {
             published: Vec::new(),
             free_slots: Vec::new(),
             retired: VectorClock::new(),
-            vars: Vec::new(),
-            vars_sparse: HashMap::default(),
+            vars: VarTable::new(DENSE_LIMIT as Addr),
             syncs: HashMap::default(),
-            races: Vec::new(),
-            dedup: HashSet::default(),
+            races: RaceLog::default(),
             stats: DetStats::default(),
             shadow: ShadowStats::default(),
-            dense_limit: DENSE_LIMIT as Addr,
+            spare: Spare::default(),
             sync_cache: true,
             sample_mod: 1,
             sample_salt: 0,
@@ -598,15 +817,78 @@ impl Detector {
     /// Creates a detector with the main thread (id 0) registered.
     pub fn new() -> Self {
         let mut d = Detector::default();
-        let mut c = VectorClock::new();
-        c.tick(0);
-        d.clocks.push(c);
-        d.slot_of.push(0);
-        d.slot_owner.push(0);
-        d.slot_live.push(true);
-        d.exited.push(false);
-        d.published.push(0);
+        d.register_main();
         d
+    }
+
+    fn register_main(&mut self) {
+        let mut c = self.spare.clock();
+        c.tick(0);
+        self.clocks.push(c);
+        self.slot_of.push(0);
+        self.slot_owner.push(0);
+        self.slot_live.push(true);
+        self.exited.push(false);
+        self.published.push(0);
+    }
+
+    /// Returns the detector to the state [`Detector::new`] builds: only
+    /// the main thread registered, and no shadow state, sync clocks,
+    /// races or statistics. Configuration (sync cache, sampling, dense
+    /// limit) is kept, and so are buffers: clocks, access-record stacks,
+    /// dense pages and map capacity are recycled into the next run, so
+    /// a host re-running one program allocates only where a run
+    /// outgrows every earlier one. Only the pages this run instantiated
+    /// are scrubbed, so a reset costs in proportion to the run, not to
+    /// the retained capacity. Every event sequence replayed after a
+    /// reset produces exactly what it produces on a new detector.
+    pub fn reset(&mut self) {
+        // Destructured without `..`, so a new field cannot be forgotten.
+        let Detector {
+            clocks,
+            slot_of,
+            slot_owner,
+            slot_live,
+            exited,
+            published,
+            free_slots,
+            retired,
+            vars,
+            syncs,
+            races,
+            stats,
+            shadow,
+            spare,
+            sync_cache: _,
+            sample_mod: _,
+            sample_salt: _,
+        } = self;
+        vars.reset(spare);
+        for (_, s) in syncs.drain() {
+            spare.put_clock(s.clock);
+        }
+        races.clear(spare);
+        for c in clocks.drain(..) {
+            spare.put_clock(c);
+        }
+        for (_, c, _) in free_slots.drain(..) {
+            spare.put_clock(c);
+        }
+        retired.clear();
+        slot_of.clear();
+        slot_owner.clear();
+        slot_live.clear();
+        exited.clear();
+        published.clear();
+        *stats = DetStats::default();
+        *shadow = ShadowStats::default();
+        self.register_main();
+    }
+
+    /// Hands a clock the host no longer needs (a consumed message clock
+    /// from [`Detector::release_snapshot`]) back for reuse.
+    pub fn recycle_clock(&mut self, c: VectorClock) {
+        self.spare.put_clock(c);
     }
 
     /// [`Detector::new`] configured from [`DetectorOptions`].
@@ -620,7 +902,7 @@ impl Detector {
     /// (tests exercise the exact boundary without a 4M-entry array).
     pub fn with_dense_limit(limit: usize) -> Self {
         let mut d = Detector::new();
-        d.dense_limit = limit as Addr;
+        d.vars.dense_limit = limit as Addr;
         d
     }
 
@@ -700,26 +982,6 @@ impl Detector {
         self.slot_of[t]
     }
 
-    fn var_mut<'a>(
-        dense: &'a mut Vec<Option<VarPage>>,
-        sparse: &'a mut HashMap<Addr, VarState, FastBuildHasher>,
-        dense_limit: Addr,
-        addr: Addr,
-    ) -> &'a mut VarState {
-        let i = addr as usize;
-        if addr < dense_limit {
-            let p = i >> PAGE_BITS;
-            if p >= dense.len() {
-                dense.resize_with(p + 1, || None);
-            }
-            let page = dense[p]
-                .get_or_insert_with(|| vec![VarState::default(); PAGE_SIZE].into_boxed_slice());
-            &mut page[i & (PAGE_SIZE - 1)]
-        } else {
-            sparse.entry(addr).or_default()
-        }
-    }
-
     /// Registers a new thread forked by `parent`, returning its id.
     ///
     /// Establishes the happens-before edge from the `go` statement to
@@ -756,7 +1018,7 @@ impl Detector {
             }
             None => {
                 let slot = self.clocks.len();
-                let mut cc = self.clocks[pslot].clone();
+                let mut cc = self.spare.clock_of(&self.clocks[pslot]);
                 cc.tick(slot);
                 self.clocks.push(cc);
                 self.slot_owner.push(child);
@@ -864,12 +1126,7 @@ impl Detector {
         }
         let s = self.slot(t);
         let e = Epoch::new(s, self.clocks[s].get(s));
-        let vs = Self::var_mut(
-            &mut self.vars,
-            &mut self.vars_sparse,
-            self.dense_limit,
-            addr,
-        );
+        let vs = self.vars.state_mut(addr);
         let VarState {
             w,
             w_access,
@@ -914,11 +1171,7 @@ impl Detector {
                                     a.stack.clone_from(&wa.stack);
                                 }
                                 None => {
-                                    *acc = Some(RawAccess {
-                                        kind: AccessKind::Read,
-                                        stack: wa.stack.clone(),
-                                        tid: t,
-                                    })
+                                    *acc = Some(self.spare.access(AccessKind::Read, &wa.stack, t))
                                 }
                             }
                             *re = e;
@@ -976,12 +1229,7 @@ impl Detector {
         // The state record below stores the current epoch.
         self.published[s] = e.clock;
         let slot_owner = &self.slot_owner;
-        let vs = Self::var_mut(
-            &mut self.vars,
-            &mut self.vars_sparse,
-            self.dense_limit,
-            addr,
-        );
+        let vs = self.vars.state_mut(addr);
 
         // Same-epoch guard (no-op when correctly preceded by a
         // `read_fast` miss; keeps direct calls semantically identical to
@@ -994,24 +1242,21 @@ impl Detector {
 
         // Write-read check.
         if !vs.w.le(ct) {
-            let prev = vs.w_access.clone().unwrap_or_else(|| RawAccess {
-                kind: AccessKind::Write,
-                stack: Vec::new(),
-                // Defensive only (a non-zero epoch always has a record):
-                // resolve the slot to its current external owner.
-                tid: slot_owner.get(vs.w.tid).copied().unwrap_or(vs.w.tid),
-            });
-            let race = RawRace {
+            // Defensive fallback only (a non-zero epoch always has a
+            // record): resolve the slot to its current external owner.
+            let prev = record_or(
+                vs.w_access.as_ref(),
+                AccessKind::Write,
+                vs.w.tid,
+                slot_owner,
+            );
+            self.races.push(
+                &mut self.spare,
                 prev,
-                cur: RawAccess {
-                    kind: AccessKind::Read,
-                    stack: stack.to_vec(),
-                    tid: t,
-                },
+                (AccessKind::Read, stack, t),
                 addr,
                 var,
-            };
-            Self::push_race(&mut self.races, &mut self.dedup, race);
+            );
         }
 
         // Update read state. The epoch-exclusive branch reuses the
@@ -1028,37 +1273,22 @@ impl Detector {
                             a.stack.clear();
                             a.stack.extend_from_slice(stack);
                         }
-                        None => {
-                            *acc = Some(RawAccess {
-                                kind: AccessKind::Read,
-                                stack: stack.to_vec(),
-                                tid: t,
-                            })
-                        }
+                        None => *acc = Some(self.spare.access(AccessKind::Read, stack, t)),
                     }
                     vs.r_gen = gen;
                 } else {
-                    let mut vc = VectorClock::new();
+                    let spare = &mut self.spare;
+                    let mut vc = spare.clock();
                     vc.set(re.tid, re.clock);
                     vc.set(s, e.clock);
                     self.stats.clock_allocs += 1;
-                    let mut accs: HashMap<ThreadId, ReaderRecords, FastBuildHasher> =
-                        HashMap::default();
+                    let mut accs = spare.readers.pop().unwrap_or_default();
                     let prev_gen = vs.r_gen;
                     if let Some(a) = acc.take() {
-                        accs.insert(re.tid, ReaderRecords::with(a, prev_gen));
+                        accs.insert(re.tid, ReaderRecords::with(a, prev_gen, spare));
                     }
-                    accs.insert(
-                        s,
-                        ReaderRecords::with(
-                            RawAccess {
-                                kind: AccessKind::Read,
-                                stack: stack.to_vec(),
-                                tid: t,
-                            },
-                            gen,
-                        ),
-                    );
+                    let cur = spare.access(AccessKind::Read, stack, t);
+                    accs.insert(s, ReaderRecords::with(cur, gen, spare));
                     vs.r = ReadState::Shared(vc, accs);
                     vs.r_gen = StackGen::NONE;
                 }
@@ -1068,7 +1298,12 @@ impl Detector {
                 // Front-store into the reader's MRU records (same-site
                 // refreshes reuse the existing stack buffer: repeated
                 // shared reads are allocation-free).
-                accs.entry(s).or_default().store(t, stack, gen);
+                let spare = &mut self.spare;
+                accs.entry(s)
+                    .or_insert_with(|| ReaderRecords {
+                        recs: spare.records.pop().unwrap_or_default(),
+                    })
+                    .store(t, stack, gen, spare);
                 vs.r_gen = StackGen::NONE;
             }
         }
@@ -1111,12 +1346,7 @@ impl Detector {
         }
         let s = self.slot(t);
         let e = Epoch::new(s, self.clocks[s].get(s));
-        let vs = Self::var_mut(
-            &mut self.vars,
-            &mut self.vars_sparse,
-            self.dense_limit,
-            addr,
-        );
+        let vs = self.vars.state_mut(addr);
         if vs.w == e {
             self.stats.write_fast_hits += 1;
             return (FastPath::EpochHit, StackGen::NONE);
@@ -1168,78 +1398,41 @@ impl Detector {
         // The state record below stores the current epoch.
         self.published[s] = e.clock;
         let slot_owner = &self.slot_owner;
-        let vs = Self::var_mut(
-            &mut self.vars,
-            &mut self.vars_sparse,
-            self.dense_limit,
-            addr,
-        );
+        let vs = self.vars.state_mut(addr);
 
         // Same-epoch guard (see `read_slow`).
         if vs.w == e {
             return;
         }
 
-        let mk_cur = || RawAccess {
-            kind: AccessKind::Write,
-            stack: stack.to_vec(),
-            tid: t,
-        };
+        let cur = (AccessKind::Write, stack, t);
 
         // Write-write check.
         if !vs.w.le(ct) {
-            let prev = vs.w_access.clone().unwrap_or_else(|| RawAccess {
-                kind: AccessKind::Write,
-                stack: Vec::new(),
-                // Defensive only — see `read_slow`.
-                tid: slot_owner.get(vs.w.tid).copied().unwrap_or(vs.w.tid),
-            });
-            let race = RawRace {
-                prev,
-                cur: mk_cur(),
-                addr,
-                var,
-            };
-            Self::push_race(&mut self.races, &mut self.dedup, race);
+            // Defensive fallback only — see `read_slow`.
+            let prev = record_or(
+                vs.w_access.as_ref(),
+                AccessKind::Write,
+                vs.w.tid,
+                slot_owner,
+            );
+            self.races.push(&mut self.spare, prev, cur, addr, var);
         }
 
         // Read-write check.
         match &vs.r {
             ReadState::Epoch(re, racc) => {
                 if !re.is_zero() && !re.le(ct) {
-                    let prev = racc.clone().unwrap_or_else(|| RawAccess {
-                        kind: AccessKind::Read,
-                        stack: Vec::new(),
-                        tid: slot_owner.get(re.tid).copied().unwrap_or(re.tid),
-                    });
-                    let race = RawRace {
-                        prev,
-                        cur: mk_cur(),
-                        addr,
-                        var,
-                    };
-                    Self::push_race(&mut self.races, &mut self.dedup, race);
+                    let prev = record_or(racc.as_ref(), AccessKind::Read, re.tid, slot_owner);
+                    self.races.push(&mut self.spare, prev, cur, addr, var);
                 }
             }
             ReadState::Shared(vc, accs) => {
                 for (tid, val) in vc.iter() {
                     if val > ct.get(tid) {
-                        let prev = accs
-                            .get(&tid)
-                            .and_then(|r| r.current())
-                            .cloned()
-                            .unwrap_or_else(|| RawAccess {
-                                kind: AccessKind::Read,
-                                stack: Vec::new(),
-                                tid: slot_owner.get(tid).copied().unwrap_or(tid),
-                            });
-                        let race = RawRace {
-                            prev,
-                            cur: mk_cur(),
-                            addr,
-                            var,
-                        };
-                        Self::push_race(&mut self.races, &mut self.dedup, race);
+                        let rec = accs.get(&tid).and_then(|r| r.current());
+                        let prev = record_or(rec, AccessKind::Read, tid, slot_owner);
+                        self.races.push(&mut self.spare, prev, cur, addr, var);
                     }
                 }
             }
@@ -1255,7 +1448,7 @@ impl Detector {
                 a.stack.clear();
                 a.stack.extend_from_slice(stack);
             }
-            None => vs.w_access = Some(mk_cur()),
+            None => vs.w_access = Some(self.spare.access(AccessKind::Write, stack, t)),
         }
         vs.w_gen = gen;
         // FastTrack WriteShared: collapse the read state after checking.
@@ -1264,7 +1457,10 @@ impl Detector {
         // refills it in place instead of allocating.
         match &mut vs.r {
             ReadState::Epoch(re, _) => *re = Epoch::ZERO,
-            ReadState::Shared(..) => vs.r = ReadState::Epoch(Epoch::ZERO, None),
+            shared => {
+                let old = std::mem::replace(shared, ReadState::Epoch(Epoch::ZERO, None));
+                self.spare.put_read(old);
+            }
         }
         vs.r_gen = StackGen::NONE;
     }
@@ -1273,34 +1469,6 @@ impl Detector {
     pub fn write(&mut self, t: ThreadId, addr: Addr, var: NameId, stack: &[FrameId]) {
         if self.write_fast(t, addr, StackGen::NONE) == FastPath::Miss {
             self.write_slow(t, addr, var, stack, StackGen::NONE);
-        }
-    }
-
-    fn push_race(
-        races: &mut Vec<RawRace>,
-        dedup: &mut HashSet<u64, FastBuildHasher>,
-        race: RawRace,
-    ) {
-        let mut h = Fnv1a::new();
-        h.write(&race.var.to_le_bytes());
-        // Symmetric over the two stacks: hash the sorted pair of leaves
-        // plus full-stack hashes.
-        let mut stack_hashes: Vec<u64> = [&race.prev, &race.cur]
-            .iter()
-            .map(|a| {
-                let mut sh = Fnv1a::new();
-                for fid in &a.stack {
-                    sh.write(&fid.to_le_bytes());
-                }
-                sh.finish()
-            })
-            .collect();
-        stack_hashes.sort_unstable();
-        for s in stack_hashes {
-            h.write(&s.to_le_bytes());
-        }
-        if dedup.insert(h.finish()) {
-            races.push(race);
         }
     }
 
@@ -1347,7 +1515,7 @@ impl Detector {
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(SyncState {
-                    clock: self.clocks[slot].clone(),
+                    clock: self.spare.clock_of(&self.clocks[slot]),
                     release_epoch: epoch,
                 });
                 self.stats.clock_allocs += 1;
@@ -1373,7 +1541,7 @@ impl Detector {
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(SyncState {
-                    clock: self.clocks[slot].clone(),
+                    clock: self.spare.clock_of(&self.clocks[slot]),
                     release_epoch: Some(Epoch::new(slot, self.clocks[slot].get(slot))),
                 });
                 self.stats.clock_allocs += 1;
@@ -1399,7 +1567,7 @@ impl Detector {
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(SyncState {
-                    clock: self.clocks[slot].clone(),
+                    clock: self.spare.clock_of(&self.clocks[slot]),
                     release_epoch: Some(Epoch::new(slot, self.clocks[slot].get(slot))),
                 });
                 self.stats.clock_allocs += 1;
@@ -1413,7 +1581,7 @@ impl Detector {
     /// `t`. The returned clock travels with the message.
     pub fn release_snapshot(&mut self, t: ThreadId) -> VectorClock {
         let slot = self.slot(t);
-        let c = self.clocks[slot].clone();
+        let c = self.spare.clock_of(&self.clocks[slot]);
         self.stats.clock_allocs += 1;
         self.publish(slot);
         self.clocks[slot].tick(slot);
@@ -1432,12 +1600,12 @@ impl Detector {
     /// is a no-op, and `forget` never moves [`Detector::stats`].
     pub fn forget(&mut self, addr: Addr) {
         let i = addr as usize;
-        if addr < self.dense_limit {
-            if let Some(Some(page)) = self.vars.get_mut(i >> PAGE_BITS) {
-                page[i & (PAGE_SIZE - 1)] = VarState::default();
+        if addr < self.vars.dense_limit {
+            if let Some(Some(page)) = self.vars.pages.get_mut(i >> PAGE_BITS) {
+                self.spare.put_state(&mut page[i & (PAGE_SIZE - 1)]);
             }
-        } else {
-            self.vars_sparse.remove(&addr);
+        } else if let Some(mut vs) = self.vars.sparse.remove(&addr) {
+            self.spare.put_state(&mut vs);
         }
     }
 
@@ -1537,7 +1705,7 @@ impl Detector {
     pub fn collect(&mut self, frontier: &VectorClock) -> u64 {
         let before = self.shadow.states_collected;
         let shadow = &mut self.shadow;
-        for slot in self.vars.iter_mut() {
+        for slot in self.vars.pages.iter_mut() {
             let Some(page) = slot else { continue };
             let mut pristine = true;
             for vs in page.iter_mut() {
@@ -1551,7 +1719,7 @@ impl Detector {
                 shadow.pages_freed += 1;
             }
         }
-        self.vars_sparse.retain(|_, vs| {
+        self.vars.sparse.retain(|_, vs| {
             if Self::state_is_empty(vs) || !Self::state_dead(vs, frontier) {
                 // Keep live states and shared husks; drop a pristine
                 // entry (it behaves exactly like an absent one).
@@ -1568,27 +1736,31 @@ impl Detector {
     pub fn live_states(&self) -> u64 {
         let dense: usize = self
             .vars
+            .pages
             .iter()
             .flatten()
             .map(|p| p.iter().filter(|vs| !Self::state_is_empty(vs)).count())
             .sum();
         let sparse = self
-            .vars_sparse
+            .vars
+            .sparse
             .values()
             .filter(|vs| !Self::state_is_empty(vs))
             .count();
         (dense + sparse) as u64
     }
 
-    /// Deterministic estimate of resident shadow memory: allocated
-    /// dense pages, sparse entries and clock storage. Not an exact
+    /// Deterministic estimate of resident shadow memory: the current
+    /// run's dense pages, sparse entries and clock storage (buffers kept
+    /// for reuse by [`Detector::reset`] are not live state and are not
+    /// counted). Not an exact
     /// allocator measurement (record stacks and shared maps are
     /// excluded), but an exact function of the event sequence, so the
     /// perf gate can track it without wall-clock noise.
     pub fn shadow_bytes(&self) -> u64 {
         let state = std::mem::size_of::<VarState>() as u64;
-        let pages = self.vars.iter().flatten().count() as u64 * PAGE_SIZE as u64 * state;
-        let sparse = self.vars_sparse.len() as u64 * state;
+        let pages = self.vars.pages.iter().flatten().count() as u64 * PAGE_SIZE as u64 * state;
+        let sparse = self.vars.sparse.len() as u64 * state;
         let clocks: u64 = self
             .clocks
             .iter()
@@ -1600,12 +1772,12 @@ impl Detector {
 
     /// Races recorded so far.
     pub fn races(&self) -> &[RawRace] {
-        &self.races
+        &self.races.list
     }
 
     /// Consumes the detector, returning all recorded races.
     pub fn into_races(self) -> Vec<RawRace> {
-        self.races
+        self.races.list
     }
 
     /// Current clock of live thread `t` (for tests and debugging).
@@ -1849,10 +2021,15 @@ mod tests {
     }
 
     fn drive_trace(events: &[Ev], mode: u8, cache: bool) -> (Vec<RawRace>, DetStats) {
-        // mode 0: combined; 1: two-phase without gens; 2: two-phase
-        // with real gens.
         let mut d = Detector::new();
         d.set_sync_cache(cache);
+        replay(&mut d, events, mode);
+        (d.races().to_vec(), *d.stats())
+    }
+
+    fn replay(d: &mut Detector, events: &[Ev], mode: u8) {
+        // mode 0: combined; 1: two-phase without gens; 2: two-phase
+        // with real gens.
         let t1 = d.fork(0);
         let t2 = d.fork(0);
         assert_eq!((t1, t2), (1, 2));
@@ -1896,7 +2073,47 @@ mod tests {
                 }
             }
         }
-        (d.races().to_vec(), *d.stats())
+    }
+
+    #[test]
+    fn reset_replays_exactly_like_a_new_detector() {
+        // A wide first run: many pages, read-shared states, races, exits
+        // with slot reuse and a GC pass.
+        let mut d = Detector::new();
+        let mut wide = Vec::new();
+        for i in 0..40u64 {
+            let t = 1 + (i % 2) as ThreadId;
+            wide.push(Ev::W(t, i * 70, i));
+            wide.push(Ev::R(3 - t, i * 70, i + 1));
+            wide.push(Ev::R(t, i * 70, i + 2));
+        }
+        replay(&mut d, &wide, 2);
+        let extra = d.fork(0);
+        d.write(extra, 5000, V, &stack(9));
+        d.release(extra, 77);
+        d.thread_exit(extra);
+        d.acquire(0, 77);
+        let reused = d.fork(0);
+        d.read(reused, 5000, V, &stack(10));
+        if let Some(f) = d.live_frontier() {
+            d.collect(&f);
+        }
+        d.write(0, (DENSE_LIMIT + 3) as Addr, V, &stack(11));
+        assert!(!d.races().is_empty() && d.shadow_bytes() > 0);
+
+        d.reset();
+        let mut fresh = Detector::new();
+        for det in [&mut d, &mut fresh] {
+            replay(det, &mixed_trace(), 2);
+        }
+        assert_eq!(d.races(), fresh.races());
+        assert_eq!(d.stats(), fresh.stats());
+        assert_eq!(d.shadow_stats(), fresh.shadow_stats());
+        assert_eq!(d.shadow_bytes(), fresh.shadow_bytes());
+        assert_eq!(d.clock_width(), fresh.clock_width());
+        assert_eq!(d.live_states(), fresh.live_states());
+        assert_eq!(d.thread_count(), fresh.thread_count());
+        assert_eq!(d.retired_clock(), fresh.retired_clock());
     }
 
     /// A sync-heavy trace with same-thread streaks (owner-cache hits),
@@ -2114,9 +2331,12 @@ mod tests {
         assert_eq!(*d.stats(), before, "forget must not drift stats");
         // The never-grown dense slots stayed ungrown: everything here
         // lives on page 0, and forget must not allocate pages.
-        assert!(d.vars.len() <= 1, "forget must not grow the page table");
+        assert!(
+            d.vars.pages.len() <= 1,
+            "forget must not grow the page table"
+        );
         assert_eq!(
-            d.vars.iter().flatten().count(),
+            d.vars.pages.iter().flatten().count(),
             1,
             "forget must not allocate fresh pages"
         );

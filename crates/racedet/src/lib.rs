@@ -30,4 +30,4 @@ pub use fasttrack::{
     Addr, DetStats, Detector, DetectorOptions, FastBuildHasher, FastHasher, FastPath, FrameId,
     NameId, RawAccess, RawRace, ShadowStats, StackGen, DENSE_LIMIT, PAGE_SIZE,
 };
-pub use report::{Access, AccessKind, Frame, GoroutineInfo, RaceReport};
+pub use report::{bug_hash_of, Access, AccessKind, Frame, GoroutineInfo, RaceReport};

@@ -112,14 +112,7 @@ impl RaceReport {
             .iter()
             .flat_map(|a| a.stack.iter().map(|f| f.function.as_str()))
             .collect();
-        names.sort_unstable();
-        let mut h = Fnv1a::new();
-        h.write(self.var_name.as_bytes());
-        for n in names {
-            h.write(b"|");
-            h.write(n.as_bytes());
-        }
-        format!("{:016x}", h.finish())
+        format!("{:016x}", bug_hash_of(&self.var_name, &mut names))
     }
 
     /// Renders the report in the familiar `WARNING: DATA RACE` format.
@@ -156,6 +149,22 @@ impl fmt::Display for RaceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
+}
+
+/// The number behind [`RaceReport::bug_hash`] (which formats it as 16
+/// hex digits), computed from the hash's inputs alone: the variable name
+/// and the function names of both access stacks, which this sorts in
+/// place. Hosts holding races in interned form hash them with this
+/// without building a report.
+pub fn bug_hash_of(var_name: &str, functions: &mut [&str]) -> u64 {
+    functions.sort_unstable();
+    let mut h = Fnv1a::new();
+    h.write(var_name.as_bytes());
+    for n in functions.iter() {
+        h.write(b"|");
+        h.write(n.as_bytes());
+    }
+    h.finish()
 }
 
 /// Minimal FNV-1a used for stable, dependency-free hashing.

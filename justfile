@@ -86,12 +86,14 @@ campaign-smoke:
 campaign-scale:
     make campaign-scale
 
-# The CI `drbench-smoke` job: the benchmark's self-test, then one traced
-# 60-case fix-service run (exits 1 unless the serial, pipelined and
-# replay digests agree and the replayed validation steps match).
+# The CI `drbench-smoke` job: the benchmark's self-test, then traced
+# 60-case fix-service and 20-case fix-deep-validate runs (each exits 1
+# unless the serial, pipelined and replay digests agree and the replayed
+# validation steps match).
 drbench-smoke:
     cargo test --offline --manifest-path drbench/Cargo.toml
     cargo run --release -q --offline --manifest-path drbench/Cargo.toml -- --workload fix-service --cases 60 --trace 1
+    cargo run --release -q --offline --manifest-path drbench/Cargo.toml -- --workload fix-deep-validate --cases 20 --trace 1
 
 # The CI `soak-smoke` job: the streaming-soak test at reduced scale —
 # bounded detector footprint under goroutine churn with GC on, vs the
