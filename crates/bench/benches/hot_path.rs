@@ -54,16 +54,17 @@ fn main() {
         report.exposure.counters
     );
 
-    // 2. Per-schedule cost: a fresh VM per run vs one reset VM.
-    let (name, src, test) = hotpath::sync_heavy_cases()
-        .into_iter()
-        .next()
-        .expect("sync-heavy case");
-    let prog = compile_sources(
-        &[(format!("{name}.go"), src.to_owned())],
-        &CompileOptions::default(),
-    )
-    .expect("sync-heavy case compiles");
+    // 2. Per-schedule cost: a fresh VM per run vs one reset VM, on a
+    //    short validation-sized run (the first fixable stream case,
+    //    about a hundred steps), where per-run setup matters most.
+    let case = corpus::stream::CorpusStream::new(corpus::stream::StreamConfig {
+        family: corpus::stream::StreamFamily::Fixable,
+        seed: 0xD27F17,
+    })
+    .case(0);
+    let test = case.test.as_str();
+    let prog =
+        compile_sources(&case.files, &CompileOptions::default()).expect("stream case compiles");
     let n = 2000u64;
     let opts = |seed| VmOptions {
         seed,
