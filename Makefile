@@ -95,8 +95,7 @@ perf-smoke:
 ## reflect the machine, not a noisy-neighbour window.
 perf-baseline:
 	env -u DRFIX_PERF_CASES -u DRFIX_PERF_RUNS -u DRFIX_PERF_HEAP_CASES \
-	-u DRFIX_PERF_CHURN_CASES -u DRFIX_PERF_GATE_CASES -u DRFIX_PERF_TOURNAMENT_CASES \
-	-u DRFIX_PERF_NOCACHE -u DRFIX_PERF_NOGC \
+	-u DRFIX_PERF_CHURN_CASES \
 	DRFIX_PERF_REPEAT=10 \
 	$(CARGO) run --release -q -p bench --bin perfscan
 

@@ -35,9 +35,6 @@ fn main() {
         repeat: 3,
         heap_cases: 3,
         churn_cases: 2,
-        gate_cases: 4,
-        tournament_cases: 6,
-        campaign_cases: 12,
     };
 
     bench::header(

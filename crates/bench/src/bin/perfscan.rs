@@ -15,25 +15,15 @@
 //!   `--out <path>` additionally writes the fresh report (CI uploads it
 //!   as the run's artifact).
 //!
+//! The report gates the VM and detector cost counters per category,
+//! plus the register-tier section; every other contract (static gate,
+//! tournament, campaign digests) is pinned by exactly one tier-1 test.
+//!
 //! Scale knobs: `DRFIX_PERF_CASES` (default 28), `DRFIX_PERF_RUNS`
 //! (default 24), `DRFIX_PERF_REPEAT` (default 5),
 //! `DRFIX_PERF_HEAP_CASES` (default 3, the LargeHeap family),
-//! `DRFIX_PERF_CHURN_CASES` (default 3, the Churn family),
-//! `DRFIX_PERF_GATE_CASES` (default 6, the static-gate candidate
-//! workload), `DRFIX_PERF_TOURNAMENT_CASES` (default 8, the tournament
-//! arm), `DRFIX_PERF_CAMPAIGN_CASES` (default 96, the campaign
-//! orchestration arm). The gate refuses to compare reports produced at
-//! different scales.
-//! `DRFIX_PERF_NOCACHE=1` runs the identical workload with the
-//! lock-aware caches off — an A/B for timing work. The *logical*
-//! counters stay bit-identical, but the dedicated cache counters
-//! (`*_sync_hits`, `sync_epoch_hits`, `stack_cache_hits`) drop to
-//! zero, so never bake a NOCACHE run into the baseline
-//! (`make perf-baseline` clears the flag). `DRFIX_PERF_NOGC=1` is the
-//! analogous A/B for the shadow-state lifecycle: logical counters stay
-//! bit-identical, but the lifecycle gauges (`states_collected`,
-//! `clock_slots_reclaimed`, the peak gauges) collapse — equally unfit
-//! for a baseline.
+//! `DRFIX_PERF_CHURN_CASES` (default 3, the Churn family). The gate
+//! refuses to compare reports produced at different scales.
 //! `DRFIX_TIER=reg` runs the *whole* scan on the register interpreter
 //! tier — every deterministic counter stays bit-identical (that is the
 //! tier contract, pinned by the report's tier section, whose own A/B
@@ -115,83 +105,11 @@ fn main() -> ExitCode {
         report.total.counters.sync_epoch_hits,
         report.total.counters.stack_cache_hits,
     );
-    if let Some(sync) = report.categories.iter().find(|c| c.category == "SyncHeavy") {
-        println!(
-            "sync-heavy arms: {:.2}M instr/s vs PR 4 {:.2}M instr/s -> {:.2}x",
-            sync.ips / 1e6,
-            report.pr4.sync_heavy_ips / 1e6,
-            report.sync_heavy_speedup_vs_pr4,
-        );
-        if report.sync_heavy_nocache_ips > 0.0 {
-            println!(
-                "sync-heavy A/B (same process, caches off): {:.2}M instr/s -> {:.2}x from \
-                 the lock-aware caches alone",
-                report.sync_heavy_nocache_ips / 1e6,
-                report.sync_heavy_cache_speedup,
-            );
-        }
-    }
     println!(
         "shadow lifecycle: {} states collected | {} clock slots reclaimed | peak width {}",
         report.total.counters.states_collected,
         report.total.counters.clock_slots_reclaimed,
         report.total.counters.peak_clock_width,
-    );
-    for s in &report.sampling {
-        println!(
-            "sampling recall: mod {:>2} -> {}/{} racy cases exposed ({:.0}%)",
-            s.sample_mod,
-            s.exposed,
-            s.total,
-            100.0 * s.recall,
-        );
-    }
-    let g = &report.static_gate;
-    println!(
-        "static gate: candidates_rejected_static {}/{} | validation_instrs_saved {} \
-         ({} gated vs {} ungated VM steps, {} verdict mismatches)",
-        g.candidates_rejected_static,
-        g.candidates,
-        g.validation_instrs_saved,
-        g.validation_vm_steps_gated,
-        g.validation_vm_steps_ungated,
-        g.verdict_mismatches,
-    );
-    let t = &report.tournament;
-    println!(
-        "tournament: fixed {}/{} (single-path {}) | {} candidates, {} rejected static, \
-         {} repair iters | {} VM steps/fix ({} static-only, must be 0)",
-        t.cases_fixed,
-        t.cases,
-        t.cases_fixed_single_path,
-        t.candidates,
-        t.candidates_rejected_static,
-        t.repair_iters,
-        t.validation_steps_per_fix,
-        t.static_only_vm_steps,
-    );
-    let c = &report.campaign;
-    println!(
-        "campaign: {} cases x {} shards | pops {} steals {} probes {} folds {} \
-         checkpoints {} | digest {:#018x} ({} pipelined mismatches, must be 0)",
-        c.cases,
-        c.shards,
-        c.queue_pops,
-        c.steals,
-        c.steal_probes,
-        c.folds,
-        c.checkpoints,
-        c.digest,
-        c.digest_mismatches,
-    );
-    println!(
-        "campaign memory: serial resident {}B | pipelined resident {}B, in-flight {} | \
-         wall serial {:.2}s pipelined {:.2}s (reported, never gated)",
-        c.peak_resident_case_bytes,
-        c.pipelined_peak_resident_case_bytes,
-        c.pipelined_peak_in_flight,
-        c.wall_seconds_serial,
-        c.wall_seconds_pipelined,
     );
     let tr = &report.tier;
     println!(
@@ -204,12 +122,7 @@ fn main() -> ExitCode {
         tr.reg_fused_ops,
         tr.tier_mismatches,
     );
-    println!(
-        "exposure corpus: {:.2}M instr/s vs pre-optimization {:.2}M instr/s -> {:.2}x",
-        report.exposure.ips / 1e6,
-        report.pre_optimization.exposure_ips / 1e6,
-        report.exposure_speedup_vs_pre_optimization,
-    );
+    println!("exposure corpus: {:.2}M instr/s", report.exposure.ips / 1e6);
     println!(
         "full workload:   {:.2}M instr/s (wall-clock: reported, never gated)",
         report.total.ips / 1e6,

@@ -1012,6 +1012,37 @@ mod tests {
         );
     }
 
+    /// The serial executor's orchestration counters are exact functions
+    /// of the configuration: the lone worker drains its home shard,
+    /// then walks the other three, probing shard queues in order.
+    #[test]
+    fn serial_orchestration_counters_are_pinned() {
+        let mut cfg = CampaignConfig::new(
+            96,
+            4,
+            StreamConfig {
+                family: StreamFamily::Exposure,
+                seed: 0xD0F1,
+            },
+        );
+        cfg.pipeline.seed = 0xBEEF;
+        cfg.pipeline.detect_runs = 12;
+        cfg.checkpoint_every = 12;
+        let m = run_campaign(&cfg, None, None).unwrap().metrics;
+        assert_eq!(
+            (
+                m.queue_pops,
+                m.steals,
+                m.steal_probes,
+                m.folds,
+                m.checkpoints
+            ),
+            (96, 72, 244, 96, 8)
+        );
+        assert_eq!(m.folds, m.queue_pops);
+        assert_eq!(m.queue_pops, cfg.cases as u64);
+    }
+
     #[test]
     fn partition_covers_everything_contiguously() {
         for (cases, shards) in [(10, 3), (0, 2), (7, 7), (5, 9), (100, 1)] {

@@ -32,7 +32,7 @@ use std::time::Instant;
 /// SplitMix64: the standard 64-bit finalizing mixer (Steele et al.),
 /// used to derive statistically independent per-case seeds from one
 /// base seed. Re-exported from [`govm::sched`], which uses the same
-/// mixer for per-run campaign seeds ([`govm::sched::SeedStream::Split`])
+/// mixer for per-run campaign seeds ([`govm::sched::derive_seed`])
 /// — one derivation shared by fleet sharding and schedule exploration.
 pub use govm::sched::splitmix64;
 
@@ -42,10 +42,10 @@ pub use govm::sched::splitmix64;
 /// count or completion order — which is what makes parallel runs
 /// bit-identical to serial ones. It is intentionally the same
 /// `splitmix64(base ⊕ splitmix64(index))` stream that
-/// [`govm::sched::SeedStream::Split`] uses per run, so case-level and
+/// [`govm::sched::derive_seed`] uses per run, so case-level and
 /// run-level seed spaces stay uncorrelated by construction.
 pub fn derive_case_seed(base: u64, index: u64) -> u64 {
-    govm::sched::SeedStream::Split.derive(base, index)
+    govm::sched::derive_seed(base, index)
 }
 
 /// Derives the seed for one validation campaign from the pipeline seed,

@@ -78,7 +78,7 @@ pub use campaign::{
 };
 pub use database::{ExampleDb, RagMode};
 pub use fleet::{FleetConfig, FleetRun, FleetStats};
-pub use govm::{SchedulePolicy, SeedStream};
+pub use govm::SchedulePolicy;
 pub use pipeline::{DrFix, FailureKind, FixOutcome, PipelineConfig};
 pub use raceinfo::{extract, FixLocation, LocationKind, RaceInfo};
 pub use review::{review_fix, survey, ReviewOutcome};

@@ -433,7 +433,6 @@ impl<'db> DrFix<'db> {
                 tier: self.cfg.vm_tier,
                 ..VmOptions::default()
             },
-            ..TestConfig::default()
         }
     }
 

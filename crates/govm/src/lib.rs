@@ -35,7 +35,7 @@ pub mod vm;
 
 pub use bytecode::{Op, Program, TypeHint};
 pub use compile::{compile_package, compile_sources, CompileOptions};
-pub use sched::{Decision, SchedulePolicy, Scheduler, SeedStream};
+pub use sched::{derive_seed, SchedulePolicy};
 pub use testrun::{
     run_test, run_test_many, run_test_with, StopReason, TestConfig, TestOutcome, TestVm,
 };

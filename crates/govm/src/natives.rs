@@ -877,7 +877,9 @@ pub(crate) fn dispatch_method(
                     None => M::Error("rand state missing".into()),
                 },
                 ("md5.Hash", N::Write) => {
-                    let a = vm.heap.structs[*r].field("state").expect("hash state");
+                    let Some(a) = vm.heap.structs[*r].field("state") else {
+                        return M::Error("hash state missing".into());
+                    };
                     let add = match args.first() {
                         Some(Value::Str(s)) => s.len() as i64 + 7,
                         Some(Value::Slice(sl)) => vm.heap.slices[*sl].elems.len() as i64 + 3,
@@ -891,17 +893,23 @@ pub(crate) fn dispatch_method(
                     ])))
                 }
                 ("md5.Hash", N::Sum) => {
-                    let a = vm.heap.structs[*r].field("state").expect("hash state");
+                    let Some(a) = vm.heap.structs[*r].field("state") else {
+                        return M::Error("hash state missing".into());
+                    };
                     let cur = vm.read_cell(gid, a).as_int().unwrap_or(0);
                     M::Done(Value::str(format!("{cur:016x}")))
                 }
                 ("md5.Hash", N::Reset) => {
-                    let a = vm.heap.structs[*r].field("state").expect("hash state");
+                    let Some(a) = vm.heap.structs[*r].field("state") else {
+                        return M::Error("hash state missing".into());
+                    };
                     vm.write_cell(gid, a, Value::Int(0));
                     M::Done(Value::Nil)
                 }
                 ("strings.Reader", N::Read) => {
-                    let pos = vm.heap.structs[*r].field("pos").expect("reader pos");
+                    let Some(pos) = vm.heap.structs[*r].field("pos") else {
+                        return M::Error("reader state missing".into());
+                    };
                     let data = sfield(vm, *r, "data")
                         .map(|v| v.render(&vm.heap))
                         .unwrap_or_default();

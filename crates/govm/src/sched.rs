@@ -27,9 +27,8 @@
 //! [`crate::run_test_many`] can stop a campaign early once the schedule
 //! space saturates instead of burning instructions on replays.
 //!
-//! The VM accepts any custom engine via
-//! [`crate::Vm::with_scheduler`]; the built-in policies cover the
-//! paper's validation loop and the `schedules_to_expose` bench.
+//! The built-in policies cover the paper's validation loop and the
+//! `schedules_to_expose` bench.
 
 use crate::value::Gid;
 use rand::rngs::StdRng;
@@ -38,7 +37,7 @@ use rand::{Rng, SeedableRng};
 /// SplitMix64: the standard 64-bit finalizing mixer (Steele et al.).
 ///
 /// Used both to derive statistically independent per-run seeds from one
-/// base seed (see [`SeedStream::Split`]) and to seed the policies' own
+/// base seed (see [`derive_seed`]) and to seed the policies' own
 /// priority streams.
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -47,33 +46,18 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How a multi-run campaign derives per-run VM seeds from its base seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedStream {
-    /// `base + i` — the pre-refactor stream. Kept for exact replay of
-    /// historical campaigns; campaigns with nearby base seeds share most
-    /// of their schedules (base 0 runs 1..N are base 1 runs 0..N-1).
-    Sequential,
-    /// `splitmix64(base ⊕ splitmix64(i))` — statistically independent
-    /// per-run seeds; nearby base seeds share no schedules.
-    #[default]
-    Split,
-}
-
-impl SeedStream {
-    /// The VM seed for run `i` of a campaign with base seed `base`.
-    pub fn derive(self, base: u64, i: u64) -> u64 {
-        match self {
-            SeedStream::Sequential => base.wrapping_add(i),
-            SeedStream::Split => splitmix64(base ^ splitmix64(i)),
-        }
-    }
+/// The VM seed for run `i` of a campaign with base seed `base`:
+/// `splitmix64(base ⊕ splitmix64(i))`. Per-run seeds are statistically
+/// independent, and campaigns with nearby base seeds share no
+/// schedules.
+pub fn derive_seed(base: u64, i: u64) -> u64 {
+    splitmix64(base ^ splitmix64(i))
 }
 
 /// One scheduling decision: which goroutine runs next, and for how many
 /// instructions before the scheduler is consulted again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
+pub(crate) struct Decision {
     /// The goroutine to run.
     pub gid: Gid,
     /// Its quantum (clamped to at least 1 by the VM).
@@ -88,19 +72,14 @@ pub struct Decision {
 /// random and sweep policies do — exactly matching the pre-refactor
 /// draw sequence) or keep their own derived streams (PCT does, so its
 /// bookkeeping never perturbs program-visible randomness).
-pub trait Scheduler {
+pub(crate) trait Scheduler {
     /// Chooses the next goroutine and quantum.
     fn pick(&mut self, rng: &mut StdRng, runnable: &[Gid], steps: u64) -> Decision;
-
-    /// Short diagnostic label, e.g. `"pct(d=3)"`.
-    fn name(&self) -> String;
 }
 
 /// Declarative policy configuration, carried by [`crate::VmOptions`],
-/// [`crate::TestConfig`] and the pipeline configs. [`build`] turns it
-/// into a per-run [`Scheduler`] engine.
-///
-/// [`build`]: SchedulePolicy::build
+/// [`crate::TestConfig`] and the pipeline configs. The VM turns it
+/// into a per-run scheduling engine.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
     /// Uniform-random goroutine and quantum — the pre-refactor default.
@@ -140,7 +119,7 @@ impl SchedulePolicy {
 
     /// Instantiates the per-run engine for a run with seed `seed` and
     /// the VM's maximum preemption quantum `preempt_max`.
-    pub fn build(&self, seed: u64, preempt_max: u32) -> Box<dyn Scheduler> {
+    pub(crate) fn build(&self, seed: u64, preempt_max: u32) -> Box<dyn Scheduler> {
         match *self {
             SchedulePolicy::Random => Box::new(RandomScheduler { preempt_max }),
             SchedulePolicy::Pct { depth, budget } => {
@@ -218,10 +197,6 @@ impl Scheduler for RandomScheduler {
         let quantum = rng.gen_range(1..=self.preempt_max as u64);
         Decision { gid, quantum }
     }
-
-    fn name(&self) -> String {
-        "random".to_owned()
-    }
 }
 
 /// Uniform goroutine pick with a per-run fixed quantum.
@@ -237,10 +212,6 @@ impl Scheduler for SweepScheduler {
             quantum: self.quantum,
         }
     }
-
-    fn name(&self) -> String {
-        format!("sweep(q={})", self.quantum)
-    }
 }
 
 /// PCT-style priority scheduler.
@@ -252,7 +223,6 @@ impl Scheduler for SweepScheduler {
 /// PCT priority order. The engine keeps its own seed-derived rng so its
 /// draws never perturb the program-visible random stream.
 struct PctScheduler {
-    depth: u32,
     /// Change points (absolute instruction counts), ascending.
     change_points: Vec<u64>,
     next_cp: usize,
@@ -277,7 +247,6 @@ impl PctScheduler {
             (0..depth).map(|_| prio_rng.gen_range(1..=budget)).collect();
         change_points.sort_unstable();
         PctScheduler {
-            depth,
             change_points,
             next_cp: 0,
             priorities: Vec::new(),
@@ -323,10 +292,6 @@ impl Scheduler for PctScheduler {
             _ => 4096,
         };
         Decision { gid, quantum }
-    }
-
-    fn name(&self) -> String {
-        format!("pct(d={})", self.depth)
     }
 }
 
@@ -375,23 +340,6 @@ mod tests {
         assert_eq!(SchedulePolicy::parse("pct:seven"), None);
         assert_eq!(SchedulePolicy::parse("fifo"), None);
         assert_eq!(SchedulePolicy::parse("pct:1:2:3"), None);
-    }
-
-    #[test]
-    fn seed_streams_differ_in_collision_behaviour() {
-        // Sequential: base 0 and base 1 share all but one seed over 8 runs.
-        let a: Vec<u64> = (0..8)
-            .map(|i| SeedStream::Sequential.derive(0, i))
-            .collect();
-        let b: Vec<u64> = (0..8)
-            .map(|i| SeedStream::Sequential.derive(1, i))
-            .collect();
-        let shared = a.iter().filter(|s| b.contains(s)).count();
-        assert_eq!(shared, 7, "sequential streams overlap");
-        // Split: no overlap at all.
-        let a: Vec<u64> = (0..8).map(|i| SeedStream::Split.derive(0, i)).collect();
-        let b: Vec<u64> = (0..8).map(|i| SeedStream::Split.derive(1, i)).collect();
-        assert!(a.iter().all(|s| !b.contains(s)), "split streams collide");
     }
 
     #[test]

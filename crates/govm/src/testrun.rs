@@ -9,7 +9,7 @@
 //! campaign executes on one [`TestVm`], reset between runs.
 
 use crate::compile::{compile_sources, CompileOptions};
-use crate::sched::{SchedulePolicy, SeedStream};
+use crate::sched::{derive_seed, SchedulePolicy};
 use crate::value::Value;
 use crate::vm::{RunCounters, RunError, RunResult, Vm, VmOptions};
 use crate::Program;
@@ -18,19 +18,11 @@ use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Configuration for a test campaign.
-///
-/// **Default-behaviour note:** per-run seeds default to
-/// [`SeedStream::Split`] — a deliberate fix for the legacy `seed + i`
-/// stream, under which campaigns with nearby base seeds re-explored
-/// almost all of each other's schedules. Campaigns that must replay
-/// historical (pre-`govm::sched`) results bit-for-bit should use
-/// [`TestConfig::legacy`], which restores [`SeedStream::Sequential`]
-/// and is pinned by golden tests.
 #[derive(Debug, Clone)]
 pub struct TestConfig {
     /// Number of seeded schedules to run.
     pub runs: u32,
-    /// Base seed; run `i` uses `seed_stream.derive(seed, i)`.
+    /// Base seed; run `i` uses [`derive_seed`]`(seed, i)`.
     pub seed: u64,
     /// Per-run VM options (seed is overridden per run; the campaign
     /// [`policy`](TestConfig::policy) overrides `vm.policy`).
@@ -40,10 +32,6 @@ pub struct TestConfig {
     pub stop_on_race: bool,
     /// Schedule-exploration policy for every run of the campaign.
     pub policy: SchedulePolicy,
-    /// Per-run seed derivation. [`SeedStream::Split`] (the default)
-    /// makes nearby base seeds explore disjoint schedule sets;
-    /// [`SeedStream::Sequential`] replays the legacy `seed + i` stream.
-    pub seed_stream: SeedStream,
     /// Campaign-wide instruction budget: once the summed steps of the
     /// completed runs reach it, the campaign stops early.
     pub max_total_steps: Option<u64>,
@@ -61,25 +49,8 @@ impl Default for TestConfig {
             vm: VmOptions::default(),
             stop_on_race: false,
             policy: SchedulePolicy::Random,
-            seed_stream: SeedStream::Split,
             max_total_steps: None,
             dedup_streak: None,
-        }
-    }
-}
-
-impl TestConfig {
-    /// The pre-refactor campaign semantics: uniform-random policy,
-    /// `seed + i` per-run seeds, no dedup and no step budget. A campaign
-    /// built from this replays historical results bit-for-bit.
-    pub fn legacy(runs: u32, seed: u64, stop_on_race: bool) -> Self {
-        TestConfig {
-            runs,
-            seed,
-            stop_on_race,
-            policy: SchedulePolicy::Random,
-            seed_stream: SeedStream::Sequential,
-            ..TestConfig::default()
         }
     }
 }
@@ -287,7 +258,7 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
             }
         }
         let mut vmo = cfg.vm.clone();
-        vmo.seed = cfg.seed_stream.derive(cfg.seed, i as u64);
+        vmo.seed = derive_seed(cfg.seed, i as u64);
         vmo.policy = cfg.policy.clone();
         let r = tvm.run_new_races(test, vmo, &mut seen, &mut races);
         executed += 1;

@@ -92,15 +92,6 @@ pub struct VmOptions {
     /// bit-identical with it off (pinned by tests); only memory and
     /// the `ShadowStats` bookkeeping move.
     pub shadow_gc: bool,
-    /// Detector address-sampling modulus (1 = monitor everything, the
-    /// default). A coarser modulus deterministically skips shadow
-    /// tracking for all but a hash-spread `1/sample_mod` fraction of
-    /// addresses, trading recall for memory/time. The monitored subset
-    /// is salted with the run seed, so a multi-run campaign rotates
-    /// coverage instead of missing the same addresses forever; the
-    /// bench harness measures the recall it costs instead of letting
-    /// it pass silently.
-    pub sample_mod: u32,
     /// Which exec loop to run (see [`Tier`]). Defaults to the
     /// `DRFIX_TIER` environment knob, so an entire pipeline — testrun,
     /// fleet, campaign, perfscan — switches tier without any config
@@ -119,7 +110,6 @@ impl Default for VmOptions {
             policy: SchedulePolicy::Random,
             sync_epoch_cache: true,
             shadow_gc: true,
-            sample_mod: 1,
             tier: Tier::from_env(),
         }
     }
@@ -640,18 +630,9 @@ impl<'p> Vm<'p> {
     /// Creates a VM for `prog`, with the scheduling engine built from
     /// `opts.policy`.
     pub fn new(prog: &'p Program, opts: VmOptions) -> Self {
-        let engine = opts.policy.build(opts.seed, opts.preempt_max);
-        Self::with_scheduler(prog, opts, engine)
-    }
-
-    /// Creates a VM driven by a caller-supplied scheduling engine —
-    /// the extension point for exploration strategies beyond the
-    /// built-in [`SchedulePolicy`] variants.
-    pub fn with_scheduler(prog: &'p Program, opts: VmOptions, sched: Box<dyn Scheduler>) -> Self {
+        let sched = opts.policy.build(opts.seed, opts.preempt_max);
         let mut det = Detector::new();
         det.set_sync_cache(opts.sync_epoch_cache);
-        det.set_sample_mod(opts.sample_mod);
-        det.set_sample_salt(opts.seed);
         let mut vm = Vm {
             prog,
             heap: Heap::new(),
@@ -755,8 +736,6 @@ impl<'p> Vm<'p> {
         heap.clear();
         det.reset();
         det.set_sync_cache(opts.sync_epoch_cache);
-        det.set_sample_mod(opts.sample_mod);
-        det.set_sample_salt(opts.seed);
         for g in gos.drain(..) {
             let g = g.recycle(spare);
             spare.goroutines.push(g);

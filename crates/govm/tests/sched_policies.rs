@@ -2,16 +2,16 @@
 //!
 //! Three families:
 //!
-//! 1. **Pre-refactor goldens** — per-seed `run_test` results and
-//!    `TestConfig::legacy` campaign aggregates captured from the VM
-//!    *before* the `govm::sched` refactor. The random policy with the
-//!    same seeds must stay bit-identical to them forever.
+//! 1. **Pre-refactor goldens** — per-seed `run_test` results captured
+//!    from the VM *before* the `govm::sched` refactor. The random
+//!    policy with the same seeds must stay bit-identical to them
+//!    forever.
 //! 2. **Determinism properties** — the same `(policy, seed)` always
 //!    yields the identical race set, step count and schedule signature.
 //! 3. **Seed-stream / dedup / early-exit semantics** — the splitmix
 //!    regression fix and the schedule-saturation exits.
 
-use govm::sched::{SeedStream, SIGNATURE_SEED};
+use govm::sched::SIGNATURE_SEED;
 use govm::{
     compile_sources, run_test, run_test_many, run_test_with, CompileOptions, Program,
     SchedulePolicy, StopReason, TestConfig, VmOptions,
@@ -180,30 +180,6 @@ fn random_policy_matches_prerefactor_run_goldens() {
     assert_eq!(r.races[0].bug_hash(), "fe4cadd038a72ce8");
 }
 
-/// Campaign aggregates captured pre-refactor (`seed + i` per-run seeds,
-/// uniform-random policy). `TestConfig::legacy` must replay them.
-type CampaignGold = (&'static str, &'static str, u32, u64, bool, usize, u32, u64);
-
-#[test]
-fn legacy_campaigns_match_prerefactor_goldens() {
-    // (src, test, runs, base, stop_on_race, races, ran, steps)
-    let gold: &[CampaignGold] = &[
-        (RACY, "TestWork", 6, 3, false, 1, 6, 269),
-        (RACY, "TestWork", 10, 7, true, 1, 1, 45),
-        (CHANNELS, "TestPipe", 6, 3, false, 0, 6, 1037),
-        (CHANNELS, "TestPipe", 10, 7, true, 0, 10, 1560),
-        (CLEAN, "TestGuarded", 6, 3, false, 0, 6, 710),
-        (CLEAN, "TestGuarded", 10, 7, true, 0, 10, 1185),
-    ];
-    for &(src, test, runs, base, stop, races, ran, steps) in gold {
-        let prog = compile(src);
-        let out = run_test_many(&prog, test, &TestConfig::legacy(runs, base, stop));
-        assert_eq!(out.races.len(), races, "{test} base {base}: races");
-        assert_eq!(out.runs, ran, "{test} base {base}: runs executed");
-        assert_eq!(out.steps, steps, "{test} base {base}: total steps");
-    }
-}
-
 // ----------------------------------------------- determinism properties
 
 fn policies() -> Vec<SchedulePolicy> {
@@ -313,35 +289,19 @@ fn bug_hash_is_stable_across_schedules_and_policies() {
 
 // --------------------------------------- seed streams, dedup, early exit
 
-/// Regression for the correlated-seed-stream bug: with the legacy
-/// `seed + i` derivation, campaigns with nearby base seeds re-explore
-/// almost all of each other's schedules; with the splitmix default they
-/// share none.
+/// Regression for the correlated-seed-stream bug: under the old
+/// `seed + i` derivation, campaigns with nearby base seeds re-explored
+/// all but one of each other's schedules; the splitmix stream shares
+/// none.
 #[test]
 fn nearby_base_seeds_no_longer_share_schedules() {
     let runs = 16u64;
-    let seq_a: Vec<u64> = (0..runs)
-        .map(|i| SeedStream::Sequential.derive(100, i))
-        .collect();
-    let seq_b: Vec<u64> = (0..runs)
-        .map(|i| SeedStream::Sequential.derive(101, i))
-        .collect();
-    let overlap = seq_a.iter().filter(|s| seq_b.contains(s)).count();
-    assert_eq!(overlap as u64, runs - 1, "the bug: all but one seed shared");
-
-    let split_a: Vec<u64> = (0..runs)
-        .map(|i| SeedStream::Split.derive(100, i))
-        .collect();
-    let split_b: Vec<u64> = (0..runs)
-        .map(|i| SeedStream::Split.derive(101, i))
-        .collect();
+    let split_a: Vec<u64> = (0..runs).map(|i| govm::derive_seed(100, i)).collect();
+    let split_b: Vec<u64> = (0..runs).map(|i| govm::derive_seed(101, i)).collect();
     assert!(
         split_a.iter().all(|s| !split_b.contains(s)),
         "split streams must be disjoint"
     );
-
-    // And the default TestConfig uses the fixed stream.
-    assert_eq!(TestConfig::default().seed_stream, SeedStream::Split);
 }
 
 /// A single-goroutine program has exactly one interleaving: dedup
@@ -576,7 +536,7 @@ func TestPair(t *testing.T) {
     let mut expected_runs = 0u32;
     let mut saturated = false;
     for i in 0..48u64 {
-        let seed = govm::SeedStream::Split.derive(3, i);
+        let seed = govm::derive_seed(3, i);
         let r = run_test_with(
             &prog,
             "TestPair",

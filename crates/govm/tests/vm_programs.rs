@@ -1135,3 +1135,34 @@ func use(c *Config) {}
     assert!(races_somewhere(racy, "Main", 12));
     never_races(fixed, "Main", 24);
 }
+
+/// A composite literal of a library type the VM backs natively
+/// (`md5.Hash{}`, `strings.Reader{}`) builds a struct without the
+/// hidden state field the constructors set up. Calling a native method
+/// on it must fail the run with an error, never panic the host.
+#[test]
+fn native_methods_on_bare_library_literals_error_instead_of_panicking() {
+    let cases = [
+        ("crypto/md5", "md5.Hash", "h.Write(\"x\")"),
+        ("crypto/md5", "md5.Hash", "use(h.Sum(nil))"),
+        ("crypto/md5", "md5.Hash", "h.Reset()"),
+        (
+            "strings",
+            "strings.Reader",
+            "buf := []int{0, 0}\n\th.Read(buf)",
+        ),
+    ];
+    for (pkg, ty, call) in cases {
+        for amp in ["", "&"] {
+            let src = format!(
+                "package main\n\nimport \"{pkg}\"\n\nfunc Main() {{\n\th := {amp}{ty}{{}}\n\t{call}\n}}\n\nfunc use(x string) {{}}\n"
+            );
+            let r = run(&src, "Main");
+            assert!(
+                matches!(&r.error, Some(govm::RunError::Panic(m)) if m.contains("state missing")),
+                "{amp}{ty}{{}}: `{call}` must fail the run: {:?}",
+                r.error
+            );
+        }
+    }
+}

@@ -102,11 +102,6 @@
 //!   provably synchronised through the fork point, hence after the
 //!   exit. External [`ThreadId`]s stay dense and are never reused; the
 //!   slot indirection is invisible to hosts.
-//! - **Sampling** ([`DetectorOptions::sample_mod`]): skip shadow
-//!   updates for a deterministic subset of addresses. Unlike GC and
-//!   slot reuse this *does* trade recall for cost, so it is off by
-//!   default and its misses are measured, never silent (the bench
-//!   harness reports recall on the exposure corpus).
 
 use crate::clock::{Epoch, ThreadId, VectorClock};
 use crate::report::{AccessKind, Fnv1a};
@@ -126,8 +121,8 @@ pub type FrameId = u32;
 /// Addresses below this bound get dense (page-indexed) variable state;
 /// anything above falls back to a hash map. Hosts that allocate cells
 /// densely from zero — `govm` does — never touch the map.
-/// [`Detector::with_dense_limit`] overrides the bound (tests exercise
-/// the crossover without growing a multi-million-entry array).
+/// Unit tests lower the bound (`Detector::with_dense_limit`) to exercise
+/// the crossover without growing a multi-million-entry array.
 pub const DENSE_LIMIT: usize = 1 << 22;
 
 /// Dense variable states per page (pages are allocated on first touch
@@ -143,37 +138,12 @@ pub const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// page-level GC granularity finer for the churn regime.
 const PAGE_BITS: usize = 6;
 
-/// Construction-time detector configuration.
-///
-/// Everything here is also adjustable after construction; the struct
-/// exists so hosts can thread one value through their own option
-/// plumbing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DetectorOptions {
-    /// Address-sampling modulus. `0` or `1` monitors every address
-    /// (full recall). A value `m > 1` monitors a deterministic
-    /// pseudo-random `1/m` fraction of the address space (a fixed
-    /// multiplicative hash of the address, mod `m` — plain residues
-    /// would alias with allocator alignment): shadow updates for the
-    /// rest are skipped entirely (counted in
-    /// [`ShadowStats::sampled_skips`]), trading a deterministic,
-    /// measurable recall loss for per-event cost.
-    pub sample_mod: u32,
-}
-
-impl Default for DetectorOptions {
-    fn default() -> Self {
-        DetectorOptions { sample_mod: 1 }
-    }
-}
-
 /// Physical shadow-state lifecycle counters.
 ///
-/// Deliberately separate from [`DetStats`]: these move when GC, slot
-/// reclamation or sampling engage, while every `DetStats` field keeps
-/// its logical meaning and stays bit-identical across lifecycle on/off
-/// (sampling excepted — skipped events process nothing, which is the
-/// point). Deterministic for a given event sequence, like everything
+/// Deliberately separate from [`DetStats`]: these move when GC or slot
+/// reclamation engage, while every `DetStats` field keeps its logical
+/// meaning and stays bit-identical across lifecycle on/off.
+/// Deterministic for a given event sequence, like everything
 /// the perf gate compares.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShadowStats {
@@ -191,8 +161,6 @@ pub struct ShadowStats {
     pub threads_exited: u64,
     /// Clock slots of exited threads reused by a later fork.
     pub clock_slots_reclaimed: u64,
-    /// Shadow updates skipped by address sampling.
-    pub sampled_skips: u64,
 }
 
 impl ShadowStats {
@@ -204,7 +172,6 @@ impl ShadowStats {
         self.collect_passes += other.collect_passes;
         self.threads_exited += other.threads_exited;
         self.clock_slots_reclaimed += other.clock_slots_reclaimed;
-        self.sampled_skips += other.sampled_skips;
     }
 }
 
@@ -783,10 +750,6 @@ pub struct Detector {
     /// Lock-aware caching (owner second chance + sync release epochs);
     /// on by default, off for differential testing.
     sync_cache: bool,
-    /// Address-sampling modulus (≤ 1 = monitor everything).
-    sample_mod: u32,
-    /// Sampling rotation salt (see [`Detector::set_sample_salt`]).
-    sample_salt: u64,
 }
 
 impl Default for Detector {
@@ -807,8 +770,6 @@ impl Default for Detector {
             shadow: ShadowStats::default(),
             spare: Spare::default(),
             sync_cache: true,
-            sample_mod: 1,
-            sample_salt: 0,
         }
     }
 }
@@ -834,7 +795,7 @@ impl Detector {
 
     /// Returns the detector to the state [`Detector::new`] builds: only
     /// the main thread registered, and no shadow state, sync clocks,
-    /// races or statistics. Configuration (sync cache, sampling, dense
+    /// races or statistics. Configuration (sync cache, dense
     /// limit) is kept, and so are buffers: clocks, access-record stacks,
     /// dense pages and map capacity are recycled into the next run, so
     /// a host re-running one program allocates only where a run
@@ -860,8 +821,6 @@ impl Detector {
             shadow,
             spare,
             sync_cache: _,
-            sample_mod: _,
-            sample_salt: _,
         } = self;
         vars.reset(spare);
         for (_, s) in syncs.drain() {
@@ -891,56 +850,13 @@ impl Detector {
         self.spare.put_clock(c);
     }
 
-    /// [`Detector::new`] configured from [`DetectorOptions`].
-    pub fn with_options(opts: DetectorOptions) -> Self {
-        let mut d = Detector::new();
-        d.sample_mod = opts.sample_mod;
-        d
-    }
-
     /// [`Detector::new`] with a custom dense/sparse address crossover
     /// (tests exercise the exact boundary without a 4M-entry array).
-    pub fn with_dense_limit(limit: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_dense_limit(limit: usize) -> Self {
         let mut d = Detector::new();
         d.vars.dense_limit = limit as Addr;
         d
-    }
-
-    /// Sets the address-sampling modulus (see
-    /// [`DetectorOptions::sample_mod`]). Changing it mid-run is legal:
-    /// already-recorded shadow state stays valid, only future events
-    /// are filtered.
-    pub fn set_sample_mod(&mut self, sample_mod: u32) {
-        self.sample_mod = sample_mod;
-    }
-
-    /// Sets the sampling rotation salt. The monitored `1/sample_mod`
-    /// address subset is a function of the salt, so a host that feeds
-    /// each run's schedule seed here rotates coverage across a
-    /// campaign (HardRace's production-sampler design): a single run
-    /// monitors `1/m` of the space, but `n` runs miss an address with
-    /// probability only `(1 - 1/m)^n` — campaign recall degrades
-    /// gracefully instead of cliffing on whatever subset one fixed
-    /// hash picked. Deterministic per (salt, address); no effect when
-    /// sampling is off.
-    pub fn set_sample_salt(&mut self, salt: u64) {
-        self.sample_salt = salt;
-    }
-
-    /// `true` when address sampling elides shadow updates for `addr`.
-    ///
-    /// The address is spread with a fixed multiplicative hash before
-    /// the modulus so the monitored set is a pseudo-random (but fully
-    /// deterministic) `1/sample_mod` fraction of the address space — a
-    /// plain `addr % m` would alias with allocator alignment (hosts
-    /// hand out word-aligned cells, making recall all-or-nothing
-    /// instead of proportional).
-    #[inline]
-    fn sampled_out(&self, addr: Addr) -> bool {
-        self.sample_mod > 1
-            && ((addr ^ self.sample_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33)
-                % u64::from(self.sample_mod)
-                != 0
     }
 
     /// Enables or disables the lock-aware caches (owner second chance
@@ -1120,10 +1036,6 @@ impl Detector {
         gen_fn: F,
     ) -> (FastPath, StackGen) {
         self.stats.events += 1;
-        if self.sampled_out(addr) {
-            self.shadow.sampled_skips += 1;
-            return (FastPath::EpochHit, StackGen::NONE);
-        }
         let s = self.slot(t);
         let e = Epoch::new(s, self.clocks[s].get(s));
         let vs = self.vars.state_mut(addr);
@@ -1220,9 +1132,6 @@ impl Detector {
         stack: &[FrameId],
         gen: StackGen,
     ) {
-        if self.sampled_out(addr) {
-            return;
-        }
         let s = self.slot(t);
         let ct = &self.clocks[s];
         let e = Epoch::new(s, ct.get(s));
@@ -1340,10 +1249,6 @@ impl Detector {
         gen_fn: F,
     ) -> (FastPath, StackGen) {
         self.stats.events += 1;
-        if self.sampled_out(addr) {
-            self.shadow.sampled_skips += 1;
-            return (FastPath::EpochHit, StackGen::NONE);
-        }
         let s = self.slot(t);
         let e = Epoch::new(s, self.clocks[s].get(s));
         let vs = self.vars.state_mut(addr);
@@ -1389,9 +1294,6 @@ impl Detector {
         stack: &[FrameId],
         gen: StackGen,
     ) {
-        if self.sampled_out(addr) {
-            return;
-        }
         let s = self.slot(t);
         let ct = &self.clocks[s];
         let e = Epoch::new(s, ct.get(s));
@@ -2608,37 +2510,5 @@ mod tests {
             assert_eq!(*d.stats(), stats_ref, "mode {mode}");
             assert!(d.shadow_stats().collect_passes > 0);
         }
-    }
-
-    /// Satellite: `sample_mod = 1` monitors everything; a coarser mod
-    /// deterministically skips the off-residue addresses (no state, no
-    /// race) while fully tracking the rest, and only the physical skip
-    /// counter reveals the difference.
-    #[test]
-    fn sampling_is_deterministic_by_address() {
-        let racy = |d: &mut Detector, addr: Addr| {
-            let t1 = d.fork(0);
-            d.write(0, addr, V, &stack(1));
-            d.write(t1, addr, V, &stack(2));
-        };
-        let mut full = Detector::with_options(DetectorOptions::default());
-        racy(&mut full, 4);
-        assert_eq!(full.races().len(), 1, "sample_mod=1 finds every race");
-        assert_eq!(full.shadow_stats().sampled_skips, 0);
-
-        let opts = DetectorOptions { sample_mod: 4 };
-        let mut hit = Detector::with_options(opts);
-        racy(&mut hit, 6); // hash(6) % 4 == 0: monitored
-        assert_eq!(hit.races().len(), 1);
-
-        let mut miss = Detector::with_options(opts);
-        racy(&mut miss, 7); // hash(7) % 4 != 0: skipped
-        assert!(miss.races().is_empty(), "sampled-out race goes unseen");
-        assert_eq!(miss.live_states(), 0, "no shadow state materialises");
-        assert_eq!(miss.shadow_stats().sampled_skips, 2);
-        // Events still count — sampling is a physical knob, but the
-        // event stream length is part of the physical story the bench
-        // report uses to compute recall honestly.
-        assert_eq!(miss.stats().events, full.stats().events);
     }
 }

@@ -27,7 +27,7 @@ pub mod report;
 
 pub use clock::{Epoch, ThreadId, VectorClock};
 pub use fasttrack::{
-    Addr, DetStats, Detector, DetectorOptions, FastBuildHasher, FastHasher, FastPath, FrameId,
-    NameId, RawAccess, RawRace, ShadowStats, StackGen, DENSE_LIMIT, PAGE_SIZE,
+    Addr, DetStats, Detector, FastBuildHasher, FastHasher, FastPath, FrameId, NameId, RawAccess,
+    RawRace, ShadowStats, StackGen, DENSE_LIMIT, PAGE_SIZE,
 };
 pub use report::{bug_hash_of, Access, AccessKind, Frame, GoroutineInfo, RaceReport};

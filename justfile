@@ -71,8 +71,6 @@ perf-smoke:
 # the fastest of 10 repetitions).
 perf-baseline:
     env -u DRFIX_PERF_CASES -u DRFIX_PERF_RUNS -u DRFIX_PERF_HEAP_CASES -u DRFIX_PERF_CHURN_CASES \
-    -u DRFIX_PERF_GATE_CASES -u DRFIX_PERF_TOURNAMENT_CASES \
-    -u DRFIX_PERF_NOCACHE -u DRFIX_PERF_NOGC \
     DRFIX_PERF_REPEAT=10 cargo run --release -q -p bench --bin perfscan
 
 # The CI `campaign-smoke` job: kill a 4-worker campaign at its first

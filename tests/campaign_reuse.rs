@@ -100,7 +100,7 @@ fn configs(tier: Tier) -> Vec<TestConfig> {
 
 fn run_opts(cfg: &TestConfig, i: u32) -> VmOptions {
     VmOptions {
-        seed: cfg.seed_stream.derive(cfg.seed, u64::from(i)),
+        seed: govm::derive_seed(cfg.seed, u64::from(i)),
         policy: cfg.policy.clone(),
         ..cfg.vm.clone()
     }

@@ -18,7 +18,7 @@
 use corpus::CorpusConfig;
 use drfix::{DrFix, PipelineConfig, RagMode};
 use govm::{
-    compile_sources, run_test_many, run_test_with, CompileOptions, SchedulePolicy, SeedStream,
+    compile_sources, derive_seed, run_test_many, run_test_with, CompileOptions, SchedulePolicy,
     TestConfig, VmOptions,
 };
 use serde::{Deserialize, Serialize};
@@ -102,7 +102,7 @@ fn compute() -> Goldens {
             bug_hashes.sort();
             let schedule_sigs: Vec<u64> = (0..SIG_RUNS)
                 .map(|i| {
-                    let seed = SeedStream::Split.derive(CAMPAIGN_SEED, i);
+                    let seed = derive_seed(CAMPAIGN_SEED, i);
                     run_test_with(
                         &prog,
                         &case.test,
