@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke tier-smoke lint-corpus perf-smoke perf-baseline soak-smoke campaign-smoke campaign-scale drbench-smoke clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus perf-smoke perf-baseline soak-smoke campaign-smoke campaign-scale drbench-smoke clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -58,18 +58,6 @@ exposure-smoke:
 ## regression.
 tournament-smoke:
 	DRFIX_THREADS=2 $(CARGO) test --release -q --test tournament_ab
-
-## The CI `tier-smoke` job: the exposure suite and the hotpath /
-## lock-regime / shadow-GC goldens replayed with DRFIX_TIER=reg — every
-## logical observable (counters, bug hashes, schedule signatures) must
-## hold unchanged on the register interpreter tier — plus the dedicated
-## stack-vs-register differential suites, which pin both tiers
-## explicitly. Exits non-zero on any divergence.
-tier-smoke:
-	DRFIX_TIER=reg $(CARGO) test --release -q --test exposure_suite \
-	  --test hotpath_golden --test lockregime_golden --test shadowgc_golden
-	$(CARGO) test --release -q -p govm --test tier_differential --test underflow
-	$(CARGO) test --release -q -p bench --test tier_invariance
 
 ## Static-analyzer false-positive sweep: statcheck over every program
 ## family the pipeline treats as correct (human fixes, clean control,

@@ -15,19 +15,15 @@
 //!   `--out <path>` additionally writes the fresh report (CI uploads it
 //!   as the run's artifact).
 //!
-//! The report gates the VM and detector cost counters per category,
-//! plus the register-tier section; every other contract (static gate,
-//! tournament, campaign digests) is pinned by exactly one tier-1 test.
+//! The report gates the VM and detector cost counters per category;
+//! every other contract (static gate, tournament, campaign digests) is
+//! pinned by exactly one tier-1 test.
 //!
 //! Scale knobs: `DRFIX_PERF_CASES` (default 28), `DRFIX_PERF_RUNS`
 //! (default 24), `DRFIX_PERF_REPEAT` (default 5),
 //! `DRFIX_PERF_HEAP_CASES` (default 3, the LargeHeap family),
 //! `DRFIX_PERF_CHURN_CASES` (default 3, the Churn family). The gate
 //! refuses to compare reports produced at different scales.
-//! `DRFIX_TIER=reg` runs the *whole* scan on the register interpreter
-//! tier — every deterministic counter stays bit-identical (that is the
-//! tier contract, pinned by the report's tier section, whose own A/B
-//! always measures both tiers explicitly regardless of this knob).
 
 use bench::hotpath::{self, HotpathScale, Report};
 use std::path::{Path, PathBuf};
@@ -110,17 +106,6 @@ fn main() -> ExitCode {
         report.total.counters.states_collected,
         report.total.counters.clock_slots_reclaimed,
         report.total.counters.peak_clock_width,
-    );
-    let tr = &report.tier;
-    println!(
-        "tier A/B (sync-heavy, same process): stack {:.2}M instr/s vs register {:.2}M \
-         instr/s -> {:.2}x | {} fused ops | {} campaign mismatches, must be 0 \
-         (wall-clock: reported, never gated)",
-        tr.stack_ips / 1e6,
-        tr.reg_ips / 1e6,
-        tr.reg_speedup,
-        tr.reg_fused_ops,
-        tr.tier_mismatches,
     );
     println!("exposure corpus: {:.2}M instr/s", report.exposure.ips / 1e6);
     println!(

@@ -22,7 +22,7 @@
 
 use corpus::CorpusConfig;
 use govm::{
-    compile_sources, run_test_many, CompileOptions, RunCounters, SchedulePolicy, TestConfig, Tier,
+    compile_sources, run_test_many, CompileOptions, RunCounters, SchedulePolicy, TestConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -47,13 +47,9 @@ pub const WORKLOAD_SEED: u64 = 0xBEEF;
 ///
 /// v4–v6: static-gate, tournament and campaign sections (dropped in v8).
 ///
-/// v7: the tier section (`tier_mismatches`, `reg_fused_ops`,
-/// `sync_heavy_vm_steps`) gating the register interpreter tier: the
-/// SyncHeavy arms replayed on both tiers back-to-back in-process, every
-/// campaign observable compared bit for bit (`tier_mismatches` must
-/// stay 0), with the fused-superinstruction count pinned exactly as the
-/// physical proof the register tier engaged. Both tiers' wall-clock
-/// throughput and their ratio are reported, never gated.
+/// v7: the tier section (dropped in v9): the SyncHeavy arms replayed
+/// on the stack and register interpreter tiers, with mismatches and
+/// fused-op counts exact-gated.
 ///
 /// v8: the report gates only the VM and detector cost counters (per
 /// category, `exposure`, `total`) and the tier section. Dropped: the
@@ -61,7 +57,9 @@ pub const WORKLOAD_SEED: u64 = 0xBEEF;
 /// in-process cache-off A/B, the sampling-recall section, and the
 /// static-gate, tournament and campaign sections, whose contracts
 /// tier-1 tests pin exactly.
-pub const SCHEMA: u32 = 8;
+///
+/// v9: the tier section is dropped with the register tier it gated.
+pub const SCHEMA: u32 = 9;
 
 /// Tolerated relative drift for gated counters before the check fails.
 pub const GATE_TOLERANCE: f64 = 0.10;
@@ -436,157 +434,6 @@ pub struct WorkloadSpec {
     pub churn_cases: usize,
 }
 
-/// The interpreter-tier section: the SyncHeavy arms replayed on the
-/// stack tier and the lowered register tier back-to-back in the same
-/// process. The deterministic halves (`tier_mismatches`,
-/// `reg_fused_ops`, `sync_heavy_vm_steps`) are gated; the wall-clock
-/// halves (`stack_ips`, `reg_ips`, `reg_speedup`) are reported, never
-/// gated.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TierBenchReport {
-    /// `(case, policy)` campaigns whose observables (counters, step
-    /// totals, schedule-dedup tallies, race reports, test failures)
-    /// differed between tiers — must stay 0: the register tier is
-    /// logically invisible.
-    pub tier_mismatches: u64,
-    /// Fused superinstructions the register tier executed across all
-    /// SyncHeavy campaigns. An exact function of the seeded schedules;
-    /// pinned so the register tier can never silently degrade to the
-    /// unfused loop (and the stack tier never fuses at all).
-    pub reg_fused_ops: u64,
-    /// SyncHeavy VM steps — identical on both tiers by construction,
-    /// pinned as the cross-check that both arms ran the same work.
-    pub sync_heavy_vm_steps: u64,
-    /// Stack-tier SyncHeavy throughput, instr/s (reported, never gated).
-    pub stack_ips: f64,
-    /// Register-tier SyncHeavy throughput, instr/s (reported, never
-    /// gated).
-    pub reg_ips: f64,
-    /// `reg_ips / stack_ips` (reported, never gated).
-    pub reg_speedup: f64,
-}
-
-impl TierBenchReport {
-    /// `(name, value, direction)` triples, mirroring
-    /// [`CounterSet::gauges`]. Every deterministic field is an exact
-    /// fingerprint; wall-clock never appears here.
-    pub fn gauges(&self) -> Vec<(&'static str, u64, Direction)> {
-        vec![
-            ("tier_mismatches", self.tier_mismatches, Direction::Exact),
-            ("reg_fused_ops", self.reg_fused_ops, Direction::Exact),
-            (
-                "sync_heavy_vm_steps",
-                self.sync_heavy_vm_steps,
-                Direction::Exact,
-            ),
-        ]
-    }
-}
-
-/// Measures [`TierBenchReport`]: every SyncHeavy `(case, policy)`
-/// campaign runs under both tiers with identical seeds,
-/// [`HotpathScale::repeat`] timing repetitions each (fastest kept,
-/// counters asserted to replay), and the per-campaign observables are
-/// compared bit for bit.
-pub fn measure_tiers(scale: &HotpathScale) -> TierBenchReport {
-    let arms: Vec<(String, govm::Program)> = sync_heavy_cases()
-        .into_iter()
-        .map(|(name, src, test)| {
-            let prog = compile_sources(
-                &[(format!("{name}.go"), src.to_owned())],
-                &CompileOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-            (test.to_owned(), prog)
-        })
-        .collect();
-    let policies = workload_policies();
-    // Everything one campaign observed that the tiers must agree on.
-    type Summary = (RunCounters, u64, u32, u32, Vec<String>, Vec<String>);
-    let campaign = |tier: Tier| -> (Vec<Summary>, u64, f64) {
-        let mut summaries: Vec<Summary> = Vec::new();
-        let mut fused = 0u64;
-        let mut best = f64::MAX;
-        for rep in 0..scale.repeat {
-            let mut rep_summaries: Vec<Summary> = Vec::new();
-            let mut rep_fused = 0u64;
-            let mut elapsed = 0.0;
-            for (test, prog) in &arms {
-                for policy in &policies {
-                    let cfg = TestConfig {
-                        runs: scale.runs,
-                        seed: WORKLOAD_SEED,
-                        stop_on_race: false,
-                        policy: policy.clone(),
-                        vm: govm::VmOptions {
-                            tier,
-                            ..govm::VmOptions::default()
-                        },
-                        ..TestConfig::default()
-                    };
-                    let t0 = Instant::now();
-                    let out = run_test_many(prog, test, &cfg);
-                    elapsed += t0.elapsed().as_secs_f64();
-                    rep_fused += out.fused_ops;
-                    rep_summaries.push((
-                        out.counters,
-                        out.steps,
-                        out.distinct_schedules,
-                        out.duplicate_schedules,
-                        out.races.iter().map(|r| r.bug_hash()).collect(),
-                        out.test_failures,
-                    ));
-                }
-            }
-            if rep == 0 {
-                summaries = rep_summaries;
-                fused = rep_fused;
-            } else {
-                assert_eq!(
-                    summaries, rep_summaries,
-                    "tier campaigns must replay bit-identically across repetitions"
-                );
-                assert_eq!(fused, rep_fused);
-            }
-            if elapsed < best {
-                best = elapsed;
-            }
-        }
-        (summaries, fused, best)
-    };
-    let (stack_sums, stack_fused, stack_best) = campaign(Tier::Stack);
-    let (reg_sums, reg_fused, reg_best) = campaign(Tier::Reg);
-    assert_eq!(stack_fused, 0, "the stack tier must never fuse");
-    let tier_mismatches = stack_sums
-        .iter()
-        .zip(reg_sums.iter())
-        .filter(|(a, b)| a != b)
-        .count() as u64;
-    let vm_steps: u64 = stack_sums.iter().map(|s| s.0.vm_steps).sum();
-    let stack_ips = if stack_best > 0.0 && stack_best < f64::MAX {
-        vm_steps as f64 / stack_best
-    } else {
-        0.0
-    };
-    let reg_ips = if reg_best > 0.0 && reg_best < f64::MAX {
-        vm_steps as f64 / reg_best
-    } else {
-        0.0
-    };
-    TierBenchReport {
-        tier_mismatches,
-        reg_fused_ops: reg_fused,
-        sync_heavy_vm_steps: vm_steps,
-        stack_ips,
-        reg_ips,
-        reg_speedup: if stack_ips > 0.0 {
-            reg_ips / stack_ips
-        } else {
-            0.0
-        },
-    }
-}
-
 /// The `BENCH_hotpath.json` document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Report {
@@ -594,9 +441,6 @@ pub struct Report {
     pub schema: u32,
     /// Workload parameters.
     pub workload: WorkloadSpec,
-    /// The register-tier A/B on the SyncHeavy arms (mismatch and
-    /// fused-op counts exact-gated; wall-clock reported, never gated).
-    pub tier: TierBenchReport,
     /// Exposure-corpus aggregate (racy + human-fix campaigns; excludes
     /// the sync-heavy add-on).
     pub exposure: CategoryReport,
@@ -795,7 +639,6 @@ pub fn run_scan(scale: &HotpathScale) -> Report {
         0.0
     };
 
-    let tier = measure_tiers(scale);
     Report {
         schema: SCHEMA,
         workload: WorkloadSpec {
@@ -808,7 +651,6 @@ pub fn run_scan(scale: &HotpathScale) -> Report {
             large_heap_cases: scale.heap_cases,
             churn_cases: scale.churn_cases,
         },
-        tier,
         exposure,
         total,
         categories,
@@ -852,13 +694,8 @@ impl std::fmt::Display for Violation {
     }
 }
 
-fn check_gauges(
-    scope: &str,
-    base: &[(&'static str, u64, Direction)],
-    cur: &[(&'static str, u64, Direction)],
-    out: &mut Vec<Violation>,
-) {
-    for ((name, b, dir), (_, c, _)) in base.iter().copied().zip(cur.iter().copied()) {
+fn check_set(scope: &str, base: &CounterSet, cur: &CounterSet, out: &mut Vec<Violation>) {
+    for ((name, b, dir), (_, c, _)) in base.gauges().into_iter().zip(cur.gauges()) {
         let bad = match dir {
             Direction::Cost => c as f64 > b as f64 * (1.0 + GATE_TOLERANCE),
             Direction::Benefit => (c as f64) < b as f64 * (1.0 - GATE_TOLERANCE),
@@ -887,10 +724,6 @@ fn check_gauges(
             });
         }
     }
-}
-
-fn check_set(scope: &str, base: &CounterSet, cur: &CounterSet, out: &mut Vec<Violation>) {
-    check_gauges(scope, &base.gauges(), &cur.gauges(), out);
 }
 
 /// Renders violations as a `diff`-style table (baseline vs current per
@@ -954,12 +787,6 @@ pub fn check(baseline: &Report, current: &Report) -> Vec<Violation> {
         "exposure",
         &baseline.exposure.counters,
         &current.exposure.counters,
-        &mut out,
-    );
-    check_gauges(
-        "tier",
-        &baseline.tier.gauges(),
-        &current.tier.gauges(),
         &mut out,
     );
     let cur_by_cat: BTreeMap<&str, &CategoryReport> = current
@@ -1100,24 +927,6 @@ mod tests {
             "clock width should stay far below goroutine turnover: {:?}",
             churn.counters
         );
-        // Tier: the register tier must be logically invisible (zero
-        // mismatching campaigns), physically engaged (fused ops), and
-        // running the exact same instruction stream as the stack tier.
-        assert_eq!(a.tier.gauges(), b.tier.gauges());
-        assert_eq!(
-            a.tier.tier_mismatches, 0,
-            "register tier diverged from the stack tier: {:?}",
-            a.tier
-        );
-        assert!(
-            a.tier.reg_fused_ops > 0,
-            "register tier executed no fused superinstructions: {:?}",
-            a.tier
-        );
-        assert_eq!(
-            a.tier.sync_heavy_vm_steps, sync_cat.counters.vm_steps,
-            "tier arm ran a different SyncHeavy workload than the scan"
-        );
         assert!(check(&a, &b).is_empty());
     }
 
@@ -1128,8 +937,6 @@ mod tests {
         cur.total.counters.vm_steps = base.total.counters.vm_steps * 2;
         cur.total.counters.read_fast_hits = 0;
         cur.total.counters.races += 1;
-        cur.tier.tier_mismatches += 1;
-        cur.tier.reg_fused_ops = 0;
         let violations = check(&base, &cur);
         let text = violations
             .iter()
@@ -1139,8 +946,6 @@ mod tests {
         assert!(text.contains("vm_steps rose"), "{text}");
         assert!(text.contains("read_fast_hits fell"), "{text}");
         assert!(text.contains("races changed"), "{text}");
-        assert!(text.contains("tier_mismatches changed"), "{text}");
-        assert!(text.contains("reg_fused_ops changed"), "{text}");
         let table = render_violations(&violations);
         assert!(table.contains("vm_steps"), "{table}");
         assert!(table.contains("baseline"), "{table}");

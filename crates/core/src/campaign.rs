@@ -452,8 +452,8 @@ impl Snapshot {
 /// emits: per-phase busy time, queue/steal accounting, and the
 /// bounded-memory evidence. Deterministic fields (everything but the
 /// wall-clock, busy and gate-wait seconds and the high-waters of a
-/// threaded run) replay bit-identically on one worker — that is what the perfscan
-/// campaign section exact-gates.
+/// threaded run) replay bit-identically on one worker — that is what
+/// `serial_orchestration_counters_are_pinned` pins exactly.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignMetrics {
     /// Report schema ([`CAMPAIGN_SCHEMA`]).
@@ -1041,6 +1041,24 @@ mod tests {
         );
         assert_eq!(m.folds, m.queue_pops);
         assert_eq!(m.queue_pops, cfg.cases as u64);
+    }
+
+    /// Snapshots are resumed only under an equal fingerprint, and it
+    /// hashes `PipelineConfig`'s `Debug` rendering, so renaming or
+    /// reordering a pipeline field would silently orphan every saved
+    /// snapshot. Pinned to literals for a detect and a fix config.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let stream = StreamConfig {
+            family: StreamFamily::Mixed,
+            seed: 0xD0F1,
+        };
+        let detect = CampaignConfig::new(96, 4, stream);
+        let mut fix = CampaignConfig::new(96, 4, stream);
+        fix.mode = CampaignMode::Fix;
+        fix.pipeline.tournament = Some(crate::TournamentConfig::default());
+        assert_eq!(detect.fingerprint(), 0x03b4_8dea_a63e_ceaa);
+        assert_eq!(fix.fingerprint(), 0x64f5_eeb7_e957_6b3e);
     }
 
     #[test]

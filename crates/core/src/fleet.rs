@@ -110,12 +110,6 @@ impl FleetConfig {
     }
 }
 
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig::from_env()
-    }
-}
-
 /// Throughput measurements for one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetStats {

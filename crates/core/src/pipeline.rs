@@ -71,13 +71,11 @@ pub struct PipelineConfig {
     /// loop: multiple candidates per prompt, a statcheck-driven repair
     /// loop, and confidence-ranked winner selection.
     pub tournament: Option<crate::tournament::TournamentConfig>,
-    /// Interpreter tier every detection/validation VM runs on (distinct
-    /// from [`tier`](PipelineConfig::tier), the *model* tier). Defaults
-    /// to the `DRFIX_TIER` environment knob, so a whole campaign —
-    /// testrun, fleet, campaign orchestrator, perfscan — switches tier
-    /// without touching any config. Tier choice is proven
-    /// behaviour-invisible (bit-identical counters, bug hashes and
-    /// schedule signatures), so this only moves wall-clock.
+    /// Always [`govm::Tier::Stack`], the VM's only exec loop (distinct
+    /// from [`tier`](PipelineConfig::tier), the *model* tier). Kept only
+    /// because the frozen end-to-end harness sets it in a struct
+    /// literal; the next benchmark change deletes it. It stays in the
+    /// `Debug` output, so campaign fingerprints are unchanged.
     pub vm_tier: govm::Tier,
 }
 
@@ -99,7 +97,7 @@ impl Default for PipelineConfig {
             validation_dedup_streak: None,
             static_gate: true,
             tournament: None,
-            vm_tier: govm::Tier::from_env(),
+            vm_tier: govm::Tier::Stack,
         }
     }
 }
@@ -411,10 +409,6 @@ impl<'db> DrFix<'db> {
             seed: self.cfg.seed,
             stop_on_race: true,
             policy: self.cfg.detect_policy.clone(),
-            vm: VmOptions {
-                tier: self.cfg.vm_tier,
-                ..VmOptions::default()
-            },
             ..TestConfig::default()
         };
         govm::run_test_many(prog, test, &cfg)
@@ -429,10 +423,7 @@ impl<'db> DrFix<'db> {
             policy: self.cfg.validate_policy.clone(),
             max_total_steps: self.cfg.validation_step_budget,
             dedup_streak: self.cfg.validation_dedup_streak,
-            vm: VmOptions {
-                tier: self.cfg.vm_tier,
-                ..VmOptions::default()
-            },
+            vm: VmOptions::default(),
         }
     }
 

@@ -25,7 +25,6 @@
 
 pub mod bytecode;
 pub mod compile;
-pub mod lower;
 pub mod natives;
 mod ops;
 pub mod sched;

@@ -11,7 +11,6 @@
 //!   hand-offs, `select`, subtests).
 
 use crate::bytecode::{Op, SelectCaseSpec};
-use crate::lower::{CmpOp, Fused, Src, FUSED_WIDTH};
 use crate::natives;
 use crate::value::*;
 use crate::vm::{Flow, ParkedCase, ParkedSelect, RunError, Status, Vm, WakeAction};
@@ -1191,234 +1190,6 @@ fn exec_call(vm: &mut Vm, gid: Gid, argc: u8) -> Flow {
             "invalid memory address or nil pointer dereference (nil function call)".into(),
         ),
         CallShape::Other(ty) => Flow::Panic(format!("cannot call {ty}")),
-    }
-}
-
-// ------------------------------------------------- fused (register tier)
-
-/// Sets the current frame's pc to the *logical* sub-op position inside
-/// a fused window, so detector-visible work (tracked loads/stores,
-/// native dispatch) observes exactly the `(func, pc)` the stack tier
-/// would.
-fn set_pc(vm: &mut Vm, gid: Gid, pc: usize) {
-    if let Some(f) = vm.gos[gid].frames.last_mut() {
-        f.pc = pc;
-    }
-}
-
-/// Resolves and reads a fused operand cell (race-tracked), mirroring
-/// the corresponding `Load*` op including its panic message.
-fn fused_load(vm: &mut Vm, gid: Gid, s: Src) -> Result<Value, Flow> {
-    let a = match s {
-        Src::Local(slot) => match local_addr(vm, gid, slot) {
-            Some(a) => a,
-            None => return Err(Flow::Panic("use of unbound local".into())),
-        },
-        Src::Upval(i) => frame_mut(vm, gid).upvals[i as usize],
-        Src::Global(i) => vm.globals[i as usize],
-    };
-    Ok(vm.read_cell(gid, a))
-}
-
-/// Race-tracked store to a fused operand cell, mirroring `Store*`.
-fn fused_store(vm: &mut Vm, gid: Gid, s: Src, v: Value) -> Result<(), Flow> {
-    let a = match s {
-        Src::Local(slot) => match local_addr(vm, gid, slot) {
-            Some(a) => a,
-            None => return Err(Flow::Panic("store to unbound local".into())),
-        },
-        Src::Upval(i) => frame_mut(vm, gid).upvals[i as usize],
-        Src::Global(i) => vm.globals[i as usize],
-    };
-    vm.write_cell(gid, a, v);
-    Ok(())
-}
-
-/// Evaluates a fused comparison with the single-op tier's exact
-/// semantics: `Eq`/`Ne` via `go_eq` (total), the ordered forms via
-/// `compare` with the same incomparable-types panic message.
-fn fused_cmp(op: CmpOp, a: &Value, b: &Value) -> Result<bool, Flow> {
-    match op {
-        CmpOp::Eq => Ok(a.go_eq(b)),
-        CmpOp::Ne => Ok(!a.go_eq(b)),
-        _ => match compare(a, b) {
-            Some(ord) => Ok(match op {
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-                CmpOp::Eq | CmpOp::Ne => unreachable!(),
-            }),
-            None => Err(Flow::Panic(format!(
-                "cannot compare {} and {}",
-                a.type_name(),
-                b.type_name()
-            ))),
-        },
-    }
-}
-
-/// Pushes a materialised method value (pooled receiver box), restoring
-/// the exact stack-tier state at the `Call` op of a fused native-call
-/// window — used when the window must bail out to single-op execution
-/// (user-declared method, or park-and-retry).
-fn materialize_method(vm: &mut Vm, gid: Gid, rv: Value, name: u32) {
-    let boxed = match vm.method_box_pool.pop() {
-        Some(mut b) => {
-            *b = rv;
-            b
-        }
-        None => Box::new(rv),
-    };
-    push(vm, gid, Value::Method { recv: boxed, name });
-}
-
-/// Executes the fused superinstruction at `pc`. The caller (the
-/// register quantum loop) has verified the whole window fits its
-/// remaining allowance and already charged the first sub-op's step.
-///
-/// Contract: returns `(extra, flow)` where `extra` counts the
-/// *additional* steps charged here for sub-ops 2.. (`vm.steps` is
-/// advanced before each sub-op, exactly like the quantum loop), and
-/// `flow` is interpreted like a single op's — `Jump` on completion or
-/// branch, `Stay`/`Park` after the handler has re-materialised the
-/// operand stack and set the frame pc to the sub-op where the stack
-/// tier would sit, so the bailed-to single op replays bit-identically.
-pub(crate) fn exec_fused(vm: &mut Vm, gid: Gid, pc: usize, fu: Fused) -> (u64, Flow) {
-    match fu {
-        Fused::NativeCallStmt { recv, name } => {
-            // Sub-op 1: the receiver load (tracked; pc is the window
-            // start already).
-            let rv = match fused_load(vm, gid, recv) {
-                Ok(v) => v,
-                Err(f) => return (0, f),
-            };
-            // Sub-op 2: BindMethod — pure operand traffic; the method
-            // value is only materialised if the window bails out.
-            vm.steps += 1;
-            if vm.method_func(&rv, name).is_some() {
-                // User-declared method: frame pushes don't fuse. Restore
-                // the stack-tier state at the Call op and let the single
-                // op run it.
-                materialize_method(vm, gid, rv, name);
-                set_pc(vm, gid, pc + 2);
-                return (1, Flow::Stay);
-            }
-            // Sub-op 3: Call{argc: 0} — native dispatch at the Call's pc.
-            vm.steps += 1;
-            set_pc(vm, gid, pc + 2);
-            let outcome = match vm.native_of(name) {
-                Some(m) => natives::dispatch_method(vm, gid, &rv, m, &[]),
-                None => natives::MethodOutcome::NotNative,
-            };
-            match outcome {
-                natives::MethodOutcome::Done(_) => {
-                    // Sub-op 4: Pop of the discarded result — elided.
-                    vm.steps += 1;
-                    (3, Flow::Jump(pc + FUSED_WIDTH))
-                }
-                natives::MethodOutcome::Park(reason)
-                | natives::MethodOutcome::ParkArmed(reason) => {
-                    // Park at the Call with the method value stacked, so
-                    // the wake retries it as a single op bit-identically
-                    // (no fused window starts at a BindMethod+1 pc).
-                    materialize_method(vm, gid, rv, name);
-                    (2, Flow::Park(reason))
-                }
-                natives::MethodOutcome::NotNative => (
-                    2,
-                    Flow::Panic(format!(
-                        "unknown method `{}` on {}",
-                        vm.name(name),
-                        rv.type_name()
-                    )),
-                ),
-                natives::MethodOutcome::Error(e) => (2, Flow::Panic(e)),
-            }
-        }
-        Fused::AddConstStore { a, k, dst } => {
-            let av = match fused_load(vm, gid, a) {
-                Ok(v) => v,
-                Err(f) => return (0, f),
-            };
-            // Sub-ops 2-3: ConstInt + Add, register-only work.
-            vm.steps += 2;
-            let sum = match arith(&Op::Add, av, Value::Int(k)) {
-                Ok(v) => v,
-                Err(m) => return (2, Flow::Panic(m)),
-            };
-            // Sub-op 4: the tracked store at its own pc.
-            vm.steps += 1;
-            set_pc(vm, gid, pc + 3);
-            match fused_store(vm, gid, dst, sum) {
-                Ok(()) => (3, Flow::Jump(pc + FUSED_WIDTH)),
-                Err(f) => (3, f),
-            }
-        }
-        Fused::AddStore { a, b, dst } => {
-            let av = match fused_load(vm, gid, a) {
-                Ok(v) => v,
-                Err(f) => return (0, f),
-            };
-            // Sub-op 2: second tracked load at its own pc.
-            vm.steps += 1;
-            set_pc(vm, gid, pc + 1);
-            let bv = match fused_load(vm, gid, b) {
-                Ok(v) => v,
-                Err(f) => return (1, f),
-            };
-            vm.steps += 1; // sub-op 3: Add
-            let sum = match arith(&Op::Add, av, bv) {
-                Ok(v) => v,
-                Err(m) => return (2, Flow::Panic(m)),
-            };
-            vm.steps += 1; // sub-op 4: Store
-            set_pc(vm, gid, pc + 3);
-            match fused_store(vm, gid, dst, sum) {
-                Ok(()) => (3, Flow::Jump(pc + FUSED_WIDTH)),
-                Err(f) => (3, f),
-            }
-        }
-        Fused::CmpConstJump { a, k, op, target } => {
-            let av = match fused_load(vm, gid, a) {
-                Ok(v) => v,
-                Err(f) => return (0, f),
-            };
-            vm.steps += 2; // sub-ops 2-3: ConstInt + compare
-            let cond = match fused_cmp(op, &av, &Value::Int(k)) {
-                Ok(c) => c,
-                Err(f) => return (2, f),
-            };
-            vm.steps += 1; // sub-op 4: JumpIfFalse
-            if cond {
-                (3, Flow::Jump(pc + FUSED_WIDTH))
-            } else {
-                (3, Flow::Jump(target as usize))
-            }
-        }
-        Fused::CmpJump { a, b, op, target } => {
-            let av = match fused_load(vm, gid, a) {
-                Ok(v) => v,
-                Err(f) => return (0, f),
-            };
-            vm.steps += 1; // sub-op 2: second tracked load
-            set_pc(vm, gid, pc + 1);
-            let bv = match fused_load(vm, gid, b) {
-                Ok(v) => v,
-                Err(f) => return (1, f),
-            };
-            vm.steps += 1; // sub-op 3: compare
-            let cond = match fused_cmp(op, &av, &bv) {
-                Ok(c) => c,
-                Err(f) => return (2, f),
-            };
-            vm.steps += 1; // sub-op 4: JumpIfFalse
-            if cond {
-                (3, Flow::Jump(pc + FUSED_WIDTH))
-            } else {
-                (3, Flow::Jump(target as usize))
-            }
-        }
     }
 }
 

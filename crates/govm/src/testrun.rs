@@ -99,10 +99,6 @@ pub struct TestOutcome {
     pub stop: StopReason,
     /// Deterministic hot-path counters summed over the executed runs.
     pub counters: RunCounters,
-    /// Fused superinstructions executed, summed over the executed runs
-    /// (always 0 on the stack tier — the physical register-tier
-    /// engagement gauge, deliberately outside [`RunCounters`]).
-    pub fused_ops: u64,
 }
 
 impl TestOutcome {
@@ -245,7 +241,6 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
     let mut dup_streak = 0u32;
     let mut stop = StopReason::Completed;
     let mut counters = RunCounters::default();
-    let mut fused_ops = 0u64;
     let mut tvm = TestVm::new(prog);
     for i in 0..cfg.runs {
         // The budget never cancels the first run: a campaign that
@@ -264,7 +259,6 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
         executed += 1;
         steps += r.steps;
         counters.accumulate(&r.counters);
-        fused_ops += r.fused_ops;
         // The saturation streak counts *consecutive* replays: any novel
         // signature resets it to zero, so a campaign only exits early
         // after `dedup_streak` duplicates in a row with nothing new in
@@ -305,7 +299,6 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
         duplicate_schedules: duplicates,
         stop,
         counters,
-        fused_ops,
     }
 }
 

@@ -7,7 +7,6 @@
 //! `go test -race -count=N` (§4.4.1 of the paper).
 
 use crate::bytecode::{Program, TypeHint};
-use crate::lower::{self, Fused};
 use crate::natives::{self, NativeMethod};
 use crate::sched::{self, SchedulePolicy, Scheduler};
 use crate::value::*;
@@ -21,48 +20,17 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Which exec loop interprets the program.
+/// Which exec loop interprets the program — now only the stack loop.
 ///
-/// Both tiers run the same compiled `Op` stream and are bit-identical
-/// on everything logical — races, bug hashes, schedule signatures,
-/// [`RunCounters`] — pinned by the golden suites and the cross-tier
-/// differential proptest. The register tier additionally consults the
-/// per-program fused-superinstruction tables (see [`crate::lower`]) to
-/// collapse the hottest four-op stack sequences into one dispatch.
+/// A residue of the retired register tier: the frozen end-to-end
+/// harness names [`VmOptions::tier`] and `PipelineConfig::vm_tier` in
+/// struct literals, so the type keeps its single variant until the next
+/// benchmark change deletes both fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// The original stack-machine loop — the golden reference.
+    /// The stack-machine loop ([`Vm::run`]'s only exec loop).
     #[default]
     Stack,
-    /// The lowered register/superinstruction loop.
-    Reg,
-}
-
-impl Tier {
-    /// Parses a tier spec: `stack`, or `reg`/`register`.
-    pub fn parse(spec: &str) -> Option<Self> {
-        match spec.trim().to_ascii_lowercase().as_str() {
-            "stack" => Some(Tier::Stack),
-            "reg" | "register" => Some(Tier::Reg),
-            _ => None,
-        }
-    }
-
-    /// Reads `DRFIX_TIER` from the environment (default: `Stack`).
-    pub fn from_env() -> Self {
-        std::env::var("DRFIX_TIER")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// Short display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Tier::Stack => "stack",
-            Tier::Reg => "reg",
-        }
-    }
 }
 
 /// VM configuration.
@@ -82,7 +50,7 @@ pub struct VmOptions {
     /// default). Turning it off never changes observable behaviour —
     /// races, schedule signatures and the logical counters are
     /// bit-identical either way (pinned by tests); it exists for
-    /// differential testing and A/B timing.
+    /// differential testing.
     pub sync_epoch_cache: bool,
     /// Shadow-state lifecycle management (on by default): exited
     /// goroutines retire their detector clock slot, and every few
@@ -92,11 +60,9 @@ pub struct VmOptions {
     /// bit-identical with it off (pinned by tests); only memory and
     /// the `ShadowStats` bookkeeping move.
     pub shadow_gc: bool,
-    /// Which exec loop to run (see [`Tier`]). Defaults to the
-    /// `DRFIX_TIER` environment knob, so an entire pipeline — testrun,
-    /// fleet, campaign, perfscan — switches tier without any config
-    /// plumbing; code that needs a fixed tier sets this field
-    /// explicitly.
+    /// Always [`Tier::Stack`]. Kept only because the frozen end-to-end
+    /// harness sets it in a struct literal; the next benchmark change
+    /// deletes it.
     pub tier: Tier,
 }
 
@@ -110,7 +76,7 @@ impl Default for VmOptions {
             policy: SchedulePolicy::Random,
             sync_epoch_cache: true,
             shadow_gc: true,
-            tier: Tier::from_env(),
+            tier: Tier::Stack,
         }
     }
 }
@@ -228,11 +194,6 @@ pub struct RunResult {
     pub schedule_sig: u64,
     /// Scheduling decisions made during the run.
     pub sched_points: u64,
-    /// Fused superinstructions executed (register tier only; always 0
-    /// on the stack tier). Deliberately *not* part of [`RunCounters`]:
-    /// the logical counters are pinned bit-identical across tiers, and
-    /// this is the physical evidence the register tier engaged.
-    pub fused_ops: u64,
     /// Deterministic hot-path cost counters (see [`RunCounters`]).
     pub counters: RunCounters,
 }
@@ -452,8 +413,7 @@ impl Spare {
 const UNBOUND: Addr = Addr::MAX;
 
 /// Immutable per-program runtime tables: the interned string pool and
-/// its reverse map, frame tables, fused superinstructions and native
-/// method ids.
+/// its reverse map, frame tables and native method ids.
 ///
 /// Built once per [`Vm`]; a campaign keeps one VM for all of its runs
 /// ([`Vm::reset`]), so the tables are built once per campaign.
@@ -471,10 +431,6 @@ struct ProgContext {
     frame_table: Vec<(u32, u32)>,
     /// Per-function `pc → frame id` tables.
     func_frames: Vec<Vec<u32>>,
-    /// Per-function fused-superinstruction tables (the register tier's
-    /// lowered form; see [`crate::lower`]). Built once per program and
-    /// shared by every run — the stack tier never consults them.
-    fused: Vec<Vec<Option<Fused>>>,
     /// Pool name id → native method, the table behind id-indexed native
     /// dispatch: every method name the program can utter is resolved to
     /// a dense [`NativeMethod`] once, at context build, instead of by
@@ -515,7 +471,6 @@ impl ProgContext {
             }
             func_frames.push(tbl);
         }
-        let fused = prog.funcs.iter().map(lower::lower_func).collect();
         let pool_natives = prog
             .pool
             .iter()
@@ -526,7 +481,6 @@ impl ProgContext {
             name_map,
             frame_table,
             func_frames,
-            fused,
             pool_natives,
         }
     }
@@ -537,12 +491,6 @@ impl ProgContext {
     fn frame_id_at(&self, fid: u32, pc: usize) -> u32 {
         let tbl = &self.func_frames[fid as usize];
         tbl[pc.min(tbl.len() - 1)]
-    }
-
-    /// Fused superinstruction starting at `(fid, pc)`, if any.
-    #[inline]
-    fn fused_at(&self, fid: u32, pc: usize) -> Option<Fused> {
-        self.fused[fid as usize].get(pc).copied().flatten()
     }
 }
 
@@ -581,8 +529,6 @@ pub struct Vm<'p> {
     /// Goroutine exits delivered to the detector (drives the periodic
     /// shadow-GC trigger; physical bookkeeping only).
     exits_seen: u64,
-    /// Fused superinstructions executed (register tier only).
-    pub(crate) fused_ops: u64,
     /// High-water mark of the detector's estimated shadow bytes,
     /// sampled at lifecycle checkpoints.
     peak_shadow_bytes: u64,
@@ -652,7 +598,6 @@ impl<'p> Vm<'p> {
             snapshots_taken: 0,
             stack_cache_hits: 0,
             exits_seen: 0,
-            fused_ops: 0,
             peak_shadow_bytes: 0,
             output: String::new(),
             test_failures: Vec::new(),
@@ -716,7 +661,6 @@ impl<'p> Vm<'p> {
             snapshots_taken,
             stack_cache_hits,
             exits_seen,
-            fused_ops,
             peak_shadow_bytes,
             output,
             test_failures,
@@ -749,7 +693,6 @@ impl<'p> Vm<'p> {
         *snapshots_taken = 0;
         *stack_cache_hits = 0;
         *exits_seen = 0;
-        *fused_ops = 0;
         *peak_shadow_bytes = 0;
         output.clear();
         test_failures.clear();
@@ -1315,7 +1258,6 @@ impl<'p> Vm<'p> {
             test_failures: std::mem::take(&mut self.test_failures),
             schedule_sig: self.sched_sig,
             sched_points: self.sched_points,
-            fused_ops: self.fused_ops,
             counters: RunCounters {
                 vm_steps: self.steps,
                 sched_points: self.sched_points,
@@ -1390,10 +1332,7 @@ impl<'p> Vm<'p> {
                 self.last_running = Some(decision.gid);
             }
             self.sched_points += 1;
-            match self.opts.tier {
-                Tier::Stack => self.run_goroutine(decision.gid, decision.quantum.max(1), budget),
-                Tier::Reg => self.run_goroutine_reg(decision.gid, decision.quantum.max(1), budget),
-            }
+            self.run_goroutine(decision.gid, decision.quantum.max(1), budget);
         }
     }
 
@@ -1448,11 +1387,7 @@ impl<'p> Vm<'p> {
         true
     }
 
-    /// Resumption work shared by both exec tiers: applies a pending
-    /// completed-op wake action, then retries a parked select. Returns
-    /// `false` when the goroutine parked again or panicked — the
-    /// quantum is over before it began.
-    fn resume_preamble(&mut self, gid: Gid) -> bool {
+    fn run_goroutine(&mut self, gid: Gid, quantum: u64, budget: u64) {
         // Apply a pending completed-op wake action.
         if let Some(w) = self.gos[gid].wake.take() {
             for _ in 0..w.pops {
@@ -1483,23 +1418,16 @@ impl<'p> Vm<'p> {
                 }
                 Some(Flow::Panic(m)) => {
                     self.do_panic(gid, m);
-                    return false;
+                    return;
                 }
                 Some(_) => unreachable!("select resolves to jump or panic"),
                 None => {
                     crate::ops::repark_select(self, gid, sel);
                     self.gos[gid].status = Status::Blocked;
                     self.gos[gid].block_reason = "select";
-                    return false;
+                    return;
                 }
             }
-        }
-        true
-    }
-
-    fn run_goroutine(&mut self, gid: Gid, quantum: u64, budget: u64) {
-        if !self.resume_preamble(gid) {
-            return;
         }
         // The quantum loop runs with the per-step budget and runnable
         // checks hoisted out: the step allowance is clamped to the
@@ -1546,124 +1474,6 @@ impl<'p> Vm<'p> {
                     return;
                 }
                 continue;
-            }
-            match crate::ops::exec(self, gid, &code[pc]) {
-                Flow::Next => {
-                    if let Some(f) = self.gos[gid].frames.last_mut() {
-                        f.pc += 1;
-                    }
-                }
-                Flow::Jump(t) => {
-                    if let Some(f) = self.gos[gid].frames.last_mut() {
-                        f.pc = t;
-                    }
-                }
-                Flow::Stay => {}
-                Flow::Park(reason) => {
-                    let g = &mut self.gos[gid];
-                    g.status = Status::Blocked;
-                    g.block_reason = reason;
-                    return;
-                }
-                Flow::Returned(v) => {
-                    self.start_return(gid, v);
-                    if self.fatal.is_some() || self.gos[gid].status != Status::Runnable {
-                        return;
-                    }
-                }
-                Flow::Panic(msg) => {
-                    self.do_panic(gid, msg);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// The register-tier quantum loop ([`Tier::Reg`]): identical to
-    /// [`Vm::run_goroutine`] except that, at a pc carrying a fused
-    /// superinstruction whose whole window fits in the remaining
-    /// allowance, the window executes as one dispatch
-    /// ([`crate::ops::exec_fused`]). The fused handler charges steps
-    /// and updates the frame pc per covered sub-op, so preemption
-    /// points, detector events and every logical counter land exactly
-    /// where the stack tier puts them; any pc without a fitting entry
-    /// (including wake-ups parked mid-window) falls back to the shared
-    /// single-op path.
-    fn run_goroutine_reg(&mut self, gid: Gid, quantum: u64, budget: u64) {
-        if !self.resume_preamble(gid) {
-            return;
-        }
-        let allowance = quantum.min(budget.saturating_sub(self.steps));
-        let mut used: u64 = 0;
-        while used < allowance {
-            if self.fatal.is_some() {
-                return;
-            }
-            self.steps += 1;
-            used += 1;
-
-            let Some((fid, pc, returning)) = self.gos[gid]
-                .frames
-                .last()
-                .map(|f| (f.func, f.pc, f.returning.is_some()))
-            else {
-                self.gos[gid].status = Status::Done;
-                return;
-            };
-            if returning {
-                self.proceed_return(gid);
-                if self.fatal.is_some() || self.gos[gid].status != Status::Runnable {
-                    return;
-                }
-                continue;
-            }
-            let code: &'p [crate::bytecode::Op] = &self.prog.funcs[fid as usize].code;
-            if pc >= code.len() {
-                self.start_return(gid, Value::Nil);
-                if self.fatal.is_some() || self.gos[gid].status != Status::Runnable {
-                    return;
-                }
-                continue;
-            }
-            // Fused fast path — only when the remaining allowance covers
-            // the whole window, so the preemption boundary is the same
-            // one the stack tier would hit.
-            if allowance - used >= (lower::FUSED_WIDTH as u64) - 1 {
-                if let Some(fu) = self.ctx.fused_at(fid, pc) {
-                    self.fused_ops += 1;
-                    let (extra, flow) = crate::ops::exec_fused(self, gid, pc, fu);
-                    used += extra;
-                    match flow {
-                        Flow::Next => {
-                            if let Some(f) = self.gos[gid].frames.last_mut() {
-                                f.pc += 1;
-                            }
-                        }
-                        Flow::Jump(t) => {
-                            if let Some(f) = self.gos[gid].frames.last_mut() {
-                                f.pc = t;
-                            }
-                        }
-                        Flow::Stay => {}
-                        Flow::Park(reason) => {
-                            let g = &mut self.gos[gid];
-                            g.status = Status::Blocked;
-                            g.block_reason = reason;
-                            return;
-                        }
-                        Flow::Returned(v) => {
-                            self.start_return(gid, v);
-                            if self.fatal.is_some() || self.gos[gid].status != Status::Runnable {
-                                return;
-                            }
-                        }
-                        Flow::Panic(msg) => {
-                            self.do_panic(gid, msg);
-                            return;
-                        }
-                    }
-                    continue;
-                }
             }
             match crate::ops::exec(self, gid, &code[pc]) {
                 Flow::Next => {

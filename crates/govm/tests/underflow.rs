@@ -5,7 +5,7 @@
 //! this is corrupted or hand-mutated bytecode; the VM must fail loudly
 //! rather than compute on phantom values.
 
-use govm::{compile_sources, CompileOptions, Op, Tier, Vm, VmOptions};
+use govm::{compile_sources, CompileOptions, Op, Vm, VmOptions};
 
 fn underflowing_program() -> govm::Program {
     let src = r#"package p
@@ -28,24 +28,19 @@ func Main() int {
 
 #[test]
 fn stack_underflow_is_fatal() {
-    for tier in [Tier::Stack, Tier::Reg] {
-        let prog = underflowing_program();
-        let mut vm = Vm::new(
-            &prog,
-            VmOptions {
-                seed: 7,
-                tier,
-                ..VmOptions::default()
-            },
-        );
-        let r = vm.run("Main", vec![]);
-        let err = r
-            .error
-            .unwrap_or_else(|| panic!("{tier:?}: underflow must abort the run"));
-        let msg = format!("{err:?}");
-        assert!(
-            msg.contains("operand stack underflow"),
-            "{tier:?}: wrong error: {msg}"
-        );
-    }
+    let prog = underflowing_program();
+    let mut vm = Vm::new(
+        &prog,
+        VmOptions {
+            seed: 7,
+            ..VmOptions::default()
+        },
+    );
+    let r = vm.run("Main", vec![]);
+    let err = r.error.expect("underflow must abort the run");
+    let msg = format!("{err:?}");
+    assert!(
+        msg.contains("operand stack underflow"),
+        "wrong error: {msg}"
+    );
 }

@@ -48,14 +48,6 @@ exposure-smoke:
 tournament-smoke:
     DRFIX_THREADS=2 cargo test --release -q --test tournament_ab
 
-# The CI `tier-smoke` job: exposure suite + goldens replayed under
-# DRFIX_TIER=reg (logical observables must hold unchanged on the
-# register tier), plus the dedicated tier differential suites.
-tier-smoke:
-    DRFIX_TIER=reg cargo test --release -q --test exposure_suite --test hotpath_golden --test lockregime_golden --test shadowgc_golden
-    cargo test --release -q -p govm --test tier_differential --test underflow
-    cargo test --release -q -p bench --test tier_invariance
-
 # Static-analyzer false-positive sweep: statcheck must stay silent on
 # every correct program family while the misuse fixtures keep firing.
 lint-corpus:

@@ -8,7 +8,7 @@
 use corpus::stream::{CorpusStream, StreamConfig, StreamFamily};
 use govm::{
     compile_sources, run_test_many, run_test_with, CompileOptions, Program, RunCounters, RunError,
-    SchedulePolicy, StopReason, TestConfig, TestOutcome, TestVm, Tier, VmOptions,
+    SchedulePolicy, StopReason, TestConfig, TestOutcome, TestVm, VmOptions,
 };
 use std::collections::HashSet;
 
@@ -67,9 +67,8 @@ fn programs() -> Vec<(String, Program, Vec<String>)> {
 
 /// Campaign shapes cycled over the inputs: every policy, detection and
 /// validation mode, and each early exit.
-fn configs(tier: Tier) -> Vec<TestConfig> {
+fn configs() -> Vec<TestConfig> {
     let vm = VmOptions {
-        tier,
         max_steps: 20_000,
         ..VmOptions::default()
     };
@@ -119,7 +118,6 @@ fn fresh_campaign(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcome {
         duplicate_schedules: 0,
         stop: StopReason::Completed,
         counters: RunCounters::default(),
-        fused_ops: 0,
     };
     let (mut seen, mut sigs, mut streak) = (HashSet::new(), HashSet::new(), 0);
     for i in 0..cfg.runs {
@@ -134,7 +132,6 @@ fn fresh_campaign(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcome {
         out.runs += 1;
         out.steps += r.steps;
         out.counters.accumulate(&r.counters);
-        out.fused_ops += r.fused_ops;
         if sigs.insert(r.schedule_sig) {
             out.distinct_schedules += 1;
             streak = 0;
@@ -172,30 +169,28 @@ fn campaigns_on_a_reset_vm_equal_fresh_single_runs() {
     let programs = programs();
     assert!(programs.len() >= 12, "too few inputs: {}", programs.len());
     let (mut runs, mut raced, mut failed) = (0, 0, 0);
-    for tier in [Tier::Stack, Tier::Reg] {
-        let configs = configs(tier);
-        for (label, prog, tests) in &programs {
-            // One reused VM per program, shared by its tests and every
-            // campaign shape, so each run starts from another run's
-            // leftovers.
-            let mut tvm = TestVm::new(prog);
-            for (c, cfg) in configs.iter().enumerate() {
-                for test in tests {
-                    let ctx = format!("{label} {test} tier {} config {c}", tier.label());
-                    for i in 0..cfg.runs {
-                        let opts = run_opts(cfg, i);
-                        let fresh = run_test_with(prog, test, opts.clone());
-                        assert_eq!(tvm.run(test, opts), fresh, "{ctx} run {i}");
-                        runs += 1;
-                        raced += usize::from(!fresh.races.is_empty());
-                        failed += usize::from(fresh.error.is_some());
-                    }
-                    assert_eq!(
-                        run_test_many(prog, test, cfg),
-                        fresh_campaign(prog, test, cfg),
-                        "{ctx} campaign"
-                    );
+    let configs = configs();
+    for (label, prog, tests) in &programs {
+        // One reused VM per program, shared by its tests and every
+        // campaign shape, so each run starts from another run's
+        // leftovers.
+        let mut tvm = TestVm::new(prog);
+        for (c, cfg) in configs.iter().enumerate() {
+            for test in tests {
+                let ctx = format!("{label} {test} config {c}");
+                for i in 0..cfg.runs {
+                    let opts = run_opts(cfg, i);
+                    let fresh = run_test_with(prog, test, opts.clone());
+                    assert_eq!(tvm.run(test, opts), fresh, "{ctx} run {i}");
+                    runs += 1;
+                    raced += usize::from(!fresh.races.is_empty());
+                    failed += usize::from(fresh.error.is_some());
                 }
+                assert_eq!(
+                    run_test_many(prog, test, cfg),
+                    fresh_campaign(prog, test, cfg),
+                    "{ctx} campaign"
+                );
             }
         }
     }
@@ -290,27 +285,24 @@ fn runs_after_step_limit_deadlock_and_fatal_errors_match_a_fresh_vm() {
         "TestSpin",
         "TestRacy",
     ];
-    for tier in [Tier::Stack, Tier::Reg] {
-        let mut tvm = TestVm::new(&prog);
-        for (i, test) in order.iter().enumerate() {
-            let opts = VmOptions {
-                seed: 0xC0FFEE + i as u64,
-                max_steps: 5_000,
-                drain_steps: 1_000,
-                tier,
-                ..VmOptions::default()
-            };
-            let fresh = run_test_with(&prog, test, opts.clone());
-            let ok = match *test {
-                "TestSpin" => fresh.error == Some(RunError::StepLimit),
-                "TestDeadlock" => matches!(fresh.error, Some(RunError::Deadlock(_))),
-                "TestNativeFatal" => matches!(fresh.error, Some(RunError::Panic(_))),
-                "TestRacy" => !fresh.races.is_empty(),
-                _ => fresh.is_clean(),
-            };
-            assert!(ok, "{test} did not end as intended: {fresh:?}");
-            assert_eq!(tvm.run(test, opts), fresh, "{test} (step {i}, {tier:?})");
-        }
+    let mut tvm = TestVm::new(&prog);
+    for (i, test) in order.iter().enumerate() {
+        let opts = VmOptions {
+            seed: 0xC0FFEE + i as u64,
+            max_steps: 5_000,
+            drain_steps: 1_000,
+            ..VmOptions::default()
+        };
+        let fresh = run_test_with(&prog, test, opts.clone());
+        let ok = match *test {
+            "TestSpin" => fresh.error == Some(RunError::StepLimit),
+            "TestDeadlock" => matches!(fresh.error, Some(RunError::Deadlock(_))),
+            "TestNativeFatal" => matches!(fresh.error, Some(RunError::Panic(_))),
+            "TestRacy" => !fresh.races.is_empty(),
+            _ => fresh.is_clean(),
+        };
+        assert!(ok, "{test} did not end as intended: {fresh:?}");
+        assert_eq!(tvm.run(test, opts), fresh, "{test} (step {i})");
     }
 }
 
