@@ -8,6 +8,8 @@ CARGO ?= cargo
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
+# Cases in campaign-smoke's fix-mode serial-versus-workers check.
+DRFIX_CAMPAIGN_FIX_CASES ?= 40
 
 ## Full tier-1 gate: release build, tests, bench compilation, lints, docs.
 verify: build test bench-compile clippy fmt-check doc
@@ -92,7 +94,11 @@ perf-baseline:
 ## reference campaign runs uninterrupted; the same campaign runs
 ## on 4 workers, is killed at its first checkpoint (exit 3), resumes from
 ## the snapshot, and the resumed digest must equal the uninterrupted
-## reference bit-for-bit. Exits non-zero on any divergence.
+## reference bit-for-bit. Then a fixable fix-mode campaign
+## (DRFIX_CAMPAIGN_FIX_CASES, default 40) runs serially and on 4
+## workers: the digests must match, and the serial report must show
+## schedules replayed from schedule memos. Exits non-zero on any
+## divergence.
 campaign-smoke:
 	rm -rf target/campaign-smoke && mkdir -p target/campaign-smoke
 	$(CARGO) build --release -q -p bench --bin campaignctl
@@ -114,6 +120,20 @@ campaign-smoke:
 	  --assert-complete --digest > target/campaign-smoke/resumed.digest
 	cmp target/campaign-smoke/ref.digest target/campaign-smoke/resumed.digest
 	@echo "campaign-smoke: kill/resume digest bit-identical to the uninterrupted run"
+	target/release/campaignctl run --cases $(DRFIX_CAMPAIGN_FIX_CASES) --shards 2 --serial \
+	  --family fixable --mode fix --snapshot target/campaign-smoke/fix-serial.json \
+	  --report target/campaign-smoke/fix-serial-report.json > target/campaign-smoke/fix-serial.log
+	target/release/campaignctl status --snapshot target/campaign-smoke/fix-serial.json \
+	  --assert-complete --digest > target/campaign-smoke/fix-serial.digest
+	target/release/campaignctl run --cases $(DRFIX_CAMPAIGN_FIX_CASES) --shards 2 --workers 4 \
+	  --family fixable --mode fix --snapshot target/campaign-smoke/fix-workers.json \
+	  > target/campaign-smoke/fix-workers.log
+	target/release/campaignctl status --snapshot target/campaign-smoke/fix-workers.json \
+	  --assert-complete --digest > target/campaign-smoke/fix-workers.digest
+	cmp target/campaign-smoke/fix-serial.digest target/campaign-smoke/fix-workers.digest
+	grep -Eq '"replayed_schedules": *[1-9]' target/campaign-smoke/fix-serial-report.json || \
+	  { echo "campaign-smoke: the fix campaign replayed no schedule"; exit 1; }
+	@echo "campaign-smoke: fix campaign digest identical serial and on 4 workers, schedules replayed"
 
 ## Campaign at deployment scale: a 10k-case streamed detect campaign
 ## on 4 workers, asserting the resident generated-case-bytes high-water

@@ -25,7 +25,7 @@
 //! - `--max-in-flight N` — in-flight case bound (0 = auto)
 //! - `--snapshot PATH` — snapshot file to write (run) / read (resume,
 //!   status)
-//! - `--report PATH` — write the schema-v7 metrics report as JSON
+//! - `--report PATH` — write the schema-v8 metrics report as JSON
 //! - `--assert-resident-under BYTES` — fail (exit 1) unless the
 //!   resident generated-case-bytes high-water stayed under BYTES — the
 //!   streamed-corpus bounded-memory assertion at any scale

@@ -64,7 +64,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Schema of campaign snapshots and metrics reports.
-pub const CAMPAIGN_SCHEMA: u32 = 7;
+pub const CAMPAIGN_SCHEMA: u32 = 8;
 
 /// Phase names of one case, in order (index into
 /// [`CampaignMetrics::stage_busy_seconds`]).
@@ -448,7 +448,7 @@ impl Snapshot {
     }
 }
 
-/// The machine-readable progress/metrics report (schema v7) a campaign
+/// The machine-readable progress/metrics report (schema v8) a campaign
 /// emits: per-phase busy time, queue/steal accounting, and the
 /// bounded-memory evidence. Deterministic fields (everything but the
 /// wall-clock, busy and gate-wait seconds and the high-waters of a
@@ -490,6 +490,10 @@ pub struct CampaignMetrics {
     pub folds: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
+    /// Schedules (detection and validation) that their campaign replayed
+    /// from its schedule memo instead of executing, over the cases this
+    /// run folded or discarded. Deterministic per case.
+    pub replayed_schedules: u64,
     /// Merged outcome totals for the folded prefix (whole campaign,
     /// including resumed-over shards — read from the snapshot).
     pub tallies: Tallies,
@@ -499,7 +503,7 @@ impl CampaignMetrics {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} cases in {:.2}s — {:.1} cases/s | pops {} steals {} folds {} | in-flight ≤{} resident ≤{}B",
+            "{} cases in {:.2}s — {:.1} cases/s | pops {} steals {} folds {} | in-flight ≤{} resident ≤{}B | replayed schedules {}",
             self.cases_done,
             self.wall_seconds,
             if self.wall_seconds > 0.0 {
@@ -512,6 +516,7 @@ impl CampaignMetrics {
             self.folds,
             self.peak_in_flight,
             self.peak_resident_case_bytes,
+            self.replayed_schedules,
         )
     }
 }
@@ -659,7 +664,8 @@ impl Gate {
 // ── The worker pool ──────────────────────────────────────────────────
 
 /// What every worker shares: the stream cases are drawn from, the claim
-/// queues and gate, and the resident-bytes and busy-time accounts.
+/// queues and gate, and the resident-bytes, busy-time and replay
+/// accounts.
 struct Pool<'a> {
     cfg: &'a CampaignConfig,
     stream: CorpusStream,
@@ -667,6 +673,7 @@ struct Pool<'a> {
     gate: Gate,
     resident: Resident,
     busy: Mutex<[f64; 4]>,
+    replayed: AtomicU64,
 }
 
 /// Resident-case-bytes accounting: `add` on generation, `sub` when the
@@ -734,6 +741,8 @@ impl Pool<'_> {
             *b += s;
         }
         let fix = run.fix.as_ref();
+        let replayed = run.replayed_schedules + fix.map_or(0, |f| f.replayed_schedules);
+        self.replayed.fetch_add(replayed, Ordering::Relaxed);
         CaseOutcome {
             index,
             stop: run.stop,
@@ -921,6 +930,7 @@ fn run_pool(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>) 
         gate: Gate::new(cfg.in_flight_limit()),
         resident: Resident::new(),
         busy: Mutex::new([0.0; 4]),
+        replayed: AtomicU64::new(0),
     };
     let mut collector = Collector::new(cfg, snap, snapshot_path);
     let mut fold = |shard: usize, outcome: CaseOutcome| {
@@ -968,6 +978,7 @@ fn run_pool(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>) 
         peak_resident_case_bytes: pool.resident.peak.load(Ordering::Relaxed),
         folds: cstats.folds,
         checkpoints: cstats.checkpoints,
+        replayed_schedules: pool.replayed.into_inner(),
         tallies: snap.tallies(),
     };
     CampaignRun {
@@ -1014,7 +1025,8 @@ mod tests {
 
     /// The serial executor's orchestration counters are exact functions
     /// of the configuration: the lone worker drains its home shard,
-    /// then walks the other three, probing shard queues in order.
+    /// then walks the other three, probing shard queues in order. The
+    /// detection schedules replayed from schedule memos are too.
     #[test]
     fn serial_orchestration_counters_are_pinned() {
         let mut cfg = CampaignConfig::new(
@@ -1035,9 +1047,10 @@ mod tests {
                 m.steals,
                 m.steal_probes,
                 m.folds,
-                m.checkpoints
+                m.checkpoints,
+                m.replayed_schedules
             ),
-            (96, 72, 244, 96, 8)
+            (96, 72, 244, 96, 8, 54)
         );
         assert_eq!(m.folds, m.queue_pops);
         assert_eq!(m.queue_pops, cfg.cases as u64);

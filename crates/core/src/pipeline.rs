@@ -56,8 +56,9 @@ pub struct PipelineConfig {
     pub validate_policy: SchedulePolicy,
     /// Campaign-wide instruction budget per validation (off by default).
     pub validation_step_budget: Option<u64>,
-    /// Validation early-exit after this many consecutive replayed
-    /// schedule signatures (off by default).
+    /// Validation early-exit after this many consecutive runs with
+    /// already-seen schedule signatures (off by default; a heuristic,
+    /// see [`govm::TestConfig::dedup_streak`]).
     pub validation_dedup_streak: Option<u32>,
     /// Run the `statcheck` static gate before each dynamic validation,
     /// rejecting candidates whose synchronization is statically
@@ -136,6 +137,9 @@ pub struct FixOutcome {
     pub rejected_static: u32,
     /// VM instructions executed across all dynamic validation campaigns.
     pub validation_vm_steps: u64,
+    /// Validation schedules replayed from their campaign's schedule memo
+    /// instead of executed (a cost gauge, like `validation_vm_steps`).
+    pub replayed_schedules: u64,
     /// Synthetic wall-clock minutes (calibrated to §5.2's 6–29 range).
     pub duration_minutes: f64,
     /// Changed-line count of the accepted patch.
@@ -175,6 +179,7 @@ impl FixOutcome {
             validations: 0,
             rejected_static: 0,
             validation_vm_steps: 0,
+            replayed_schedules: 0,
             duration_minutes: 0.0,
             patch_loc: None,
             failure: None,
@@ -193,6 +198,10 @@ pub(crate) struct CaseRun {
     pub(crate) detect_vm_steps: u64,
     /// Detector shadow-memory high-water during detection.
     pub(crate) peak_shadow_bytes: u64,
+    /// Detection schedules replayed from the campaign's schedule memo
+    /// instead of executed (the fix arm's are in
+    /// [`FixOutcome::replayed_schedules`]).
+    pub(crate) replayed_schedules: u64,
     /// The first race detection exposed.
     pub(crate) race: Option<racedet::RaceReport>,
     /// The fix arm's outcome; `None` in detect-only runs.
@@ -239,6 +248,7 @@ impl<'db> DrFix<'db> {
             stop: StopReason::Completed,
             detect_vm_steps: 0,
             peak_shadow_bytes: 0,
+            replayed_schedules: 0,
             race: None,
             fix: None,
             phase_seconds: [0.0; 4],
@@ -260,6 +270,7 @@ impl<'db> DrFix<'db> {
             run.stop = out.stop;
             run.detect_vm_steps = out.counters.vm_steps;
             run.peak_shadow_bytes = out.counters.peak_shadow_bytes;
+            run.replayed_schedules = u64::from(out.replayed);
             run.race = out.races.into_iter().next();
         }
         lap(&mut run, 0);
@@ -369,6 +380,7 @@ impl<'db> DrFix<'db> {
                         Err(outcome) => outcome,
                     };
                     out.validation_vm_steps += report.vm_steps;
+                    out.replayed_schedules += report.replayed_schedules;
                     if report.rejected_static {
                         out.rejected_static += 1;
                     }

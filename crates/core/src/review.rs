@@ -193,6 +193,7 @@ mod tests {
             validations: 1,
             rejected_static: 0,
             validation_vm_steps: 0,
+            replayed_schedules: 0,
             duration_minutes: 8.0,
             patch_loc: Some(loc),
             failure: None,

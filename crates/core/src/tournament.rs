@@ -526,6 +526,7 @@ impl DrFix<'_> {
                 &ValidationOptions { static_gate: false },
             );
             out.validation_vm_steps += vreport.vm_steps;
+            out.replayed_schedules += vreport.replayed_schedules;
             match vreport.verdict {
                 Verdict::Ok => {
                     if winner.is_none() {

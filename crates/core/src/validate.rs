@@ -71,6 +71,9 @@ pub struct ValidationOutcome {
     /// VM instructions executed by dynamic validation (0 when the gate
     /// rejected or the build failed).
     pub vm_steps: u64,
+    /// Schedules the campaign replayed from its schedule memo instead of
+    /// executing ([`govm::TestOutcome::replayed`]).
+    pub replayed_schedules: u64,
 }
 
 impl ValidationOutcome {
@@ -82,6 +85,7 @@ impl ValidationOutcome {
             static_errors: 0,
             static_warnings: 0,
             vm_steps: 0,
+            replayed_schedules: 0,
         }
     }
 }
@@ -252,6 +256,7 @@ pub(crate) fn run_schedules(
 ) -> ValidationOutcome {
     let out = govm::run_test_many(prog, test, cfg);
     outcome.vm_steps = out.steps;
+    outcome.replayed_schedules = u64::from(out.replayed);
     // A campaign that executed no schedules is vacuously clean — never
     // let that pass as a validated fix (e.g. `runs: 0` misconfiguration).
     if out.runs == 0 {

@@ -25,6 +25,7 @@
 
 pub mod bytecode;
 pub mod compile;
+mod memo;
 pub mod natives;
 mod ops;
 pub mod sched;

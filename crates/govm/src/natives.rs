@@ -488,7 +488,8 @@ pub(crate) fn call_builtin(vm: &mut Vm, gid: Gid, id: u16, args: Vec<Value>) -> 
             let d = args.first().and_then(|v| v.as_int()).unwrap_or(1).max(1) as u64;
             let ch = vm.heap.alloc_chan(1);
             if let Value::Chan(r) = ch {
-                let jitter = vm.rng.gen_range(1..=d.max(1));
+                vm.memo.opaque(vm.steps);
+                let jitter = vm.sched.rng.gen_range(1..=d.max(1));
                 vm.timers.push((vm.steps + jitter, r));
             }
             O::Value(ch)
@@ -504,7 +505,8 @@ pub(crate) fn call_builtin(vm: &mut Vm, gid: Gid, id: u16, args: Vec<Value>) -> 
                 // Deadline jitter models wall-clock nondeterminism: the
                 // deadline may fire before or after dependent work.
                 let d = args.get(1).and_then(|v| v.as_int()).unwrap_or(60).max(2) as u64;
-                let fire = vm.rng.gen_range(2..=d.clamp(2, 240));
+                vm.memo.opaque(vm.steps);
+                let fire = vm.sched.rng.gen_range(2..=d.clamp(2, 240));
                 vm.timers.push((vm.steps + fire, r));
             }
             let ctx = make_struct(vm, "context.Context", vec![("done", ch.clone())]);
@@ -1127,7 +1129,7 @@ fn wake_wg_waiters(vm: &mut Vm, r: ObjRef) {
 fn wake_all(vm: &mut Vm, mut waiters: Vec<Gid>) -> Vec<Gid> {
     for &w in &waiters {
         if vm.gos[w].status == Status::Blocked {
-            vm.gos[w].status = Status::Runnable;
+            vm.set_status(w, Status::Runnable);
         }
     }
     waiters.clear();
@@ -1299,7 +1301,7 @@ fn signal_parent(vm: &mut Vm, child_gid: Gid, t: ObjRef) {
         w.acquire = Some(clock);
     }
     if vm.gos[p].status == Status::Blocked {
-        vm.gos[p].status = Status::Runnable;
+        vm.set_status(p, Status::Runnable);
     }
 }
 

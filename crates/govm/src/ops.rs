@@ -1090,6 +1090,7 @@ fn exec_call(vm: &mut Vm, gid: Gid, argc: u8) -> Flow {
                     Flow::Next
                 }
                 natives::BuiltinOutcome::Sleep(until, v) => {
+                    vm.memo.opaque(vm.steps);
                     vm.gos[gid].sleep_until = Some(until);
                     vm.sleepers += 1;
                     vm.gos[gid].wake = Some(WakeAction {
@@ -1323,7 +1324,7 @@ fn take_send_waiter(vm: &mut Vm, ch: ObjRef) -> Option<(Gid, Value)> {
             if let Some((_, value, body)) = found {
                 // Complete the select: jump to the send body.
                 vm.gos[g].select = None;
-                vm.gos[g].status = Status::Runnable;
+                vm.set_status(g, Status::Runnable);
                 vm.gos[g].wake = Some(WakeAction {
                     pops: 0,
                     push: Vec::new(),
@@ -1337,7 +1338,7 @@ fn take_send_waiter(vm: &mut Vm, ch: ObjRef) -> Option<(Gid, Value)> {
         if vm.gos[g].parked_on == Some(ch) {
             // Plain sender: stack top is the value (chan below it).
             let v = vm.gos[g].stack.last().cloned().unwrap_or(Value::Nil);
-            vm.gos[g].status = Status::Runnable;
+            vm.set_status(g, Status::Runnable);
             vm.gos[g].parked_on = None;
             vm.gos[g].wake = Some(WakeAction {
                 pops: 2,
@@ -1387,7 +1388,7 @@ fn deliver_to_receiver(vm: &mut Vm, sgid: Gid, rgid: Gid, ch: ObjRef, v: Value) 
                 }
             }
             vm.gos[rgid].select = None;
-            vm.gos[rgid].status = Status::Runnable;
+            vm.set_status(rgid, Status::Runnable);
             vm.gos[rgid].wake = Some(WakeAction {
                 pops: 0,
                 push: pushes,
@@ -1403,7 +1404,7 @@ fn deliver_to_receiver(vm: &mut Vm, sgid: Gid, rgid: Gid, ch: ObjRef, v: Value) 
     if comma_ok {
         pushes.push(Value::Bool(true));
     }
-    vm.gos[rgid].status = Status::Runnable;
+    vm.set_status(rgid, Status::Runnable);
     vm.gos[rgid].parked_on = None;
     vm.gos[rgid].wake = Some(WakeAction {
         pops: 1,
@@ -1479,9 +1480,12 @@ fn exec_select(vm: &mut Vm, gid: Gid, spec_id: u32) -> Flow {
 /// when nothing is ready.
 pub(crate) fn try_select(vm: &mut Vm, gid: Gid, cases: &[ParkedCase]) -> Option<Flow> {
     let mut order: Vec<usize> = (0..cases.len()).collect();
+    if order.len() > 1 {
+        vm.memo.opaque(vm.steps);
+    }
     // Fisher–Yates with the VM's seeded RNG.
     for i in (1..order.len()).rev() {
-        let j = vm.rng.gen_range(0..=i);
+        let j = vm.sched.rng.gen_range(0..=i);
         order.swap(i, j);
     }
     for &i in &order {

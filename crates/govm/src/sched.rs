@@ -21,11 +21,14 @@
 //!   long uninterrupted stretches in few runs.
 //!
 //! Every run also folds its scheduling decisions into a **schedule
-//! signature** (a hash of the preemption-point sequence, exposed as
+//! signature** (a hash of its context-switch sequence, exposed as
 //! [`crate::RunResult::schedule_sig`]). Two runs with the same signature
-//! executed the same interleaving, so
-//! [`crate::run_test_many`] can stop a campaign early once the schedule
-//! space saturates instead of burning instructions on replays.
+//! switched goroutines at the same instruction counts; they executed
+//! the same interleaving unless the program drew from the run rng
+//! (`select` order, timer jitter), which the signature does not see. So
+//! [`crate::run_test_many`]'s early exit on repeated signatures is a
+//! saturation heuristic, and its per-campaign schedule memo keys on
+//! the switches themselves and stops wherever the program draws.
 //!
 //! The built-in policies cover the paper's validation loop and the
 //! `schedules_to_expose` bench.
@@ -295,12 +298,78 @@ impl Scheduler for PctScheduler {
     }
 }
 
+/// One run's scheduling state: the policy's engine, the run's seeded
+/// rng, the signature fold, the decision count and the runnable-set
+/// buffer. The VM and the schedule-memo walk each drive a run through
+/// one of these, so both make the same decisions from the same seed.
+pub(crate) struct RunSched {
+    engine: Box<dyn Scheduler>,
+    /// The run's seeded rng: drawn by the random and sweep engines and,
+    /// on the VM, by the program (`select` order, timer jitter).
+    pub(crate) rng: StdRng,
+    /// Running schedule-signature fold.
+    pub(crate) sig: u64,
+    /// Scheduling decisions made so far.
+    pub(crate) points: u64,
+    /// The goroutine the previous decision ran (for switch detection).
+    last: Option<Gid>,
+    /// The runnable set at the current decision, ascending.
+    pub(crate) runnable: Vec<Gid>,
+}
+
+impl RunSched {
+    /// The state at the start of a run with seed `seed`.
+    pub(crate) fn new(policy: &SchedulePolicy, seed: u64, preempt_max: u32) -> Self {
+        RunSched {
+            engine: policy.build(seed, preempt_max),
+            rng: StdRng::seed_from_u64(seed),
+            sig: SIGNATURE_SEED,
+            points: 0,
+            last: None,
+            runnable: Vec::new(),
+        }
+    }
+
+    /// Starts a new run, keeping the runnable-set buffer.
+    pub(crate) fn reset(&mut self, policy: &SchedulePolicy, seed: u64, preempt_max: u32) {
+        let runnable = std::mem::take(&mut self.runnable);
+        *self = RunSched {
+            runnable,
+            ..RunSched::new(policy, seed, preempt_max)
+        };
+    }
+
+    /// Picks the next goroutine from [`RunSched::runnable`] at
+    /// instruction count `steps`. Returns the decision and whether it is
+    /// a context switch.
+    pub(crate) fn decide(&mut self, steps: u64) -> (Decision, bool) {
+        let decision = self.engine.pick(&mut self.rng, &self.runnable, steps);
+        debug_assert!(
+            self.runnable.contains(&decision.gid),
+            "scheduler picked a non-runnable goroutine"
+        );
+        // The signature records *context switches* only: re-picking the
+        // goroutine that is already running — whatever the quantum
+        // boundaries — leaves the interleaving unchanged, so folding
+        // those decisions would make identical interleavings hash
+        // differently and defeat campaign dedup.
+        let switched = self.last != Some(decision.gid);
+        if switched {
+            self.sig = fold_signature(self.sig, decision.gid, steps);
+            self.last = Some(decision.gid);
+        }
+        self.points += 1;
+        (decision, switched)
+    }
+}
+
 /// Folds one scheduling decision into a running schedule signature.
 ///
 /// The signature is an FNV-1a-style fold over the `(goroutine, step)`
-/// preemption-point sequence: two runs with equal signatures made the
-/// same decisions at the same instruction counts, i.e. executed the same
-/// interleaving of the same program.
+/// context-switch sequence: two runs with equal signatures (barring a
+/// hash collision) switched to the same goroutines at the same
+/// instruction counts. They can still differ where the program draws
+/// from the run rng, which the signature does not record.
 pub fn fold_signature(sig: u64, gid: Gid, steps: u64) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut h = sig ^ (gid as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -6,7 +6,9 @@
 //! one compiled program, N seeded schedules — explored by the campaign's
 //! [`SchedulePolicy`], deduplicated by schedule signature, and bounded
 //! by an optional campaign-wide instruction budget. Every run of a
-//! campaign executes on one [`TestVm`], reset between runs.
+//! campaign executes on one [`TestVm`], reset between runs, and a run
+//! whose interleaving the campaign already executed is replayed from
+//! the campaign's schedule memo instead.
 
 use crate::compile::{compile_sources, CompileOptions};
 use crate::sched::{derive_seed, SchedulePolicy};
@@ -36,8 +38,11 @@ pub struct TestConfig {
     /// completed runs reach it, the campaign stops early.
     pub max_total_steps: Option<u64>,
     /// Early exit on schedule saturation: stop after this many
-    /// *consecutive* runs whose schedule signature was already explored
-    /// (a replayed interleaving cannot surface anything new).
+    /// *consecutive* runs whose schedule signature was already explored.
+    /// A heuristic: the signature folds context switches only, so a run
+    /// with a known signature can still differ from every earlier run
+    /// where the program draws from the run's rng (`select` order,
+    /// timer jitter) and surface a new outcome.
     pub dedup_streak: Option<u32>,
 }
 
@@ -58,9 +63,10 @@ impl Default for TestConfig {
 /// Why a campaign stopped executing schedules.
 ///
 /// Validation-policy decisions hinge on the distinction: a
-/// [`StopReason::DedupSaturated`] exit means the schedule space was
-/// exhausted (replaying more duplicates could not surface anything
-/// new), while [`StopReason::BudgetExhausted`] means the campaign ran
+/// [`StopReason::DedupSaturated`] exit means new schedule signatures
+/// stopped appearing (the switch sequences look exhausted, though runs
+/// that share a signature can still differ in their `select` and timer
+/// draws), while [`StopReason::BudgetExhausted`] means the campaign ran
 /// out of instructions with schedules still unexplored — a weaker
 /// "clean" verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -78,7 +84,10 @@ pub enum StopReason {
 }
 
 /// Aggregate outcome of running one test under many schedules.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality ignores [`TestOutcome::replayed`], a gauge of how the
+/// outcome was computed, not of what it is.
+#[derive(Debug, Clone)]
 pub struct TestOutcome {
     /// Distinct races observed across all runs (deduped by bug hash).
     pub races: Vec<RaceReport>,
@@ -99,6 +108,36 @@ pub struct TestOutcome {
     pub stop: StopReason,
     /// Deterministic hot-path counters summed over the executed runs.
     pub counters: RunCounters,
+    /// Runs answered from the campaign's schedule memo instead of the
+    /// VM (each is also counted in `runs` and `duplicate_schedules`).
+    pub replayed: u32,
+}
+
+impl PartialEq for TestOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured without `..`, so a new field cannot be forgotten.
+        let TestOutcome {
+            races,
+            error,
+            test_failures,
+            runs,
+            steps,
+            distinct_schedules,
+            duplicate_schedules,
+            stop,
+            counters,
+            replayed: _,
+        } = self;
+        *races == other.races
+            && *error == other.error
+            && *test_failures == other.test_failures
+            && *runs == other.runs
+            && *steps == other.steps
+            && *distinct_schedules == other.distinct_schedules
+            && *duplicate_schedules == other.duplicate_schedules
+            && *stop == other.stop
+            && *counters == other.counters
+    }
 }
 
 impl TestOutcome {
@@ -184,20 +223,35 @@ impl<'p> TestVm<'p> {
     /// [`TestVm::run`] for a campaign: resolves to a report only the
     /// races whose bug hash is not in `seen`, appending those to `races`
     /// (and their hashes to `seen`). The result's own `races` is empty.
+    /// With `record` set, the campaign's schedule memo records the run.
     fn run_new_races(
         &mut self,
         test: &str,
         opts: VmOptions,
+        record: bool,
         seen: &mut HashSet<u64>,
         races: &mut Vec<RaceReport>,
     ) -> RunResult {
+        if record {
+            self.vm.memo.record();
+        }
         let error = self.execute(test, opts);
         for raw in self.vm.det.races() {
             if seen.insert(self.vm.race_hash(raw, &mut self.names)) {
                 races.push(self.vm.race_report(raw));
             }
         }
-        self.vm.finish(error, Vec::new())
+        let r = self.vm.finish(error, Vec::new());
+        self.vm.memo.finish(&r);
+        r
+    }
+
+    /// The campaign run under `opts`, replayed from the schedule memo
+    /// when an earlier run of this campaign executed its interleaving;
+    /// `None` when it must execute.
+    fn replay(&mut self, opts: &VmOptions) -> Option<RunResult> {
+        let has_init = self.vm.prog.init_func.is_some();
+        self.vm.memo.replay(opts, has_init)
     }
 
     /// Resets the VM to `opts` and runs `test` with a root `testing.T`.
@@ -225,9 +279,18 @@ impl<'p> TestVm<'p> {
 /// Runs `test` under `cfg.runs` seeded schedules, aggregating results.
 ///
 /// Each run's schedule signature is tracked: a campaign can stop early
-/// once `cfg.dedup_streak` consecutive runs replay already-explored
-/// interleavings, or once `cfg.max_total_steps` instructions have been
-/// spent — both default to off.
+/// once `cfg.dedup_streak` consecutive runs repeat already-seen
+/// signatures, or once `cfg.max_total_steps` instructions have been
+/// spent — both default to off. A repeated signature is a heuristic
+/// for saturation, not a proof: runs with equal signatures can still
+/// differ where the program draws from the run rng.
+///
+/// A run whose context-switch sequence an earlier run of the campaign
+/// executed is replayed from the campaign's schedule memo instead of
+/// re-executed: the memo keys on context switches and stops wherever
+/// the program draws from the run rng or arms a timer, so the outcome
+/// is identical to executing every run ([`TestOutcome::replayed`]
+/// counts the replays).
 pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcome {
     let mut races: Vec<RaceReport> = Vec::new();
     let mut seen = HashSet::new();
@@ -241,6 +304,7 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
     let mut dup_streak = 0u32;
     let mut stop = StopReason::Completed;
     let mut counters = RunCounters::default();
+    let mut replayed = 0u32;
     let mut tvm = TestVm::new(prog);
     for i in 0..cfg.runs {
         // The budget never cancels the first run: a campaign that
@@ -255,7 +319,18 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
         let mut vmo = cfg.vm.clone();
         vmo.seed = derive_seed(cfg.seed, i as u64);
         vmo.policy = cfg.policy.clone();
-        let r = tvm.run_new_races(test, vmo, &mut seen, &mut races);
+        // A replayed run's races, error and failures were reported by
+        // the run that recorded it; only its cost is added again.
+        let r = match tvm.replay(&vmo) {
+            Some(r) => {
+                replayed += 1;
+                r
+            }
+            None => {
+                let record = i + 1 < cfg.runs;
+                tvm.run_new_races(test, vmo, record, &mut seen, &mut races)
+            }
+        };
         executed += 1;
         steps += r.steps;
         counters.accumulate(&r.counters);
@@ -299,6 +374,7 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
         duplicate_schedules: duplicates,
         stop,
         counters,
+        replayed,
     }
 }
 

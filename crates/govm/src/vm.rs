@@ -7,15 +7,14 @@
 //! `go test -race -count=N` (§4.4.1 of the paper).
 
 use crate::bytecode::{Program, TypeHint};
+use crate::memo::Memo;
 use crate::natives::{self, NativeMethod};
-use crate::sched::{self, SchedulePolicy, Scheduler};
+use crate::sched::{RunSched, SchedulePolicy};
 use crate::value::*;
 use racedet::{
     DetStats, Detector, FastPath, Frame as RFrame, GoroutineInfo, RaceReport, RawRace, StackGen,
     VectorClock,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -500,7 +499,6 @@ pub struct Vm<'p> {
     pub(crate) heap: Heap,
     pub(crate) det: Detector,
     pub(crate) gos: Vec<Goroutine>,
-    pub(crate) rng: StdRng,
     pub(crate) steps: u64,
     pub(crate) opts: VmOptions,
     pub(crate) globals: Vec<Addr>,
@@ -514,8 +512,6 @@ pub struct Vm<'p> {
     kept_names: usize,
     /// Buffers kept for reuse across goroutines, frames and runs.
     spare: Spare,
-    /// Reusable runnable-set buffer for the scheduler loop.
-    runnable_buf: Vec<Gid>,
     /// Recycled method-value receiver boxes (see `Op::BindMethod`).
     /// The boxes themselves are the point: `Value::Method` stores its
     /// receiver boxed, and the pool exists to reuse those heap cells.
@@ -546,14 +542,12 @@ pub struct Vm<'p> {
     /// Lazily allocated global rand source.
     pub(crate) global_rand: Option<Value>,
     pub(crate) fatal: Option<RunError>,
-    /// The pluggable scheduling engine (see [`crate::sched`]).
-    sched: Box<dyn Scheduler>,
-    /// Running schedule-signature fold.
-    sched_sig: u64,
-    /// Scheduling decisions made so far.
-    sched_points: u64,
-    /// The goroutine the previous decision ran (for switch detection).
-    last_running: Option<Gid>,
+    /// The run's scheduling state: the pluggable engine (see
+    /// [`crate::sched`]), the seeded rng and the signature fold.
+    pub(crate) sched: RunSched,
+    /// The campaign's schedule memo, recording this run when its
+    /// campaign asks (see [`crate::memo`]). Survives [`Vm::reset`].
+    pub(crate) memo: Memo,
 }
 
 /// Internal control-flow signal from one instruction.
@@ -576,7 +570,7 @@ impl<'p> Vm<'p> {
     /// Creates a VM for `prog`, with the scheduling engine built from
     /// `opts.policy`.
     pub fn new(prog: &'p Program, opts: VmOptions) -> Self {
-        let sched = opts.policy.build(opts.seed, opts.preempt_max);
+        let sched = RunSched::new(&opts.policy, opts.seed, opts.preempt_max);
         let mut det = Detector::new();
         det.set_sync_cache(opts.sync_epoch_cache);
         let mut vm = Vm {
@@ -584,7 +578,6 @@ impl<'p> Vm<'p> {
             heap: Heap::new(),
             det,
             gos: Vec::new(),
-            rng: StdRng::seed_from_u64(opts.seed),
             steps: 0,
             opts,
             globals: Vec::new(),
@@ -593,7 +586,6 @@ impl<'p> Vm<'p> {
             extra_name_map: HashMap::new(),
             kept_names: 0,
             spare: Spare::default(),
-            runnable_buf: Vec::new(),
             method_box_pool: Vec::new(),
             snapshots_taken: 0,
             stack_cache_hits: 0,
@@ -607,9 +599,7 @@ impl<'p> Vm<'p> {
             global_rand: None,
             fatal: None,
             sched,
-            sched_sig: sched::SIGNATURE_SEED,
-            sched_points: 0,
-            last_running: None,
+            memo: Memo::new(),
         };
         vm.alloc_globals();
         vm
@@ -647,7 +637,6 @@ impl<'p> Vm<'p> {
             heap,
             det,
             gos,
-            rng,
             steps,
             opts: vm_opts,
             globals,
@@ -656,7 +645,6 @@ impl<'p> Vm<'p> {
             extra_name_map,
             kept_names,
             spare,
-            runnable_buf: _,
             method_box_pool: _,
             snapshots_taken,
             stack_cache_hits,
@@ -670,9 +658,7 @@ impl<'p> Vm<'p> {
             global_rand,
             fatal,
             sched,
-            sched_sig,
-            sched_points,
-            last_running,
+            memo: _,
         } = self;
         for c in heap.closures.drain(..) {
             spare.put_addrs(c.upvals);
@@ -684,7 +670,6 @@ impl<'p> Vm<'p> {
             let g = g.recycle(spare);
             spare.goroutines.push(g);
         }
-        *rng = StdRng::seed_from_u64(opts.seed);
         *steps = 0;
         globals.clear();
         for name in extra_names.drain(*kept_names..) {
@@ -701,10 +686,7 @@ impl<'p> Vm<'p> {
         *never_chan = None;
         *global_rand = None;
         *fatal = None;
-        *sched = opts.policy.build(opts.seed, opts.preempt_max);
-        *sched_sig = sched::SIGNATURE_SEED;
-        *sched_points = 0;
-        *last_running = None;
+        sched.reset(&opts.policy, opts.seed, opts.preempt_max);
         *vm_opts = opts;
         self.alloc_globals();
     }
@@ -1054,6 +1036,7 @@ impl<'p> Vm<'p> {
         }
         debug_assert_eq!(gid, self.gos.len(), "goroutine ids stay dense");
         self.gos.push(g);
+        self.memo.note(self.steps, gid, Status::Runnable);
         self.push_call(gid, callee, args)
             .map_err(|e| format!("go: {e}"))?;
         Ok(gid)
@@ -1169,34 +1152,25 @@ impl<'p> Vm<'p> {
     /// Runs `entry(args)` to completion (plus drain), leaving the races
     /// in the detector; returns the abnormal termination, if any.
     pub(crate) fn execute(&mut self, entry: &str, args: Vec<Value>) -> Option<RunError> {
-        if let Some(init) = self.prog.init_func {
-            match self.spawn(None, Value::Func(init), Vec::new()) {
-                Ok(g0) => {
-                    self.drive(Some(g0), self.opts.max_steps);
-                }
-                Err(e) => return Some(RunError::Internal(e)),
-            }
-        }
-        if self.fatal.is_some() {
-            return self.fatal.take();
-        }
+        run_phases(self, |vm| vm.spawn_entry(entry, args));
+        self.fatal.take()
+    }
+
+    /// Spawns the root goroutine running `entry(args)`; a failure is the
+    /// run's fatal error.
+    fn spawn_entry(&mut self, entry: &str, args: Vec<Value>) -> Option<Gid> {
         let Some(entry_id) = self.prog.find_func(entry) else {
-            return Some(RunError::Internal(format!("no function `{entry}`")));
+            self.fatal = Some(RunError::Internal(format!("no function `{entry}`")));
+            return None;
         };
         let parent = if self.gos.is_empty() { None } else { Some(0) };
-        let root = match self.spawn(parent, Value::Func(entry_id), args) {
-            Ok(g) => g,
-            Err(e) => return Some(RunError::Internal(e)),
-        };
-        self.drive(Some(root), self.opts.max_steps);
-        if self.fatal.is_none() {
-            let budget = self
-                .steps
-                .saturating_add(self.opts.drain_steps)
-                .min(self.opts.max_steps.saturating_mul(2));
-            self.drive(None, budget);
+        match self.spawn(parent, Value::Func(entry_id), args) {
+            Ok(g) => Some(g),
+            Err(e) => {
+                self.fatal = Some(RunError::Internal(e));
+                None
+            }
         }
-        self.fatal.take()
     }
 
     /// Resolves a recorded race into report form: frames, goroutine
@@ -1256,11 +1230,11 @@ impl<'p> Vm<'p> {
             steps: self.steps,
             output: std::mem::take(&mut self.output),
             test_failures: std::mem::take(&mut self.test_failures),
-            schedule_sig: self.sched_sig,
-            sched_points: self.sched_points,
+            schedule_sig: self.sched.sig,
+            sched_points: self.sched.points,
             counters: RunCounters {
                 vm_steps: self.steps,
-                sched_points: self.sched_points,
+                sched_points: self.sched.points,
                 stack_snapshots: self.snapshots_taken,
                 snapshots_avoided: det.fast_hits(),
                 stack_cache_hits: self.stack_cache_hits,
@@ -1271,120 +1245,6 @@ impl<'p> Vm<'p> {
                 det,
             },
         }
-    }
-
-    fn drive(&mut self, root: Option<Gid>, budget: u64) {
-        loop {
-            if self.fatal.is_some() {
-                return;
-            }
-            if let Some(r) = root {
-                if self.gos[r].status == Status::Done {
-                    return;
-                }
-            }
-            if self.steps >= budget {
-                if root.is_some() && self.steps >= self.opts.max_steps {
-                    self.fatal = Some(RunError::StepLimit);
-                }
-                return;
-            }
-            self.fire_timers();
-            self.runnable_buf.clear();
-            for g in 0..self.gos.len() {
-                if self.gos[g].status == Status::Runnable {
-                    self.runnable_buf.push(g);
-                }
-            }
-            if self.runnable_buf.is_empty() {
-                let any_blocked = self.gos.iter().any(|g| g.status == Status::Blocked);
-                if !any_blocked {
-                    return;
-                }
-                if self.advance_time() {
-                    continue;
-                }
-                if root.is_some() {
-                    let reasons: Vec<&str> = self
-                        .gos
-                        .iter()
-                        .filter(|g| g.status == Status::Blocked)
-                        .map(|g| g.block_reason)
-                        .collect();
-                    self.fatal = Some(RunError::Deadlock(reasons.join(", ")));
-                }
-                return;
-            }
-            let decision = self
-                .sched
-                .pick(&mut self.rng, &self.runnable_buf, self.steps);
-            debug_assert!(
-                self.runnable_buf.contains(&decision.gid),
-                "scheduler picked a non-runnable goroutine"
-            );
-            // The signature records *context switches* only: re-picking
-            // the goroutine that is already running — whatever the
-            // quantum boundaries — leaves the interleaving unchanged, so
-            // folding those decisions would make semantically identical
-            // schedules hash differently and defeat campaign dedup.
-            if self.last_running != Some(decision.gid) {
-                self.sched_sig = sched::fold_signature(self.sched_sig, decision.gid, self.steps);
-                self.last_running = Some(decision.gid);
-            }
-            self.sched_points += 1;
-            self.run_goroutine(decision.gid, decision.quantum.max(1), budget);
-        }
-    }
-
-    fn fire_timers(&mut self) {
-        // Called on every scheduling decision; with no timers armed and
-        // no sleeping goroutines there is provably nothing to fire.
-        if self.timers.is_empty() && self.sleepers == 0 {
-            return;
-        }
-        let now = self.steps;
-        let mut fired = Vec::new();
-        self.timers.retain(|&(at, ch)| {
-            if at <= now {
-                fired.push(ch);
-                false
-            } else {
-                true
-            }
-        });
-        for ch in fired {
-            self.close_chan_internal(ch);
-        }
-        for g in &mut self.gos {
-            if let Some(t) = g.sleep_until {
-                if t <= now && g.status == Status::Blocked {
-                    g.sleep_until = None;
-                    self.sleepers = self.sleepers.saturating_sub(1);
-                    g.status = Status::Runnable;
-                }
-            }
-        }
-    }
-
-    /// Jumps the step counter to the next timer/sleeper deadline.
-    fn advance_time(&mut self) -> bool {
-        let mut next = u64::MAX;
-        for &(at, _) in &self.timers {
-            next = next.min(at);
-        }
-        for g in &self.gos {
-            if let Some(t) = g.sleep_until {
-                next = next.min(t);
-            }
-        }
-        if next == u64::MAX {
-            return false;
-        }
-        if next > self.steps {
-            self.steps = next;
-        }
-        self.fire_timers();
-        true
     }
 
     fn run_goroutine(&mut self, gid: Gid, quantum: u64, budget: u64) {
@@ -1423,7 +1283,7 @@ impl<'p> Vm<'p> {
                 Some(_) => unreachable!("select resolves to jump or panic"),
                 None => {
                     crate::ops::repark_select(self, gid, sel);
-                    self.gos[gid].status = Status::Blocked;
+                    self.set_status(gid, Status::Blocked);
                     self.gos[gid].block_reason = "select";
                     return;
                 }
@@ -1451,7 +1311,7 @@ impl<'p> Vm<'p> {
                 .last()
                 .map(|f| (f.func, f.pc, f.returning.is_some()))
             else {
-                self.gos[gid].status = Status::Done;
+                self.set_status(gid, Status::Done);
                 return;
             };
             // Unwinding frames (defers) take priority over fetch.
@@ -1488,9 +1348,8 @@ impl<'p> Vm<'p> {
                 }
                 Flow::Stay => {}
                 Flow::Park(reason) => {
-                    let g = &mut self.gos[gid];
-                    g.status = Status::Blocked;
-                    g.block_reason = reason;
+                    self.set_status(gid, Status::Blocked);
+                    self.gos[gid].block_reason = reason;
                     return;
                 }
                 Flow::Returned(v) => {
@@ -1507,6 +1366,13 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// Sets `g`'s status. Every status write goes through here, so the
+    /// campaign's schedule memo sees each one a recorded run makes.
+    pub(crate) fn set_status(&mut self, g: Gid, status: Status) {
+        self.gos[g].status = status;
+        self.memo.note(self.steps, g, status);
+    }
+
     /// Marks the current frame as returning `v`; defers run first.
     fn start_return(&mut self, gid: Gid, v: Value) {
         if let Some(f) = self.gos[gid].frames.last_mut() {
@@ -1519,7 +1385,7 @@ impl<'p> Vm<'p> {
     /// the return if none remain.
     fn proceed_return(&mut self, gid: Gid) {
         let Some(frame) = self.gos[gid].frames.last_mut() else {
-            self.gos[gid].status = Status::Done;
+            self.set_status(gid, Status::Done);
             return;
         };
         let Some(v) = frame.returning.clone() else {
@@ -1562,7 +1428,7 @@ impl<'p> Vm<'p> {
         self.gos[gid].stack.truncate(frame.stack_base);
         self.spare.put_frame(frame);
         if self.gos[gid].frames.is_empty() {
-            self.gos[gid].status = Status::Done;
+            self.set_status(gid, Status::Done);
             natives::on_goroutine_exit(self, gid);
             self.lifecycle_exit(gid);
         } else {
@@ -1604,7 +1470,7 @@ impl<'p> Vm<'p> {
         if self.gos[gid].frames.is_empty() {
             self.gos[gid].frames = frames;
         }
-        self.gos[gid].status = Status::Done;
+        self.set_status(gid, Status::Done);
         self.gos[gid].stack.clear();
         natives::on_goroutine_exit(self, gid);
         self.lifecycle_exit(gid);
@@ -1656,7 +1522,7 @@ impl<'p> Vm<'p> {
         let mut send: Vec<Gid> = std::mem::take(&mut self.heap.chans[ch].send_waiters);
         for &g in recv.iter().chain(send.iter()) {
             if self.gos[g].status == Status::Blocked && self.gos[g].sleep_until.is_none() {
-                self.gos[g].status = Status::Runnable;
+                self.set_status(g, Status::Runnable);
             }
         }
         recv.clear();
@@ -1705,5 +1571,220 @@ impl<'p> Vm<'p> {
             return Some((Value::Nil, false));
         }
         None
+    }
+}
+
+// ------------------------------------------------------------ scheduling
+
+/// One run as [`drive`] schedules it: the interpreter ([`Vm`]), or a
+/// walk over a campaign's schedule memo ([`crate::memo`]) that replays
+/// each stretch from an earlier run's record. [`run_phases`] and
+/// [`drive`] are the only scheduling code, so budgets, the init, root and
+/// drain phases and the signature fold cannot differ between the two.
+pub(crate) trait Exec {
+    /// The run's scheduling state.
+    fn sched(&mut self) -> &mut RunSched;
+    /// Instructions executed so far.
+    fn steps(&self) -> u64;
+    /// `(max_steps, drain_steps)` of the run's options.
+    fn limits(&self) -> (u64, u64);
+    /// Goroutines spawned so far (ids are dense).
+    fn goroutines(&self) -> usize;
+    /// Goroutine `g`'s status.
+    fn status(&self, g: Gid) -> Status;
+    /// Whether the run has failed.
+    fn fatal(&self) -> bool;
+    /// Fails the run with `e`.
+    fn set_fatal(&mut self, e: RunError);
+    /// Fails the run with a deadlock: every goroutine left is blocked
+    /// and no timer is pending.
+    fn deadlock(&mut self);
+    /// Fires due timers and wakes due sleepers. A memo walk never has
+    /// any: it stops before the stretch that arms one.
+    fn fire_timers(&mut self) {}
+    /// Jumps the step counter to the next timer or sleeper deadline;
+    /// `false` when none is armed.
+    fn advance_time(&mut self) -> bool {
+        false
+    }
+    /// Spawns the package-init goroutine, if the program has one.
+    fn spawn_init(&mut self) -> Option<Gid>;
+    /// Runs `gid` for up to `quantum` instructions within `budget`, or
+    /// until it parks, exits or fails the run. `switched` marks a
+    /// context switch to `gid`.
+    fn stretch(&mut self, gid: Gid, quantum: u64, budget: u64, switched: bool);
+}
+
+/// Runs the phases of one run: package init (if any), the root
+/// goroutine `spawn_entry` starts, then a bounded drain of the
+/// goroutines left over.
+pub(crate) fn run_phases<X: Exec>(x: &mut X, spawn_entry: impl FnOnce(&mut X) -> Option<Gid>) {
+    let (max_steps, drain_steps) = x.limits();
+    if let Some(g0) = x.spawn_init() {
+        drive(x, Some(g0), max_steps);
+    }
+    if x.fatal() {
+        return;
+    }
+    let Some(root) = spawn_entry(x) else {
+        return;
+    };
+    drive(x, Some(root), max_steps);
+    if !x.fatal() {
+        let budget = x
+            .steps()
+            .saturating_add(drain_steps)
+            .min(max_steps.saturating_mul(2));
+        drive(x, None, budget);
+    }
+}
+
+/// The scheduling loop: until `root` finishes (or, without a root, until
+/// nothing can run), pick a runnable goroutine and run its stretch.
+fn drive<X: Exec>(x: &mut X, root: Option<Gid>, budget: u64) {
+    loop {
+        if x.fatal() {
+            return;
+        }
+        if let Some(r) = root {
+            if x.status(r) == Status::Done {
+                return;
+            }
+        }
+        let steps = x.steps();
+        if steps >= budget {
+            if root.is_some() && steps >= x.limits().0 {
+                x.set_fatal(RunError::StepLimit);
+            }
+            return;
+        }
+        x.fire_timers();
+        let mut runnable = std::mem::take(&mut x.sched().runnable);
+        runnable.clear();
+        runnable.extend((0..x.goroutines()).filter(|&g| x.status(g) == Status::Runnable));
+        let idle = runnable.is_empty();
+        x.sched().runnable = runnable;
+        if idle {
+            if !(0..x.goroutines()).any(|g| x.status(g) == Status::Blocked) {
+                return;
+            }
+            if x.advance_time() {
+                continue;
+            }
+            if root.is_some() {
+                x.deadlock();
+            }
+            return;
+        }
+        let (decision, switched) = x.sched().decide(steps);
+        x.stretch(decision.gid, decision.quantum.max(1), budget, switched);
+    }
+}
+
+impl Exec for Vm<'_> {
+    fn sched(&mut self) -> &mut RunSched {
+        &mut self.sched
+    }
+
+    fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    fn limits(&self) -> (u64, u64) {
+        (self.opts.max_steps, self.opts.drain_steps)
+    }
+
+    fn goroutines(&self) -> usize {
+        self.gos.len()
+    }
+
+    fn status(&self, g: Gid) -> Status {
+        self.gos[g].status
+    }
+
+    fn fatal(&self) -> bool {
+        self.fatal.is_some()
+    }
+
+    fn set_fatal(&mut self, e: RunError) {
+        self.fatal = Some(e);
+    }
+
+    fn deadlock(&mut self) {
+        let reasons: Vec<&str> = self
+            .gos
+            .iter()
+            .filter(|g| g.status == Status::Blocked)
+            .map(|g| g.block_reason)
+            .collect();
+        self.fatal = Some(RunError::Deadlock(reasons.join(", ")));
+    }
+
+    fn fire_timers(&mut self) {
+        // Called on every scheduling decision; with no timers armed and
+        // no sleeping goroutines there is provably nothing to fire.
+        if self.timers.is_empty() && self.sleepers == 0 {
+            return;
+        }
+        let now = self.steps;
+        let mut fired = Vec::new();
+        self.timers.retain(|&(at, ch)| {
+            if at <= now {
+                fired.push(ch);
+                false
+            } else {
+                true
+            }
+        });
+        for ch in fired {
+            self.close_chan_internal(ch);
+        }
+        for g in 0..self.gos.len() {
+            if let Some(t) = self.gos[g].sleep_until {
+                if t <= now && self.gos[g].status == Status::Blocked {
+                    self.gos[g].sleep_until = None;
+                    self.sleepers = self.sleepers.saturating_sub(1);
+                    self.set_status(g, Status::Runnable);
+                }
+            }
+        }
+    }
+
+    fn advance_time(&mut self) -> bool {
+        let mut next = u64::MAX;
+        for &(at, _) in &self.timers {
+            next = next.min(at);
+        }
+        for g in &self.gos {
+            if let Some(t) = g.sleep_until {
+                next = next.min(t);
+            }
+        }
+        if next == u64::MAX {
+            return false;
+        }
+        if next > self.steps {
+            self.steps = next;
+        }
+        self.fire_timers();
+        true
+    }
+
+    fn spawn_init(&mut self) -> Option<Gid> {
+        let init = self.prog.init_func?;
+        match self.spawn(None, Value::Func(init), Vec::new()) {
+            Ok(g0) => Some(g0),
+            Err(e) => {
+                self.fatal = Some(RunError::Internal(e));
+                None
+            }
+        }
+    }
+
+    fn stretch(&mut self, gid: Gid, quantum: u64, budget: u64, switched: bool) {
+        self.memo.begin(self.steps, gid, switched);
+        self.run_goroutine(gid, quantum, budget);
+        let stopped = self.fatal.is_some() || self.gos[gid].status != Status::Runnable;
+        self.memo.end(self.steps, stopped, self.fatal.is_some());
     }
 }

@@ -67,7 +67,9 @@ perf-baseline:
 
 # The CI `campaign-smoke` job: kill a 4-worker campaign at its first
 # checkpoint, resume it, and require the resumed digest to equal the
-# uninterrupted serial reference bit-for-bit (see the Makefile recipe).
+# uninterrupted serial reference bit-for-bit; then require a fix-mode
+# campaign's digest to match serially and on 4 workers, with schedules
+# replayed from schedule memos (see the Makefile recipe).
 campaign-smoke:
     make campaign-smoke
 

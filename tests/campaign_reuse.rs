@@ -1,9 +1,12 @@
 //! A schedule campaign runs every schedule on one VM, reset between
-//! runs ([`govm::TestVm`]). This suite pins that the reuse is invisible:
-//! every run equals the same run on a freshly built VM — full race
-//! reports with creation stacks, steps, schedule signature, counters,
-//! error, test failures and output — and `run_test_many`'s campaign
-//! outcome equals the one assembled from fresh single runs.
+//! runs ([`govm::TestVm`]), and replays a run whose context-switch
+//! sequence it already executed from its schedule memo. This suite pins
+//! that both are invisible: every run equals the same run on a freshly
+//! built VM — full race reports with creation stacks, steps, schedule
+//! signature, counters, error, test failures and output — and
+//! `run_test_many`'s campaign outcome equals the one assembled from
+//! fresh single runs, including on 1,000-run campaigns where the memo
+//! replays a large share of the runs.
 
 use corpus::stream::{CorpusStream, StreamConfig, StreamFamily};
 use govm::{
@@ -118,6 +121,7 @@ fn fresh_campaign(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcome {
         duplicate_schedules: 0,
         stop: StopReason::Completed,
         counters: RunCounters::default(),
+        replayed: 0,
     };
     let (mut seen, mut sigs, mut streak) = (HashSet::new(), HashSet::new(), 0);
     for i in 0..cfg.runs {
@@ -367,4 +371,233 @@ fn no_gauge_inherits_retained_capacity() {
     assert_eq!(n.states_collected, f.states_collected);
     assert_eq!(n.clock_slots_reclaimed, f.clock_slots_reclaimed);
     assert_eq!(narrow, fresh);
+}
+
+/// Fixable-family stream cases: each racy original and its reference
+/// fix, with the case's test.
+fn fixable_programs(cases: usize) -> Vec<(String, Program, String)> {
+    let stream = CorpusStream::new(StreamConfig {
+        family: StreamFamily::Fixable,
+        seed: 0xD27F17,
+    });
+    let mut out = Vec::new();
+    for case in stream.iter(0..cases) {
+        let fix = case.human_fix.as_ref().expect("fixable cases carry a fix");
+        let mut fixed = case.files.clone();
+        for (name, src) in fix {
+            if let Some(slot) = fixed.iter_mut().find(|(n, _)| n == name) {
+                slot.1 = src.clone();
+            }
+        }
+        for (kind, files) in [("racy", &case.files), ("fixed", &fixed)] {
+            let prog = compile(files).expect("fixable case compiles");
+            out.push((format!("{} {kind}", case.id), prog, case.test.clone()));
+        }
+    }
+    out
+}
+
+/// 1,000-run campaign shapes: every policy, detection and validation
+/// mode, and each early exit.
+fn memo_configs() -> Vec<TestConfig> {
+    let base = TestConfig {
+        runs: 1_000,
+        seed: 0x3E30,
+        ..TestConfig::default()
+    };
+    vec![
+        base.clone(),
+        TestConfig {
+            policy: SchedulePolicy::pct(),
+            ..base.clone()
+        },
+        TestConfig {
+            policy: SchedulePolicy::Sweep,
+            ..base.clone()
+        },
+        TestConfig {
+            stop_on_race: true,
+            ..base.clone()
+        },
+        TestConfig {
+            policy: SchedulePolicy::pct(),
+            stop_on_race: true,
+            dedup_streak: Some(40),
+            ..base.clone()
+        },
+        TestConfig {
+            policy: SchedulePolicy::Sweep,
+            max_total_steps: Some(60_000),
+            ..base
+        },
+    ]
+}
+
+#[test]
+fn memo_replayed_campaigns_equal_fresh_single_runs() {
+    let mut pinned = None;
+    for (label, prog, test) in fixable_programs(2) {
+        let mut replayed = 0;
+        for (c, cfg) in memo_configs().iter().enumerate() {
+            let memo = run_test_many(&prog, &test, cfg);
+            assert_eq!(
+                memo,
+                fresh_campaign(&prog, &test, cfg),
+                "{label} config {c}"
+            );
+            assert!(
+                memo.replayed <= memo.duplicate_schedules,
+                "{label} config {c}"
+            );
+            replayed += memo.replayed;
+            if pinned.is_none() && label.ends_with("fixed") {
+                pinned = Some((label.clone(), memo.runs, memo.replayed));
+            }
+        }
+        assert!(replayed > 0, "{label}: the memo replayed nothing");
+    }
+    // The first fixed case's random validation campaign: the replay count
+    // is a deterministic function of the program and the seeds.
+    let (label, runs, replayed) = pinned.expect("a fixed case ran");
+    assert_eq!((runs, replayed), (1_000, PINNED_REPLAYED), "{label}");
+}
+
+/// Replays of the first fixed case's 1,000-run random campaign.
+const PINNED_REPLAYED: u32 = 906;
+
+/// `select` over several ready channels, `time.After`, a context
+/// deadline and `time.Sleep`: each draws from the run rng or arms a
+/// timer, which the memo must never replay past.
+const TIMERS: &str = r#"package timers
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+)
+
+var hits int
+
+func TestSelectTimers(t *testing.T) {
+	var mu sync.Mutex
+	a := make(chan int, 1)
+	b := make(chan int, 1)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		a <- 1
+	}()
+	go func() {
+		defer wg.Done()
+		b <- 2
+		time.Sleep(3)
+	}()
+	wg.Wait()
+	select {
+	case v := <-a:
+		mu.Lock()
+		hits = hits + v
+		mu.Unlock()
+	case v := <-b:
+		hits = hits + v
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20)
+	defer cancel()
+	select {
+	case <-ctx.Done():
+		hits = hits + 1
+	case <-time.After(10):
+		hits = hits + 2
+	}
+}
+
+func TestWorkersThenSelect(t *testing.T) {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mu.Lock()
+			hits = hits + 1
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	a := make(chan int, 1)
+	b := make(chan int, 1)
+	a <- 1
+	b <- 2
+	select {
+	case <-a:
+		if hits < 0 {
+			t.Errorf("negative")
+		}
+	case <-b:
+		go func() {
+			hits = 7
+		}()
+		hits = 8
+	}
+}
+"#;
+
+#[test]
+fn memo_never_replays_past_select_or_timer_draws() {
+    let prog = compile(&[("timers.go".to_owned(), TIMERS.to_owned())]).expect("compiles");
+    for test in prog.test_funcs() {
+        for (c, cfg) in memo_configs().iter().enumerate().take(3) {
+            let memo = run_test_many(&prog, &test, cfg);
+            assert_eq!(memo, fresh_campaign(&prog, &test, cfg), "{test} config {c}");
+        }
+    }
+}
+
+/// One goroutine, two ready buffered channels: the `select` order is
+/// drawn from the run rng, which the schedule signature does not see.
+const SELECT_DRAW: &str = r#"package draw
+
+import (
+	"fmt"
+	"testing"
+)
+
+func TestPick(t *testing.T) {
+	a := make(chan int, 1)
+	b := make(chan int, 1)
+	a <- 1
+	b <- 2
+	select {
+	case v := <-a:
+		fmt.Println(v)
+	case v := <-b:
+		fmt.Println(v)
+	}
+}
+"#;
+
+/// Schedule signatures fold context switches only, so runs with equal
+/// signatures can still differ — here in what they print. Dedup by
+/// signature is a heuristic, and the schedule memo cannot key on the
+/// signature alone.
+#[test]
+fn equal_signatures_can_hide_different_runs() {
+    let prog = compile(&[("draw.go".to_owned(), SELECT_DRAW.to_owned())]).expect("compiles");
+    let cfg = TestConfig {
+        runs: 6,
+        seed: 0xD1CE,
+        dedup_streak: Some(3),
+        ..TestConfig::default()
+    };
+    let runs: Vec<_> = (0..cfg.runs)
+        .map(|i| run_test_with(&prog, "TestPick", run_opts(&cfg, i)))
+        .collect();
+    assert!(runs.iter().all(|r| r.schedule_sig == runs[0].schedule_sig));
+    let outputs: HashSet<&str> = runs.iter().map(|r| r.output.as_str()).collect();
+    assert_eq!(outputs, HashSet::from(["1\n", "2\n"]), "{runs:?}");
+    let out = run_test_many(&prog, "TestPick", &cfg);
+    assert_eq!(out.stop, StopReason::DedupSaturated);
+    assert_eq!((out.runs, out.distinct_schedules, out.replayed), (4, 1, 0));
 }

@@ -33,6 +33,7 @@ fn scrub(o: &FixOutcome) -> FixOutcome {
     let mut o = o.clone();
     o.rejected_static = 0;
     o.validation_vm_steps = 0;
+    o.replayed_schedules = 0;
     o
 }
 
