@@ -166,10 +166,15 @@ fn bench_validation(c: &mut Criterion) {
     });
 }
 
-/// The statcheck probe on a fixed candidate set: every tournament
-/// candidate of the first 24 mixed-stream cases (`drbench`'s fix-service
-/// seeds), parsed once up front. One iteration probes every candidate, as
-/// the pool build does on admission.
+/// The statcheck probe on two fixed input sets, each parsed once up
+/// front. One iteration probes every program of its set.
+///
+/// - Every tournament candidate of the first 24 mixed-stream cases
+///   (`drbench`'s fix-service seeds), as the pool build probes them on
+///   admission: most of their functions are filler the relevance filter
+///   skips.
+/// - The sync-heavy perf programs: every function there is relevant, so
+///   this set times the analysis with nothing to skip.
 fn bench_statcheck(c: &mut Criterion) {
     use corpus::stream::{CorpusStream, StreamConfig, StreamFamily};
     use drfix::{DrFix, PipelineConfig, TournamentConfig};
@@ -200,6 +205,33 @@ fn bench_statcheck(c: &mut Criterion) {
         |b| {
             b.iter(|| {
                 candidates
+                    .iter()
+                    .map(|parsed| statcheck::check_parsed(std::hint::black_box(parsed)).len())
+                    .sum::<usize>()
+            })
+        },
+    );
+    let sync_heavy: Vec<Vec<golite::ParsedFile>> = bench::hotpath::sync_heavy_cases()
+        .into_iter()
+        .map(|(name, src, _test)| {
+            golite::parse_sources(&[(format!("{name}.go"), src.to_owned())]).expect("parses")
+        })
+        .collect();
+    for (_, _, file) in sync_heavy.iter().flatten() {
+        let env = statcheck::cfg::FileEnv::new(file);
+        let funcs = file.decls.iter().filter_map(|d| match d {
+            golite::Decl::Func(f) => Some(f),
+            _ => None,
+        });
+        for f in funcs {
+            assert!(statcheck::cfg::relevant(f, &env), "`{}` is skipped", f.name);
+        }
+    }
+    c.bench_function(
+        &format!("statcheck_sync_heavy_{}_programs", sync_heavy.len()),
+        |b| {
+            b.iter(|| {
+                sync_heavy
                     .iter()
                     .map(|parsed| statcheck::check_parsed(std::hint::black_box(parsed)).len())
                     .sum::<usize>()

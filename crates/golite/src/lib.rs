@@ -37,6 +37,8 @@ pub mod visit;
 
 pub use ast::{Block, Decl, Expr, File, FuncDecl, Stmt, Type};
 pub use diag::{Diag, Diagnostic, Result, Severity};
-pub use parser::{parse_calls, parse_expr, parse_file, parse_sources, parse_stmts, ParsedFile};
+pub use parser::{
+    parse_calls, parse_expr, parse_file, parse_sources, parse_stmts, ParsedFile, MAX_NESTING,
+};
 pub use printer::{print_expr, print_file, print_file_parts, print_func, print_stmt};
 pub use span::{LineCol, LineMap, Span};

@@ -14,6 +14,20 @@ use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The deepest nesting the parser accepts, counted over statements,
+/// expressions and types: each nested statement, operand, type, else-if
+/// arm and untyped composite literal is one level, and so is each node a
+/// binary-operator or postfix (selector, call, index) chain wraps around
+/// the ones before it. Deeper input is rejected with a [`Diag`]: the
+/// printer, the analyzers and the compiler all recurse over the tree, and
+/// a stack overflow aborts the process where an error can be handled.
+/// The limit is sized for a 2 MiB thread (a campaign worker's stack).
+/// Running parse, print, statcheck and compile there, nested `if`s (one
+/// level each) overflow it at about 600 optimised and 158 unoptimised,
+/// and nested function literals (two levels each) at about 740 and 72.
+/// Corpus programs nest at most 13 levels deep.
+pub const MAX_NESTING: u32 = 100;
+
 /// [`parse_file`] calls made by this process.
 static PARSE_CALLS: AtomicU64 = AtomicU64::new(0);
 
@@ -98,6 +112,8 @@ struct Parser<'src> {
     /// When `false`, a `{` after a bare named type does not start a
     /// composite literal (i.e. we are in an `if`/`for`/`switch` header).
     composite_ok: bool,
+    /// Nesting levels entered so far (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl<'src> Parser<'src> {
@@ -107,7 +123,37 @@ impl<'src> Parser<'src> {
             tokens,
             pos: 0,
             composite_ok: true,
+            depth: 0,
         }
+    }
+
+    /// Enters one more nesting level; fails past [`MAX_NESTING`]. A
+    /// failed parse is abandoned, so only [`Parser::nested`] and the
+    /// chain loops restore the depth.
+    fn descend(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn too_deep(&self) -> Diag {
+        Diag::new(
+            format!("nesting deeper than {MAX_NESTING} levels"),
+            self.peek().span,
+        )
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let depth = self.depth;
+        self.descend()?;
+        let r = f(self);
+        self.depth = depth;
+        r
     }
 
     fn peek(&self) -> Token {
@@ -397,6 +443,10 @@ impl<'src> Parser<'src> {
     }
 
     fn parse_type(&mut self) -> Result<Type> {
+        self.nested(Self::type_inner)
+    }
+
+    fn type_inner(&mut self) -> Result<Type> {
         match self.peek_kind() {
             TokenKind::Star => {
                 self.bump();
@@ -706,6 +756,10 @@ impl<'src> Parser<'src> {
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt> {
         match self.peek_kind() {
             TokenKind::Var | TokenKind::Const => {
                 let d = self.var_decl(self.at(TokenKind::Const))?;
@@ -868,7 +922,7 @@ impl<'src> Parser<'src> {
         let then = self.block()?;
         let else_ = if self.eat(TokenKind::Else) {
             if self.at(TokenKind::If) {
-                Some(Box::new(Stmt::If(self.if_stmt()?)))
+                Some(Box::new(Stmt::If(self.nested(Self::if_stmt)?)))
             } else {
                 Some(Box::new(Stmt::Block(self.block()?)))
             }
@@ -1217,6 +1271,7 @@ impl<'src> Parser<'src> {
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek_kind() {
@@ -1245,6 +1300,7 @@ impl<'src> Parser<'src> {
                 break;
             }
             self.bump();
+            self.descend()?;
             let rhs = self.binary_expr(prec)?;
             let span = lhs.span().to(rhs.span());
             lhs = Expr::Binary {
@@ -1254,10 +1310,15 @@ impl<'src> Parser<'src> {
                 span,
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
+        self.nested(Self::unary_inner)
+    }
+
+    fn unary_inner(&mut self) -> Result<Expr> {
         let op = match self.peek_kind() {
             TokenKind::Minus => Some(UnOp::Neg),
             TokenKind::Not => Some(UnOp::Not),
@@ -1281,10 +1342,13 @@ impl<'src> Parser<'src> {
     }
 
     fn primary_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut e = self.operand()?;
         loop {
+            // Each postfix wraps `e` one level deeper.
             match self.peek_kind() {
                 TokenKind::Dot => {
+                    self.descend()?;
                     self.bump();
                     if self.at(TokenKind::LParen) {
                         self.bump();
@@ -1308,6 +1372,7 @@ impl<'src> Parser<'src> {
                 }
                 TokenKind::LParen => {
                     // Call — `make`/`new` get special type-argument parsing.
+                    self.descend()?;
                     self.bump();
                     if let Some(builtin) = e.as_ident().map(str::to_owned) {
                         if builtin == "make" || builtin == "new" {
@@ -1361,6 +1426,7 @@ impl<'src> Parser<'src> {
                     };
                 }
                 TokenKind::LBracket => {
+                    self.descend()?;
                     self.bump();
                     let (lo, hi, is_slice) = self.with_composites(|p| {
                         if p.at(TokenKind::Colon) {
@@ -1403,6 +1469,7 @@ impl<'src> Parser<'src> {
                     }
                 }
                 TokenKind::LBrace if self.composite_ok && is_type_like(&e) => {
+                    self.descend()?;
                     let (elems, rb) = self.composite_body()?;
                     let span = e.span().to(rb);
                     let ty = expr_to_type(&e);
@@ -1411,6 +1478,7 @@ impl<'src> Parser<'src> {
                 _ => break,
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -1512,6 +1580,10 @@ impl<'src> Parser<'src> {
     /// Parses `{ elem, elem, ... }` of a composite literal; returns the
     /// elements and the span of the closing brace.
     fn composite_body(&mut self) -> Result<(Vec<CompositeElem>, Span)> {
+        self.nested(Self::composite_inner)
+    }
+
+    fn composite_inner(&mut self) -> Result<(Vec<CompositeElem>, Span)> {
         self.expect(TokenKind::LBrace)?;
         let mut elems = Vec::new();
         self.with_composites(|p| {

@@ -1002,6 +1002,90 @@ fn build_cfg<'a>(
     )
 }
 
+/// Whether `f` can contribute a fact to the analysis: `false` only for a
+/// function with a body and no receiver whose body holds no call, `go`,
+/// `defer`, function literal, send, receive or `select`, composite
+/// literal, `make`/`new`, selector, unary operator, typed `var` or label,
+/// and no identifier `env` knows as a package, function, type or
+/// package-level variable. Such a body lowers to one context of
+/// `func::`-private accesses and exits: no lock op, call, spawn or
+/// closure, and no access another goroutine can share, so solving it
+/// yields no diagnostic, lock-order edge or access fact a lint reads.
+pub fn relevant(f: &FuncDecl, env: &FileEnv) -> bool {
+    let Some(body) = &f.body else { return false };
+    f.receiver.is_some() || !body.stmts.iter().all(|s| plain_stmt(s, env))
+}
+
+/// Whether `s` and everything in it passes [`relevant`]'s test.
+fn plain_stmt(s: &Stmt, env: &FileEnv) -> bool {
+    let expr = |e: &Expr| plain_expr(e, env);
+    let stmt = |s: &Stmt| plain_stmt(s, env);
+    let list = |l: &[Stmt]| l.iter().all(stmt);
+    match s {
+        Stmt::Decl(d) => d.ty.is_none() && d.values.iter().all(expr),
+        Stmt::ShortVar { values, .. } | Stmt::Return { values, .. } => values.iter().all(expr),
+        Stmt::Assign { lhs, rhs, .. } => lhs.iter().chain(rhs).all(expr),
+        Stmt::IncDec { expr: e, .. } | Stmt::Expr(e) => expr(e),
+        Stmt::If(i) => {
+            i.init.as_deref().map_or(true, stmt)
+                && expr(&i.cond)
+                && list(&i.then.stmts)
+                && i.else_.as_deref().map_or(true, stmt)
+        }
+        Stmt::For(f) => {
+            f.init.as_deref().map_or(true, stmt)
+                && f.cond.as_ref().map_or(true, expr)
+                && f.post.as_deref().map_or(true, stmt)
+                && list(&f.body.stmts)
+        }
+        Stmt::Range(r) => {
+            [&r.key, &r.value].into_iter().flatten().all(expr)
+                && expr(&r.expr)
+                && list(&r.body.stmts)
+        }
+        Stmt::Switch(sw) => {
+            sw.init.as_deref().map_or(true, stmt)
+                && sw.tag.as_ref().map_or(true, expr)
+                && sw
+                    .cases
+                    .iter()
+                    .all(|c| c.exprs.iter().all(expr) && list(&c.body))
+        }
+        Stmt::Block(b) => list(&b.stmts),
+        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => true,
+        Stmt::Send { .. }
+        | Stmt::Go { .. }
+        | Stmt::Defer { .. }
+        | Stmt::Select(_)
+        | Stmt::Labeled { .. } => false,
+    }
+}
+
+/// Whether `e` and everything in it passes [`relevant`]'s test.
+fn plain_expr(e: &Expr, env: &FileEnv) -> bool {
+    let expr = |e: &Expr| plain_expr(e, env);
+    match e {
+        Expr::Ident { name, .. } => !env.is(name, PACKAGE | FUNC | TYPE | GLOBAL),
+        Expr::IntLit { .. }
+        | Expr::FloatLit { .. }
+        | Expr::StrLit { .. }
+        | Expr::RuneLit { .. } => true,
+        Expr::Index { expr: x, index, .. } => expr(x) && expr(index),
+        Expr::SliceExpr {
+            expr: x, lo, hi, ..
+        } => expr(x) && [lo, hi].into_iter().flatten().all(|b| expr(b)),
+        Expr::Binary { lhs, rhs, .. } => expr(lhs) && expr(rhs),
+        Expr::Paren { expr: x, .. } | Expr::TypeAssert { expr: x, .. } => expr(x),
+        Expr::CompositeLit { .. }
+        | Expr::FuncLit { .. }
+        | Expr::Selector { .. }
+        | Expr::Call { .. }
+        | Expr::Make { .. }
+        | Expr::New { .. }
+        | Expr::Unary { .. } => false,
+    }
+}
+
 /// Collects function literals inside a body, tagging `go`-spawned ones.
 fn collect_lits<'a>(body: &'a Block, out: &mut Vec<(&'a Expr, ContextKind)>) {
     fn expr<'a>(e: &'a Expr, kind: ContextKind, out: &mut Vec<(&'a Expr, ContextKind)>) {
@@ -1214,10 +1298,24 @@ pub fn contexts(file: &File) -> (Vec<Context<'_>>, Paths) {
 /// Builds every analysis context of `file` against a (possibly
 /// program-wide) naming environment, interning paths into `paths`.
 pub fn contexts_with<'a>(file: &'a File, env: &FileEnv<'a>, paths: &mut Paths) -> Vec<Context<'a>> {
+    contexts_where(file, env, paths, |_| true)
+}
+
+/// [`contexts_with`] for the functions whose index in `file.decls` is
+/// kept by `keep`.
+pub(crate) fn contexts_where<'a>(
+    file: &'a File,
+    env: &FileEnv<'a>,
+    paths: &mut Paths,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<Context<'a>> {
     let mut out = Vec::new();
-    for d in &file.decls {
+    for (i, d) in file.decls.iter().enumerate() {
         let Decl::Func(f) = d else { continue };
         let Some(body) = &f.body else { continue };
+        if !keep(i) {
+            continue;
+        }
         let recv = receiver_of(f);
         let recv = recv.as_ref().map(|(n, t)| (*n, t.as_str()));
         let extra = recv.map(|(n, _)| n);
@@ -1345,6 +1443,48 @@ mod tests {
         assert_eq!(paths.shown(ids[0]), "zeta");
         assert!(ids.iter().any(|&id| paths.name(id) == "F::b"));
         assert!(ids.iter().any(|&id| paths.shown(id) == "b"));
+    }
+
+    #[test]
+    fn relevance_rejects_only_plain_private_bodies() {
+        let relevant_funcs = |src: &str| -> Vec<String> {
+            let file = parse(src);
+            let env = FileEnv::new(&file);
+            file.decls
+                .iter()
+                .filter_map(|d| match d {
+                    Decl::Func(f) if relevant(f, &env) => Some(f.name.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let plain = "func P(n int) int {\n\tx := n * 2\n\tfor i := 0; i < 3; i++ {\n\t\tif x > i {\n\t\t\tx -= i\n\t\t}\n\t}\n\tswitch x % 2 {\n\tcase 0:\n\t\tx = 1\n\t}\n\tvar s = \"a\"\n\t_ = s\n\treturn x\n}\n";
+        assert!(relevant_funcs(&format!("package p\n\n{plain}")).is_empty());
+        // Each body below has one feature the lowering or a lint can see.
+        for body in [
+            "g()",
+            "go func() {}()",
+            "defer func() {}()",
+            "ch := 0\n\t_ = <-ch",
+            "x := T{}\n\t_ = x",
+            "x := make([]int, 1)\n\t_ = x",
+            "x := 0\n\t_ = &x",
+            "x := 0\n\t_ = x.f",
+            "var x int\n\t_ = x",
+            "L:\n\tfor {\n\t\tbreak L\n\t}",
+            "n := 0\n\tselect {}\n\t_ = n",
+            "glob = 1",
+            "x := sync\n\t_ = x",
+            "f := g\n\t_ = f",
+            "var x = T(0)\n\t_ = x",
+        ] {
+            let src = format!(
+                "package p\n\nimport \"sync\"\n\ntype T int\n\nvar glob int\n\nfunc g() {{}}\n\nfunc F() {{\n\t{body}\n}}\n"
+            );
+            assert_eq!(relevant_funcs(&src), ["F"], "{body}");
+        }
+        let method = "package p\n\ntype T int\n\nfunc (t T) M() {}\n";
+        assert_eq!(relevant_funcs(method), ["M"]);
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub mod lockorder;
 pub mod lockset;
 
 use cfg::{ContextKind, PathId, Paths};
+use golite::ast::Decl;
 use lockset::AccessFact;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -66,18 +67,33 @@ pub fn check_parsed<F: Borrow<golite::File>>(files: &[(String, String, F)]) -> V
     // Program-wide naming facts: a package-level lock declared in one
     // file must qualify identically when used from another.
     let env = cfg::FileEnv::for_program(files.iter().map(|(_, _, f)| f.borrow()));
+    // Functions that cannot contribute a fact (`cfg::relevant`), flagged
+    // by their index in the file's decls, get no context and no lint
+    // walk: the reports are those of the whole program.
+    let relevant: Vec<Vec<bool>> = files
+        .iter()
+        .map(|(_, _, f)| {
+            let decls = &f.borrow().decls;
+            decls
+                .iter()
+                .map(|d| matches!(d, Decl::Func(func) if cfg::relevant(func, &env)))
+                .collect()
+        })
+        .collect();
     // Every file's contexts are built before any is analysed, so the path
     // ids can be put in path order once for the whole program.
     let mut paths = Paths::default();
     let mut contexts: Vec<Vec<cfg::Context>> = files
         .iter()
-        .map(|(_, _, f)| cfg::contexts_with(f.borrow(), &env, &mut paths))
+        .zip(&relevant)
+        .map(|((_, _, f), keep)| cfg::contexts_where(f.borrow(), &env, &mut paths, |i| keep[i]))
         .collect();
     paths.sort(contexts.iter_mut().flatten());
     let mut reports: Vec<FileReport> = Vec::new();
     let mut analyzed: Vec<lockorder::Analyzed> = Vec::new();
-    for (idx, ((name, _, file), ctxs)) in files.iter().zip(&contexts).enumerate() {
-        let mut diags = lints::ast_lints(file.borrow());
+    let per_file = files.iter().zip(&contexts).zip(&relevant);
+    for (idx, (((name, _, file), ctxs), keep)) in per_file.enumerate() {
+        let mut diags = lints::lint_bodies(file.borrow(), |i| keep[i]);
         let mut accesses: Vec<AccessFact> = Vec::new();
         for ctx in ctxs {
             let mut res = lockset::solve(ctx, &paths);
@@ -139,7 +155,7 @@ pub fn count_severity(reports: &[FileReport], severity: Severity) -> usize {
 /// Cross-context lints over the access facts of one file:
 /// `inconsistent-lock` and `rwmutex-confusion`. Path ids are in path
 /// order, so groups are visited by path.
-fn access_lints(accesses: &[AccessFact], paths: &Paths) -> Vec<Diagnostic> {
+pub fn access_lints(accesses: &[AccessFact], paths: &Paths) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut groups: BTreeMap<PathId, Vec<&AccessFact>> = BTreeMap::new();
     for a in accesses {

@@ -16,13 +16,28 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs every AST lint over `file`.
 pub fn ast_lints(file: &File) -> Vec<Diagnostic> {
+    lint_bodies(file, |_| true)
+}
+
+/// [`ast_lints`], walking only the bodies of the functions whose index in
+/// `file.decls` is `relevant` (each signature is still checked, and
+/// `mixed-atomic` still scans every body of a file that calls `atomic.*`). A
+/// skipped body must fail [`crate::cfg::relevant`]: no call, composite
+/// literal, selector, unary operator, typed `var`, `go` or package-level
+/// name. It is walked anyway where a lint could still fire on it:
+/// `copylocks` when a parameter passes a lock-bearing type by value, and
+/// `syncmap-range` once an earlier body declared a local `sync.Map`
+/// (those names stay in scope for the rest of the file).
+pub(crate) fn lint_bodies(file: &File, relevant: impl Fn(usize) -> bool) -> Vec<Diagnostic> {
     let mut lints = Lints::new(file);
-    for d in &file.decls {
+    for (i, d) in file.decls.iter().enumerate() {
         match d {
             Decl::Func(f) => {
                 lints.copy_env = lints.copylocks_signature(f);
                 if let Some(body) = &f.body {
-                    walk_lists(&body.stmts, &mut lints);
+                    if relevant(i) || lints.may_fire_on_plain_body() {
+                        walk_lists(&body.stmts, &mut lints);
+                    }
                 }
                 lints.copy_env = None;
             }
@@ -221,6 +236,17 @@ impl<'a> Lints<'a> {
             bearing: lock_bearing_types(file),
             copy_env: None,
         }
+    }
+
+    /// Whether a lint can fire on a body [`crate::cfg::relevant`] rejects:
+    /// a by-value lock-bearing parameter can be copied by a plain
+    /// assignment, and an identifier can name an earlier local `sync.Map`.
+    fn may_fire_on_plain_body(&self) -> bool {
+        !self.sync_locals.is_empty()
+            || self.copy_env.as_ref().is_some_and(|env| {
+                env.values()
+                    .any(|(t, ptr)| !ptr && self.bearing.contains(t))
+            })
     }
 }
 
@@ -778,6 +804,25 @@ mod tests {
 
     fn rules(src: &str) -> Vec<String> {
         lint(src).into_iter().map(|d| d.rule).collect()
+    }
+
+    #[test]
+    fn skipped_bodies_keep_the_lints_that_can_fire_on_them() {
+        // A plain copy of a by-value lock-bearing parameter, and a range
+        // over a name an earlier body declared as a local `sync.Map`.
+        for src in [
+            "package p\n\nimport \"sync\"\n\ntype C struct {\n\tmu sync.Mutex\n}\n\nfunc use(c C) {\n\td := c\n\t_ = d\n}\n",
+            "package p\n\nimport \"sync\"\n\nfunc A() {\n\tm := sync.Map{}\n\t_ = m\n}\n\nfunc B(m map[int]int) {\n\tfor k := range m {\n\t\t_ = k\n\t}\n}\n",
+        ] {
+            let file = golite::parse_file(src).expect("test source parses");
+            let env = crate::cfg::FileEnv::new(&file);
+            let filtered = lint_bodies(&file, |i| match &file.decls[i] {
+                Decl::Func(f) => crate::cfg::relevant(f, &env),
+                _ => true,
+            });
+            assert!(!filtered.is_empty(), "{src}");
+            assert_eq!(filtered, ast_lints(&file), "{src}");
+        }
     }
 
     #[test]
