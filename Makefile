@@ -19,7 +19,7 @@ build:
 	$(CARGO) build --release --workspace --all-targets
 
 test:
-	$(CARGO) test --workspace -q
+	$(CARGO) test --workspace -q --no-fail-fast
 
 bench-compile:
 	$(CARGO) bench --no-run --workspace

@@ -9,7 +9,8 @@
 //!   structs/methods, `defer`, and table-driven tests,
 //! - a gofmt-flavoured [`printer`] whose output re-parses to the same
 //!   tree (round-trip tested), and
-//! - [`visit`] utilities used by the skeletonizer and fix strategies.
+//! - [`visit`]: the one read-only and the one in-place AST walk that
+//!   the analysis passes and fix strategies share.
 //!
 //! # Example
 //!

@@ -1,260 +1,248 @@
-//! AST walking utilities.
+//! AST traversal: one read-only walk and one mutable walk.
 //!
-//! Two flavours are provided: read-only traversal via callback closures
-//! ([`walk_exprs`], [`walk_stmts`]) used by the skeletonizer and race-
-//! pattern diagnosers, and an in-place [`MutVisitor`] used by the fix
-//! strategies to rewrite trees.
+//! [`Visit`] is the read-only walk every analysis pass shares. Its
+//! drivers ([`Visit::walk_list`], [`Visit::walk_stmt`],
+//! [`Visit::walk_expr`]) reach every statement list, statement and
+//! expression exactly once, pre-order and in source order: a statement's
+//! init statement, then its header expressions, then its bodies, and
+//! function-literal bodies where the literal occurs. Each hook's result
+//! says whether to descend below the node it was given, so a pass that
+//! must not look inside closures returns `false` from
+//! [`Visit::expr`]. [`walk_stmts`], [`walk_exprs`] and [`walk_expr`] are
+//! closure shorthands for the common "every statement" / "every
+//! expression" walks.
+//!
+//! [`MutVisitor`] is the in-place walk the fix strategies rewrite trees
+//! with. It enumerates the same children in the same order as [`Visit`].
 
 use crate::ast::*;
 
+/// Read-only pre-order walk. Implement the hooks a pass needs; each
+/// returns whether to descend below its node. Call a `walk_*` driver to
+/// start the walk; the drivers are not meant to be overridden.
+pub trait Visit<'a> {
+    /// Called on every statement list: function and function-literal
+    /// bodies, the blocks of `if`/`for`/`range`/`{}` and every `case`
+    /// body.
+    fn list(&mut self, _list: &'a [Stmt]) -> bool {
+        true
+    }
+
+    /// Called on every statement.
+    fn stmt(&mut self, _s: &'a Stmt) -> bool {
+        true
+    }
+
+    /// Called on every expression.
+    fn expr(&mut self, _e: &'a Expr) -> bool {
+        true
+    }
+
+    /// Walks a statement list and everything below it.
+    fn walk_list(&mut self, list: &'a [Stmt]) {
+        if self.list(list) {
+            for s in list {
+                self.walk_stmt(s);
+            }
+        }
+    }
+
+    /// Walks a statement and everything below it.
+    fn walk_stmt(&mut self, s: &'a Stmt) {
+        if !self.stmt(s) {
+            return;
+        }
+        match s {
+            Stmt::Decl(v) => v.values.iter().for_each(|e| self.walk_expr(e)),
+            Stmt::ShortVar { values, .. } | Stmt::Return { values, .. } => {
+                values.iter().for_each(|e| self.walk_expr(e))
+            }
+            Stmt::Assign { lhs, rhs, .. } => lhs.iter().chain(rhs).for_each(|e| self.walk_expr(e)),
+            Stmt::IncDec { expr: e, .. } | Stmt::Expr(e) => self.walk_expr(e),
+            Stmt::Go { call: e, .. } | Stmt::Defer { call: e, .. } => self.walk_expr(e),
+            Stmt::Send { chan, value, .. } => {
+                self.walk_expr(chan);
+                self.walk_expr(value);
+            }
+            Stmt::If(st) => {
+                if let Some(init) = &st.init {
+                    self.walk_stmt(init);
+                }
+                self.walk_expr(&st.cond);
+                self.walk_list(&st.then.stmts);
+                if let Some(el) = &st.else_ {
+                    self.walk_stmt(el);
+                }
+            }
+            Stmt::For(st) => {
+                if let Some(init) = &st.init {
+                    self.walk_stmt(init);
+                }
+                if let Some(c) = &st.cond {
+                    self.walk_expr(c);
+                }
+                if let Some(post) = &st.post {
+                    self.walk_stmt(post);
+                }
+                self.walk_list(&st.body.stmts);
+            }
+            Stmt::Range(st) => {
+                for e in [&st.key, &st.value].into_iter().flatten() {
+                    self.walk_expr(e);
+                }
+                self.walk_expr(&st.expr);
+                self.walk_list(&st.body.stmts);
+            }
+            Stmt::Switch(st) => {
+                if let Some(init) = &st.init {
+                    self.walk_stmt(init);
+                }
+                if let Some(tag) = &st.tag {
+                    self.walk_expr(tag);
+                }
+                for c in &st.cases {
+                    c.exprs.iter().for_each(|e| self.walk_expr(e));
+                    self.walk_list(&c.body);
+                }
+            }
+            Stmt::Select(st) => {
+                for c in &st.cases {
+                    match &c.comm {
+                        CommClause::Send { chan, value } => {
+                            self.walk_expr(chan);
+                            self.walk_expr(value);
+                        }
+                        CommClause::Recv { lhs, chan, .. } => {
+                            lhs.iter().for_each(|e| self.walk_expr(e));
+                            self.walk_expr(chan);
+                        }
+                        CommClause::Default => {}
+                    }
+                    self.walk_list(&c.body);
+                }
+            }
+            Stmt::Block(b) => self.walk_list(&b.stmts),
+            Stmt::Labeled { stmt, .. } => self.walk_stmt(stmt),
+            Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => {}
+        }
+    }
+
+    /// Walks an expression and everything below it.
+    fn walk_expr(&mut self, e: &'a Expr) {
+        if !self.expr(e) {
+            return;
+        }
+        match e {
+            Expr::CompositeLit { elems, .. } => {
+                for el in elems {
+                    if let Some(k) = &el.key {
+                        self.walk_expr(k);
+                    }
+                    self.walk_expr(&el.value);
+                }
+            }
+            Expr::FuncLit { body, .. } => self.walk_list(&body.stmts),
+            Expr::Selector { expr, .. }
+            | Expr::Paren { expr, .. }
+            | Expr::TypeAssert { expr, .. }
+            | Expr::Unary { expr, .. } => self.walk_expr(expr),
+            Expr::Index { expr, index, .. } => {
+                self.walk_expr(expr);
+                self.walk_expr(index);
+            }
+            Expr::SliceExpr { expr, lo, hi, .. } => {
+                self.walk_expr(expr);
+                for b in [lo, hi].into_iter().flatten() {
+                    self.walk_expr(b);
+                }
+            }
+            Expr::Call { fun, args, .. } => {
+                self.walk_expr(fun);
+                args.iter().for_each(|a| self.walk_expr(a));
+            }
+            Expr::Make { args, .. } => args.iter().for_each(|a| self.walk_expr(a)),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.walk_expr(lhs);
+                self.walk_expr(rhs);
+            }
+            Expr::Ident { .. }
+            | Expr::IntLit { .. }
+            | Expr::FloatLit { .. }
+            | Expr::StrLit { .. }
+            | Expr::RuneLit { .. }
+            | Expr::New { .. } => {}
+        }
+    }
+}
+
+/// A [`Visit`] that calls a closure on every statement.
+struct OnStmt<F>(F);
+
+impl<F: FnMut(&Stmt)> Visit<'_> for OnStmt<F> {
+    fn stmt(&mut self, s: &Stmt) -> bool {
+        (self.0)(s);
+        true
+    }
+}
+
+/// A [`Visit`] that calls a closure on every expression.
+struct OnExpr<F>(F);
+
+impl<F: FnMut(&Expr)> Visit<'_> for OnExpr<F> {
+    fn expr(&mut self, e: &Expr) -> bool {
+        (self.0)(e);
+        true
+    }
+}
+
 /// Calls `f` on every expression in the block, pre-order.
 pub fn walk_exprs(block: &Block, f: &mut impl FnMut(&Expr)) {
-    for s in &block.stmts {
-        walk_stmt_exprs(s, f);
-    }
+    OnExpr(f).walk_list(&block.stmts);
 }
 
-/// Calls `f` on every statement in the block (including nested), pre-order.
+/// Calls `f` once on every statement in the block, nested ones and those
+/// inside function literals included, pre-order.
 pub fn walk_stmts(block: &Block, f: &mut impl FnMut(&Stmt)) {
-    for s in &block.stmts {
-        walk_stmt(s, f);
-    }
-}
-
-fn walk_stmt(s: &Stmt, f: &mut impl FnMut(&Stmt)) {
-    f(s);
-    match s {
-        Stmt::If(st) => {
-            if let Some(init) = &st.init {
-                walk_stmt(init, f);
-            }
-            walk_stmts(&st.then, f);
-            if let Some(el) = &st.else_ {
-                walk_stmt(el, f);
-            }
-        }
-        Stmt::For(st) => {
-            if let Some(init) = &st.init {
-                walk_stmt(init, f);
-            }
-            if let Some(post) = &st.post {
-                walk_stmt(post, f);
-            }
-            walk_stmts(&st.body, f);
-        }
-        Stmt::Range(st) => walk_stmts(&st.body, f),
-        Stmt::Switch(st) => {
-            if let Some(init) = &st.init {
-                walk_stmt(init, f);
-            }
-            for c in &st.cases {
-                for s in &c.body {
-                    walk_stmt(s, f);
-                }
-            }
-        }
-        Stmt::Select(st) => {
-            for c in &st.cases {
-                for s in &c.body {
-                    walk_stmt(s, f);
-                }
-            }
-        }
-        Stmt::Block(b) => walk_stmts(b, f),
-        Stmt::Labeled { stmt, .. } => walk_stmt(stmt, f),
-        Stmt::Go { call, .. } | Stmt::Defer { call, .. } => {
-            // Function-literal bodies inside go/defer are visited too.
-            walk_expr_stmts(call, f);
-        }
-        Stmt::Expr(e) | Stmt::IncDec { expr: e, .. } => walk_expr_stmts(e, f),
-        Stmt::Assign { lhs, rhs, .. } => {
-            for e in lhs.iter().chain(rhs) {
-                walk_expr_stmts(e, f);
-            }
-        }
-        Stmt::ShortVar { values, .. } | Stmt::Return { values, .. } => {
-            for e in values {
-                walk_expr_stmts(e, f);
-            }
-        }
-        Stmt::Send { chan, value, .. } => {
-            walk_expr_stmts(chan, f);
-            walk_expr_stmts(value, f);
-        }
-        Stmt::Decl(v) => {
-            for e in &v.values {
-                walk_expr_stmts(e, f);
-            }
-        }
-        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => {}
-    }
-}
-
-/// Visits statements nested inside an expression (function literals).
-fn walk_expr_stmts(e: &Expr, f: &mut impl FnMut(&Stmt)) {
-    walk_expr(e, &mut |inner| {
-        if let Expr::FuncLit { body, .. } = inner {
-            walk_stmts(body, f);
-        }
-    });
-}
-
-fn walk_stmt_exprs(s: &Stmt, f: &mut impl FnMut(&Expr)) {
-    match s {
-        Stmt::Decl(v) => {
-            for e in &v.values {
-                walk_expr(e, f);
-            }
-        }
-        Stmt::ShortVar { values, .. } | Stmt::Return { values, .. } => {
-            for e in values {
-                walk_expr(e, f);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            for e in lhs.iter().chain(rhs) {
-                walk_expr(e, f);
-            }
-        }
-        Stmt::IncDec { expr, .. } => walk_expr(expr, f),
-        Stmt::Expr(e) => walk_expr(e, f),
-        Stmt::Send { chan, value, .. } => {
-            walk_expr(chan, f);
-            walk_expr(value, f);
-        }
-        Stmt::Go { call, .. } | Stmt::Defer { call, .. } => walk_expr(call, f),
-        Stmt::If(st) => {
-            if let Some(init) = &st.init {
-                walk_stmt_exprs(init, f);
-            }
-            walk_expr(&st.cond, f);
-            walk_exprs(&st.then, f);
-            if let Some(el) = &st.else_ {
-                walk_stmt_exprs(el, f);
-            }
-        }
-        Stmt::For(st) => {
-            if let Some(init) = &st.init {
-                walk_stmt_exprs(init, f);
-            }
-            if let Some(c) = &st.cond {
-                walk_expr(c, f);
-            }
-            if let Some(post) = &st.post {
-                walk_stmt_exprs(post, f);
-            }
-            walk_exprs(&st.body, f);
-        }
-        Stmt::Range(st) => {
-            if let Some(k) = &st.key {
-                walk_expr(k, f);
-            }
-            if let Some(v) = &st.value {
-                walk_expr(v, f);
-            }
-            walk_expr(&st.expr, f);
-            walk_exprs(&st.body, f);
-        }
-        Stmt::Switch(st) => {
-            if let Some(init) = &st.init {
-                walk_stmt_exprs(init, f);
-            }
-            if let Some(tag) = &st.tag {
-                walk_expr(tag, f);
-            }
-            for c in &st.cases {
-                for e in &c.exprs {
-                    walk_expr(e, f);
-                }
-                for s in &c.body {
-                    walk_stmt_exprs(s, f);
-                }
-            }
-        }
-        Stmt::Select(st) => {
-            for c in &st.cases {
-                match &c.comm {
-                    CommClause::Send { chan, value } => {
-                        walk_expr(chan, f);
-                        walk_expr(value, f);
-                    }
-                    CommClause::Recv { lhs, chan, .. } => {
-                        for e in lhs {
-                            walk_expr(e, f);
-                        }
-                        walk_expr(chan, f);
-                    }
-                    CommClause::Default => {}
-                }
-                for s in &c.body {
-                    walk_stmt_exprs(s, f);
-                }
-            }
-        }
-        Stmt::Block(b) => walk_exprs(b, f),
-        Stmt::Labeled { stmt, .. } => walk_stmt_exprs(stmt, f),
-        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => {}
-    }
+    OnStmt(f).walk_list(&block.stmts);
 }
 
 /// Calls `f` on `e` and every sub-expression, pre-order.
 pub fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::CompositeLit { elems, .. } => {
-            for el in elems {
-                if let Some(k) = &el.key {
-                    walk_expr(k, f);
-                }
-                walk_expr(&el.value, f);
-            }
-        }
-        Expr::FuncLit { body, .. } => walk_exprs(body, f),
-        Expr::Selector { expr, .. }
-        | Expr::Paren { expr, .. }
-        | Expr::TypeAssert { expr, .. }
-        | Expr::Unary { expr, .. } => walk_expr(expr, f),
-        Expr::Index { expr, index, .. } => {
-            walk_expr(expr, f);
-            walk_expr(index, f);
-        }
-        Expr::SliceExpr { expr, lo, hi, .. } => {
-            walk_expr(expr, f);
-            if let Some(lo) = lo {
-                walk_expr(lo, f);
-            }
-            if let Some(hi) = hi {
-                walk_expr(hi, f);
-            }
-        }
-        Expr::Call { fun, args, .. } => {
-            walk_expr(fun, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Expr::Make { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
-        }
-        Expr::Ident { .. }
-        | Expr::IntLit { .. }
-        | Expr::FloatLit { .. }
-        | Expr::StrLit { .. }
-        | Expr::RuneLit { .. }
-        | Expr::New { .. } => {}
+    OnExpr(f).walk_expr(e);
+}
+
+/// Whether `pred` holds on `s` or on a statement nested in it, without
+/// looking inside function literals.
+pub fn any_stmt_outside_closures(s: &Stmt, pred: impl FnMut(&Stmt) -> bool) -> bool {
+    struct AnyStmt<F> {
+        pred: F,
+        found: bool,
     }
+    impl<F: FnMut(&Stmt) -> bool> Visit<'_> for AnyStmt<F> {
+        fn stmt(&mut self, s: &Stmt) -> bool {
+            self.found = self.found || (self.pred)(s);
+            !self.found
+        }
+        fn expr(&mut self, _: &Expr) -> bool {
+            false
+        }
+    }
+    let mut v = AnyStmt { pred, found: false };
+    v.walk_stmt(s);
+    v.found
 }
 
 /// In-place rewriting visitor. Implement the `visit_*` hooks you need;
 /// the default methods recurse. Call the matching `walk_*` inside an
-/// override to continue recursion below the rewritten node.
+/// override to continue recursion below the rewritten node. The children
+/// are those [`Visit`] enumerates, in the same order.
 pub trait MutVisitor {
+    /// Visits a statement list in place: a block's statements or a
+    /// `case` body.
+    fn visit_list(&mut self, list: &mut Vec<Stmt>) {
+        self.walk_list(list);
+    }
+
     /// Visits a statement in place.
     fn visit_stmt(&mut self, s: &mut Stmt) {
         self.walk_stmt(s);
@@ -265,14 +253,14 @@ pub trait MutVisitor {
         self.walk_expr(e);
     }
 
-    /// Visits a block in place.
+    /// Visits a block's statement list.
     fn visit_block(&mut self, b: &mut Block) {
-        self.walk_block(b);
+        self.visit_list(&mut b.stmts);
     }
 
-    /// Default recursion through a block.
-    fn walk_block(&mut self, b: &mut Block) {
-        for s in &mut b.stmts {
+    /// Default recursion through a statement list.
+    fn walk_list(&mut self, list: &mut [Stmt]) {
+        for s in list {
             self.visit_stmt(s);
         }
     }
@@ -280,28 +268,20 @@ pub trait MutVisitor {
     /// Default recursion through a statement.
     fn walk_stmt(&mut self, s: &mut Stmt) {
         match s {
-            Stmt::Decl(v) => {
-                for e in &mut v.values {
-                    self.visit_expr(e);
-                }
-            }
+            Stmt::Decl(v) => v.values.iter_mut().for_each(|e| self.visit_expr(e)),
             Stmt::ShortVar { values, .. } | Stmt::Return { values, .. } => {
-                for e in values {
-                    self.visit_expr(e);
-                }
+                values.iter_mut().for_each(|e| self.visit_expr(e))
             }
-            Stmt::Assign { lhs, rhs, .. } => {
-                for e in lhs.iter_mut().chain(rhs.iter_mut()) {
-                    self.visit_expr(e);
-                }
-            }
-            Stmt::IncDec { expr, .. } => self.visit_expr(expr),
-            Stmt::Expr(e) => self.visit_expr(e),
+            Stmt::Assign { lhs, rhs, .. } => lhs
+                .iter_mut()
+                .chain(rhs.iter_mut())
+                .for_each(|e| self.visit_expr(e)),
+            Stmt::IncDec { expr: e, .. } | Stmt::Expr(e) => self.visit_expr(e),
+            Stmt::Go { call: e, .. } | Stmt::Defer { call: e, .. } => self.visit_expr(e),
             Stmt::Send { chan, value, .. } => {
                 self.visit_expr(chan);
                 self.visit_expr(value);
             }
-            Stmt::Go { call, .. } | Stmt::Defer { call, .. } => self.visit_expr(call),
             Stmt::If(st) => {
                 if let Some(init) = &mut st.init {
                     self.visit_stmt(init);
@@ -325,11 +305,8 @@ pub trait MutVisitor {
                 self.visit_block(&mut st.body);
             }
             Stmt::Range(st) => {
-                if let Some(k) = &mut st.key {
-                    self.visit_expr(k);
-                }
-                if let Some(v) = &mut st.value {
-                    self.visit_expr(v);
+                for e in [&mut st.key, &mut st.value].into_iter().flatten() {
+                    self.visit_expr(e);
                 }
                 self.visit_expr(&mut st.expr);
                 self.visit_block(&mut st.body);
@@ -342,12 +319,8 @@ pub trait MutVisitor {
                     self.visit_expr(tag);
                 }
                 for c in &mut st.cases {
-                    for e in &mut c.exprs {
-                        self.visit_expr(e);
-                    }
-                    for s in &mut c.body {
-                        self.visit_stmt(s);
-                    }
+                    c.exprs.iter_mut().for_each(|e| self.visit_expr(e));
+                    self.visit_list(&mut c.body);
                 }
             }
             Stmt::Select(st) => {
@@ -358,16 +331,12 @@ pub trait MutVisitor {
                             self.visit_expr(value);
                         }
                         CommClause::Recv { lhs, chan, .. } => {
-                            for e in lhs {
-                                self.visit_expr(e);
-                            }
+                            lhs.iter_mut().for_each(|e| self.visit_expr(e));
                             self.visit_expr(chan);
                         }
                         CommClause::Default => {}
                     }
-                    for s in &mut c.body {
-                        self.visit_stmt(s);
-                    }
+                    self.visit_list(&mut c.body);
                 }
             }
             Stmt::Block(b) => self.visit_block(b),
@@ -398,24 +367,15 @@ pub trait MutVisitor {
             }
             Expr::SliceExpr { expr, lo, hi, .. } => {
                 self.visit_expr(expr);
-                if let Some(lo) = lo {
-                    self.visit_expr(lo);
-                }
-                if let Some(hi) = hi {
-                    self.visit_expr(hi);
+                for b in [lo, hi].into_iter().flatten() {
+                    self.visit_expr(b);
                 }
             }
             Expr::Call { fun, args, .. } => {
                 self.visit_expr(fun);
-                for a in args {
-                    self.visit_expr(a);
-                }
+                args.iter_mut().for_each(|a| self.visit_expr(a));
             }
-            Expr::Make { args, .. } => {
-                for a in args {
-                    self.visit_expr(a);
-                }
-            }
+            Expr::Make { args, .. } => args.iter_mut().for_each(|a| self.visit_expr(a)),
             Expr::Binary { lhs, rhs, .. } => {
                 self.visit_expr(lhs);
                 self.visit_expr(rhs);

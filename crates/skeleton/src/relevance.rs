@@ -3,7 +3,7 @@
 
 use golite::ast::*;
 use golite::span::LineMap;
-use golite::visit;
+use golite::visit::{self, Visit};
 
 /// Method names treated as concurrency constructs and preserved verbatim
 /// in skeletons (§4.3 lists `go`, `WaitGroup`, `sync`, `Lock`, `Unlock`,
@@ -196,52 +196,53 @@ fn is_noise_name(n: &str) -> bool {
 /// Returns `true` when the statement (transitively) contains a
 /// concurrency construct.
 pub fn stmt_has_concurrency(s: &Stmt) -> bool {
-    let mut found = false;
-    stmt_walk(s, &mut |st| {
-        if matches!(
-            st,
-            Stmt::Go { .. } | Stmt::Send { .. } | Stmt::Select(_) | Stmt::Defer { .. }
-        ) {
-            found = true;
-        }
-        stmt_exprs(st, &mut |e| {
-            if expr_has_concurrency(e) {
-                found = true;
-            }
-        });
-    });
-    found
+    let mut v = Concurrency(false);
+    v.walk_stmt(s);
+    v.0
 }
 
 /// Returns `true` when the expression is a concurrency construct
 /// (channel receive, sync-method call, make(chan), goroutine launch API).
 pub fn expr_has_concurrency(e: &Expr) -> bool {
-    let mut found = false;
-    visit::walk_expr(e, &mut |x| match x {
-        Expr::Unary { op: UnOp::Recv, .. } => found = true,
-        Expr::Make {
-            ty: Type::Chan { .. },
-            ..
-        } => found = true,
-        Expr::Call { fun, .. } => match fun.as_ref() {
-            Expr::Selector { name, expr, .. } => {
-                if is_concurrency_call(name) {
-                    found = true;
+    let mut v = Concurrency(false);
+    v.walk_expr(e);
+    v.0
+}
+
+/// Finds a concurrency statement (`go`, send, `select`, `defer`) or
+/// expression; stops descending once one is found.
+struct Concurrency(bool);
+
+impl Visit<'_> for Concurrency {
+    fn stmt(&mut self, s: &Stmt) -> bool {
+        self.0 |= matches!(
+            s,
+            Stmt::Go { .. } | Stmt::Send { .. } | Stmt::Select(_) | Stmt::Defer { .. }
+        );
+        !self.0
+    }
+
+    fn expr(&mut self, x: &Expr) -> bool {
+        self.0 |= match x {
+            Expr::Unary { op: UnOp::Recv, .. } => true,
+            Expr::Make {
+                ty: Type::Chan { .. },
+                ..
+            } => true,
+            Expr::Call { fun, .. } => match fun.as_ref() {
+                Expr::Selector { name, expr, .. } => {
+                    is_concurrency_call(name)
+                        || expr
+                            .as_ident()
+                            .is_some_and(|root| CONCURRENCY_PACKAGES.contains(&root))
                 }
-                if let Some(root) = expr.as_ident() {
-                    if CONCURRENCY_PACKAGES.contains(&root) {
-                        found = true;
-                    }
-                }
-            }
-            Expr::Ident { name, .. } if name == "close" => {
-                found = true;
-            }
-            _ => {}
-        },
-        _ => {}
-    });
-    found
+                Expr::Ident { name, .. } => name == "close",
+                _ => false,
+            },
+            _ => false,
+        };
+        !self.0
+    }
 }
 
 /// Returns `true` when the statement references any variable of interest.
@@ -269,95 +270,23 @@ pub fn stmt_touches_vars(s: &Stmt, vars: &[String]) -> bool {
     }
 }
 
-/// Walks a statement's direct (non-nested-closure) expressions.
+/// Calls `f` on each of a statement's own expressions: its header and
+/// operands, not the expressions of its init, post or body statements.
 pub(crate) fn stmt_exprs(s: &Stmt, f: &mut impl FnMut(&Expr)) {
-    match s {
-        Stmt::Decl(v) => {
-            for e in &v.values {
-                f(e);
-            }
-        }
-        Stmt::ShortVar { values, .. } | Stmt::Return { values, .. } => {
-            for e in values {
-                f(e);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            for e in lhs.iter().chain(rhs) {
-                f(e);
-            }
-        }
-        Stmt::IncDec { expr, .. } => f(expr),
-        Stmt::Expr(e) => f(e),
-        Stmt::Send { chan, value, .. } => {
-            f(chan);
-            f(value);
-        }
-        Stmt::Go { call, .. } | Stmt::Defer { call, .. } => f(call),
-        Stmt::If(st) => {
-            f(&st.cond);
-        }
-        Stmt::For(st) => {
-            if let Some(c) = &st.cond {
-                f(c);
-            }
-        }
-        Stmt::Range(st) => f(&st.expr),
-        Stmt::Switch(st) => {
-            if let Some(t) = &st.tag {
-                f(t);
-            }
-        }
-        _ => {}
+    struct Own<'s, F> {
+        root: &'s Stmt,
+        f: F,
     }
-}
-
-fn stmt_walk(s: &Stmt, f: &mut impl FnMut(&Stmt)) {
-    f(s);
-    match s {
-        Stmt::If(st) => {
-            if let Some(init) = &st.init {
-                stmt_walk(init, f);
-            }
-            for x in &st.then.stmts {
-                stmt_walk(x, f);
-            }
-            if let Some(el) = &st.else_ {
-                stmt_walk(el, f);
-            }
+    impl<F: FnMut(&Expr)> Visit<'_> for Own<'_, F> {
+        fn stmt(&mut self, s: &Stmt) -> bool {
+            std::ptr::eq(s, self.root)
         }
-        Stmt::For(st) => {
-            for x in &st.body.stmts {
-                stmt_walk(x, f);
-            }
+        fn expr(&mut self, e: &Expr) -> bool {
+            (self.f)(e);
+            false
         }
-        Stmt::Range(st) => {
-            for x in &st.body.stmts {
-                stmt_walk(x, f);
-            }
-        }
-        Stmt::Switch(st) => {
-            for c in &st.cases {
-                for x in &c.body {
-                    stmt_walk(x, f);
-                }
-            }
-        }
-        Stmt::Select(st) => {
-            for c in &st.cases {
-                for x in &c.body {
-                    stmt_walk(x, f);
-                }
-            }
-        }
-        Stmt::Block(b) => {
-            for x in &b.stmts {
-                stmt_walk(x, f);
-            }
-        }
-        Stmt::Labeled { stmt, .. } => stmt_walk(stmt, f),
-        _ => {}
     }
+    Own { root: s, f }.walk_stmt(s);
 }
 
 #[cfg(test)]

@@ -571,32 +571,13 @@ fn is_param(f: &FuncDecl, var: &str) -> bool {
 }
 
 fn writes_var_outside_closures(body: &Block, var: &str) -> bool {
-    // Direct statements only (not descending into function literals).
-    fn scan(stmts: &[Stmt], var: &str, found: &mut bool) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { lhs, .. } if lhs.iter().any(|e| e.as_ident() == Some(var)) => {
-                    *found = true;
-                }
-                Stmt::IncDec { expr, .. } if expr.as_ident() == Some(var) => {
-                    *found = true;
-                }
-                Stmt::If(st) => {
-                    scan(&st.then.stmts, var, found);
-                    if let Some(e) = &st.else_ {
-                        scan(std::slice::from_ref(e), var, found);
-                    }
-                }
-                Stmt::For(st) => scan(&st.body.stmts, var, found),
-                Stmt::Range(st) => scan(&st.body.stmts, var, found),
-                Stmt::Block(b) => scan(&b.stmts, var, found),
-                _ => {}
-            }
-        }
-    }
-    let mut found = false;
-    scan(&body.stmts, var, &mut found);
-    found
+    body.stmts.iter().any(|s| {
+        visit::any_stmt_outside_closures(s, |s| match s {
+            Stmt::Assign { lhs, .. } => lhs.iter().any(|e| e.as_ident() == Some(var)),
+            Stmt::IncDec { expr, .. } => expr.as_ident() == Some(var),
+            _ => false,
+        })
+    })
 }
 
 /// Rough type classification of a local variable from its declaration.

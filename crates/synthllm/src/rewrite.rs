@@ -2,6 +2,7 @@
 
 use golite::ast::*;
 use golite::span::Span;
+use golite::visit::{any_stmt_outside_closures, MutVisitor};
 
 /// Ensures `import "path"` exists in the file.
 pub fn ensure_import(file: &mut File, path: &str) {
@@ -16,103 +17,19 @@ pub fn ensure_import(file: &mut File, path: &str) {
 }
 
 /// Applies `tf` to every statement list in the function body, bottom-up,
-/// including the bodies of nested function literals. `tf` receives the
-/// list after its children were transformed and returns the replacement.
+/// including `case` bodies and the bodies of nested function literals.
+/// `tf` receives the list after its children were transformed and
+/// returns the replacement.
 pub fn map_stmt_lists(f: &mut FuncDecl, tf: &mut impl FnMut(Vec<Stmt>) -> Vec<Stmt>) {
+    struct MapLists<F>(F);
+    impl<F: FnMut(Vec<Stmt>) -> Vec<Stmt>> MutVisitor for MapLists<F> {
+        fn visit_list(&mut self, list: &mut Vec<Stmt>) {
+            self.walk_list(list);
+            *list = (self.0)(std::mem::take(list));
+        }
+    }
     if let Some(body) = &mut f.body {
-        map_block(body, tf);
-    }
-}
-
-fn map_block(b: &mut Block, tf: &mut impl FnMut(Vec<Stmt>) -> Vec<Stmt>) {
-    for s in &mut b.stmts {
-        map_stmt(s, tf);
-    }
-    let stmts = std::mem::take(&mut b.stmts);
-    b.stmts = tf(stmts);
-}
-
-fn map_stmt(s: &mut Stmt, tf: &mut impl FnMut(Vec<Stmt>) -> Vec<Stmt>) {
-    match s {
-        Stmt::If(st) => {
-            map_block(&mut st.then, tf);
-            if let Some(el) = &mut st.else_ {
-                map_stmt(el, tf);
-            }
-        }
-        Stmt::For(st) => map_block(&mut st.body, tf),
-        Stmt::Range(st) => map_block(&mut st.body, tf),
-        Stmt::Switch(st) => {
-            for c in &mut st.cases {
-                for x in &mut c.body {
-                    map_stmt(x, tf);
-                }
-                let body = std::mem::take(&mut c.body);
-                c.body = tf(body);
-            }
-        }
-        Stmt::Select(st) => {
-            for c in &mut st.cases {
-                for x in &mut c.body {
-                    map_stmt(x, tf);
-                }
-                let body = std::mem::take(&mut c.body);
-                c.body = tf(body);
-            }
-        }
-        Stmt::Block(b) => map_block(b, tf),
-        Stmt::Labeled { stmt, .. } => map_stmt(stmt, tf),
-        Stmt::Go { call, .. } | Stmt::Defer { call, .. } => map_expr_blocks(call, tf),
-        Stmt::Expr(e) => map_expr_blocks(e, tf),
-        Stmt::Assign { lhs, rhs, .. } => {
-            for e in lhs.iter_mut().chain(rhs.iter_mut()) {
-                map_expr_blocks(e, tf);
-            }
-        }
-        Stmt::ShortVar { values, .. } | Stmt::Return { values, .. } => {
-            for e in values {
-                map_expr_blocks(e, tf);
-            }
-        }
-        Stmt::Decl(v) => {
-            for e in &mut v.values {
-                map_expr_blocks(e, tf);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn map_expr_blocks(e: &mut Expr, tf: &mut impl FnMut(Vec<Stmt>) -> Vec<Stmt>) {
-    match e {
-        Expr::FuncLit { body, .. } => map_block(body, tf),
-        Expr::Call { fun, args, .. } => {
-            map_expr_blocks(fun, tf);
-            for a in args {
-                map_expr_blocks(a, tf);
-            }
-        }
-        Expr::Selector { expr, .. }
-        | Expr::Paren { expr, .. }
-        | Expr::Unary { expr, .. }
-        | Expr::TypeAssert { expr, .. } => map_expr_blocks(expr, tf),
-        Expr::Binary { lhs, rhs, .. } => {
-            map_expr_blocks(lhs, tf);
-            map_expr_blocks(rhs, tf);
-        }
-        Expr::Index { expr, index, .. } => {
-            map_expr_blocks(expr, tf);
-            map_expr_blocks(index, tf);
-        }
-        Expr::CompositeLit { elems, .. } => {
-            for el in elems {
-                if let Some(k) = &mut el.key {
-                    map_expr_blocks(k, tf);
-                }
-                map_expr_blocks(&mut el.value, tf);
-            }
-        }
-        _ => {}
+        MapLists(tf).visit_block(body);
     }
 }
 
@@ -256,53 +173,7 @@ pub fn go_closure_mut(s: &mut Stmt) -> Option<&mut Block> {
 /// Whether a statement contains `return` at any nesting level outside
 /// closures (lock-wrapping such statements is unsafe).
 pub fn contains_return(s: &Stmt) -> bool {
-    let mut found = false;
-    fn walk(s: &Stmt, found: &mut bool) {
-        match s {
-            Stmt::Return { .. } => *found = true,
-            Stmt::If(st) => {
-                for x in &st.then.stmts {
-                    walk(x, found);
-                }
-                if let Some(el) = &st.else_ {
-                    walk(el, found);
-                }
-            }
-            Stmt::For(st) => {
-                for x in &st.body.stmts {
-                    walk(x, found);
-                }
-            }
-            Stmt::Range(st) => {
-                for x in &st.body.stmts {
-                    walk(x, found);
-                }
-            }
-            Stmt::Block(b) => {
-                for x in &b.stmts {
-                    walk(x, found);
-                }
-            }
-            Stmt::Switch(st) => {
-                for c in &st.cases {
-                    for x in &c.body {
-                        walk(x, found);
-                    }
-                }
-            }
-            Stmt::Select(st) => {
-                for c in &st.cases {
-                    for x in &c.body {
-                        walk(x, found);
-                    }
-                }
-            }
-            Stmt::Labeled { stmt, .. } => walk(stmt, found),
-            _ => {}
-        }
-    }
-    walk(s, &mut found);
-    found
+    any_stmt_outside_closures(s, |s| matches!(s, Stmt::Return { .. }))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ build:
     cargo build --release --workspace --all-targets
 
 test:
-    cargo test --workspace -q
+    cargo test --workspace -q --no-fail-fast
 
 bench-compile:
     cargo bench --no-run --workspace

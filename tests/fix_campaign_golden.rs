@@ -20,18 +20,22 @@ use drfix::{DrFix, PipelineConfig, TournamentConfig};
 /// `drbench`'s default stream seed; its pipeline seed is `seed ^ SEED`.
 const SEED: u64 = 0xD27F17;
 
+/// `drbench`'s held-out stream seed, kept out of tuning.
+const HELD_OUT_SEED: u64 = 4027193;
+
 fn config(
+    seed: u64,
     family: StreamFamily,
     mode: CampaignMode,
     cases: usize,
     validation_runs: Option<u32>,
 ) -> CampaignConfig {
-    let mut cfg = CampaignConfig::new(cases, 8, StreamConfig { family, seed: SEED });
+    let mut cfg = CampaignConfig::new(cases, 8, StreamConfig { family, seed });
     cfg.workers = 2;
     cfg.mode = mode;
     cfg.checkpoint_every = 64;
     cfg.pipeline = PipelineConfig {
-        seed: 0,
+        seed: seed ^ SEED,
         detect_runs: 12,
         ..PipelineConfig::default()
     };
@@ -104,7 +108,7 @@ fn check(name: &str, cfg: &CampaignConfig, golden: &Golden) {
 fn mixed_fix_tournament_campaign_is_pinned() {
     check(
         "mixed/fix/tournament",
-        &config(StreamFamily::Mixed, CampaignMode::Fix, 150, None),
+        &config(SEED, StreamFamily::Mixed, CampaignMode::Fix, 150, None),
         &Golden {
             digest: 0x2fda0183b6a35d46,
             tallies: "Tallies { cases: 150, raced: 129, fixed: 94, stop_completed: 21, stop_race_exposed: 129, stop_dedup_saturated: 0, stop_budget_exhausted: 0, llm_calls: 1377, validations: 251, rejected_static: 19, detect_vm_steps: 54277, validation_vm_steps: 340843, peak_shadow_bytes: 8796 }",
@@ -118,7 +122,7 @@ fn mixed_fix_tournament_campaign_is_pinned() {
 fn fixable_deep_validation_campaign_is_pinned() {
     check(
         "fixable/fix/1000 schedules",
-        &config(StreamFamily::Fixable, CampaignMode::Fix, 20, Some(1000)),
+        &config(SEED, StreamFamily::Fixable, CampaignMode::Fix, 20, Some(1000)),
         &Golden {
             digest: 0x3bc78f640176f62c,
             tallies: "Tallies { cases: 20, raced: 20, fixed: 12, stop_completed: 0, stop_race_exposed: 20, stop_dedup_saturated: 0, stop_budget_exhausted: 0, llm_calls: 227, validations: 43, rejected_static: 1, detect_vm_steps: 2716, validation_vm_steps: 4387508, peak_shadow_bytes: 8760 }",
@@ -132,12 +136,26 @@ fn fixable_deep_validation_campaign_is_pinned() {
 fn exposure_detect_campaign_is_pinned() {
     check(
         "exposure/detect",
-        &config(StreamFamily::Exposure, CampaignMode::Detect, 600, None),
+        &config(SEED, StreamFamily::Exposure, CampaignMode::Detect, 600, None),
         &Golden {
             digest: 0x88562da87f0758d0,
             tallies: "Tallies { cases: 600, raced: 304, fixed: 0, stop_completed: 296, stop_race_exposed: 304, stop_dedup_saturated: 0, stop_budget_exhausted: 0, llm_calls: 0, validations: 0, rejected_static: 0, detect_vm_steps: 549909, validation_vm_steps: 0, peak_shadow_bytes: 8720 }",
             patches: FNV1A_OFFSET,
             rosters: FNV1A_OFFSET,
+        },
+    );
+}
+
+#[test]
+fn mixed_fix_tournament_campaign_at_the_held_out_seed_is_pinned() {
+    check(
+        "mixed/fix/tournament at the held-out seed",
+        &config(HELD_OUT_SEED, StreamFamily::Mixed, CampaignMode::Fix, 150, None),
+        &Golden {
+            digest: 0x210e9f657df63187,
+            tallies: "Tallies { cases: 150, raced: 123, fixed: 85, stop_completed: 27, stop_race_exposed: 123, stop_dedup_saturated: 0, stop_budget_exhausted: 0, llm_calls: 1290, validations: 256, rejected_static: 20, detect_vm_steps: 62935, validation_vm_steps: 346945, peak_shadow_bytes: 8788 }",
+            patches: 0xf40eba78e222774a,
+            rosters: 0xd9db1a8af02ff51a,
         },
     );
 }

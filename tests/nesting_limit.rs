@@ -5,7 +5,9 @@
 //! shape, the deepest program the parser accepts must make it through
 //! parse → print → re-parse → statcheck → compile on a 2 MiB thread (the
 //! default stack of a campaign worker); one level more, and 100,000
-//! levels, must come back as a spanned parse `Diag`.
+//! levels, must come back as a spanned parse `Diag`. The AST walks are
+//! linear in the tree, so `synthllm::diagnose`, which every fix prompt
+//! runs, returns on the deepest function-literal nesting too.
 
 use golite::MAX_NESTING;
 
@@ -142,4 +144,16 @@ fn a_hundred_thousand_levels_is_a_parse_error_not_an_abort() {
             .expect_err("100,000 levels are rejected");
         assert!(is_nesting_diag(&err), "{name}: {err:?}");
     }
+}
+
+#[test]
+fn diagnose_returns_on_forty_nested_function_literals() {
+    let src = func(&format!(
+        "{}x++\n{}",
+        "f := func() {\n".repeat(40),
+        "}\n_ = f\n".repeat(40)
+    ));
+    let file = golite::parse_file(&src).expect("40 nested literals parse");
+    let diagnoses = on_worker_stack(move || synthllm::diagnose(&file, "x"));
+    assert!(!diagnoses.is_empty());
 }
