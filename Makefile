@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus perf-smoke perf-baseline soak-smoke campaign-smoke campaign-scale drbench-smoke clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus soak-smoke campaign-smoke campaign-scale drbench-smoke clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -69,32 +69,13 @@ tournament-smoke:
 lint-corpus:
 	$(CARGO) run --release -q -p bench --bin lintcorpus
 
-## The CI `perf-gate` job: replay the deterministic hot-path counter
-## scan and fail if any counter regresses >10% against the checked-in
-## BENCH_hotpath.json baseline (wall-clock is reported, never gated).
-## The fresh report lands in target/perfscan/ for artifact upload.
-perf-smoke:
-	$(CARGO) run --release -q -p bench --bin perfscan -- --check --out target/perfscan/BENCH_hotpath.json
-
-## Regenerates the checked-in perf baseline (run + commit only when a
-## counter drift is intentional). The DRFIX_PERF_* scale knobs are
-## explicitly cleared so a stray environment override can never produce
-## a baseline the gate then refuses to compare — the baseline is always
-## the default workload, deterministically. Timing keeps the fastest of
-## 10 repetitions (vs the gate's 5): the recorded wall-clock should
-## reflect the machine, not a noisy-neighbour window.
-perf-baseline:
-	env -u DRFIX_PERF_CASES -u DRFIX_PERF_RUNS -u DRFIX_PERF_HEAP_CASES \
-	-u DRFIX_PERF_CHURN_CASES \
-	DRFIX_PERF_REPEAT=10 \
-	$(CARGO) run --release -q -p bench --bin perfscan
-
 ## The CI `campaign-smoke` job: the snapshot/resume drill at reduced
 ## scale (DRFIX_CAMPAIGN_CASES, default 200; 2 shards). A serial
 ## reference campaign runs uninterrupted; the same campaign runs
 ## on 4 workers, is killed at its first checkpoint (exit 3), resumes from
 ## the snapshot, and the resumed digest must equal the uninterrupted
-## reference bit-for-bit. Then a fixable fix-mode campaign
+## reference bit-for-bit. A truncated copy of the killed snapshot must
+## make `campaignctl status` exit 4. Then a fixable fix-mode campaign
 ## (DRFIX_CAMPAIGN_FIX_CASES, default 40) runs serially and on 4
 ## workers: the digests must match, and the serial report must show
 ## schedules replayed from schedule memos. Exits non-zero on any
@@ -113,6 +94,10 @@ campaign-smoke:
 	  st=$$?; [ $$st -eq 3 ] || { echo "expected halted campaign (exit 3), got $$st"; exit 1; }
 	target/release/campaignctl status --snapshot target/campaign-smoke/killed.json \
 	  --assert-incomplete > /dev/null
+	head -c 100 target/campaign-smoke/killed.json > target/campaign-smoke/truncated.json
+	target/release/campaignctl status --snapshot target/campaign-smoke/truncated.json \
+	  > /dev/null 2>&1; st=$$?; [ $$st -eq 4 ] || \
+	  { echo "expected a corrupt-snapshot exit (4) from status, got $$st"; exit 1; }
 	target/release/campaignctl resume --cases $(DRFIX_CAMPAIGN_CASES) --shards 2 --workers 4 \
 	  --checkpoint-every 25 --snapshot target/campaign-smoke/killed.json \
 	  > target/campaign-smoke/resumed.log

@@ -1,57 +1,36 @@
 //! `hot_path` — interpreter + detector hot-path microbenchmarks.
 //!
-//! Complements `perfscan` (the deterministic counter scan behind the CI
-//! perf gate) with three focused measurements:
+//! Wall-clock companions to the exact VM and detector counters that
+//! the tier-1 goldens pin (`tests/hotpath_golden.rs`,
+//! `tests/lockregime_golden.rs`, `tests/shadowgc_golden.rs`):
 //!
-//! 1. **Campaign throughput** per exposure-corpus category — the same
-//!    workload as `perfscan` at reduced scale, reporting
-//!    instructions/sec and the same-epoch fast-path hit rate.
-//! 2. **Per-schedule VM cost** — a fresh `Vm` built for every schedule
+//! 1. **Per-schedule VM cost** — a fresh `Vm` built for every schedule
 //!    vs one [`govm::TestVm`] reset between schedules (what campaigns
 //!    use). Building and tearing down a VM per run used to cost more
 //!    than the short runs themselves.
-//! 3. **Detector event cost** — same-epoch repeats (fast path) vs
+//! 2. **Detector event cost** — same-epoch repeats (fast path) vs
 //!    epoch-advancing accesses (slow path, stack snapshot + full
 //!    transfer function), in events/sec.
+//! 3. **Lock-stride events with the sync-epoch cache** — the same
+//!    epoch-advancing loop with an unchanged stack generation, which
+//!    the lock-aware owner cache absorbs.
 //!
-//! The bench asserts its contract — fast path dominating the spin-heavy
-//! categories, the reused VM strictly cheaper per schedule, counters
-//! replaying deterministically — so `make perf-smoke`-adjacent CI runs
-//! fail loudly instead of silently reporting nonsense.
-//!
-//! Knobs: `DRFIX_PERF_CASES`, `DRFIX_PERF_RUNS`, `DRFIX_PERF_REPEAT`
-//! (shared with `perfscan`).
+//! The bench asserts its contract — the reused VM strictly cheaper per
+//! schedule, the fast path and owner cache taking every event they
+//! should — so it fails loudly instead of silently reporting nonsense.
 
-use bench::hotpath::{self, HotpathScale};
 use govm::{compile_sources, run_test_with, CompileOptions, TestVm, VmOptions};
 use racedet::{Detector, FastPath, StackGen};
 use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
-    let scale = HotpathScale {
-        cases: 14,
-        runs: 8,
-        repeat: 3,
-        heap_cases: 3,
-        churn_cases: 2,
-    };
-
     bench::header(
         "hot_path — VM + FastTrack hot-path microbenchmarks",
         "HardRace (per-access overhead budgets); FastTrack (PLDI 2009) same-epoch fast path",
     );
 
-    // 1. Campaign throughput at reduced scale.
-    let report = hotpath::run_scan(&scale);
-    println!("\n{}", hotpath::render_table(&report));
-    assert!(
-        report.exposure.counters.fast_hit_rate() > 0.4,
-        "fast path must dominate the exposure corpus: {:?}",
-        report.exposure.counters
-    );
-
-    // 2. Per-schedule cost: a fresh VM per run vs one reset VM, on a
+    // 1. Per-schedule cost: a fresh VM per run vs one reset VM, on a
     //    short validation-sized run (the first fixable stream case,
     //    about a hundred steps), where per-run setup matters most.
     let case = corpus::stream::CorpusStream::new(corpus::stream::StreamConfig {
@@ -90,7 +69,7 @@ fn main() {
         "a reset VM must run a schedule cheaper: {reused_ns:.0}ns vs {fresh_ns:.0}ns"
     );
 
-    // 3. Detector event cost, fast vs slow path.
+    // 2. Detector event cost, fast vs slow path.
     let events = 200_000u64;
     let mut det = Detector::new();
     let stack: Vec<u32> = vec![1, 2, 3];
@@ -139,7 +118,7 @@ fn main() {
         det.stats()
     );
 
-    // 4. The same lock-stride loop with an unchanged stack generation:
+    // 3. The same lock-stride loop with an unchanged stack generation:
     //    the lock-aware owner cache absorbs every post-warmup event and
     //    the release-epoch check short-circuits every self-reacquire.
     let mut det = Detector::new();

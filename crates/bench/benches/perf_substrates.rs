@@ -211,7 +211,7 @@ fn bench_statcheck(c: &mut Criterion) {
             })
         },
     );
-    let sync_heavy: Vec<Vec<golite::ParsedFile>> = bench::hotpath::sync_heavy_cases()
+    let sync_heavy: Vec<Vec<golite::ParsedFile>> = corpus::sync_heavy_cases()
         .into_iter()
         .map(|(name, src, _test)| {
             golite::parse_sources(&[(format!("{name}.go"), src.to_owned())]).expect("parses")

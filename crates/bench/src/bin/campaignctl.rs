@@ -36,7 +36,8 @@
 //! interrupted and the resume really finished).
 //!
 //! Exit codes: 0 completed, 3 halted at the kill switch (snapshot
-//! written, resumable), 1 error.
+//! written, resumable), 4 the `--snapshot` file of `resume` or `status`
+//! is unreadable, truncated or corrupt, 1 any other error.
 
 use drfix::campaign::{run_campaign, CampaignConfig, CampaignMode, Snapshot};
 use drfix::campaign::{CampaignRun, Tallies};
@@ -47,6 +48,9 @@ use std::process::ExitCode;
 
 /// Exit code of a run stopped by `--halt-after-checkpoints`.
 const EXIT_HALTED: u8 = 3;
+
+/// Exit code of `resume` or `status` when the snapshot does not load.
+const EXIT_BAD_SNAPSHOT: u8 = 4;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -290,18 +294,29 @@ fn cmd_run(cli: &Cli) -> Result<ExitCode, String> {
     Ok(finish(cli, &run))
 }
 
+/// Reads `--snapshot` for `cmd`. A missing flag is a usage error (exit
+/// 1); a snapshot that does not load exits [`EXIT_BAD_SNAPSHOT`].
+fn read_snapshot(cli: &Cli, cmd: &str) -> Result<Snapshot, ExitCode> {
+    let Some(path) = cli.snapshot.as_deref() else {
+        eprintln!("campaignctl: {cmd} needs --snapshot <path>");
+        return Err(ExitCode::FAILURE);
+    };
+    Snapshot::load(path).map_err(|e| {
+        eprintln!("campaignctl: reading {}: {e}", path.display());
+        ExitCode::from(EXIT_BAD_SNAPSHOT)
+    })
+}
+
 fn cmd_resume(cli: &Cli) -> Result<ExitCode, String> {
-    let path = cli
-        .snapshot
-        .as_deref()
-        .ok_or("resume needs --snapshot <path>")?;
-    let snap = Snapshot::load(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let snap = match read_snapshot(cli, "resume") {
+        Ok(snap) => snap,
+        Err(code) => return Ok(code),
+    };
     let cfg = build_config(cli)?;
     println!(
-        "resuming {} of {} cases from {} (digest so far {:#018x})",
+        "resuming {} of {} cases (digest so far {:#018x})",
         snap.cases - snap.done(),
         snap.cases,
-        path.display(),
         snap.digest(),
     );
     let run = run_campaign(&cfg, Some(&snap), cli.snapshot.as_deref())?;
@@ -309,11 +324,10 @@ fn cmd_resume(cli: &Cli) -> Result<ExitCode, String> {
 }
 
 fn cmd_status(cli: &Cli) -> Result<ExitCode, String> {
-    let path = cli
-        .snapshot
-        .as_deref()
-        .ok_or("status needs --snapshot <path>")?;
-    let snap = Snapshot::load(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let snap = match read_snapshot(cli, "status") {
+        Ok(snap) => snap,
+        Err(code) => return Ok(code),
+    };
     if cli.digest_only {
         println!("{:#018x}", snap.digest());
     } else {

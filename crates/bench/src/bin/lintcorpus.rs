@@ -130,7 +130,7 @@ fn main() -> ExitCode {
         warnings: 0,
     };
     let mut perf_sets: Vec<(String, Vec<(String, String)>)> = Vec::new();
-    for (name, src, _test) in bench::hotpath::sync_heavy_cases() {
+    for (name, src, _test) in corpus::sync_heavy_cases() {
         perf_sets.push((
             format!("sync-heavy {name}"),
             vec![(format!("{name}.go"), src.to_owned())],

@@ -27,8 +27,6 @@
 //! `(cfg.seed, case index)`, and per-arm throughput (cases/s, worker
 //! utilization) is reported next to the paper numbers.
 
-pub mod hotpath;
-
 use corpus::{CorpusConfig, RaceCase};
 use drfix::fleet::{self, FleetConfig, FleetStats};
 use drfix::{ExampleDb, FixOutcome, PipelineConfig, RagMode, SchedulePolicy};

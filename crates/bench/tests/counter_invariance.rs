@@ -1,7 +1,7 @@
 //! The perf counters' determinism contract.
 //!
-//! The CI perf gate only works because the hot-path counters are exact
-//! functions of the seeded schedules. This suite pins the two ways that
+//! The goldens can pin the hot-path counters only because they are
+//! exact functions of the seeded schedules. This suite pins the two ways that
 //! could silently break:
 //!
 //! - **Thread invariance**: summing campaign counters over the fleet

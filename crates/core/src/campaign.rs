@@ -49,7 +49,9 @@
 //! folded frontier of each shard: finished work is never recomputed,
 //! and because outcomes are index-pure the resumed digests match an
 //! uninterrupted run exactly (proven by a proptest over random kill
-//! points in `tests/campaign_resume.rs`).
+//! points in `tests/campaign_resume.rs`). A truncated or corrupted
+//! snapshot fails [`Snapshot::validate`] and is refused with an error,
+//! never a panic.
 
 use crate::fleet::{derive_case_seed, fnv1a64_fold, FNV1A_OFFSET};
 use crate::pipeline::{DrFix, PipelineConfig};
@@ -287,38 +289,63 @@ pub struct Tallies {
 
 impl Tallies {
     fn add(&mut self, o: &CaseOutcome) {
-        self.cases += 1;
-        self.raced += u64::from(o.raced);
-        self.fixed += u64::from(o.fixed);
+        let mut one = Tallies {
+            cases: 1,
+            raced: u64::from(o.raced),
+            fixed: u64::from(o.fixed),
+            llm_calls: u64::from(o.llm_calls),
+            validations: u64::from(o.validations),
+            rejected_static: u64::from(o.rejected_static),
+            detect_vm_steps: o.detect_vm_steps,
+            validation_vm_steps: o.validation_vm_steps,
+            peak_shadow_bytes: o.peak_shadow_bytes,
+            ..Tallies::default()
+        };
         match o.stop {
-            StopReason::Completed => self.stop_completed += 1,
-            StopReason::RaceExposed => self.stop_race_exposed += 1,
-            StopReason::DedupSaturated => self.stop_dedup_saturated += 1,
-            StopReason::BudgetExhausted => self.stop_budget_exhausted += 1,
+            StopReason::Completed => one.stop_completed = 1,
+            StopReason::RaceExposed => one.stop_race_exposed = 1,
+            StopReason::DedupSaturated => one.stop_dedup_saturated = 1,
+            StopReason::BudgetExhausted => one.stop_budget_exhausted = 1,
         }
-        self.llm_calls += u64::from(o.llm_calls);
-        self.validations += u64::from(o.validations);
-        self.rejected_static += u64::from(o.rejected_static);
-        self.detect_vm_steps += o.detect_vm_steps;
-        self.validation_vm_steps += o.validation_vm_steps;
-        self.peak_shadow_bytes = self.peak_shadow_bytes.max(o.peak_shadow_bytes);
+        self.merge(&one);
     }
 
-    /// Merges another shard's totals into this one.
+    /// Merges another shard's totals into this one. Totals saturate at
+    /// `u64::MAX`, so a resumed run never panics or wraps; no real
+    /// campaign comes near it, and [`Snapshot::validate`] refuses a
+    /// snapshot whose merged totals would overflow.
     pub fn merge(&mut self, other: &Tallies) {
-        self.cases += other.cases;
-        self.raced += other.raced;
-        self.fixed += other.fixed;
-        self.stop_completed += other.stop_completed;
-        self.stop_race_exposed += other.stop_race_exposed;
-        self.stop_dedup_saturated += other.stop_dedup_saturated;
-        self.stop_budget_exhausted += other.stop_budget_exhausted;
-        self.llm_calls += other.llm_calls;
-        self.validations += other.validations;
-        self.rejected_static += other.rejected_static;
-        self.detect_vm_steps += other.detect_vm_steps;
-        self.validation_vm_steps += other.validation_vm_steps;
-        self.peak_shadow_bytes = self.peak_shadow_bytes.max(other.peak_shadow_bytes);
+        if let Some(t) = self.combine(other, |a, b| Some(a.saturating_add(b))) {
+            *self = t;
+        }
+    }
+
+    /// Sums every total with `add` (the gauge takes the max).
+    fn combine(&self, o: &Tallies, add: impl Fn(u64, u64) -> Option<u64>) -> Option<Tallies> {
+        Some(Tallies {
+            cases: add(self.cases, o.cases)?,
+            raced: add(self.raced, o.raced)?,
+            fixed: add(self.fixed, o.fixed)?,
+            stop_completed: add(self.stop_completed, o.stop_completed)?,
+            stop_race_exposed: add(self.stop_race_exposed, o.stop_race_exposed)?,
+            stop_dedup_saturated: add(self.stop_dedup_saturated, o.stop_dedup_saturated)?,
+            stop_budget_exhausted: add(self.stop_budget_exhausted, o.stop_budget_exhausted)?,
+            llm_calls: add(self.llm_calls, o.llm_calls)?,
+            validations: add(self.validations, o.validations)?,
+            rejected_static: add(self.rejected_static, o.rejected_static)?,
+            detect_vm_steps: add(self.detect_vm_steps, o.detect_vm_steps)?,
+            validation_vm_steps: add(self.validation_vm_steps, o.validation_vm_steps)?,
+            peak_shadow_bytes: self.peak_shadow_bytes.max(o.peak_shadow_bytes),
+        })
+    }
+
+    /// Cases counted by the four stop-reason tallies, or `None` on
+    /// overflow.
+    fn stops(&self) -> Option<u64> {
+        self.stop_completed
+            .checked_add(self.stop_race_exposed)?
+            .checked_add(self.stop_dedup_saturated)?
+            .checked_add(self.stop_budget_exhausted)
     }
 }
 
@@ -440,11 +467,55 @@ impl Snapshot {
         std::fs::rename(&tmp, path)
     }
 
-    /// Reads a snapshot written by [`Snapshot::save`].
+    /// Reads a snapshot written by [`Snapshot::save`]. A file that does
+    /// not parse or fails [`Snapshot::validate`] is `InvalidData`.
     pub fn load(path: &Path) -> std::io::Result<Snapshot> {
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        let snap: Snapshot = serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
+        snap.validate().map_err(invalid)?;
+        Ok(snap)
+    }
+
+    /// Checks everything a snapshot must satisfy whatever the
+    /// configuration: the schema; shards contiguous over `0..cases`, each
+    /// with `start ≤ end` and `done ≤ len`; per-shard tallies counting
+    /// `done` cases, with the stop-reason tallies summing to it; merged
+    /// tallies that fit in `u64`; and `completed` exactly when every case
+    /// is folded. Every accessor is then panic-free.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.schema != CAMPAIGN_SCHEMA {
+            return Err(format!(
+                "snapshot schema {} ≠ supported {}",
+                self.schema, CAMPAIGN_SCHEMA
+            ));
+        }
+        let mut next = 0;
+        for (i, s) in self.shards.iter().enumerate() {
+            if s.start != next || s.start > s.end {
+                return Err(format!("snapshot shard {i} range is not contiguous"));
+            }
+            if s.done > s.len() {
+                return Err(format!("snapshot shard {i} cursor past its range"));
+            }
+            if s.tallies.cases != s.done as u64 || s.tallies.stops() != Some(s.tallies.cases) {
+                return Err(format!("snapshot shard {i} tallies do not count its cases"));
+            }
+            next = s.end;
+        }
+        if next != self.cases {
+            return Err("snapshot shards do not cover its cases".into());
+        }
+        self.shards
+            .iter()
+            .try_fold(Tallies::default(), |t, s| {
+                t.combine(&s.tallies, u64::checked_add)
+            })
+            .ok_or("snapshot tallies overflow")?;
+        if self.completed != (self.done() == self.cases) {
+            return Err("snapshot completion flag disagrees with its shards".into());
+        }
+        Ok(())
     }
 }
 
@@ -868,12 +939,7 @@ fn resolve_snapshot(cfg: &CampaignConfig, resume: Option<&Snapshot>) -> Result<S
     match resume {
         None => Ok(Snapshot::fresh(cfg)),
         Some(snap) => {
-            if snap.schema != CAMPAIGN_SCHEMA {
-                return Err(format!(
-                    "snapshot schema {} ≠ supported {}",
-                    snap.schema, CAMPAIGN_SCHEMA
-                ));
-            }
+            snap.validate()?;
             if snap.fingerprint != cfg.fingerprint() {
                 return Err(format!(
                     "snapshot fingerprint {:#018x} does not match this configuration \
@@ -886,11 +952,6 @@ fn resolve_snapshot(cfg: &CampaignConfig, resume: Option<&Snapshot>) -> Result<S
             let got: Vec<(usize, usize)> = snap.shards.iter().map(|s| (s.start, s.end)).collect();
             if want != got {
                 return Err("snapshot shard ranges do not match this configuration".into());
-            }
-            for (i, s) in snap.shards.iter().enumerate() {
-                if s.done > s.len() {
-                    return Err(format!("snapshot shard {i} cursor past its range"));
-                }
             }
             Ok(snap.clone())
         }

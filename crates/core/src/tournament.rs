@@ -5,7 +5,7 @@
 //! and stays the golden reference: one candidate per `(location, scope,
 //! example, retry)` combination, first validated patch wins. The
 //! tournament arm instead *enumerates* a pool of candidates per
-//! combination (Snippet-1 style `Best`/`ById`/`All` selection over
+//! combination (Snippet-1 style `Best`/`All` selection over
 //! per-candidate confidence scores), iterates each candidate against
 //! `statcheck` diagnostics until lint-clean or the repair budget runs
 //! out (Snippet-2's `repair_max_iters` shape) — spending **zero**
@@ -77,8 +77,6 @@ impl Default for TournamentConfig {
 pub enum CandidateSelection {
     /// Validate in rank order, stop at the first clean candidate.
     Best,
-    /// Validate only the candidate with this enumeration id.
-    ById(usize),
     /// Validate every static-clean survivor (the winner is still the
     /// best-ranked clean one); used for gate-accounting studies.
     All,
@@ -102,7 +100,7 @@ pub enum CandidateOutcome {
     /// Validated clean under an [`CandidateSelection::All`] sweep but
     /// ranked after the winner.
     Outranked,
-    /// Never validated (ranked after the winner, or outside `ById`).
+    /// Never validated (ranked after the winner).
     NotValidated,
 }
 
@@ -481,9 +479,6 @@ impl DrFix<'_> {
                 (pool[b].confidence, pool[b].ploc, b),
             )
         });
-        if let CandidateSelection::ById(id) = tcfg.selection {
-            order.retain(|&i| i == id);
-        }
 
         let mut outcomes: Vec<CandidateOutcome> = vec![CandidateOutcome::NotValidated; pool.len()];
         let mut winner: Option<usize> = None;

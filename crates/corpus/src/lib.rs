@@ -188,7 +188,7 @@ impl Default for CorpusConfig {
 /// A clean performance-workload program: no planted race, just a
 /// deterministic source tree with a named test entry point.
 ///
-/// The perf gate's LargeHeap arms are these — map/slice-heavy programs
+/// The LargeHeap family is made of these — map/slice-heavy programs
 /// with working sets of hundreds of tracked cells, generated by
 /// [`generate_large_heap_corpus`] — campaigned exactly like race cases
 /// but expected to come back clean.
@@ -329,8 +329,8 @@ pub fn generate_tournament_corpus(cfg: &CorpusConfig) -> Vec<RaceCase> {
 /// (slice scan, map churn, mixed registry under an RWMutex), with
 /// per-case deterministic size variation.
 ///
-/// This is the perf-gate workload half the hot-path roadmap called for
-/// once map/slice-heavy scenarios became the next bottleneck: working
+/// This is the VM-cost workload the hot-path roadmap called for once
+/// map/slice-heavy scenarios became the next bottleneck: working
 /// sets of hundreds of tracked cells (dense detector state), full-slice
 /// read sharing, and per-element RLock/RUnlock merge-release traffic.
 pub fn generate_large_heap_corpus(n: usize, seed: u64) -> Vec<PerfCase> {
@@ -357,6 +357,101 @@ pub fn generate_churn_corpus(n: usize, seed: u64) -> Vec<PerfCase> {
     (0..n)
         .map(|idx| templates::churn_case(&mut rng, idx))
         .collect()
+}
+
+/// Synthetic synchronisation-heavy programs `(name, source, test)`:
+/// mutex handoffs, RWMutex read/write mixes and wait-group fan-ins that
+/// the (deliberately unsynchronised) exposure corpus never executes.
+/// They put real numbers on the detector's lock-release buffer reuse
+/// (`clock_allocs_avoided`) and the lock-aware owner cache, which
+/// `tests/lockregime_golden.rs` pins.
+pub fn sync_heavy_cases() -> Vec<(&'static str, &'static str, &'static str)> {
+    const MUTEX_COUNTER: &str = r#"package perf
+
+import (
+	"sync"
+	"testing"
+)
+
+func Count() int {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	n := 0
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 40; j++ {
+				mu.Lock()
+				n = n + 1
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return n
+}
+
+func TestCount(t *testing.T) {
+	if Count() != 160 {
+		t.Errorf("lost updates")
+	}
+}
+"#;
+
+    const RWMUTEX_MIX: &str = r#"package perf
+
+import (
+	"sync"
+	"testing"
+)
+
+func Observe() int {
+	var mu sync.RWMutex
+	var wg sync.WaitGroup
+	total := 0
+	value := 0
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 30; j++ {
+				mu.Lock()
+				value = value + 1
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for j := 0; j < 30; j++ {
+				mu.RLock()
+				seen = seen + value
+				mu.RUnlock()
+			}
+			mu.Lock()
+			total = total + seen
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	return total + value
+}
+
+func TestObserve(t *testing.T) {
+	if Observe() < 60 {
+		t.Errorf("readers starved")
+	}
+}
+"#;
+
+    vec![
+        ("sync-mutex-counter", MUTEX_COUNTER, "TestCount"),
+        ("sync-rwmutex-mix", RWMUTEX_MIX, "TestObserve"),
+    ]
 }
 
 pub use templates::churn_soak_case;

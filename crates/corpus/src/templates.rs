@@ -1890,7 +1890,7 @@ fn hard_channel_result(rng: &mut StdRng, idx: usize) -> RaceCase {
 
 // ---------------------------------------------------------- large heap
 //
-// The perf-gate's LargeHeap family: clean (race-free) map/slice-heavy
+// The LargeHeap family: clean (race-free) map/slice-heavy
 // programs whose working sets are hundreds of tracked cells, not the
 // handful the Table 3 templates touch. They stress the detector's dense
 // variable-state array, read-shared promotion at scale, and per-element

@@ -49,13 +49,6 @@ pub fn print_expr(expr: &Expr) -> String {
     p.out
 }
 
-/// Renders a type.
-pub fn print_type(ty: &Type) -> String {
-    let mut p = Printer::new();
-    p.ty(ty);
-    p.out
-}
-
 /// Renders a type declaration.
 pub fn print_type_decl(decl: &TypeDecl) -> String {
     let mut p = Printer::new();

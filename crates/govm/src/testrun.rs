@@ -10,7 +10,6 @@
 //! whose interleaving the campaign already executed is replayed from
 //! the campaign's schedule memo instead.
 
-use crate::compile::{compile_sources, CompileOptions};
 use crate::sched::{derive_seed, SchedulePolicy};
 use crate::value::Value;
 use crate::vm::{RunCounters, RunError, RunResult, Vm, VmOptions};
@@ -376,23 +375,4 @@ pub fn run_test_many(prog: &Program, test: &str, cfg: &TestConfig) -> TestOutcom
         counters,
         replayed,
     }
-}
-
-/// Compiles sources and runs every `TestXxx` function under `cfg`.
-///
-/// # Errors
-///
-/// Returns the compile diagnostic if the package does not build.
-pub fn compile_and_test_all(
-    sources: &[(String, String)],
-    copts: &CompileOptions,
-    cfg: &TestConfig,
-) -> Result<Vec<(String, TestOutcome)>, golite::Diag> {
-    let prog = compile_sources(sources, copts)?;
-    let mut out = Vec::new();
-    for test in prog.test_funcs() {
-        let o = run_test_many(&prog, &test, cfg);
-        out.push((test, o));
-    }
-    Ok(out)
 }

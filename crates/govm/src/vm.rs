@@ -113,9 +113,10 @@ impl std::fmt::Display for RunError {
 ///
 /// Every field is an exact function of the executed schedule — nothing
 /// here depends on wall-clock, addresses or hashing seeds — so a seed
-/// replays to bit-identical counters on any machine. The perf CI gate
-/// (`make perf-smoke`) diffs these against a checked-in baseline, which
-/// is what makes hot-path regressions detectable without flaky
+/// replays to bit-identical counters on any machine. The tier-1 goldens
+/// (`tests/hotpath_golden.rs`, `tests/lockregime_golden.rs`,
+/// `tests/shadowgc_golden.rs`) pin every field exactly per campaign,
+/// which is what makes hot-path regressions detectable without flaky
 /// wall-clock thresholds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunCounters {

@@ -68,8 +68,8 @@
 //! place or reuses an existing buffer — [`Detector::stats`] counts the
 //! events, fast-path hits, joins, clock allocations and the allocations
 //! those reuses avoided, and the counters are exactly reproducible for
-//! a given event sequence (the CI perf gate diffs them against a
-//! checked-in baseline).
+//! a given event sequence (the workspace's tier-1 goldens pin them
+//! exactly).
 //!
 //! # Shadow-state lifecycle (streaming detection)
 //!
@@ -143,8 +143,8 @@ const PAGE_BITS: usize = 6;
 /// Deliberately separate from [`DetStats`]: these move when GC or slot
 /// reclamation engage, while every `DetStats` field keeps its logical
 /// meaning and stays bit-identical across lifecycle on/off.
-/// Deterministic for a given event sequence, like everything
-/// the perf gate compares.
+/// Deterministic for a given event sequence, like every counter the
+/// goldens pin.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShadowStats {
     /// Variable states retired by [`Detector::collect`] (epoch-shaped
@@ -219,13 +219,6 @@ pub enum FastPath {
     Miss,
 }
 
-impl FastPath {
-    /// `true` when the event is fully processed (no slow phase needed).
-    pub fn is_hit(self) -> bool {
-        !matches!(self, FastPath::Miss)
-    }
-}
-
 /// A fast, deterministic multiply-xor hasher (FxHash-style) for the
 /// detector's interior maps. With the default SipHash, keying the sync
 /// and dedup tables dominates per-event cost; none of these tables is
@@ -268,8 +261,9 @@ pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 /// Every field is an exact function of the event sequence (no clocks,
 /// no addresses-of-allocations), so two runs of the same schedule
 /// produce bit-identical counters on any machine — which is what lets
-/// the perf CI gate compare them against a checked-in baseline without
-/// wall-clock flakiness.
+/// `tests/hotpath_golden.rs`, `tests/lockregime_golden.rs` and
+/// `tests/shadowgc_golden.rs` pin them exactly, as part of
+/// `govm::RunCounters`, without wall-clock flakiness.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DetStats {
     /// Read/write events processed.
@@ -1658,7 +1652,7 @@ impl Detector {
     /// counted). Not an exact
     /// allocator measurement (record stacks and shared maps are
     /// excluded), but an exact function of the event sequence, so the
-    /// perf gate can track it without wall-clock noise.
+    /// goldens can pin it without wall-clock noise.
     pub fn shadow_bytes(&self) -> u64 {
         let state = std::mem::size_of::<VarState>() as u64;
         let pages = self.vars.pages.iter().flatten().count() as u64 * PAGE_SIZE as u64 * state;
@@ -1675,11 +1669,6 @@ impl Detector {
     /// Races recorded so far.
     pub fn races(&self) -> &[RawRace] {
         &self.races.list
-    }
-
-    /// Consumes the detector, returning all recorded races.
-    pub fn into_races(self) -> Vec<RawRace> {
-        self.races.list
     }
 
     /// Current clock of live thread `t` (for tests and debugging).

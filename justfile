@@ -53,21 +53,10 @@ tournament-smoke:
 lint-corpus:
     cargo run --release -q -p bench --bin lintcorpus
 
-# The CI `perf-gate` job: deterministic hot-path counter scan vs the
-# checked-in BENCH_hotpath.json baseline (>10% counter drift fails).
-perf-smoke:
-    cargo run --release -q -p bench --bin perfscan -- --check --out target/perfscan/BENCH_hotpath.json
-
-# Regenerates the checked-in perf baseline (always at the default
-# workload scale — stray DRFIX_PERF_* overrides are cleared; timing is
-# the fastest of 10 repetitions).
-perf-baseline:
-    env -u DRFIX_PERF_CASES -u DRFIX_PERF_RUNS -u DRFIX_PERF_HEAP_CASES -u DRFIX_PERF_CHURN_CASES \
-    DRFIX_PERF_REPEAT=10 cargo run --release -q -p bench --bin perfscan
-
 # The CI `campaign-smoke` job: kill a 4-worker campaign at its first
 # checkpoint, resume it, and require the resumed digest to equal the
-# uninterrupted serial reference bit-for-bit; then require a fix-mode
+# uninterrupted serial reference bit-for-bit, and `status` to exit 4 on a
+# truncated snapshot; then require a fix-mode
 # campaign's digest to match serially and on 4 workers, with schedules
 # replayed from schedule memos (see the Makefile recipe).
 campaign-smoke:

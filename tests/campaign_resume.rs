@@ -10,12 +10,19 @@
 //! case count, shard plan, checkpoint cadence, halt position, and the
 //! worker counts before and after the kill are all drawn at random.
 //!
+//! A second property corrupts a real halted snapshot on disk —
+//! truncation, a single bit flip, or a random `u64` written over one
+//! numeric field — and requires loading it, reading it the way
+//! `campaignctl status` does, and resuming from it to end in a clean
+//! error or a completed run, never a panic.
+//!
 //! [`StopReason`]: govm::StopReason
 
 use corpus::stream::{StreamConfig, StreamFamily};
 use drfix::campaign::{run_campaign, CampaignConfig, Snapshot};
 use drfix::PipelineConfig;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn cfg(cases: usize, shards: usize, checkpoint_every: usize, seed: u64) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(
@@ -114,5 +121,95 @@ proptest! {
                 + t.stop_budget_exhausted,
             cases as u64,
         );
+    }
+}
+
+/// The campaign the corruption property resumes, and its snapshot
+/// halted at the first checkpoint, as saved JSON.
+fn halted_snapshot() -> &'static (CampaignConfig, String) {
+    static HALTED: OnceLock<(CampaignConfig, String)> = OnceLock::new();
+    HALTED.get_or_init(|| {
+        let base = cfg(24, 2, 4, 0x5EED);
+        let mut halting = base.clone();
+        halting.halt_after_checkpoints = Some(1);
+        let run = run_campaign(&halting, None, None).unwrap();
+        assert!(run.interrupted && !run.snapshot.completed);
+        let json = serde_json::to_string(&run.snapshot).unwrap();
+        (base, json)
+    })
+}
+
+/// Byte ranges of the JSON's unsigned integer literals: every numeric
+/// field of a snapshot.
+fn number_spans(json: &str) -> Vec<(usize, usize)> {
+    let bytes = json.as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i].is_ascii_digit() {
+            let start = i;
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
+                i += 1;
+            }
+            spans.push((start, i));
+        } else {
+            i += 1;
+        }
+    }
+    spans
+}
+
+/// Random values plus the edges where sums overflow.
+fn overwrite_value() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        0u64..64,
+        (0u64..64).prop_map(|d| u64::MAX - d),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // `kind` 0 truncates at `at`, 1 flips bit `bit` of byte `at`, 2
+    // writes `value` over the `at`-th numeric field.
+    #[test]
+    fn a_corrupted_snapshot_fails_cleanly_and_never_panics(
+        kind in 0u8..3,
+        at in 0usize..1 << 16,
+        bit in 0u8..8,
+        value in overwrite_value(),
+    ) {
+        let (base, json) = halted_snapshot();
+        let mut bytes = json.as_bytes().to_vec();
+        match kind {
+            0 => bytes.truncate(at % bytes.len()),
+            1 => bytes[at % json.len()] ^= 1 << bit,
+            _ => {
+                let spans = number_spans(json);
+                let (start, end) = spans[at % spans.len()];
+                bytes.splice(start..end, value.to_string().into_bytes());
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("drfix-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = Snapshot::load(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        match loaded {
+            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            Ok(snap) => {
+                // Everything `campaignctl status` and `resume` print.
+                let _ = (snap.done(), snap.cases - snap.done(), snap.tallies(), snap.digest());
+                for s in &snap.shards {
+                    let _ = s.len();
+                }
+                if let Ok(run) = run_campaign(base, Some(&snap), None) {
+                    prop_assert!(run.snapshot.completed);
+                    let _ = run.snapshot.tallies();
+                }
+            }
+        }
     }
 }

@@ -9,6 +9,16 @@
 //! `tests/goldens/hotpath_goldens.json` were captured on the
 //! pre-optimization tree and are compared verbatim here.
 //!
+//! Every campaign entry also pins the campaign's full
+//! [`govm::RunCounters`] — VM steps, scheduling points, the detector's
+//! fast-path, owner-cache and clock counters, stack snapshots and the
+//! shadow lifecycle gauges — exactly. Campaigns run on each case's
+//! racy rendition (the reproduce step) and then on each human fix (the
+//! validate step, where a fix campaign spends most of its
+//! instructions). With `tests/lockregime_golden.rs` (SyncHeavy,
+//! LargeHeap) and `tests/shadowgc_golden.rs` (Churn) these goldens are
+//! the one gate on VM and detector cost: any drift is a failure.
+//!
 //! Regenerate (only for *intentional* semantic changes) with:
 //!
 //! ```text
@@ -18,8 +28,8 @@
 use corpus::CorpusConfig;
 use drfix::{DrFix, PipelineConfig, RagMode};
 use govm::{
-    compile_sources, derive_seed, run_test_many, run_test_with, CompileOptions, SchedulePolicy,
-    TestConfig, VmOptions,
+    compile_sources, derive_seed, run_test_many, run_test_with, CompileOptions, RunCounters,
+    SchedulePolicy, TestConfig, VmOptions,
 };
 use serde::{Deserialize, Serialize};
 
@@ -45,6 +55,8 @@ struct CampaignGolden {
     steps: u64,
     /// Schedule signatures of the first [`SIG_RUNS`] runs, in order.
     schedule_sigs: Vec<u64>,
+    /// The campaign's VM and detector cost counters.
+    counters: RunCounters,
 }
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -85,10 +97,16 @@ fn compute() -> Goldens {
         seed: 0xD0F1,
     });
 
+    // Every racy rendition, then every human fix.
+    let racy = corpus.iter().map(|c| (c.id.clone(), &c.files, &c.test));
+    let fixed = corpus.iter().filter_map(|c| {
+        let fix = c.human_fix.as_ref()?;
+        Some((format!("{}-fixed", c.id), fix, &c.test))
+    });
     let mut campaigns = Vec::new();
-    for case in &corpus {
-        let prog = compile_sources(&case.files, &CompileOptions::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", case.id));
+    for (id, files, test) in racy.chain(fixed) {
+        let prog = compile_sources(files, &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
         for policy in policies() {
             let cfg = TestConfig {
                 runs: CAMPAIGN_RUNS,
@@ -97,7 +115,7 @@ fn compute() -> Goldens {
                 policy: policy.clone(),
                 ..TestConfig::default()
             };
-            let out = run_test_many(&prog, &case.test, &cfg);
+            let out = run_test_many(&prog, test, &cfg);
             let mut bug_hashes: Vec<String> = out.races.iter().map(|r| r.bug_hash()).collect();
             bug_hashes.sort();
             let schedule_sigs: Vec<u64> = (0..SIG_RUNS)
@@ -105,7 +123,7 @@ fn compute() -> Goldens {
                     let seed = derive_seed(CAMPAIGN_SEED, i);
                     run_test_with(
                         &prog,
-                        &case.test,
+                        test,
                         VmOptions {
                             seed,
                             policy: policy.clone(),
@@ -116,13 +134,14 @@ fn compute() -> Goldens {
                 })
                 .collect();
             campaigns.push(CampaignGolden {
-                case: case.id.clone(),
+                case: id.clone(),
                 policy: policy.label(),
                 bug_hashes,
                 distinct_schedules: out.distinct_schedules,
                 duplicate_schedules: out.duplicate_schedules,
                 steps: out.steps,
                 schedule_sigs,
+                counters: out.counters,
             });
         }
     }

@@ -64,7 +64,7 @@ fn lint_corpus(out: &mut String) {
         let files = [(shape.file.to_owned(), shape.source.to_owned())];
         render(out, &format!("lint shape {}", shape.id), &files);
     }
-    for (name, src, _test) in bench::hotpath::sync_heavy_cases() {
+    for (name, src, _test) in corpus::sync_heavy_cases() {
         let files = [(format!("{name}.go"), src.to_owned())];
         render(out, &format!("sync-heavy {name}"), &files);
     }

@@ -163,7 +163,7 @@ fn lint_corpus() -> Vec<(String, Program)> {
         let files = vec![(shape.file.to_owned(), shape.source.to_owned())];
         out.push((format!("lint shape {}", shape.id), files));
     }
-    for (name, src, _test) in bench::hotpath::sync_heavy_cases() {
+    for (name, src, _test) in corpus::sync_heavy_cases() {
         out.push((
             format!("sync-heavy {name}"),
             vec![(format!("{name}.go"), src.to_owned())],
