@@ -1,10 +1,10 @@
 # Tier-1 verification for the Dr.Fix reproduction workspace.
 # Single source of truth for the gates: .github/workflows/ci.yml invokes
-# these targets, and the justfile mirrors them for `just` users.
+# these targets, and every justfile recipe runs the target of its name.
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus soak-smoke campaign-smoke campaign-scale drbench-smoke clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus soak-smoke campaign-smoke campaign-scale drbench-smoke bench-all clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -42,7 +42,8 @@ fmt-check:
 bench-smoke:
 	DRFIX_CASES=24 DRFIX_VALIDATION_RUNS=4 $(CARGO) bench -q -p bench --bench fig3_rag_ablation
 
-## Parallel-path smoke: calibrate across a 4-worker fleet at small scale.
+## Calibrate smoke: every headline ablation arm on 4 worker threads at
+## small scale, printing measured fix rates next to the paper's.
 calibrate-smoke:
 	DRFIX_CASES=12 DRFIX_THREADS=4 DRFIX_VALIDATION_RUNS=4 $(CARGO) run --release -q -p bench --bin calibrate
 
@@ -150,6 +151,10 @@ drbench-smoke:
 ## full ≥1M-step soak runs in the tier-1 `test` target (default scale).
 soak-smoke:
 	DRFIX_SOAK_GENS=120 $(CARGO) test --release -q --test streaming_soak
+
+## Every table/figure reproduction at reduced scale.
+bench-all:
+	DRFIX_CASES=60 DRFIX_VALIDATION_RUNS=8 $(CARGO) bench -p bench
 
 clean:
 	$(CARGO) clean

@@ -31,7 +31,7 @@ fn main() {
         ("RAG with skeleton", RagMode::Skeleton, "66%"),
     ] {
         let cfg = base_config(&scale, ModelTier::Gpt4o, rag);
-        let arm = run_arm(label, cfg, cases, Some(db));
+        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
         println!(
             "{label:<26} {:>6}/{:<3} {:>10} {:>10}   {}",
             arm.fixed(),

@@ -84,13 +84,12 @@ fn bench_pipeline_parts(c: &mut Criterion) {
 }
 
 fn bench_fleet(c: &mut Criterion) {
-    use drfix::fleet::{run_indexed, FleetConfig};
+    use drfix::fleet::run_indexed;
     // Scheduler overhead: the job is trivial, so this measures the
     // work-queue machinery itself at different widths.
     for threads in [1usize, 4] {
         c.bench_function(&format!("fleet_schedule_256_jobs_x{threads}"), |b| {
-            let cfg = FleetConfig::new(threads);
-            b.iter(|| run_indexed(&cfg, 256, |i| std::hint::black_box(i) * 3))
+            b.iter(|| run_indexed(threads, 256, |i| std::hint::black_box(i) * 3))
         });
     }
 }

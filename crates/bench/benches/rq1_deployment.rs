@@ -18,8 +18,8 @@ fn main() {
         "§5.2/§5.5: 55% fixed, 86% accepted, 6/13/14/29 min, 3 vs 11 days",
     );
     let cfg = base_config(&scale, ModelTier::Gpt4Turbo, RagMode::Skeleton);
-    let arm = run_arm("deploy", cfg, cases, Some(db));
-    println!("fleet: {}\n", arm.stats.summary());
+    let arm = run_arm("deploy", cfg, scale.threads, cases, Some(db));
+    println!("throughput: {}\n", arm.throughput());
 
     let fixed: Vec<_> = cases
         .iter()

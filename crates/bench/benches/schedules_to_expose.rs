@@ -22,10 +22,10 @@
 //! `DRFIX_STE_MAX_SCHED` (schedule budget per case, default 200),
 //! `DRFIX_STE_VALIDATION_RUNS` (fixed validation budget, default 256 —
 //! the paper runs 1000 schedules per validation), `DRFIX_THREADS`
-//! (fleet width).
+//! (worker threads).
 
 use corpus::{CorpusConfig, RaceCase, RaceCategory};
-use drfix::fleet::{self, FleetConfig};
+use drfix::fleet;
 use govm::{compile_sources, run_test_many, CompileOptions, SchedulePolicy, TestConfig};
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -83,7 +83,7 @@ fn main() {
     let cases_total = env_usize("DRFIX_STE_CASES", 56);
     let max_sched = env_usize("DRFIX_STE_MAX_SCHED", 200) as u32;
     let validation_runs = env_usize("DRFIX_STE_VALIDATION_RUNS", 256) as u32;
-    let fleet_cfg = FleetConfig::from_env();
+    let threads = bench::Scale::from_env().threads;
 
     bench::header(
         "schedules_to_expose — median schedules to first race exposure per policy",
@@ -113,7 +113,7 @@ fn main() {
     println!(
         "\nexposure corpus: {} ordering-sensitive cases, budget {max_sched} schedules/case, fleet ×{}",
         corpus.len(),
-        fleet_cfg.threads
+        threads
     );
     println!(
         "\n{:<36} {:>16} {:>16} {:>16}",
@@ -132,7 +132,7 @@ fn main() {
             }
         }
     }
-    let run = fleet::run_indexed(&fleet_cfg, jobs.len(), |i| {
+    let exposures = fleet::run_indexed(threads, jobs.len(), |i| {
         let (ci, case, policy) = jobs[i];
         let seed = fleet::derive_case_seed(0x57E, i as u64);
         (ci, policy.label(), expose(case, policy, max_sched, seed))
@@ -140,7 +140,7 @@ fn main() {
 
     // Aggregate per (category, policy).
     let mut table: Vec<Vec<Vec<&Exposure>>> = vec![vec![Vec::new(); policies.len()]; by_cat.len()];
-    for (ci, plabel, exp) in &run.results {
+    for (ci, plabel, exp) in &exposures {
         let pi = policies.iter().position(|p| p.label() == *plabel).unwrap();
         table[*ci][pi].push(exp);
     }
@@ -228,7 +228,7 @@ fn main() {
         seed: 0xD0F1,
     });
     let std_cases: Vec<&RaceCase> = std_corpus.iter().filter(|c| c.fixable).take(12).collect();
-    let std_run = fleet::run_indexed(&fleet_cfg, std_cases.len() * policies.len(), |i| {
+    let std_schedules = fleet::run_indexed(threads, std_cases.len() * policies.len(), |i| {
         let case = std_cases[i / policies.len()];
         let policy = &policies[i % policies.len()];
         let seed = fleet::derive_case_seed(0x57D, i as u64);
@@ -239,7 +239,7 @@ fn main() {
     });
     println!(
         "standard Table 3 corpus sanity: median schedules to expose = {} (all policies)",
-        median(&std_run.results)
+        median(&std_schedules)
     );
 
     // ---- validation cost: dedup + early exit on the human fixes ------
@@ -262,7 +262,7 @@ fn main() {
     );
     let mut baseline_steps = 0u64;
     for (label, streak, budget) in arms {
-        let run = fleet::run_indexed(&fleet_cfg, fixes.len(), |i| {
+        let results = fleet::run_indexed(threads, fixes.len(), |i| {
             let (case, fix) = &fixes[i];
             let Ok(prog) = compile_sources(fix, &CompileOptions::default()) else {
                 return (0u64, 0u32, false);
@@ -278,9 +278,9 @@ fn main() {
             let out = run_test_many(&prog, &case.test, &cfg);
             (out.steps, out.runs, out.is_clean())
         });
-        let steps: u64 = run.results.iter().map(|(s, _, _)| s).sum();
-        let runs: u32 = run.results.iter().map(|(_, r, _)| r).sum();
-        let clean = run.results.iter().filter(|(_, _, c)| *c).count();
+        let steps: u64 = results.iter().map(|(s, _, _)| s).sum();
+        let runs: u32 = results.iter().map(|(_, r, _)| r).sum();
+        let clean = results.iter().filter(|(_, _, c)| *c).count();
         if baseline_steps == 0 {
             baseline_steps = steps;
         }

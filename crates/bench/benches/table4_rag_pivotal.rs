@@ -16,17 +16,19 @@ fn main() {
     let no_rag = run_arm(
         "none",
         base_config(&scale, ModelTier::Gpt4o, RagMode::None),
+        scale.threads,
         cases,
         Some(db),
     );
     let with_rag = run_arm(
         "skel",
         base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton),
+        scale.threads,
         cases,
         Some(db),
     );
     println!(
-        "fleet: no-RAG arm {} | RAG arm {}\n",
+        "throughput: no-RAG arm {} | RAG arm {}\n",
         no_rag.throughput(),
         with_rag.throughput()
     );

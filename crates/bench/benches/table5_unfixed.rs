@@ -18,8 +18,8 @@ fn main() {
         "§5.3, Table 5",
     );
     let cfg = base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton);
-    let arm = run_arm("ablate", cfg, cases, Some(db));
-    println!("fleet: {}\n", arm.stats.summary());
+    let arm = run_arm("ablate", cfg, scale.threads, cases, Some(db));
+    println!("throughput: {}\n", arm.throughput());
 
     let mut unfixed_by_cat: std::collections::HashMap<&str, usize> =
         std::collections::HashMap::new();

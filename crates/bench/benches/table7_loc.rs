@@ -18,8 +18,8 @@ fn main() {
         "§5.5, Table 7",
     );
     let cfg = base_config(&scale, ModelTier::Gpt4Turbo, RagMode::Skeleton);
-    let arm = run_arm("deploy", cfg, cases, Some(db));
-    println!("fleet: {}\n", arm.stats.summary());
+    let arm = run_arm("deploy", cfg, scale.threads, cases, Some(db));
+    println!("throughput: {}\n", arm.throughput());
 
     let human: Vec<f64> = cases
         .iter()

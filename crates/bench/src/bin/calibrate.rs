@@ -2,29 +2,26 @@
 //! slice and prints fix rates next to the paper's numbers. Used while
 //! tuning the capability model; kept as a fast sanity-check binary.
 //!
-//! Every arm runs through the fleet executor (`DRFIX_THREADS` workers,
-//! per-case derived seeds — outcomes are bit-identical at any width),
-//! and the run ends with a measured serial-vs-fleet speedup check.
+//! Every arm runs on `DRFIX_THREADS` workers with per-case derived
+//! seeds, so its outcomes are bit-identical at any width.
 
-use bench::{base_config, pct, run_arm, run_arm_with, Scale};
-use drfix::fleet::FleetConfig;
+use bench::{base_config, pct, run_arm, Scale};
 use drfix::{LocationKind, RagMode, SchedulePolicy};
 use synthllm::{ModelTier, Scope};
 
 fn main() {
     let scale = Scale::from_env();
-    let fleet = FleetConfig::from_env();
     let cases = bench::eval_corpus(&scale);
     let db = bench::example_db(&scale);
     println!(
-        "corpus: {} cases ({} fixable), db: {} pairs, {} validation runs, policy: {}, fleet: {} thread{}",
+        "corpus: {} cases ({} fixable), db: {} pairs, {} validation runs, policy: {}, {} thread{}",
         cases.len(),
         cases.iter().filter(|c| c.fixable).count(),
         scale.db_pairs,
         scale.validation_runs,
         scale.policy.label(),
-        fleet.threads,
-        if fleet.threads == 1 { "" } else { "s" },
+        scale.threads,
+        if scale.threads == 1 { "" } else { "s" },
     );
 
     // Fig. 3 arms (GPT-4o).
@@ -34,7 +31,7 @@ fn main() {
         ("RAG with skeleton", RagMode::Skeleton, "66%"),
     ] {
         let cfg = base_config(&scale, ModelTier::Gpt4o, rag);
-        let arm = run_arm(label, cfg, cases, Some(db));
+        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
         println!(
             "{label:24} measured {:>6}  (paper {paper})  [{}]",
             pct(arm.rate()),
@@ -57,7 +54,7 @@ fn main() {
         let mut cfg = base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton);
         cfg.scopes = scopes;
         cfg.feedback = feedback;
-        let arm = run_arm(label, cfg, cases, Some(db));
+        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
         println!(
             "{label:24} measured {:>6}  (paper {paper})  [{}]",
             pct(arm.rate()),
@@ -76,7 +73,7 @@ fn main() {
     ] {
         let mut cfg = base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton);
         cfg.locations = locs;
-        let arm = run_arm(label, cfg, cases, Some(db));
+        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
         println!(
             "{label:24} measured {:>6}  (paper {paper})  [{}]",
             pct(arm.rate()),
@@ -86,7 +83,7 @@ fn main() {
 
     if std::env::var("DRFIX_DEBUG").is_ok() {
         let cfg = base_config(&scale, ModelTier::O1Preview, RagMode::Skeleton);
-        let arm = run_arm("debug", cfg, cases, Some(db));
+        let arm = run_arm("debug", cfg, scale.threads, cases, Some(db));
         for (case, o) in cases.iter().zip(&arm.outcomes) {
             if !o.fixed && (case.fixable || case.hard.is_some()) {
                 println!(
@@ -111,7 +108,7 @@ fn main() {
         ("o1-preview", ModelTier::O1Preview, "73.5%"),
     ] {
         let cfg = base_config(&scale, tier, RagMode::Skeleton);
-        let arm = run_arm(label, cfg, cases, Some(db));
+        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
         println!(
             "{label:24} measured {:>6}  (paper {paper})  [{}]",
             pct(arm.rate()),
@@ -131,7 +128,7 @@ fn main() {
         let mut cfg = base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton);
         cfg.detect_policy = policy.clone();
         cfg.validate_policy = policy;
-        let arm = run_arm(label, cfg, cases, Some(db));
+        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
         println!(
             "{label:24} measured {:>6}  (paper 66%)  [{}]",
             pct(arm.rate()),
@@ -139,32 +136,9 @@ fn main() {
         );
     }
 
-    // Fleet speedup check: the skeleton arm, strictly serial vs the
-    // configured fleet. Outcomes must be bit-identical; only wall-clock
-    // may differ. (On a single-core machine expect ~1.0×.)
-    let cfg = base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton);
-    let serial = run_arm_with(
-        "serial",
-        cfg.clone(),
-        &FleetConfig::serial(),
-        cases,
-        Some(db),
-    );
-    let parallel = run_arm_with("fleet", cfg, &fleet, cases, Some(db));
-    assert_eq!(
-        serial.outcomes, parallel.outcomes,
-        "fleet outcomes diverged from the serial baseline"
-    );
-    println!(
-        "\nfleet speedup: {:.2}x at {} threads (serial {}; fleet {}) — outcomes bit-identical",
-        serial.stats.wall_seconds / parallel.stats.wall_seconds.max(1e-9),
-        fleet.threads,
-        serial.stats.summary(),
-        parallel.stats.summary(),
-    );
     let (hits, misses) = db.cache_stats();
     println!(
-        "query-embedding cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
+        "\nquery-embedding cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
         100.0 * hits as f64 / (hits + misses).max(1) as f64
     );
 }

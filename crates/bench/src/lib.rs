@@ -2,16 +2,18 @@
 //!
 //! Every bench target regenerates one table or figure of the paper by
 //! running the real pipeline over the seeded corpus. Environment knobs
-//! keep `cargo bench` runtimes reasonable:
+//! keep `cargo bench` runtimes reasonable; this crate is the only place
+//! they are read ([`Scale::from_env`]), and a set knob that does not
+//! parse stops the run instead of falling back to its default:
 //!
 //! - `DRFIX_CASES` — evaluation corpus size (default 120; the paper's
 //!   403 reproduces the same shapes, just slower);
 //! - `DRFIX_DB_PAIRS` — example-database size (default 272);
 //! - `DRFIX_VALIDATION_RUNS` — schedules per validation (default 12;
 //!   the paper runs 1000);
-//! - `DRFIX_THREADS` — fleet worker threads (default: available
-//!   parallelism). Outcomes are bit-identical at any thread count; only
-//!   wall-clock changes.
+//! - `DRFIX_THREADS` — worker threads per arm (default: available
+//!   parallelism; at least 1). Outcomes are bit-identical at any thread
+//!   count; only wall-clock changes.
 //! - `DRFIX_POLICY` — schedule-exploration policy for both the
 //!   reproduce and validate steps: `random` (default), `pct`,
 //!   `pct:<depth>`, `pct:<depth>:<budget>`, or `sweep` (see
@@ -22,15 +24,17 @@
 //!   Wired into every default arm so the tracked numbers reflect the
 //!   recommended campaign configuration.
 //!
-//! Every arm runs through [`drfix::fleet`]: cases are sharded across a
-//! work-queue of threads, each with a seed derived from
-//! `(cfg.seed, case index)`, and per-arm throughput (cases/s, worker
-//! utilization) is reported next to the paper numbers.
+//! Every arm runs on [`drfix::fleet::run_indexed`]: cases are sharded
+//! across a work-queue of threads, each with a seed derived from
+//! `(cfg.seed, case index)`, and per-arm throughput (cases/s) is
+//! reported next to the paper numbers.
 
 use corpus::{CorpusConfig, RaceCase};
-use drfix::fleet::{self, FleetConfig, FleetStats};
-use drfix::{ExampleDb, FixOutcome, PipelineConfig, RagMode, SchedulePolicy};
+use drfix::fleet::{derive_case_seed, run_indexed};
+use drfix::{DrFix, ExampleDb, FixOutcome, PipelineConfig, RagMode, SchedulePolicy};
+use std::num::NonZeroUsize;
 use std::sync::OnceLock;
+use std::time::Instant;
 use synthllm::ModelTier;
 
 /// Experiment-scale configuration, read from the environment once.
@@ -42,6 +46,8 @@ pub struct Scale {
     pub db_pairs: usize,
     /// Schedules per validation campaign.
     pub validation_runs: u32,
+    /// Worker threads each arm runs on (`DRFIX_THREADS`).
+    pub threads: usize,
     /// Schedule-exploration policy for reproduce and validate
     /// (`DRFIX_POLICY`).
     pub policy: SchedulePolicy,
@@ -51,25 +57,41 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads the scale from `DRFIX_*` env vars.
+    /// Reads the scale from the `DRFIX_*` environment variables.
     pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
+        Self::from_vars(&|key| std::env::var(key).ok())
+    }
+
+    /// The scale the knob values `var(key)` describe (`None` = unset).
+    /// An unset knob takes its default; a set one that does not parse
+    /// panics, naming it.
+    fn from_vars(var: &dyn Fn(&str) -> Option<String>) -> Self {
+        let num = |key| knob(var, key, |v| v.parse().ok());
         Scale {
-            cases: get("DRFIX_CASES", 120),
-            db_pairs: get("DRFIX_DB_PAIRS", 272),
-            validation_runs: get("DRFIX_VALIDATION_RUNS", 12) as u32,
-            policy: SchedulePolicy::from_env(),
-            dedup_streak: match get("DRFIX_DEDUP_STREAK", 8) as u32 {
+            cases: num("DRFIX_CASES").unwrap_or(120),
+            db_pairs: num("DRFIX_DB_PAIRS").unwrap_or(272),
+            validation_runs: knob(var, "DRFIX_VALIDATION_RUNS", |v| v.parse().ok()).unwrap_or(12),
+            threads: knob(var, "DRFIX_THREADS", |v| v.parse::<NonZeroUsize>().ok())
+                .or_else(|| std::thread::available_parallelism().ok())
+                .map_or(1, NonZeroUsize::get),
+            policy: knob(var, "DRFIX_POLICY", SchedulePolicy::parse).unwrap_or_default(),
+            dedup_streak: match knob(var, "DRFIX_DEDUP_STREAK", |v| v.parse().ok()).unwrap_or(8) {
                 0 => None,
                 k => Some(k),
             },
         }
     }
+}
+
+/// Knob `key`'s value under `parse`: `None` when unset, a panic naming
+/// the knob when it is set to something `parse` rejects.
+fn knob<T>(
+    var: &dyn Fn(&str) -> Option<String>,
+    key: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    let v = var(key)?;
+    Some(parse(&v).unwrap_or_else(|| panic!("{key}={v:?} does not parse")))
 }
 
 static CORPUS: OnceLock<Vec<RaceCase>> = OnceLock::new();
@@ -86,9 +108,8 @@ pub fn eval_corpus(scale: &Scale) -> &'static [RaceCase] {
     })
 }
 
-/// The shared example database. Skeletonization and embedding of the
-/// pairs is sharded across the fleet; the resulting stores are
-/// bit-identical to a serial build.
+/// The shared example database (built once per process; see
+/// [`ExampleDb::build`]).
 pub fn example_db(scale: &Scale) -> &'static ExampleDb {
     DB.get_or_init(|| {
         let pairs = corpus::generate_example_db(&CorpusConfig {
@@ -96,7 +117,7 @@ pub fn example_db(scale: &Scale) -> &'static ExampleDb {
             db_pairs: scale.db_pairs,
             seed: 0xD0F1,
         });
-        ExampleDb::build_with(&pairs, &FleetConfig::from_env())
+        ExampleDb::build(&pairs)
     })
 }
 
@@ -126,8 +147,8 @@ pub struct ArmResult {
     pub label: String,
     /// Per-case outcomes, aligned with the corpus order.
     pub outcomes: Vec<FixOutcome>,
-    /// Fleet throughput measurements for the arm.
-    pub stats: FleetStats,
+    /// Wall-clock duration of the arm, in seconds.
+    pub wall_seconds: f64,
 }
 
 impl ArmResult {
@@ -145,37 +166,37 @@ impl ArmResult {
         }
     }
 
-    /// Compact throughput column (`cases/s × threads util%`).
+    /// Compact throughput column, e.g. `37.5 c/s`.
     pub fn throughput(&self) -> String {
-        self.stats.brief()
+        let rate = if self.wall_seconds > 0.0 {
+            self.outcomes.len() as f64 / self.wall_seconds
+        } else {
+            0.0
+        };
+        format!("{rate:.1} c/s")
     }
 }
 
-/// Runs one configuration over the corpus, sharded across the fleet
-/// configured by `DRFIX_THREADS` (per-case derived seeds keep the
-/// outcomes bit-identical to a serial run).
+/// Runs one configuration over the corpus on `threads` workers. Case
+/// `i` runs under [`derive_case_seed`]`(cfg.seed, i)`, so the outcomes
+/// are bit-identical at any thread count.
 pub fn run_arm(
     label: &str,
     cfg: PipelineConfig,
+    threads: usize,
     cases: &[RaceCase],
     db: Option<&ExampleDb>,
 ) -> ArmResult {
-    run_arm_with(label, cfg, &FleetConfig::from_env(), cases, db)
-}
-
-/// [`run_arm`] with an explicit fleet configuration.
-pub fn run_arm_with(
-    label: &str,
-    cfg: PipelineConfig,
-    fleet_cfg: &FleetConfig,
-    cases: &[RaceCase],
-    db: Option<&ExampleDb>,
-) -> ArmResult {
-    let run = fleet::run_cases(&cfg, fleet_cfg, cases, db);
+    let start = Instant::now();
+    let outcomes = run_indexed(threads, cases.len(), |i| {
+        let mut case_cfg = cfg.clone();
+        case_cfg.seed = derive_case_seed(cfg.seed, i as u64);
+        DrFix::new(case_cfg, db).fix_case(&cases[i].files, &cases[i].test)
+    });
     ArmResult {
         label: label.to_owned(),
-        outcomes: run.results,
-        stats: run.stats,
+        outcomes,
+        wall_seconds: start.elapsed().as_secs_f64(),
     }
 }
 
@@ -216,34 +237,56 @@ mod tests {
         assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
+    /// The arms' executor keeps outcomes bit-identical to the serial
+    /// run at any thread count.
     #[test]
     fn run_arm_is_thread_count_invariant() {
         let ccfg = CorpusConfig {
-            eval_cases: 8,
-            db_pairs: 20,
-            seed: 0xBEEF,
+            eval_cases: 10,
+            db_pairs: 24,
+            seed: 0xF1EE7,
         };
         let cases = corpus::generate_eval_corpus(&ccfg);
         let db = ExampleDb::build(&corpus::generate_example_db(&ccfg));
         let cfg = PipelineConfig {
             rag: RagMode::Skeleton,
-            validation_runs: 4,
-            detect_runs: 16,
+            validation_runs: 6,
+            detect_runs: 24,
             seed: 0xFEED,
             ..PipelineConfig::default()
         };
-        let serial = run_arm_with("s", cfg.clone(), &FleetConfig::serial(), &cases, Some(&db));
+        let serial = run_arm("s", cfg.clone(), 1, &cases, Some(&db));
+        assert!(serial.fixed() > 0, "the corpus slice fixed nothing");
         for threads in [2, 8] {
-            let par = run_arm_with(
-                "p",
-                cfg.clone(),
-                &FleetConfig::new(threads),
-                &cases,
-                Some(&db),
-            );
+            let par = run_arm("p", cfg.clone(), threads, &cases, Some(&db));
             assert_eq!(par.outcomes, serial.outcomes, "threads={threads}");
-            assert_eq!(par.fixed(), serial.fixed());
         }
+    }
+
+    /// A knob that does not parse stops the run instead of silently
+    /// taking its default.
+    #[test]
+    fn unparseable_knobs_fail_loudly() {
+        let read = |key: &'static str, value: &'static str| {
+            std::panic::catch_unwind(|| Scale::from_vars(&|k| (k == key).then(|| value.to_owned())))
+        };
+        for (key, value) in [
+            ("DRFIX_POLICY", "pct:seven"),
+            ("DRFIX_THREADS", "abc"),
+            ("DRFIX_THREADS", "0"),
+            ("DRFIX_CASES", "many"),
+        ] {
+            assert!(read(key, value).is_err(), "{key}={value} was accepted");
+        }
+        let scale = read("DRFIX_POLICY", "pct:7").unwrap();
+        assert_eq!(
+            scale.policy,
+            SchedulePolicy::Pct {
+                depth: 7,
+                budget: govm::sched::PCT_DEFAULT_BUDGET
+            }
+        );
+        assert_eq!(read("DRFIX_THREADS", "3").unwrap().threads, 3);
     }
 
     #[test]
@@ -252,6 +295,7 @@ mod tests {
             cases: 10,
             db_pairs: 20,
             validation_runs: 4,
+            threads: 1,
             policy: SchedulePolicy::Random,
             dedup_streak: Some(8),
         };

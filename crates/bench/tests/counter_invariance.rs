@@ -5,14 +5,14 @@
 //! could silently break:
 //!
 //! - **Thread invariance**: summing campaign counters over the fleet
-//!   must be bit-identical at `DRFIX_THREADS` 1, 2 and 8 — the counters
+//!   must be bit-identical at 1, 2 and 8 worker threads — the counters
 //!   live inside each campaign's VMs, so sharding must not touch them.
 //! - **Replay invariance**: re-running a campaign with the same seed
 //!   under each [`SchedulePolicy`] must reproduce the counters bit for
 //!   bit (wall-clock may differ; nothing else may).
 
 use corpus::CorpusConfig;
-use drfix::fleet::{self, FleetConfig};
+use drfix::fleet;
 use govm::{
     compile_sources, run_test_many, CompileOptions, Program, RunCounters, SchedulePolicy,
     TestConfig,
@@ -52,7 +52,7 @@ fn fleet_counters(programs: &[(Program, String)], threads: usize) -> Vec<RunCoun
     let jobs: Vec<(usize, usize)> = (0..programs.len())
         .flat_map(|c| (0..policies.len()).map(move |p| (c, p)))
         .collect();
-    let run = fleet::run_indexed(&FleetConfig::new(threads), jobs.len(), |i| {
+    fleet::run_indexed(threads, jobs.len(), |i| {
         let (c, p) = jobs[i];
         let (prog, test) = &programs[c];
         let cfg = TestConfig {
@@ -63,8 +63,7 @@ fn fleet_counters(programs: &[(Program, String)], threads: usize) -> Vec<RunCoun
             ..TestConfig::default()
         };
         run_test_many(prog, test, &cfg).counters
-    });
-    run.results
+    })
 }
 
 #[test]
@@ -76,7 +75,7 @@ fn counters_are_bit_identical_across_thread_counts() {
         let par = fleet_counters(&programs, threads);
         assert_eq!(
             serial, par,
-            "per-campaign counters drifted at DRFIX_THREADS={threads}"
+            "per-campaign counters drifted at {threads} threads"
         );
     }
 }

@@ -6,21 +6,22 @@
 //! # Shape
 //!
 //! ```text
-//!   CorpusStream          worker ×W: gate → claim(home) → DrFix::run_case ──► collector
-//!    (on demand)            │ steal when the home shard drains                  │ fold in
-//!                           ▼                                                   │ index order,
-//!                      shard cursors                                            ▼ checkpoint
-//!                                                                     per-shard digests
+//!   CorpusStream          worker ×W: gate → claim(home) → DrFix::run_case → lock(collector)
+//!    (on demand)            │ steal when the home shard drains                 │ fold in
+//!                           ▼                                                  │ index order,
+//!                      shard cursors                                           ▼ checkpoint
+//!                                                                    per-shard digests
 //! ```
 //!
 //! Each worker claims a case and runs it start to finish — detect, then
 //! in fix mode diagnose, fix and validate — on one parse, exactly as
-//! [`DrFix::fix_case`] does, and sends its compact [`CaseOutcome`] to
-//! the collector on the calling thread. One worker runs the same loop
-//! inline with no threads or channel. Cases are synthesized on demand
-//! from a [`CorpusStream`] — the corpus never materializes; the only
-//! resident case sources are the ones workers are running, whose byte
-//! high-water the run measures
+//! [`DrFix::fix_case`] does, then folds its compact [`CaseOutcome`] into
+//! the shared collector under the collector's lock and returns the gate
+//! slots the fold freed. The workers run on [`fleet::run_indexed`]; one
+//! worker runs the same loop inline on the calling thread. Cases are
+//! synthesized on demand from a [`CorpusStream`] — the corpus never
+//! materializes; the only resident case sources are the ones workers are
+//! running, whose byte high-water the run measures
 //! ([`CampaignMetrics::peak_resident_case_bytes`]).
 //!
 //! # Determinism
@@ -50,10 +51,10 @@
 //! and because outcomes are index-pure the resumed digests match an
 //! uninterrupted run exactly (proven by a proptest over random kill
 //! points in `tests/campaign_resume.rs`). A truncated or corrupted
-//! snapshot fails [`Snapshot::validate`] and is refused with an error,
-//! never a panic.
+//! snapshot fails its checksum or [`Snapshot::validate`] and is refused
+//! with an error, never a panic.
 
-use crate::fleet::{derive_case_seed, fnv1a64_fold, FNV1A_OFFSET};
+use crate::fleet::{self, derive_case_seed, fnv1a64_fold, FNV1A_OFFSET};
 use crate::pipeline::{DrFix, PipelineConfig};
 use corpus::stream::{CorpusStream, StreamConfig};
 use govm::StopReason;
@@ -61,12 +62,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Schema of campaign snapshots and metrics reports.
-pub const CAMPAIGN_SCHEMA: u32 = 8;
+pub const CAMPAIGN_SCHEMA: u32 = 9;
 
 /// Phase names of one case, in order (index into
 /// [`CampaignMetrics::stage_busy_seconds`]).
@@ -114,9 +114,9 @@ pub struct CampaignConfig {
     pub cases: usize,
     /// Work-queue shards; each owns a contiguous index range.
     pub shards: usize,
-    /// Worker threads, each running whole cases. `1` runs the worker
-    /// loop inline on the calling thread (no threads, no channel); every
-    /// worker count folds bit-identical digests.
+    /// Worker threads, each running whole cases. `0` and `1` run the
+    /// worker loop inline on the calling thread; every worker count
+    /// folds bit-identical digests.
     pub workers: usize,
     /// Detect-only or full-fix (see [`CampaignMode`]).
     pub mode: CampaignMode,
@@ -397,8 +397,9 @@ pub fn partition(cases: usize, shards: usize) -> Vec<(usize, usize)> {
 }
 
 /// The durable campaign state: what a checkpoint writes and a resume
-/// reads. Serialized as JSON via temp-file-and-rename, so a kill during
-/// the write leaves the previous snapshot intact.
+/// reads. Written via temp-file-and-rename, so a kill during the write
+/// leaves the previous snapshot intact. On disk it is a line holding the
+/// FNV-1a checksum of the JSON body, in hex, followed by the body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Snapshot schema ([`CAMPAIGN_SCHEMA`]).
@@ -458,21 +459,30 @@ impl Snapshot {
         h
     }
 
-    /// Writes the snapshot atomically (temp file + rename).
+    /// Writes the snapshot atomically (temp file + rename), checksum line
+    /// first.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let json = serde_json::to_string(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let sum = fnv1a64_fold(FNV1A_OFFSET, json.as_bytes());
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json)?;
+        std::fs::write(&tmp, format!("{sum:016x}\n{json}"))?;
         std::fs::rename(&tmp, path)
     }
 
-    /// Reads a snapshot written by [`Snapshot::save`]. A file that does
-    /// not parse or fails [`Snapshot::validate`] is `InvalidData`.
+    /// Reads a snapshot written by [`Snapshot::save`]. A file whose body
+    /// does not match its checksum, does not parse, or fails
+    /// [`Snapshot::validate`] is `InvalidData`.
     pub fn load(path: &Path) -> std::io::Result<Snapshot> {
         let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        let json = std::fs::read_to_string(path)?;
-        let snap: Snapshot = serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
+        let text = std::fs::read_to_string(path)?;
+        let (sum, json) = text
+            .split_once('\n')
+            .ok_or_else(|| invalid("snapshot has no checksum line".into()))?;
+        if u64::from_str_radix(sum, 16).ok() != Some(fnv1a64_fold(FNV1A_OFFSET, json.as_bytes())) {
+            return Err(invalid("snapshot body does not match its checksum".into()));
+        }
+        let snap: Snapshot = serde_json::from_str(json).map_err(|e| invalid(e.to_string()))?;
         snap.validate().map_err(invalid)?;
         Ok(snap)
     }
@@ -519,7 +529,7 @@ impl Snapshot {
     }
 }
 
-/// The machine-readable progress/metrics report (schema v8) a campaign
+/// The machine-readable progress/metrics report (schema v9) a campaign
 /// emits: per-phase busy time, queue/steal accounting, and the
 /// bounded-memory evidence. Deterministic fields (everything but the
 /// wall-clock, busy and gate-wait seconds and the high-waters of a
@@ -774,18 +784,23 @@ impl Resident {
 
 impl Pool<'_> {
     /// One worker's loop: take a gate slot, claim a case (home shard
-    /// first), run it start to finish, and hand its outcome to `deliver`.
-    /// Stops when the queues drain, the campaign halts, or `deliver`
-    /// reports the collector gone.
-    fn work(&self, home: usize, mut deliver: impl FnMut(usize, CaseOutcome) -> bool) {
+    /// first), run it start to finish, then fold its outcome under the
+    /// collector's lock and return the gate slots the fold freed. Stops
+    /// when the queues drain or the campaign halts.
+    fn work(&self, home: usize, collector: &Mutex<Collector>) {
         let mut busy = [0f64; 4];
         while self.gate.acquire() {
             let Some((index, shard)) = self.queues.claim(home) else {
                 self.gate.release();
                 break;
             };
-            if !deliver(shard, self.run_case(index, &mut busy)) {
-                break;
+            let outcome = self.run_case(index, &mut busy);
+            let mut c = collector.lock().expect("collector poisoned");
+            for _ in 0..c.accept(shard, outcome) {
+                self.gate.release();
+            }
+            if c.halted {
+                self.gate.halt();
             }
         }
         let mut total = self.busy.lock().expect("busy poisoned");
@@ -960,9 +975,9 @@ fn resolve_snapshot(cfg: &CampaignConfig, resume: Option<&Snapshot>) -> Result<S
 
 /// Runs a campaign. `resume` continues from a snapshot (validated
 /// against the config fingerprint); `snapshot_path` receives checkpoint
-/// and final snapshots. `cfg.workers == 1` runs the worker loop inline on
-/// the calling thread; more workers run it on that many threads — both
-/// produce bit-identical snapshots and deterministic counters.
+/// and final snapshots. `cfg.workers` workers (at least one; one runs
+/// inline on the calling thread) produce bit-identical snapshots and
+/// deterministic counters at any count.
 pub fn run_campaign(
     cfg: &CampaignConfig,
     resume: Option<&Snapshot>,
@@ -978,10 +993,9 @@ pub fn run_campaign(
     Ok(run)
 }
 
-/// The one executor: `cfg.workers` threads each run [`Pool::work`] and
-/// send outcomes to the collector on the calling thread. One worker runs
-/// the same loop inline and folds each outcome as it is made — no
-/// threads, no channel.
+/// The campaign executor: `cfg.workers` workers on
+/// [`fleet::run_indexed`] each run [`Pool::work`], folding their own
+/// outcomes into the shared collector under its lock.
 fn run_pool(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>) -> CampaignRun {
     let start = Instant::now();
     let pool = Pool {
@@ -993,36 +1007,13 @@ fn run_pool(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>) 
         busy: Mutex::new([0.0; 4]),
         replayed: AtomicU64::new(0),
     };
-    let mut collector = Collector::new(cfg, snap, snapshot_path);
-    let mut fold = |shard: usize, outcome: CaseOutcome| {
-        for _ in 0..collector.accept(shard, outcome) {
-            pool.gate.release();
-        }
-        if collector.halted {
-            pool.gate.halt();
-        }
-    };
-    if cfg.workers <= 1 {
-        pool.work(0, |shard, outcome| {
-            fold(shard, outcome);
-            true
-        });
-    } else {
-        // The gate bounds outcomes in flight, so sends never block for long.
-        let (tx, rx) = sync_channel::<(usize, CaseOutcome)>(cfg.in_flight_limit());
-        std::thread::scope(|s| {
-            for w in 0..cfg.workers {
-                let (tx, pool) = (tx.clone(), &pool);
-                let home = w % cfg.shards.max(1);
-                s.spawn(move || pool.work(home, |shard, o| tx.send((shard, o)).is_ok()));
-            }
-            drop(tx);
-            while let Ok((shard, outcome)) = rx.recv() {
-                fold(shard, outcome);
-            }
-        });
-    }
+    let collector = Mutex::new(Collector::new(cfg, snap, snapshot_path));
+    let workers = cfg.workers.max(1);
+    fleet::run_indexed(workers, workers, |w| {
+        pool.work(w % cfg.shards.max(1), &collector)
+    });
 
+    let collector = collector.into_inner().expect("collector poisoned");
     let interrupted = collector.halted;
     let (snap, cstats) = collector.finish();
     let metrics = CampaignMetrics {
@@ -1167,6 +1158,19 @@ mod tests {
             );
             assert_eq!(run.snapshot.digest(), serial.snapshot.digest());
         }
+    }
+
+    /// `workers: 0` means one inline worker, not none: it must fold the
+    /// whole campaign, bit-identical to the one-worker run.
+    #[test]
+    fn zero_workers_fold_the_one_worker_snapshot() {
+        let cfg = small_cfg(10, 2);
+        let one = run_campaign(&cfg, None, None).unwrap();
+        let mut zero = cfg.clone();
+        zero.workers = 0;
+        let run = run_campaign(&zero, None, None).unwrap();
+        assert!(run.snapshot.completed);
+        assert_eq!(run.snapshot, one.snapshot);
     }
 
     #[test]

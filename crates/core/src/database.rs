@@ -5,7 +5,7 @@
 //! the embedding of its *raw* source (the "RAG without skeleton"
 //! ablation arm of Fig. 3).
 
-use crate::fleet::{self, FleetConfig};
+use crate::fleet;
 use serde::{Deserialize, Serialize};
 use skeleton::{skeletonize, SkeletonOptions};
 use std::collections::HashMap;
@@ -54,33 +54,22 @@ pub struct ExampleDb {
 
 impl ExampleDb {
     /// Builds the database from curated pairs (populating it is the
-    /// "one-time activity" of §4.1).
+    /// "one-time activity" of §4.1). Skeletonizing and embedding the
+    /// pairs is sharded across the machine's cores; the stores are filled
+    /// in pair order afterwards, so the result is bit-identical to a
+    /// serial build.
     pub fn build(pairs: &[corpus::DbPair]) -> Self {
-        Self::build_with(pairs, &FleetConfig::serial())
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let embedded = fleet::run_indexed(threads, pairs.len(), |i| embed_pair(&pairs[i]));
+        Self::from_embedded(pairs, embedded)
     }
 
-    /// Builds the database with per-pair skeletonization and embedding
-    /// sharded across the fleet. The stores are filled in pair order
-    /// afterwards, so the result is bit-identical to [`ExampleDb::build`]
-    /// at any thread count.
-    pub fn build_with(pairs: &[corpus::DbPair], fleet: &FleetConfig) -> Self {
-        let embedded = fleet::run_indexed(fleet, pairs.len(), |i| {
-            let p = &pairs[i];
-            let sk_text = skeletonize(
-                &p.buggy,
-                &[],
-                &SkeletonOptions {
-                    extra_racy_vars: vec![p.racy_var.clone()],
-                    no_slicing: false,
-                },
-            )
-            .map(|s| s.text)
-            .unwrap_or_else(|_| p.buggy.clone());
-            (embed::embed(&sk_text), embed::embed(&p.buggy))
-        });
+    /// Fills the stores from `pairs` and their `(skeleton, raw)`
+    /// embeddings, in pair order.
+    fn from_embedded(pairs: &[corpus::DbPair], embedded: Vec<(Vec<f32>, Vec<f32>)>) -> Self {
         let mut skeleton_store = VectorStore::new(embed::DIM);
         let mut raw_store = VectorStore::new(embed::DIM);
-        for (p, (sk_vec, raw_vec)) in pairs.iter().zip(embedded.results) {
+        for (p, (sk_vec, raw_vec)) in pairs.iter().zip(embedded) {
             let entry = DbEntry {
                 buggy: p.buggy.clone(),
                 fixed: p.fixed.clone(),
@@ -183,6 +172,22 @@ impl ExampleDb {
             self.cache_misses.load(Ordering::Relaxed),
         )
     }
+}
+
+/// One pair's `(skeleton, raw)` embeddings. A pair whose racy code does
+/// not skeletonize is keyed by its raw text in both stores.
+fn embed_pair(p: &corpus::DbPair) -> (Vec<f32>, Vec<f32>) {
+    let sk_text = skeletonize(
+        &p.buggy,
+        &[],
+        &SkeletonOptions {
+            extra_racy_vars: vec![p.racy_var.clone()],
+            no_slicing: false,
+        },
+    )
+    .map(|s| s.text)
+    .unwrap_or_else(|_| p.buggy.clone());
+    (embed::embed(&sk_text), embed::embed(&p.buggy))
 }
 
 /// Content hash of one retrieval query (FNV-1a over every input that
@@ -320,8 +325,8 @@ mod tests {
             db_pairs: 40,
             seed: 77,
         });
-        let serial = ExampleDb::build(&pairs);
-        let parallel = ExampleDb::build_with(&pairs, &crate::fleet::FleetConfig::new(8));
+        let serial = ExampleDb::from_embedded(&pairs, pairs.iter().map(embed_pair).collect());
+        let parallel = ExampleDb::build(&pairs);
         assert_eq!(serial.len(), parallel.len());
         let probe = &pairs[17].buggy;
         let a = serial.retrieve(RagMode::Skeleton, probe, &pairs[17].racy_var, &[]);

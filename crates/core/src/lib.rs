@@ -16,9 +16,9 @@
 //!    under many schedules, checking the stable bug hash;
 //! 5. **Developer validation** ([`review`]): the seeded review/survey
 //!    model behind the RQ1/RQ4 tables;
-//! 6. **Fleet execution** ([`fleet`]): the deployment-scale work-queue
-//!    executor (§2.2) that shards cases across worker threads with
-//!    per-case derived seeds, bit-identical to the serial path.
+//! 6. **Fleet execution** ([`fleet`]): the one work-queue executor
+//!    (§2.2) that shards jobs across worker threads, and the per-case
+//!    seed derivations that keep it bit-identical to the serial path.
 //!
 //! # Example
 //!
@@ -77,7 +77,6 @@ pub use campaign::{
     ShardProgress, Snapshot, Tallies, CAMPAIGN_SCHEMA,
 };
 pub use database::{ExampleDb, RagMode};
-pub use fleet::{FleetConfig, FleetRun, FleetStats};
 pub use govm::SchedulePolicy;
 pub use pipeline::{DrFix, FailureKind, FixOutcome, PipelineConfig};
 pub use raceinfo::{extract, FixLocation, LocationKind, RaceInfo};
@@ -87,6 +86,6 @@ pub use tournament::{
     TournamentReport,
 };
 pub use validate::{
-    static_probe, validate_patch, validate_patch_report, validate_patch_with, StaticProbe,
-    ValidationOptions, ValidationOutcome, Verdict,
+    static_probe, validate_patch, validate_patch_report, StaticProbe, ValidationOptions,
+    ValidationOutcome, Verdict,
 };

@@ -8,8 +8,10 @@
 //! `DrFix::run_case` is the one per-case sequence. It parses the case
 //! once and lends the ASTs to every consumer — detection, race-info
 //! extraction, the prompt builder, the model and the splice. ASTs are
-//! borrowed, never cloned, and drop before the first validation schedule:
-//! what validation sees is text plus each candidate's own parse.
+//! borrowed, never cloned. The tournament arm drops the case's parse
+//! before it validates any candidate; the single-path loop keeps it
+//! alive through every validation, because each retry splices into it
+//! again. A candidate's own parse drops before its schedules run.
 
 use crate::database::{ExampleDb, RagMode};
 use crate::raceinfo::{self, FixLocation, LocationKind, RaceInfo};
@@ -240,7 +242,8 @@ impl<'db> DrFix<'db> {
 
     /// The crate's one detect → diagnose → fix → validate sequence. The
     /// sources are parsed once; detection, diagnosis and the fix arm
-    /// borrow the ASTs, which drop before any candidate is validated.
+    /// borrow the ASTs (the tournament arm drops them before it
+    /// validates; the single-path loop keeps them across its retries).
     /// With `fix` unset the case is only detected: no diagnosis, no fix
     /// arm, and [`CaseRun::fix`] is `None`.
     pub(crate) fn run_case(&self, files: &[(String, String)], test: &str, fix: bool) -> CaseRun {

@@ -4,7 +4,7 @@
 //!
 //! The schedule set a campaign explores is controlled by the
 //! [`govm::sched::SchedulePolicy`] carried in the [`TestConfig`]:
-//! [`validate_patch_with`] accepts the full campaign configuration
+//! [`validate_patch_report`] accepts the full campaign configuration
 //! (policy, per-run seed stream, dedup early-exit, instruction budget),
 //! while [`validate_patch`] keeps the simple runs-plus-seed entry point.
 //!
@@ -13,8 +13,7 @@
 //! synchronization is statically guaranteed broken (double-locks,
 //! unbalanced unlocks, `WaitGroup` counters that never drain, …) before
 //! any schedule is spent on them. Only error-tier diagnostics reject —
-//! warning-tier findings are surfaced in [`ValidationOutcome`] but never
-//! downgrade a dynamically-clean verdict.
+//! warning-tier findings never downgrade a dynamically-clean verdict.
 
 use govm::{CompileOptions, TestConfig};
 use std::borrow::Borrow;
@@ -60,14 +59,10 @@ impl Default for ValidationOptions {
 /// Full report of one validation attempt.
 #[derive(Debug, Clone)]
 pub struct ValidationOutcome {
-    /// The verdict (what [`validate_patch_with`] returns).
+    /// The verdict (what [`validate_patch`] returns).
     pub verdict: Verdict,
     /// Whether the static gate rejected the candidate (no schedules ran).
     pub rejected_static: bool,
-    /// Error-tier static diagnostics found.
-    pub static_errors: usize,
-    /// Warning-tier static diagnostics found (never reject).
-    pub static_warnings: usize,
     /// VM instructions executed by dynamic validation (0 when the gate
     /// rejected or the build failed).
     pub vm_steps: u64,
@@ -82,8 +77,6 @@ impl ValidationOutcome {
         ValidationOutcome {
             verdict,
             rejected_static: false,
-            static_errors: 0,
-            static_warnings: 0,
             vm_steps: 0,
             replayed_schedules: 0,
         }
@@ -109,20 +102,7 @@ pub fn validate_patch(
         stop_on_race: false,
         ..TestConfig::default()
     };
-    validate_patch_with(files, test, bug_hash, &cfg)
-}
-
-/// [`validate_patch`] with an explicit campaign configuration: the
-/// schedule policy, per-run seed stream, saturation early-exit and
-/// instruction budget all come from `cfg`. Runs with the static gate
-/// enabled (the default pipeline configuration).
-pub fn validate_patch_with(
-    files: &[(String, String)],
-    test: &str,
-    bug_hash: &str,
-    cfg: &TestConfig,
-) -> Verdict {
-    validate_patch_report(files, test, bug_hash, cfg, &ValidationOptions::default()).verdict
+    validate_patch_report(files, test, bug_hash, &cfg, &ValidationOptions::default()).verdict
 }
 
 /// One zero-cost lint probe of a candidate patch: `statcheck` only — no
@@ -229,8 +209,6 @@ pub(crate) fn build_and_gate<F: Borrow<golite::File>>(
     let mut outcome = ValidationOutcome::with(Verdict::Ok);
     if opts.static_gate {
         let reports = statcheck::check_parsed(files);
-        outcome.static_errors = statcheck::count_severity(&reports, statcheck::Severity::Error);
-        outcome.static_warnings = statcheck::count_severity(&reports, statcheck::Severity::Warning);
         if let Some((file, diag)) = statcheck::first_error(&reports) {
             let src = files
                 .iter()
@@ -292,6 +270,12 @@ pub(crate) fn run_schedules(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The verdict of a gated validation campaign under `cfg`.
+    fn verdict(src: &str, cfg: &TestConfig) -> Verdict {
+        let files = [("a.go".to_string(), src.to_string())];
+        validate_patch_report(&files, "TestWork", "x", cfg, &ValidationOptions::default()).verdict
+    }
 
     const CLEAN: &str = r#"package app
 
@@ -398,7 +382,7 @@ func TestWork(t *testing.T) {
             policy: SchedulePolicy::pct(),
             ..TestConfig::default()
         };
-        let v = validate_patch_with(&[("a.go".into(), RACY.into())], "TestWork", "x", &cfg);
+        let v = verdict(RACY, &cfg);
         assert!(v.message().unwrap().contains("data race"));
         // …and clean code validates even with dedup early-exit and a
         // campaign instruction budget switched on.
@@ -410,7 +394,7 @@ func TestWork(t *testing.T) {
             max_total_steps: Some(500_000),
             ..TestConfig::default()
         };
-        let v = validate_patch_with(&[("a.go".into(), CLEAN.into())], "TestWork", "x", &cfg);
+        let v = verdict(CLEAN, &cfg);
         assert!(v.is_ok(), "{:?}", v.message());
     }
 
@@ -456,7 +440,6 @@ func TestWork(t *testing.T) {
         );
         assert!(out.rejected_static);
         assert_eq!(out.vm_steps, 0);
-        assert!(out.static_errors >= 1);
         let msg = out.verdict.message().unwrap();
         assert!(msg.starts_with("static check failed: a.go:"), "{msg}");
         assert!(msg.contains("double-lock"), "{msg}");
@@ -524,7 +507,6 @@ func TestWork(t *testing.T) {
         );
         assert!(out.verdict.is_ok(), "{:?}", out.verdict.message());
         assert!(!out.rejected_static);
-        assert_eq!(out.static_errors, 0);
     }
 
     #[test]
@@ -550,7 +532,7 @@ func TestWork(t *testing.T) {
             runs: 0,
             ..TestConfig::default()
         };
-        let v = validate_patch_with(&[("a.go".into(), RACY.into())], "TestWork", "x", &cfg);
+        let v = verdict(RACY, &cfg);
         assert!(v.message().unwrap().contains("no schedules"), "{v:?}");
         // A zero instruction budget still runs (at least) one schedule,
         // so the racy program is caught rather than vacuously passed.
@@ -559,7 +541,7 @@ func TestWork(t *testing.T) {
             max_total_steps: Some(0),
             ..TestConfig::default()
         };
-        let v = validate_patch_with(&[("a.go".into(), RACY.into())], "TestWork", "x", &cfg);
+        let v = verdict(RACY, &cfg);
         assert!(v.message().unwrap().contains("data race"), "{v:?}");
     }
 }

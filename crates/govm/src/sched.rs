@@ -164,15 +164,6 @@ impl SchedulePolicy {
         Some(SchedulePolicy::Pct { depth, budget })
     }
 
-    /// Reads the `DRFIX_POLICY` environment variable, defaulting to
-    /// [`SchedulePolicy::Random`] when unset or unparseable.
-    pub fn from_env() -> Self {
-        std::env::var("DRFIX_POLICY")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Short label, e.g. `pct(d=3,b=2048)`.
     pub fn label(&self) -> String {
         match self {

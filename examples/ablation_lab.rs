@@ -2,8 +2,8 @@
 //! slice and inspect per-case outcomes — a command-line version of the
 //! paper's RQ2 experiments.
 //!
-//! Cases are sharded across the fleet executor (`DRFIX_THREADS`
-//! workers; outcomes are bit-identical to a serial run).
+//! Cases are sharded across `DRFIX_THREADS` worker threads (outcomes are
+//! bit-identical to a serial run).
 //!
 //! ```bash
 //! cargo run --release --example ablation_lab -- no-rag
@@ -13,7 +13,6 @@
 //! ```
 
 use corpus::{generate_eval_corpus, generate_example_db, CorpusConfig};
-use drfix::fleet::{self, FleetConfig};
 use drfix::{ExampleDb, PipelineConfig, RagMode};
 use std::collections::BTreeMap;
 
@@ -38,20 +37,20 @@ fn main() {
         db_pairs: 150,
         seed: 0xD0F1,
     };
-    let fleet_cfg = FleetConfig::from_env();
+    let threads = bench::Scale::from_env().threads;
     let cases = generate_eval_corpus(&cfg);
-    let db = ExampleDb::build_with(&generate_example_db(&cfg), &fleet_cfg);
+    let db = ExampleDb::build(&generate_example_db(&cfg));
     let pipeline_cfg = PipelineConfig {
         rag,
         validation_runs: 10,
         ..PipelineConfig::default()
     };
 
-    let run = fleet::run_cases(&pipeline_cfg, &fleet_cfg, &cases, Some(&db));
+    let run = bench::run_arm(&mode, pipeline_cfg, threads, &cases, Some(&db));
     let mut fixed = 0usize;
     let mut by_strategy: BTreeMap<String, usize> = BTreeMap::new();
     let mut calls = 0u32;
-    for o in &run.results {
+    for o in &run.outcomes {
         calls += o.llm_calls;
         if o.fixed {
             fixed += 1;
@@ -68,7 +67,7 @@ fn main() {
         "total LLM calls: {calls} (avg {:.1}/case)",
         calls as f64 / n as f64
     );
-    println!("fleet: {}", run.stats.summary());
+    println!("throughput: {}", run.throughput());
     println!("\nwinning strategies:");
     for (s, k) in by_strategy {
         println!("  {s:28} {k}");

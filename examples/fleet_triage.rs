@@ -2,9 +2,9 @@
 //! of incoming race reports triaged through the pipeline, with category
 //! breakdowns, developer-review outcomes, and time-saved accounting.
 //!
-//! The batch is sharded across the fleet executor (`DRFIX_THREADS`
-//! workers; outcomes are bit-identical to a serial run), the way the
-//! production service consumed its race-ticket queue.
+//! The batch is sharded across `DRFIX_THREADS` worker threads (outcomes
+//! are bit-identical to a serial run), the way the production service
+//! consumed its race-ticket queue.
 //!
 //! ```bash
 //! cargo run --example fleet_triage            # 30 races
@@ -12,7 +12,6 @@
 //! ```
 
 use corpus::{generate_eval_corpus, generate_example_db, CorpusConfig};
-use drfix::fleet::{self, FleetConfig};
 use drfix::{review_fix, ExampleDb, PipelineConfig, RagMode};
 use std::collections::BTreeMap;
 
@@ -26,9 +25,9 @@ fn main() {
         db_pairs: 96,
         seed: 0xF1EE7,
     };
-    let fleet_cfg = FleetConfig::from_env();
+    let threads = bench::Scale::from_env().threads;
     let cases = generate_eval_corpus(&cfg);
-    let db = ExampleDb::build_with(&generate_example_db(&cfg), &fleet_cfg);
+    let db = ExampleDb::build(&generate_example_db(&cfg));
 
     let pipeline_cfg = PipelineConfig {
         rag: RagMode::Skeleton,
@@ -44,17 +43,17 @@ fn main() {
 
     println!(
         "triaging {n} incoming race tickets across {} worker thread{}…\n",
-        fleet_cfg.threads,
-        if fleet_cfg.threads == 1 { "" } else { "s" }
+        threads,
+        if threads == 1 { "" } else { "s" }
     );
-    let run = fleet::run_cases(&pipeline_cfg, &fleet_cfg, &cases, Some(&db));
-    for (case, outcome) in cases.iter().zip(run.results) {
+    let run = bench::run_arm("triage", pipeline_cfg, threads, &cases, Some(&db));
+    for (case, outcome) in cases.iter().zip(&run.outcomes) {
         let slot = by_category.entry(case.category.display()).or_default();
         slot.1 += 1;
         if outcome.fixed {
             slot.0 += 1;
             fixed += 1;
-            let review = review_fix(11, &case.id, &outcome);
+            let review = review_fix(11, &case.id, outcome);
             if review.accepted() {
                 accepted += 1;
                 drfix_days += drfix::review::resolution_days(11, &case.id, true);
@@ -81,7 +80,7 @@ fn main() {
     }
 
     println!("\n=== triage summary =========================================");
-    println!("fleet: {}", run.stats.summary());
+    println!("throughput: {}", run.throughput());
     println!(
         "fixed {fixed}/{} ({:.0}%), accepted in review {accepted}/{fixed}",
         cases.len(),

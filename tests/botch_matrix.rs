@@ -22,7 +22,7 @@
 //!    below and must stay *silent* at error tier.
 
 use corpus::{generate_eval_corpus, generate_tournament_corpus, CorpusConfig};
-use drfix::fleet::{derive_case_seed, derive_validation_seed, FleetConfig};
+use drfix::fleet::{derive_case_seed, derive_validation_seed};
 use drfix::{
     validate_patch_report, CandidateOutcome, CandidateSelection, PipelineConfig, RagMode,
     TournamentConfig, ValidationOptions,
@@ -269,11 +269,12 @@ fn tournament_losers_fail_the_reference_validator_for_the_same_reason() {
         }),
         ..PipelineConfig::default()
     };
-    let run = drfix::fleet::run_cases(&cfg, &FleetConfig::from_env(), &cases, None);
+    let threads = bench::Scale::from_env().threads;
+    let run = bench::run_arm("botch", cfg.clone(), threads, &cases, None);
 
     let mut static_losers = 0usize;
     let mut dynamic_losers = 0usize;
-    for (i, (case, out)) in cases.iter().zip(&run.results).enumerate() {
+    for (i, (case, out)) in cases.iter().zip(&run.outcomes).enumerate() {
         let Some(rep) = &out.tournament else {
             continue; // not reproduced: no roster to audit
         };

@@ -22,9 +22,8 @@
 //! other field diverging (fixed, patch bytes, strategy, llm_calls,
 //! durations, failure kind) fails the test.
 
-use bench::run_arm_with;
+use bench::{run_arm, Scale};
 use corpus::{generate_eval_corpus, CorpusConfig};
-use drfix::fleet::FleetConfig;
 use drfix::{FixOutcome, PipelineConfig, RagMode};
 use synthllm::ModelTier;
 
@@ -54,24 +53,24 @@ fn static_gate_changes_cost_not_outcomes() {
         seed: 0xFEED,
         ..PipelineConfig::default()
     };
-    let fleet = FleetConfig::from_env();
-    let gated = run_arm_with(
+    let threads = Scale::from_env().threads;
+    let gated = run_arm(
         "gate-on",
         PipelineConfig {
             static_gate: true,
             ..cfg.clone()
         },
-        &fleet,
+        threads,
         &cases,
         None,
     );
-    let ungated = run_arm_with(
+    let ungated = run_arm(
         "gate-off",
         PipelineConfig {
             static_gate: false,
             ..cfg
         },
-        &fleet,
+        threads,
         &cases,
         None,
     );

@@ -4,9 +4,8 @@
 //! counts and re-runs, and spend **zero** dynamic VM steps on its
 //! lint-repair loop.
 
-use bench::run_arm_with;
+use bench::{run_arm, Scale};
 use corpus::{generate_tournament_corpus, CorpusConfig};
-use drfix::fleet::FleetConfig;
 use drfix::{CandidateOutcome, PipelineConfig, RagMode, TournamentConfig};
 use synthllm::ModelTier;
 
@@ -34,15 +33,15 @@ fn corpus() -> Vec<corpus::RaceCase> {
 #[test]
 fn tournament_fixes_a_strict_superset_with_zero_lint_vm_steps() {
     let cases = corpus();
-    let fleet = FleetConfig::from_env();
-    let single = run_arm_with("single-path", base_cfg(), &fleet, &cases, None);
-    let tourn = run_arm_with(
+    let threads = Scale::from_env().threads;
+    let single = run_arm("single-path", base_cfg(), threads, &cases, None);
+    let tourn = run_arm(
         "tournament",
         PipelineConfig {
             tournament: Some(TournamentConfig::default()),
             ..base_cfg()
         },
-        &fleet,
+        threads,
         &cases,
         None,
     );
@@ -135,15 +134,14 @@ fn tournament_outcomes_are_bit_identical_across_thread_counts_and_reruns() {
         tournament: Some(TournamentConfig::default()),
         ..base_cfg()
     };
-    let serial = run_arm_with("serial", cfg.clone(), &FleetConfig::serial(), &cases, None);
+    let serial = run_arm("serial", cfg.clone(), 1, &cases, None);
     for threads in [1usize, 2, 8] {
-        let fleet = FleetConfig { threads };
-        let run = run_arm_with("threaded", cfg.clone(), &fleet, &cases, None);
+        let run = run_arm("threaded", cfg.clone(), threads, &cases, None);
         assert_eq!(
             serial.outcomes, run.outcomes,
             "outcomes diverged at {threads} threads"
         );
     }
-    let rerun = run_arm_with("rerun", cfg, &FleetConfig::serial(), &cases, None);
+    let rerun = run_arm("rerun", cfg, 1, &cases, None);
     assert_eq!(serial.outcomes, rerun.outcomes, "re-run diverged");
 }
