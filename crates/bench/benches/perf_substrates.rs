@@ -189,7 +189,6 @@ fn bench_statcheck(c: &mut Criterion) {
             detect_runs: 12,
             tournament: Some(TournamentConfig {
                 keep_candidates: true,
-                ..TournamentConfig::default()
             }),
             ..PipelineConfig::default()
         };

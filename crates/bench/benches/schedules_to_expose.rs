@@ -28,13 +28,6 @@ use corpus::{CorpusConfig, RaceCase, RaceCategory};
 use drfix::fleet;
 use govm::{compile_sources, run_test_many, CompileOptions, SchedulePolicy, TestConfig};
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Median over a slice (nearest-rank on a sorted copy).
 fn median(xs: &[u64]) -> u64 {
     if xs.is_empty() {
@@ -80,9 +73,9 @@ fn expose(case: &RaceCase, policy: &SchedulePolicy, max_sched: u32, seed: u64) -
 }
 
 fn main() {
-    let cases_total = env_usize("DRFIX_STE_CASES", 56);
-    let max_sched = env_usize("DRFIX_STE_MAX_SCHED", 200) as u32;
-    let validation_runs = env_usize("DRFIX_STE_VALIDATION_RUNS", 256) as u32;
+    let cases_total: usize = bench::knob("DRFIX_STE_CASES").unwrap_or(56);
+    let max_sched: u32 = bench::knob("DRFIX_STE_MAX_SCHED").unwrap_or(200);
+    let validation_runs: u32 = bench::knob("DRFIX_STE_VALIDATION_RUNS").unwrap_or(256);
     let threads = bench::Scale::from_env().threads;
 
     bench::header(

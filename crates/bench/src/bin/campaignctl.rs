@@ -8,24 +8,23 @@
 //! campaignctl status --snapshot <path>    inspect a snapshot
 //! ```
 //!
-//! Shared flags (env default in parentheses):
+//! Shared flags (default in parentheses):
 //!
-//! - `--cases N` — total cases (`DRFIX_CAMPAIGN_CASES`, 10000)
-//! - `--shards N` — queue shards (`DRFIX_CAMPAIGN_SHARDS`, 8)
-//! - `--workers N` — worker threads, each running whole cases
-//!   (`DRFIX_CAMPAIGN_WORKERS`, 4)
+//! - `--cases N` — total cases (10000)
+//! - `--shards N` — queue shards (8)
+//! - `--workers N` — worker threads, each running whole cases (4)
 //! - `--serial` — one worker, run inline on the main thread
-//! - `--seed N` — stream seed (`DRFIX_CAMPAIGN_SEED`, 0xD27F17)
-//! - `--family NAME` — fixable|exposure|tournament|mixed
-//!   (`DRFIX_CAMPAIGN_FAMILY`, exposure)
-//! - `--mode NAME` — detect|fix (`DRFIX_CAMPAIGN_MODE`, detect)
+//! - `--seed N` — stream seed (13795095, i.e. 0xD27F17)
+//! - `--family NAME` — fixable|exposure|tournament|mixed (exposure)
+//! - `--mode NAME` — detect|fix (detect)
 //! - `--checkpoint-every N` — folds per shard between snapshots (64)
 //! - `--halt-after-checkpoints N` — deterministic kill switch: stop
 //!   after the Nth checkpoint (exit code 3)
 //! - `--max-in-flight N` — in-flight case bound (0 = auto)
 //! - `--snapshot PATH` — snapshot file to write (run) / read (resume,
 //!   status)
-//! - `--report PATH` — write the schema-v8 metrics report as JSON
+//! - `--report PATH` — write the metrics report as JSON (its `schema`
+//!   is [`drfix::campaign::CAMPAIGN_SCHEMA`])
 //! - `--assert-resident-under BYTES` — fail (exit 1) unless the
 //!   resident generated-case-bytes high-water stayed under BYTES — the
 //!   streamed-corpus bounded-memory assertion at any scale
@@ -52,17 +51,6 @@ const EXIT_HALTED: u8 = 3;
 /// Exit code of `resume` or `status` when the snapshot does not load.
 const EXIT_BAD_SNAPSHOT: u8 = 4;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_str(name: &str, default: &str) -> String {
-    std::env::var(name).unwrap_or_else(|_| default.to_string())
-}
-
 struct Cli {
     cmd: String,
     cases: usize,
@@ -87,7 +75,9 @@ fn usage() -> &'static str {
      [--serial] [--seed N] [--family fixable|exposure|tournament|mixed] \
      [--mode detect|fix] [--checkpoint-every N] [--halt-after-checkpoints N] \
      [--max-in-flight N] [--snapshot PATH] [--report PATH] \
-     [--assert-resident-under BYTES] [--digest] [--assert-complete] [--assert-incomplete]"
+     [--assert-resident-under BYTES] [--digest] [--assert-complete] [--assert-incomplete]\n\
+     defaults: --cases 10000 --shards 8 --workers 4 --seed 13795095 --family exposure \
+     --mode detect --checkpoint-every 64"
 }
 
 fn parse_cli() -> Result<Cli, String> {
@@ -95,12 +85,12 @@ fn parse_cli() -> Result<Cli, String> {
     let cmd = args.next().ok_or_else(|| usage().to_string())?;
     let mut cli = Cli {
         cmd,
-        cases: env_u64("DRFIX_CAMPAIGN_CASES", 10_000) as usize,
-        shards: env_u64("DRFIX_CAMPAIGN_SHARDS", 8) as usize,
-        workers: env_u64("DRFIX_CAMPAIGN_WORKERS", 4) as usize,
-        seed: env_u64("DRFIX_CAMPAIGN_SEED", 0xD27F17),
-        family: env_str("DRFIX_CAMPAIGN_FAMILY", "exposure"),
-        mode: env_str("DRFIX_CAMPAIGN_MODE", "detect"),
+        cases: 10_000,
+        shards: 8,
+        workers: 4,
+        seed: 0xD27F17,
+        family: "exposure".into(),
+        mode: "detect".into(),
         checkpoint_every: 64,
         halt_after: None,
         max_in_flight: 0,

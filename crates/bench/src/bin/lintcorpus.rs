@@ -45,10 +45,7 @@ fn scan(files: &[(String, String)]) -> (usize, usize) {
 }
 
 fn main() -> ExitCode {
-    let cases: usize = std::env::var("DRFIX_LINT_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120);
+    let cases: usize = bench::knob("DRFIX_LINT_CASES").unwrap_or(120);
     bench::header(
         "lintcorpus — statcheck false-positive sweep over the correct programs",
         "Dr.Fix §4.4 (validation must not veto genuine fixes)",

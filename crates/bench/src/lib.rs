@@ -3,8 +3,10 @@
 //! Every bench target regenerates one table or figure of the paper by
 //! running the real pipeline over the seeded corpus. Environment knobs
 //! keep `cargo bench` runtimes reasonable; this crate is the only place
-//! they are read ([`Scale::from_env`]), and a set knob that does not
-//! parse stops the run instead of falling back to its default:
+//! they are parsed ([`Scale::from_env`] for the shared scale below,
+//! [`knob`] for a single binary's or test's own size), and a set knob
+//! that does not parse stops the run instead of falling back to its
+//! default:
 //!
 //! - `DRFIX_CASES` — evaluation corpus size (default 120; the paper's
 //!   403 reproduces the same shapes, just slower);
@@ -33,6 +35,7 @@ use corpus::{CorpusConfig, RaceCase};
 use drfix::fleet::{derive_case_seed, run_indexed};
 use drfix::{DrFix, ExampleDb, FixOutcome, PipelineConfig, RagMode, SchedulePolicy};
 use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::sync::OnceLock;
 use std::time::Instant;
 use synthllm::ModelTier;
@@ -66,16 +69,19 @@ impl Scale {
     /// An unset knob takes its default; a set one that does not parse
     /// panics, naming it.
     fn from_vars(var: &dyn Fn(&str) -> Option<String>) -> Self {
-        let num = |key| knob(var, key, |v| v.parse().ok());
+        let num = |key| parse_knob(var, key, |v| v.parse().ok());
         Scale {
             cases: num("DRFIX_CASES").unwrap_or(120),
             db_pairs: num("DRFIX_DB_PAIRS").unwrap_or(272),
-            validation_runs: knob(var, "DRFIX_VALIDATION_RUNS", |v| v.parse().ok()).unwrap_or(12),
-            threads: knob(var, "DRFIX_THREADS", |v| v.parse::<NonZeroUsize>().ok())
+            validation_runs: parse_knob(var, "DRFIX_VALIDATION_RUNS", |v| v.parse().ok())
+                .unwrap_or(12),
+            threads: parse_knob(var, "DRFIX_THREADS", |v| v.parse::<NonZeroUsize>().ok())
                 .or_else(|| std::thread::available_parallelism().ok())
                 .map_or(1, NonZeroUsize::get),
-            policy: knob(var, "DRFIX_POLICY", SchedulePolicy::parse).unwrap_or_default(),
-            dedup_streak: match knob(var, "DRFIX_DEDUP_STREAK", |v| v.parse().ok()).unwrap_or(8) {
+            policy: parse_knob(var, "DRFIX_POLICY", SchedulePolicy::parse).unwrap_or_default(),
+            dedup_streak: match parse_knob(var, "DRFIX_DEDUP_STREAK", |v| v.parse().ok())
+                .unwrap_or(8)
+            {
                 0 => None,
                 k => Some(k),
             },
@@ -83,9 +89,15 @@ impl Scale {
     }
 }
 
+/// Knob `key` read from the environment: `None` when unset, a panic
+/// naming the knob when it is set to something `T` does not parse.
+pub fn knob<T: FromStr>(key: &str) -> Option<T> {
+    parse_knob(&|k| std::env::var(k).ok(), key, |v| v.parse().ok())
+}
+
 /// Knob `key`'s value under `parse`: `None` when unset, a panic naming
 /// the knob when it is set to something `parse` rejects.
-fn knob<T>(
+fn parse_knob<T>(
     var: &dyn Fn(&str) -> Option<String>,
     key: &str,
     parse: impl Fn(&str) -> Option<T>,

@@ -529,11 +529,12 @@ impl Snapshot {
     }
 }
 
-/// The machine-readable progress/metrics report (schema v9) a campaign
-/// emits: per-phase busy time, queue/steal accounting, and the
-/// bounded-memory evidence. Deterministic fields (everything but the
-/// wall-clock, busy and gate-wait seconds and the high-waters of a
-/// threaded run) replay bit-identically on one worker — that is what
+/// The machine-readable progress/metrics report (schema
+/// [`CAMPAIGN_SCHEMA`]) a campaign emits: per-phase busy time,
+/// queue/steal accounting, and the bounded-memory evidence.
+/// Deterministic fields (everything but the wall-clock, busy and
+/// gate-wait seconds and the high-waters of a threaded run) replay
+/// bit-identically on one worker — that is what
 /// `serial_orchestration_counters_are_pinned` pins exactly.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignMetrics {
@@ -1123,7 +1124,7 @@ mod tests {
         fix.mode = CampaignMode::Fix;
         fix.pipeline.tournament = Some(crate::TournamentConfig::default());
         assert_eq!(detect.fingerprint(), 0x03b4_8dea_a63e_ceaa);
-        assert_eq!(fix.fingerprint(), 0x64f5_eeb7_e957_6b3e);
+        assert_eq!(fix.fingerprint(), 0x61c8_41d8_3c45_c901);
     }
 
     #[test]

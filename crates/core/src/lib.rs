@@ -82,8 +82,7 @@ pub use pipeline::{DrFix, FailureKind, FixOutcome, PipelineConfig};
 pub use raceinfo::{extract, FixLocation, LocationKind, RaceInfo};
 pub use review::{review_fix, survey, ReviewOutcome};
 pub use tournament::{
-    candidate_rank, CandidateOutcome, CandidateReport, CandidateSelection, TournamentConfig,
-    TournamentReport,
+    candidate_rank, CandidateOutcome, CandidateReport, TournamentConfig, TournamentReport,
 };
 pub use validate::{
     static_probe, validate_patch, validate_patch_report, StaticProbe, ValidationOptions,

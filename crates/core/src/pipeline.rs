@@ -25,6 +25,10 @@ use std::borrow::Cow;
 use std::time::Instant;
 use synthllm::{Example, Feedback, FixRequest, ModelTier, Prompt, RaceCategory, Scope, SynthLlm};
 
+/// Ranked strategies the single-path loop lets the model try per
+/// request: it validates the first of them that applies.
+pub(crate) const SINGLE_PATH_WINDOW: usize = 4;
+
 /// Pipeline configuration — every ablation of §5 is a toggle here.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -291,7 +295,7 @@ impl<'db> DrFix<'db> {
             lap(&mut run, 2);
             return run;
         };
-        let build = self.tournament_pool(&parsed, &info, tcfg);
+        let build = self.tournament_pool(&parsed, &info);
         // Validation works from text: release the ASTs first.
         drop(parsed);
         lap(&mut run, 2);
@@ -332,20 +336,21 @@ impl<'db> DrFix<'db> {
                     };
                     let req = site.request(info, arm, shown);
                     out.llm_calls += 1;
-                    let resp = llm.generate(&req, &site.prompt);
-                    let Some(new_code) = resp.code else {
+                    let Some(cand) = llm.enumerate(&req, &site.prompt, SINGLE_PATH_WINDOW).next()
+                    else {
                         break; // the model declined this arm
                     };
                     let file = &site.loc.file;
-                    let spliced = splice(parsed, site.loc, site.scope, &new_code).and_then(|src| {
-                        let ast = golite::parse_file(&src).map_err(|e| e.to_string())?;
-                        Ok((src, ast))
-                    });
+                    let spliced =
+                        splice(parsed, site.loc, site.scope, &cand.code).and_then(|src| {
+                            let ast = golite::parse_file(&src).map_err(|e| e.to_string())?;
+                            Ok((src, ast))
+                        });
                     let (src, ast) = match spliced {
                         Ok(s) => s,
                         Err(e) => {
                             feedback.push(Feedback {
-                                strategy: resp.strategy,
+                                strategy: Some(cand.strategy),
                                 message: format!("build failed: {e}"),
                             });
                             continue;
@@ -392,7 +397,7 @@ impl<'db> DrFix<'db> {
                             out.fixed = true;
                             out.patch_loc = Some(patch_loc(parsed, file, &src));
                             out.patch = Some(patched);
-                            out.strategy = resp.strategy;
+                            out.strategy = Some(cand.strategy);
                             out.location = Some(site.loc.kind);
                             out.scope = Some(site.scope);
                             out.example_used = arm.is_some();
@@ -402,7 +407,7 @@ impl<'db> DrFix<'db> {
                         }
                         Verdict::Fail(msg) => {
                             feedback.push(Feedback {
-                                strategy: resp.strategy,
+                                strategy: Some(cand.strategy),
                                 message: msg,
                             });
                         }
@@ -899,7 +904,7 @@ mod tests {
         let tcfg = crate::TournamentConfig::default();
         let calls = |parsed: &[ParsedFile]| {
             let single = drfix.fix_single_path(parsed, "TestWork", &info);
-            let build = drfix.tournament_pool(parsed, &info, &tcfg);
+            let build = drfix.tournament_pool(parsed, &info);
             let tournament = drfix.tournament_decide("TestWork", &info, &tcfg, build);
             (single.llm_calls, tournament.llm_calls)
         };

@@ -4,15 +4,16 @@
 //! The single-path loop in [`crate::pipeline`] is the paper's Listing 13
 //! and stays the golden reference: one candidate per `(location, scope,
 //! example, retry)` combination, first validated patch wins. The
-//! tournament arm instead *enumerates* a pool of candidates per
-//! combination (Snippet-1 style `Best`/`All` selection over
-//! per-candidate confidence scores), iterates each candidate against
-//! `statcheck` diagnostics until lint-clean or the repair budget runs
-//! out (Snippet-2's `repair_max_iters` shape) — spending **zero**
-//! dynamic schedules on that loop — and only then validates survivors
-//! under schedule-diverse campaigns, picking the winner by
-//! `(validation-clean, confidence, patch-LoC)` with a deterministic
-//! id tie-break so outcomes are bit-identical at any `DRFIX_THREADS`.
+//! tournament arm instead collects a pool of up to `MAX_CANDIDATES`
+//! candidates per combination from the same
+//! [`SynthLlm::enumerate`] call, ranked by per-candidate confidence,
+//! iterates each candidate against `statcheck` diagnostics until
+//! lint-clean or `REPAIR_MAX_ITERS` repairs are spent — spending
+//! **zero** dynamic schedules on that loop — and only then validates
+//! survivors in rank order under schedule-diverse campaigns, stopping
+//! at the first clean one. The rank is `(confidence, patch-LoC)` with a
+//! deterministic id tie-break, so outcomes are bit-identical at any
+//! thread count.
 //!
 //! Two invariants matter:
 //!
@@ -45,42 +46,22 @@ use synthllm::{Candidate, Feedback, RaceCategory, Scope, StrategyKind, SynthLlm}
 
 /// Configuration of the tournament arm. `None` on
 /// [`crate::PipelineConfig::tournament`] keeps the single-path loop.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TournamentConfig {
-    /// Candidates enumerated per `(location, scope, example)` request.
-    /// Must stay ≥ 5 for the superset guarantee: feedback exclusions can
-    /// shift single-path's top-4 ranking window by one.
-    pub max_candidates: usize,
-    /// Repair iterations per candidate lineage before lint findings are
-    /// final (error tier → rejected, warning tier → proceed anyway).
-    pub repair_max_iters: u32,
-    /// Which survivors get a validation campaign.
-    pub selection: CandidateSelection,
     /// Retain every candidate's patched sources in the report (tests use
     /// this to re-validate losers; costs memory, off by default).
     pub keep_candidates: bool,
 }
 
-impl Default for TournamentConfig {
-    fn default() -> Self {
-        TournamentConfig {
-            max_candidates: 8,
-            repair_max_iters: 2,
-            selection: CandidateSelection::Best,
-            keep_candidates: false,
-        }
-    }
-}
+/// Candidates enumerated per `(location, scope, example)` request. Must
+/// exceed the single-path window for the superset guarantee: feedback
+/// exclusions can shift single-path's ranking window by one.
+const MAX_CANDIDATES: usize = 8;
+const _: () = assert!(MAX_CANDIDATES > crate::pipeline::SINGLE_PATH_WINDOW);
 
-/// Snippet-1 style winner selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CandidateSelection {
-    /// Validate in rank order, stop at the first clean candidate.
-    Best,
-    /// Validate every static-clean survivor (the winner is still the
-    /// best-ranked clean one); used for gate-accounting studies.
-    All,
-}
+/// Repair iterations per candidate lineage before lint findings are
+/// final (error tier → rejected, warning tier → proceed anyway).
+const REPAIR_MAX_ITERS: u32 = 2;
 
 /// What happened to one candidate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,8 +78,8 @@ pub enum CandidateOutcome {
         /// The validator's failure message.
         reason: String,
     },
-    /// Validated clean under an [`CandidateSelection::All`] sweep but
-    /// ranked after the winner.
+    /// Validated clean but ranked after the winner. The tournament
+    /// stops at its first clean candidate, so it no longer produces this.
     Outranked,
     /// Never validated (ranked after the winner).
     NotValidated,
@@ -302,12 +283,7 @@ impl DrFix<'_> {
     /// Sites are built one at a time. A site — its prompt parse included —
     /// is kept past its enumeration only while one of its candidates
     /// still has repair work, and so is a candidate's lineage.
-    pub(crate) fn tournament_pool(
-        &self,
-        parsed: &[ParsedFile],
-        info: &RaceInfo,
-        tcfg: &TournamentConfig,
-    ) -> PoolBuild {
+    pub(crate) fn tournament_pool(&self, parsed: &[ParsedFile], info: &RaceInfo) -> PoolBuild {
         let mut llm_calls = 0u32;
         let llm = SynthLlm::new(self.cfg.tier, self.cfg.seed);
         let mut admission = Admission {
@@ -321,7 +297,7 @@ impl DrFix<'_> {
         // ── Phase 1: enumerate the candidate pool ────────────────────
         //
         // Same (location, scope, example) sweep as single-path, but each
-        // request enumerates up to `max_candidates` ranked candidates
+        // request enumerates up to `MAX_CANDIDATES` ranked candidates
         // instead of committing to the top one. A second pass per arm
         // replays the request under synthetic attempt-1 feedback: the
         // capability dice key mislocalisation on the attempt ordinal, so
@@ -346,7 +322,7 @@ impl DrFix<'_> {
                 for pass in 0..passes {
                     let req = site.request(info, arm, pass_feedback(pass));
                     llm_calls += 1;
-                    for cand in llm.enumerate(&req, &site.prompt, tcfg.max_candidates) {
+                    for cand in llm.enumerate(&req, &site.prompt, MAX_CANDIDATES) {
                         let Some((patched, ploc, probe)) =
                             admission.admit(&pool, &site, &cand.code)
                         else {
@@ -365,7 +341,7 @@ impl DrFix<'_> {
                             repair_iters: 0,
                             probe,
                         };
-                        let repairs = tcfg.repair_max_iters > 0 && entry.has_findings();
+                        let repairs = entry.has_findings();
                         lineage.push(repairs.then_some(Lineage {
                             site: s,
                             arm: a,
@@ -398,7 +374,7 @@ impl DrFix<'_> {
             let req = site.request(info, &site.arms[from.arm], pass_feedback(from.pass));
             let mut current = i;
             let mut iter = 0u32;
-            while iter < tcfg.repair_max_iters && pool[current].has_findings() {
+            while iter < REPAIR_MAX_ITERS && pool[current].has_findings() {
                 let probe = &pool[current].probe;
                 let rule = probe.first_rule.clone().unwrap_or_else(|| "unknown".into());
                 llm_calls += 1;
@@ -482,10 +458,8 @@ impl DrFix<'_> {
 
         let mut outcomes: Vec<CandidateOutcome> = vec![CandidateOutcome::NotValidated; pool.len()];
         let mut winner: Option<usize> = None;
+        // Validate in rank order and stop at the first clean candidate.
         for &i in &order {
-            if winner.is_some() && tcfg.selection != CandidateSelection::All {
-                break;
-            }
             let entry = &pool[i];
             // The error tier is sound for rejection: condemned
             // candidates burn zero schedules (this is the per-candidate
@@ -524,13 +498,9 @@ impl DrFix<'_> {
             out.replayed_schedules += vreport.replayed_schedules;
             match vreport.verdict {
                 Verdict::Ok => {
-                    if winner.is_none() {
-                        winner = Some(i);
-                        outcomes[i] = CandidateOutcome::Won;
-                    } else {
-                        // An `All` sweep: clean but outranked.
-                        outcomes[i] = CandidateOutcome::Outranked;
-                    }
+                    winner = Some(i);
+                    outcomes[i] = CandidateOutcome::Won;
+                    break;
                 }
                 Verdict::Fail(msg) => {
                     outcomes[i] = CandidateOutcome::FailedValidation { reason: msg };
@@ -710,7 +680,6 @@ mod tests {
 
     #[test]
     fn borrowed_splice_matches_the_reference_on_a_mixed_stream() {
-        let tcfg = TournamentConfig::default();
         let mut compared = 0;
         raced_cases(
             corpus::stream::StreamFamily::Mixed,
@@ -729,8 +698,8 @@ mod tests {
                     for arm in &site.arms {
                         for pass in 0..=drfix.cfg.retries {
                             let req = site.request(info, arm, pass_feedback(pass));
-                            for cand in llm.enumerate(&req, &site.prompt, tcfg.max_candidates) {
-                                let repairs = (0..tcfg.repair_max_iters).filter_map(|iter| {
+                            for cand in llm.enumerate(&req, &site.prompt, MAX_CANDIDATES) {
+                                let repairs = (0..REPAIR_MAX_ITERS).filter_map(|iter| {
                                     llm.repair(&req, &site.prompt, &cand, "inconsistent-lock", iter)
                                 });
                                 let codes: Vec<String> = std::iter::once(cand.code.clone())
@@ -760,13 +729,14 @@ mod tests {
 
     /// A site's shared [`synthllm::Prompt`] answers every request exactly
     /// as a fresh prompt would: over every arm, pass and repair iteration
-    /// of the pool build, `generate`, `enumerate` and `repair` through the
-    /// site's one prompt equal the same calls on a new prompt each.
+    /// of the pool build, `enumerate` (its first candidate, as the
+    /// single-path loop takes it, and its whole window) and `repair`
+    /// through the site's one prompt equal the same calls on a new prompt
+    /// each.
     #[test]
     fn the_prompt_cache_changes_no_model_output() {
         use corpus::stream::StreamFamily;
         use synthllm::Prompt;
-        let tcfg = TournamentConfig::default();
         let same =
             |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| format!("{a:?}") == format!("{b:?}");
         let mut compared = 0;
@@ -779,15 +749,18 @@ mod tests {
                     for arm in &site.arms {
                         for pass in 0..=drfix.cfg.retries {
                             let req = site.request(info, arm, pass_feedback(pass));
-                            let gen = llm.generate(&req, shared);
-                            assert!(same(&gen, &llm.generate(&req, &fresh())), "case {i}");
-                            let max = tcfg.max_candidates;
-                            let cands = llm.enumerate(&req, shared, max);
-                            let want = llm.enumerate(&req, &fresh(), max);
+                            let window = crate::pipeline::SINGLE_PATH_WINDOW;
+                            let first = llm.enumerate(&req, shared, window).next();
+                            let want = llm.enumerate(&req, &fresh(), window).next();
+                            assert!(same(&first, &want), "case {i}: first candidate");
+                            let cands: Vec<_> =
+                                llm.enumerate(&req, shared, MAX_CANDIDATES).collect();
+                            let want: Vec<_> =
+                                llm.enumerate(&req, &fresh(), MAX_CANDIDATES).collect();
                             assert!(same(&cands, &want), "case {i}: enumerate");
                             for cand in &cands {
                                 for rule in ["inconsistent-lock", "double-lock"] {
-                                    for iter in 0..tcfg.repair_max_iters {
+                                    for iter in 0..REPAIR_MAX_ITERS {
                                         let got = llm.repair(&req, shared, cand, rule, iter);
                                         let want = llm.repair(&req, &fresh(), cand, rule, iter);
                                         assert!(same(&got, &want), "case {i}: repair");

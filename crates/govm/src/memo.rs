@@ -311,12 +311,10 @@ impl Memo {
         }
         let sched = match &mut self.sched {
             Some(s) => {
-                s.reset(&opts.policy, opts.seed, opts.preempt_max);
+                s.reset(&opts.policy, opts.seed);
                 s
             }
-            None => self
-                .sched
-                .insert(RunSched::new(&opts.policy, opts.seed, opts.preempt_max)),
+            None => self.sched.insert(RunSched::new(&opts.policy, opts.seed)),
         };
         self.status.clear();
         let tree = &self.tree;

@@ -120,11 +120,10 @@ impl SchedulePolicy {
         }
     }
 
-    /// Instantiates the per-run engine for a run with seed `seed` and
-    /// the VM's maximum preemption quantum `preempt_max`.
-    pub(crate) fn build(&self, seed: u64, preempt_max: u32) -> Box<dyn Scheduler> {
+    /// Instantiates the per-run engine for a run with seed `seed`.
+    pub(crate) fn build(&self, seed: u64) -> Box<dyn Scheduler> {
         match *self {
-            SchedulePolicy::Random => Box::new(RandomScheduler { preempt_max }),
+            SchedulePolicy::Random => Box::new(RandomScheduler),
             SchedulePolicy::Pct { depth, budget } => {
                 Box::new(PctScheduler::new(seed, depth, budget))
             }
@@ -176,19 +175,22 @@ impl SchedulePolicy {
 
 // ------------------------------------------------------------- engines
 
-/// The pre-refactor scheduler: uniform goroutine, uniform quantum.
+/// Maximum preemption quantum of [`SchedulePolicy::Random`]
+/// (instructions between forced yields).
+const PREEMPT_MAX: u64 = 24;
+
+/// The pre-refactor scheduler: uniform goroutine, uniform quantum in
+/// `1..=PREEMPT_MAX`.
 ///
 /// The two `gen_range` draws (pick, then quantum) happen in exactly the
 /// pre-refactor order against the shared VM rng, which is what keeps
 /// old seeds bit-compatible.
-struct RandomScheduler {
-    preempt_max: u32,
-}
+struct RandomScheduler;
 
 impl Scheduler for RandomScheduler {
     fn pick(&mut self, rng: &mut StdRng, runnable: &[Gid], _steps: u64) -> Decision {
         let gid = runnable[rng.gen_range(0..runnable.len())];
-        let quantum = rng.gen_range(1..=self.preempt_max as u64);
+        let quantum = rng.gen_range(1..=PREEMPT_MAX);
         Decision { gid, quantum }
     }
 }
@@ -310,9 +312,9 @@ pub(crate) struct RunSched {
 
 impl RunSched {
     /// The state at the start of a run with seed `seed`.
-    pub(crate) fn new(policy: &SchedulePolicy, seed: u64, preempt_max: u32) -> Self {
+    pub(crate) fn new(policy: &SchedulePolicy, seed: u64) -> Self {
         RunSched {
-            engine: policy.build(seed, preempt_max),
+            engine: policy.build(seed),
             rng: StdRng::seed_from_u64(seed),
             sig: SIGNATURE_SEED,
             points: 0,
@@ -322,11 +324,11 @@ impl RunSched {
     }
 
     /// Starts a new run, keeping the runnable-set buffer.
-    pub(crate) fn reset(&mut self, policy: &SchedulePolicy, seed: u64, preempt_max: u32) {
+    pub(crate) fn reset(&mut self, policy: &SchedulePolicy, seed: u64) {
         let runnable = std::mem::take(&mut self.runnable);
         *self = RunSched {
             runnable,
-            ..RunSched::new(policy, seed, preempt_max)
+            ..RunSched::new(policy, seed)
         };
     }
 
@@ -409,7 +411,7 @@ mod tests {
             depth: 2,
             budget: 100,
         };
-        let mut eng = policy.build(42, 24);
+        let mut eng = policy.build(42);
         let first = eng.pick(&mut rng, &[0, 1, 2], 0);
         // Before any change point the same goroutine keeps winning.
         let again = eng.pick(&mut rng, &[0, 1, 2], 1);
@@ -425,7 +427,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut quanta = std::collections::HashSet::new();
         for seed in 0..32u64 {
-            let mut eng = SchedulePolicy::Sweep.build(seed, 24);
+            let mut eng = SchedulePolicy::Sweep.build(seed);
             let d1 = eng.pick(&mut rng, &[0, 1], 0);
             let d2 = eng.pick(&mut rng, &[0, 1], 10);
             assert_eq!(d1.quantum, d2.quantum, "quantum fixed within a run");

@@ -39,8 +39,6 @@ pub struct VmOptions {
     pub seed: u64,
     /// Hard instruction budget (a run exceeding it reports `StepLimit`).
     pub max_steps: u64,
-    /// Maximum preemption quantum (instructions between forced yields).
-    pub preempt_max: u32,
     /// Extra budget to drain leftover goroutines after the root finishes.
     pub drain_steps: u64,
     /// Schedule-exploration policy (see [`crate::sched`]).
@@ -70,7 +68,6 @@ impl Default for VmOptions {
         VmOptions {
             seed: 0,
             max_steps: 2_000_000,
-            preempt_max: 24,
             drain_steps: 100_000,
             policy: SchedulePolicy::Random,
             sync_epoch_cache: true,
@@ -571,7 +568,7 @@ impl<'p> Vm<'p> {
     /// Creates a VM for `prog`, with the scheduling engine built from
     /// `opts.policy`.
     pub fn new(prog: &'p Program, opts: VmOptions) -> Self {
-        let sched = RunSched::new(&opts.policy, opts.seed, opts.preempt_max);
+        let sched = RunSched::new(&opts.policy, opts.seed);
         let mut det = Detector::new();
         det.set_sync_cache(opts.sync_epoch_cache);
         let mut vm = Vm {
@@ -687,7 +684,7 @@ impl<'p> Vm<'p> {
         *never_chan = None;
         *global_rand = None;
         *fatal = None;
-        sched.reset(&opts.policy, opts.seed, opts.preempt_max);
+        sched.reset(&opts.policy, opts.seed);
         *vm_opts = opts;
         self.alloc_globals();
     }

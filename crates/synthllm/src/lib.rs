@@ -37,8 +37,8 @@
 //!     case_key: "demo".into(),
 //! };
 //! let prompt = Prompt::new(std::borrow::Cow::Owned(golite::parse_file(&req.code).unwrap()));
-//! let resp = llm.generate(&req, &prompt);
-//! assert!(resp.code.is_some());
+//! let fix = llm.enumerate(&req, &prompt, 4).next().expect("the model answers");
+//! assert!(fix.code.contains("err :="));
 //! ```
 
 #![warn(missing_docs)]
@@ -161,18 +161,4 @@ pub struct FixRequest {
     /// on the *same* race reproduces the same mistake — feedback helps by
     /// redirecting to a different strategy, not by brute-force rerolls.
     pub case_key: String,
-}
-
-/// The model's answer.
-#[derive(Debug, Clone)]
-pub struct FixResponse {
-    /// Full revised code, or `None` when the model declines.
-    pub code: Option<String>,
-    /// The strategy it applied (introspection for benchmarks/review).
-    pub strategy: Option<StrategyKind>,
-    /// Whether the application was degraded by the capability model
-    /// (mis-localised or botched) — used by ablation accounting only.
-    pub degraded: bool,
-    /// Free-text note (mimics a chain-of-thought summary).
-    pub note: String,
 }

@@ -1,20 +1,23 @@
 //! The synthetic LLM: prompt in, complete revised source out.
 //!
-//! `generate` mirrors the paper's prompt contract (Appendix E): the
-//! response is the entire revised code, nothing else. Internally the
-//! model (1) diagnoses the racy code, (2) infers the repair idiom of the
-//! retrieved example (if any) from the example's own diff, (3) ranks
-//! candidate strategies by structural confidence × tier prior × example
-//! guidance, (4) rolls deterministic capability dice for mis-localisation
-//! and botching, and (5) applies a *real* AST rewrite.
+//! [`SynthLlm::enumerate`] is the model's one generation call and mirrors
+//! the paper's prompt contract (Appendix E): each candidate it yields is
+//! the entire revised code, nothing else. Internally the model (1)
+//! diagnoses the racy code, (2) infers the repair idiom of the retrieved
+//! example (if any) from the example's own diff, (3) ranks candidate
+//! strategies by structural confidence × tier prior × example guidance,
+//! (4) rolls deterministic capability dice for mis-localisation and
+//! botching, and (5) applies a *real* AST rewrite, lazily, one ranked
+//! strategy at a time. The single-path loop takes the first candidate;
+//! the tournament takes the whole window.
 
 use crate::capability::{draw, CapabilityModel, ModelTier};
 use crate::diagnose::{Diagnosis, Target};
 use crate::strategy::StrategyKind;
-use crate::{FixRequest, FixResponse, Prompt, RaceCategory, Scope};
+use crate::{FixRequest, Prompt, RaceCategory, Scope};
 
-/// One enumerated candidate patch (tournament mode, §4.4 generalized):
-/// a complete revised source plus the model's self-reported confidence.
+/// One candidate patch the model answers a prompt with (§4.4): a
+/// complete revised source plus the model's self-reported confidence.
 ///
 /// Confidence is a *prior* — structural fit times tier skill, scaled to
 /// the best-ranked candidate — and deliberately ignores the botch dice:
@@ -32,8 +35,8 @@ pub struct Candidate {
     pub degraded: bool,
     /// Self-reported confidence in `(0, 1]`.
     pub confidence: f64,
-    /// Enumeration rank within this request (0 = the strategy
-    /// `generate` would pick first).
+    /// Enumeration rank within this request (0 = the first candidate,
+    /// the one the single-path loop validates).
     pub rank: usize,
     /// Free-text note.
     pub note: String,
@@ -45,9 +48,6 @@ pub struct SynthLlm {
     cap: CapabilityModel,
     seed: u64,
 }
-
-/// Score-ranked diagnoses plus the idiom of the retrieved example.
-type RankedDiagnoses<'d> = (Vec<(f64, &'d Diagnosis)>, Option<StrategyKind>);
 
 impl SynthLlm {
     /// Creates a model of the given tier with a sampling seed.
@@ -63,25 +63,26 @@ impl SynthLlm {
         self.cap.tier()
     }
 
-    /// Generates a candidate fix for the request. `prompt` is `req.code`
-    /// parsed: the caller builds a [`Prompt`] once and every call on it
-    /// shares its parse and its cached model work. The response is text,
-    /// as a model's would be.
-    pub fn generate(&self, req: &FixRequest, prompt: &Prompt) -> FixResponse {
+    /// Enumerates up to `max` candidate patches for one request, best
+    /// ranked first. `prompt` is `req.code` parsed: the caller builds a
+    /// [`Prompt`] once and every call on it shares its parse and its
+    /// cached model work.
+    ///
+    /// The candidates come lazily: a strategy is rendered only when the
+    /// iterator reaches it, and one that structurally does not apply
+    /// (e.g. needs the type declaration, invisible at function scope) is
+    /// skipped, like an LLM revising its plan. The single-path loop takes
+    /// the first candidate of a short window; the tournament collects the
+    /// whole window. The iterator is empty when the model declines.
+    pub fn enumerate<'s>(
+        &'s self,
+        req: &'s FixRequest,
+        prompt: &'s Prompt<'s>,
+        max: usize,
+    ) -> impl Iterator<Item = Candidate> + 's {
         let diags = prompt.diagnoses(&req.racy_var);
-        let (ranked, example_idiom) = match self.rank_diagnoses(req, &diags) {
-            Ok(r) => r,
-            Err(note) => {
-                return FixResponse {
-                    code: None,
-                    strategy: None,
-                    degraded: false,
-                    note: note.into(),
-                }
-            }
-        };
-
-        let attempt_tag = format!("attempt{}", req.feedback.len());
+        let (ranked, example_idiom) = self.rank_diagnoses(req, &diags);
+        let top_score = ranked.first().map(|(s, _)| *s).unwrap_or(1.0).max(1e-9);
 
         // Mis-localisation roll (file scope only).
         let misloc_p = self.cap.mislocalisation(
@@ -90,127 +91,59 @@ impl SynthLlm {
             req.example.is_some(),
             !req.feedback.is_empty(),
         );
+        let attempt_tag = format!("attempt{}", req.feedback.len());
         let misloc_roll = draw(
             self.seed,
             &[&req.case_key, &req.racy_var, &attempt_tag],
             "misloc",
         );
-        if misloc_roll < misloc_p {
-            // Lost in the middle: the model rewrites a plausible-looking
-            // but wrong site; the emitted code changes nothing relevant.
-            return FixResponse {
-                code: Some(prompt.printed().to_owned()),
-                strategy: ranked.first().map(|(_, d)| d.strategy),
+        // Lost in the middle: the model rewrites a plausible-looking but
+        // wrong site; the emitted code changes nothing relevant. That
+        // degraded no-op is the request's only candidate.
+        let slipped = ranked
+            .first()
+            .filter(|_| misloc_roll < misloc_p)
+            .map(|&(_, top)| Candidate {
+                code: prompt.printed().to_owned(),
+                strategy: diags[top].strategy,
+                target: diags[top].target.clone(),
                 degraded: true,
+                confidence: 0.05,
+                rank: 0,
                 note: "long-context attention slipped to the wrong site".into(),
-            };
-        }
+            });
+        let window = if slipped.is_some() { 0 } else { max };
 
         // Per-race comprehension (§5.3): without a matching example some
         // races are simply misunderstood — every unguided attempt botches.
         let comprehends =
             draw(self.seed, &[&req.case_key], "comprehend") < self.cap.comprehension();
 
-        // Try candidates in order; a strategy that structurally does not
-        // apply (e.g. needs the type declaration, invisible at function
-        // scope) is skipped, like an LLM revising its plan.
-        for (i, (_, diag)) in ranked.iter().take(4).enumerate() {
-            let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
-            match prompt.render(diag.strategy, &diag.target, botch) {
-                Ok(code) => {
-                    return FixResponse {
-                        code: Some(code),
-                        strategy: Some(diag.strategy),
-                        degraded: botch != 0,
-                        note: format!(
-                            "applied {} ({}){}",
-                            diag.strategy.display(),
-                            diag.category.display(),
-                            if guided { " guided by example" } else { "" }
-                        ),
-                    };
-                }
-                Err(_) if i + 1 < ranked.len().min(4) => continue,
-                Err(e) => {
-                    return FixResponse {
-                        code: None,
-                        strategy: Some(diag.strategy),
-                        degraded: false,
-                        note: format!("could not realise a fix: {e}"),
-                    };
-                }
-            }
-        }
-        FixResponse {
-            code: None,
-            strategy: None,
-            degraded: false,
-            note: "no applicable strategy".into(),
-        }
-    }
-
-    /// Enumerates up to `max` candidate patches for one request — the
-    /// tournament generalization of [`SynthLlm::generate`]. The same
-    /// deterministic dice are rolled per strategy, so the candidate
-    /// `generate` would return is always in the list (when it returns
-    /// one at all); the list simply keeps going past the first success.
-    /// `prompt` is `req.code` parsed, as for [`SynthLlm::generate`].
-    pub fn enumerate(&self, req: &FixRequest, prompt: &Prompt, max: usize) -> Vec<Candidate> {
-        let diags = prompt.diagnoses(&req.racy_var);
-        let Ok((ranked, example_idiom)) = self.rank_diagnoses(req, &diags) else {
-            return Vec::new();
-        };
-        let attempt_tag = format!("attempt{}", req.feedback.len());
-        let misloc_p = self.cap.mislocalisation(
-            req.scope == Scope::File,
-            req.context_funcs,
-            req.example.is_some(),
-            !req.feedback.is_empty(),
-        );
-        let misloc_roll = draw(
-            self.seed,
-            &[&req.case_key, &req.racy_var, &attempt_tag],
-            "misloc",
-        );
-        let top_score = ranked.first().map(|(s, _)| *s).unwrap_or(1.0).max(1e-9);
-        if misloc_roll < misloc_p {
-            // Same degraded no-op response `generate` produces: one
-            // candidate, so the tournament sees what single-path saw.
-            let (_, top) = &ranked[0];
-            return vec![Candidate {
-                code: prompt.printed().to_owned(),
-                strategy: top.strategy,
-                target: top.target.clone(),
-                degraded: true,
-                confidence: 0.05,
-                rank: 0,
-                note: "long-context attention slipped to the wrong site".into(),
-            }];
-        }
-        let comprehends =
-            draw(self.seed, &[&req.case_key], "comprehend") < self.cap.comprehension();
-
-        let mut out = Vec::new();
-        for (score, diag) in ranked.iter().take(max) {
-            let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
-            if let Ok(code) = prompt.render(diag.strategy, &diag.target, botch) {
-                out.push(Candidate {
+        let mut rank = 0;
+        let applied = ranked
+            .into_iter()
+            .take(window)
+            .filter_map(move |(score, d)| {
+                let diag = &diags[d];
+                let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
+                let code = prompt.render(diag.strategy, &diag.target, botch).ok()?;
+                rank += 1;
+                Some(Candidate {
                     code,
                     strategy: diag.strategy,
                     target: diag.target.clone(),
                     degraded: botch != 0,
                     confidence: 0.2 + 0.8 * (score / top_score),
-                    rank: out.len(),
+                    rank: rank - 1,
                     note: format!(
                         "applied {} ({}){}",
                         diag.strategy.display(),
                         diag.category.display(),
                         if guided { " guided by example" } else { "" }
                     ),
-                });
-            }
-        }
-        out
+                })
+            });
+        slipped.into_iter().chain(applied)
     }
 
     /// Revises an earlier candidate against a static-analyzer finding
@@ -219,7 +152,7 @@ impl SynthLlm {
     /// retry, which would deterministically repeat the same mistake —
     /// but a repair can still botch. Returns `None` when the strategy no
     /// longer applies to the request code. `prompt` is `req.code` parsed,
-    /// as for [`SynthLlm::generate`].
+    /// as for [`SynthLlm::enumerate`].
     pub fn repair(
         &self,
         req: &FixRequest,
@@ -245,42 +178,34 @@ impl SynthLlm {
         })
     }
 
-    /// Shared ranking of [`SynthLlm::generate`] and
-    /// [`SynthLlm::enumerate`] over the prompt's diagnoses; `Err` carries
-    /// the decline note.
-    fn rank_diagnoses<'d>(
+    /// The prompt's diagnoses still in play for the request, ranked best
+    /// first as `(score, index into diags)`, plus the idiom of the
+    /// retrieved example. The ranking is empty when the model declines.
+    fn rank_diagnoses(
         &self,
         req: &FixRequest,
-        diags: &'d [Diagnosis],
-    ) -> Result<RankedDiagnoses<'d>, &'static str> {
-        let mut candidates: Vec<&Diagnosis> = diags.iter().collect();
-        // The prompt points at one function (leaf/test/LCA location):
-        // function-level diagnoses elsewhere are out of focus. Type- and
-        // global-level repairs stay visible from any location.
-        if let Some(focus) = &req.focus_func {
-            candidates.retain(|d| d.target.func().map(|f| f == focus).unwrap_or(true));
-        }
-        if candidates.is_empty() {
-            return Err("no plausible repair found");
-        }
-
+        diags: &[Diagnosis],
+    ) -> (Vec<(f64, usize)>, Option<StrategyKind>) {
         // Strategies that already failed (feedback loop, §4.4.2).
         let failed: Vec<StrategyKind> = req.feedback.iter().filter_map(|f| f.strategy).collect();
-        candidates.retain(|d| !failed.contains(&d.strategy));
-        if candidates.is_empty() {
-            return Err("all known repairs already failed");
-        }
-
         // Infer the example's idiom from its own before/after diff.
         let example_idiom = req
             .example
             .as_ref()
             .and_then(|e| classify_example(&e.buggy, &e.fixed));
 
-        // Rank.
-        let mut ranked: Vec<(f64, &Diagnosis)> = candidates
-            .into_iter()
-            .map(|d| {
+        let mut ranked: Vec<(f64, usize)> = diags
+            .iter()
+            .enumerate()
+            // The prompt points at one function (leaf/test/LCA location):
+            // function-level diagnoses elsewhere are out of focus. Type-
+            // and global-level repairs stay visible from any location.
+            .filter(|(_, d)| match (&req.focus_func, d.target.func()) {
+                (Some(focus), Some(f)) => f == focus,
+                _ => true,
+            })
+            .filter(|(_, d)| !failed.contains(&d.strategy))
+            .map(|(i, d)| {
                 let mut score = d.score * (0.4 + 0.6 * self.cap.skill(d.strategy));
                 if let Some(idiom) = example_idiom {
                     if idiom == d.strategy {
@@ -289,11 +214,11 @@ impl SynthLlm {
                         score += 0.25;
                     }
                 }
-                (score, d)
+                (score, i)
             })
             .collect();
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        Ok((ranked, example_idiom))
+        (ranked, example_idiom)
     }
 
     /// The guided/anchored skill model plus the race-keyed botch roll
@@ -475,6 +400,11 @@ func note()        {}
         ))
     }
 
+    /// The model's first candidate: what the single-path loop validates.
+    fn first(llm: &SynthLlm, r: &FixRequest) -> Option<Candidate> {
+        llm.enumerate(r, &prompt(r), 4).next()
+    }
+
     fn req(code: &str, var: &str) -> FixRequest {
         FixRequest {
             code: code.to_owned(),
@@ -493,9 +423,9 @@ func note()        {}
     fn generates_redeclare_fix_for_err_race() {
         let llm = SynthLlm::new(ModelTier::O1Preview, 3);
         let r = req(ERR_RACE, "err");
-        let resp = llm.generate(&r, &prompt(&r));
-        let code = resp.code.expect("fix produced");
-        assert_eq!(resp.strategy, Some(StrategyKind::RedeclareInGoroutine));
+        let cand = first(&llm, &r).expect("fix produced");
+        let code = cand.code;
+        assert_eq!(cand.strategy, StrategyKind::RedeclareInGoroutine);
         assert!(code.contains("if err := task()"), "{code}");
         // The parent assignment stays `=`.
         assert!(code.contains("if err = task2()"), "{code}");
@@ -505,16 +435,16 @@ func note()        {}
     fn response_reparses() {
         let llm = SynthLlm::new(ModelTier::O1Preview, 3);
         let r = req(ERR_RACE, "err");
-        let resp = llm.generate(&r, &prompt(&r));
-        golite::parse_file(&resp.code.unwrap()).expect("model output must be valid code");
+        let cand = first(&llm, &r).expect("fix produced");
+        golite::parse_file(&cand.code).expect("model output must be valid code");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let llm = SynthLlm::new(ModelTier::Gpt4o, 11);
         let r = req(ERR_RACE, "err");
-        let a = llm.generate(&r, &prompt(&r));
-        let b = llm.generate(&r, &prompt(&r));
+        let a = first(&llm, &r).expect("fix produced");
+        let b = first(&llm, &r).expect("fix produced");
         assert_eq!(a.code, b.code);
         assert_eq!(a.strategy, b.strategy);
     }
@@ -527,8 +457,8 @@ func note()        {}
             strategy: Some(StrategyKind::RedeclareInGoroutine),
             message: "tests still race".into(),
         });
-        let resp = llm.generate(&r, &prompt(&r));
-        assert_ne!(resp.strategy, Some(StrategyKind::RedeclareInGoroutine));
+        let strategy = first(&llm, &r).map(|c| c.strategy);
+        assert_ne!(strategy, Some(StrategyKind::RedeclareInGoroutine));
     }
 
     #[test]
@@ -541,8 +471,8 @@ func note()        {}
             buggy: "package p\nfunc g() {\n\tx := 0\n\tgo func() {\n\t\tx = 1\n\t}()\n}\n".into(),
             fixed: "package p\nimport \"sync\"\nvar muX sync.Mutex\nfunc g() {\n\tx := 0\n\tgo func() {\n\t\tmuX.Lock()\n\t\tx = 1\n\t\tmuX.Unlock()\n\t}()\n}\n".into(),
         });
-        let resp = llm.generate(&r, &prompt(&r));
-        assert_eq!(resp.strategy, Some(StrategyKind::MutexGuard));
+        let strategy = first(&llm, &r).map(|c| c.strategy);
+        assert_eq!(strategy, Some(StrategyKind::MutexGuard));
     }
 
     #[test]
@@ -573,34 +503,10 @@ func note()        {}
     }
 
     #[test]
-    fn enumerate_first_candidate_matches_generate() {
-        // The tournament's candidate list must contain exactly what the
-        // single-path pipeline would have been given, in front.
-        for seed in 0..25u64 {
-            for tier in [ModelTier::Gpt4Turbo, ModelTier::Gpt4o, ModelTier::O1Preview] {
-                let llm = SynthLlm::new(tier, seed);
-                let r = req(ERR_RACE, "err");
-                let p = prompt(&r);
-                let gen = llm.generate(&r, &p);
-                let cands = llm.enumerate(&r, &p, 4);
-                match gen.code {
-                    Some(code) => {
-                        let first = cands.first().expect("generate produced, enumerate empty");
-                        assert_eq!(first.code, code, "seed {seed} tier {tier:?}");
-                        assert_eq!(Some(first.strategy), gen.strategy);
-                        assert_eq!(first.degraded, gen.degraded);
-                    }
-                    None => assert!(cands.is_empty(), "seed {seed} tier {tier:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn enumerate_goes_past_the_first_success() {
         let llm = SynthLlm::new(ModelTier::O1Preview, 3);
         let r = req(ERR_RACE, "err");
-        let cands = llm.enumerate(&r, &prompt(&r), 8);
+        let cands: Vec<Candidate> = llm.enumerate(&r, &prompt(&r), 8).collect();
         assert!(cands.len() > 1, "only {} candidates", cands.len());
         // Confidence is ordered with rank and stays in (0, 1].
         for w in cands.windows(2) {
@@ -621,8 +527,7 @@ func note()        {}
         let llm = SynthLlm::new(ModelTier::Gpt4Turbo, 9);
         let r = req(ERR_RACE, "err");
         let p = prompt(&r);
-        let cands = llm.enumerate(&r, &p, 4);
-        let cand = cands.first().expect("candidate");
+        let cand = &llm.enumerate(&r, &p, 4).next().expect("candidate");
         let a = llm.repair(&r, &p, cand, "inconsistent-lock", 0);
         let b = llm.repair(&r, &p, cand, "inconsistent-lock", 0);
         let (a, b) = (a.expect("repair applies"), b.expect("repair applies"));
@@ -669,10 +574,10 @@ func use(x int)              {}
         let mut produced = 0;
         for seed in 0..40 {
             let llm = SynthLlm::new(ModelTier::Gpt4Turbo, seed);
-            let resp = llm.generate(&r, &p);
-            if resp.code.is_some() {
+            let cand = llm.enumerate(&r, &p, 4).next();
+            if let Some(cand) = cand {
                 produced += 1;
-                if resp.degraded {
+                if cand.degraded {
                     degraded += 1;
                 }
             }

@@ -18,7 +18,8 @@ use std::cell::{OnceCell, RefCell};
 type Render = (StrategyKind, Target, u8, Result<String, String>);
 
 /// A prompt's parse plus its per-prompt model cache. The model's
-/// `generate`, `enumerate` and `repair` take one; build it once per
+/// [`enumerate`](crate::SynthLlm::enumerate) and
+/// [`repair`](crate::SynthLlm::repair) take one; build it once per
 /// prompt and pass it to every request on that prompt.
 #[derive(Debug)]
 pub struct Prompt<'a> {

@@ -27,10 +27,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let n: usize = std::env::var("DRFIX_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
+    let n: usize = bench::knob("DRFIX_CASES").unwrap_or(40);
 
     let cfg = CorpusConfig {
         eval_cases: n,

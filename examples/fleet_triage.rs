@@ -16,10 +16,7 @@ use drfix::{review_fix, ExampleDb, PipelineConfig, RagMode};
 use std::collections::BTreeMap;
 
 fn main() {
-    let n: usize = std::env::var("DRFIX_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
+    let n: usize = bench::knob("DRFIX_CASES").unwrap_or(30);
     let cfg = CorpusConfig {
         eval_cases: n,
         db_pairs: 96,

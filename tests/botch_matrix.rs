@@ -24,8 +24,8 @@
 use corpus::{generate_eval_corpus, generate_tournament_corpus, CorpusConfig};
 use drfix::fleet::{derive_case_seed, derive_validation_seed};
 use drfix::{
-    validate_patch_report, CandidateOutcome, CandidateSelection, PipelineConfig, RagMode,
-    TournamentConfig, ValidationOptions,
+    validate_patch_report, CandidateOutcome, PipelineConfig, RagMode, TournamentConfig,
+    ValidationOptions,
 };
 use govm::{compile_sources, run_test_many, CompileOptions, TestConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -263,9 +263,7 @@ fn tournament_losers_fail_the_reference_validator_for_the_same_reason() {
         detect_runs: 24,
         seed: base_seed,
         tournament: Some(TournamentConfig {
-            selection: CandidateSelection::All,
             keep_candidates: true,
-            ..TournamentConfig::default()
         }),
         ..PipelineConfig::default()
     };

@@ -9,13 +9,6 @@ use drfix::campaign::{run_campaign, CampaignConfig, CampaignMode, Snapshot};
 use drfix::fleet::derive_case_seed;
 use drfix::{DrFix, PipelineConfig, TournamentConfig};
 
-fn env_cases(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn detect_cfg(cases: usize, shards: usize) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(
         cases,
@@ -36,7 +29,7 @@ fn detect_cfg(cases: usize, shards: usize) -> CampaignConfig {
 
 #[test]
 fn campaign_is_bit_identical_across_shard_and_worker_plans() {
-    let cases = env_cases("DRFIX_CAMPAIGN_AB_CASES", 36);
+    let cases: usize = bench::knob("DRFIX_CAMPAIGN_AB_CASES").unwrap_or(36);
     let reference = run_campaign(&detect_cfg(cases, 1), None, None).unwrap();
     assert!(reference.snapshot.completed);
     assert_eq!(reference.metrics.cases_done, cases as u64);
@@ -170,7 +163,7 @@ fn kill_and_resume_through_the_on_disk_snapshot() {
 /// release through `campaignctl --assert-resident-under`.
 #[test]
 fn resident_memory_is_bounded_by_the_window_not_the_campaign() {
-    let cases = env_cases("DRFIX_CAMPAIGN_AB_SCALE_CASES", 1500);
+    let cases: usize = bench::knob("DRFIX_CAMPAIGN_AB_SCALE_CASES").unwrap_or(1500);
     let mut cfg = detect_cfg(cases, 8);
     cfg.pipeline.detect_runs = 4;
     cfg.workers = 4;

@@ -90,7 +90,6 @@ fn tournament_candidates(out: &mut String, family: StreamFamily) {
             detect_runs: 12,
             tournament: Some(TournamentConfig {
                 keep_candidates: true,
-                ..TournamentConfig::default()
             }),
             ..PipelineConfig::default()
         };

@@ -193,7 +193,6 @@ fn stream_programs(family: StreamFamily) -> Vec<(String, Program)> {
             detect_runs: 12,
             tournament: Some(TournamentConfig {
                 keep_candidates: true,
-                ..TournamentConfig::default()
             }),
             ..PipelineConfig::default()
         };

@@ -28,13 +28,6 @@ const FULL_SCALE_BYTE_BOUND: u64 = 8 * 1024 * 1024;
 /// Step count above which the full-scale byte bounds are enforced.
 const FULL_SCALE_STEPS: u64 = 1_000_000;
 
-fn soak_gens() -> usize {
-    std::env::var("DRFIX_SOAK_GENS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_GENS)
-}
-
 fn run_soak(shadow_gc: bool, gens: usize) -> TestOutcome {
     let case = corpus::churn_soak_case(gens, WORKERS, SEGMENT);
     let prog = compile_sources(&case.files, &CompileOptions::default())
@@ -53,7 +46,7 @@ fn run_soak(shadow_gc: bool, gens: usize) -> TestOutcome {
 
 #[test]
 fn churn_soak_is_bounded_with_gc_and_unbounded_without() {
-    let gens = soak_gens();
+    let gens = bench::knob("DRFIX_SOAK_GENS").unwrap_or(DEFAULT_GENS);
     assert!(gens >= 16, "need at least one collection cycle (16 exits)");
     let on = run_soak(true, gens);
     let off = run_soak(false, gens);
