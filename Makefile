@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus soak-smoke campaign-smoke campaign-scale drbench-smoke bench-all clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus soak-smoke campaign-smoke campaign-scale drbench-smoke bench-all loc clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -155,6 +155,14 @@ soak-smoke:
 ## Every table/figure reproduction at reduced scale.
 bench-all:
 	DRFIX_CASES=60 DRFIX_VALIDATION_RUNS=8 $(CARGO) bench -p bench
+
+## Non-test lines of code, the count each change reports: non-blank
+## lines above each file's test module (its first column-0
+## `#[cfg(test)]`), over the tracked .rs files outside tests/, vendor/
+## and drbench/.
+loc:
+	@git ls-files '*.rs' | grep -Ev '^(vendor|drbench|tests)/|/tests/' | \
+	  xargs awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t && NF { n++ } END { print n }'
 
 clean:
 	$(CARGO) clean

@@ -12,8 +12,9 @@
 //! closure shorthands for the common "every statement" / "every
 //! expression" walks.
 //!
-//! [`MutVisitor`] is the in-place walk the fix strategies rewrite trees
-//! with. It enumerates the same children in the same order as [`Visit`].
+//! [`MutVisitor`] is the one in-place walk: the fix strategies rewrite
+//! trees with it and the skeleton renamer renames with it. It enumerates
+//! the same children in the same order as [`Visit`].
 
 use crate::ast::*;
 

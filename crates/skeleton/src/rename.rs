@@ -4,6 +4,7 @@
 
 use crate::relevance::is_concurrency_call;
 use golite::ast::*;
+use golite::visit::MutVisitor;
 use std::collections::HashMap;
 
 /// Names never renamed: keywords-adjacent builtins and the concurrency
@@ -112,49 +113,45 @@ impl Renamer {
         fresh
     }
 
+    /// Renames declared names (variables, parameters, fields) in the
+    /// variable namespace.
+    fn names(&mut self, names: &mut [String]) {
+        for n in names {
+            *n = self.var(n);
+        }
+    }
+
     /// Renames a whole function declaration.
     pub fn rename_func(&mut self, f: &FuncDecl) -> FuncDecl {
-        FuncDecl {
-            receiver: f.receiver.as_ref().map(|r| Receiver {
-                name: self.var(&r.name),
-                ty: self.ty(&r.ty),
-                span: r.span,
-            }),
-            name: self.func(&f.name),
-            type_params: f.type_params.clone(),
-            sig: self.sig(&f.sig),
-            body: f.body.as_ref().map(|b| self.block(b)),
-            span: f.span,
+        let mut f = f.clone();
+        if let Some(r) = &mut f.receiver {
+            r.name = self.var(&r.name);
+            self.ty(&mut r.ty);
         }
+        f.name = self.func(&f.name);
+        self.sig(&mut f.sig);
+        if let Some(body) = &mut f.body {
+            self.visit_block(body);
+        }
+        f
     }
 
     /// Renames a type declaration.
     pub fn rename_typedecl(&mut self, t: &TypeDecl) -> TypeDecl {
-        TypeDecl {
-            name: self.type_name(&t.name),
-            type_params: t.type_params.clone(),
-            ty: self.ty(&t.ty),
-            span: t.span,
+        let mut t = t.clone();
+        t.name = self.type_name(&t.name);
+        self.ty(&mut t.ty);
+        t
+    }
+
+    fn sig(&mut self, s: &mut FuncSig) {
+        for p in s.params.iter_mut().chain(&mut s.results) {
+            self.names(&mut p.names);
+            self.ty(&mut p.ty);
         }
     }
 
-    fn sig(&mut self, s: &FuncSig) -> FuncSig {
-        FuncSig {
-            params: s.params.iter().map(|p| self.param(p)).collect(),
-            results: s.results.iter().map(|p| self.param(p)).collect(),
-        }
-    }
-
-    fn param(&mut self, p: &Param) -> Param {
-        Param {
-            names: p.names.iter().map(|n| self.var(n)).collect(),
-            ty: self.ty(&p.ty),
-            variadic: p.variadic,
-            span: p.span,
-        }
-    }
-
-    fn ty(&mut self, t: &Type) -> Type {
+    fn ty(&mut self, t: &mut Type) {
         match t {
             Type::Named { path, args } => {
                 let joined = path.join(".");
@@ -165,275 +162,79 @@ impl Renamer {
                     || joined.starts_with("context.")
                     || PRESERVED.contains(&joined.as_str())
                 {
-                    return t.clone();
+                    return;
                 }
-                Type::Named {
-                    path: vec![self.type_name(&joined)],
-                    args: args.iter().map(|a| self.ty(a)).collect(),
+                *path = vec![self.type_name(&joined)];
+                args.iter_mut().for_each(|a| self.ty(a));
+            }
+            Type::Pointer(elem) | Type::Slice(elem) | Type::Chan { elem, .. } => self.ty(elem),
+            Type::Array { len, elem } => {
+                self.visit_expr(len);
+                self.ty(elem);
+            }
+            Type::Map { key, value } => {
+                self.ty(key);
+                self.ty(value);
+            }
+            Type::Func(sig) => self.sig(sig),
+            Type::Struct(fields) => {
+                for f in fields {
+                    self.names(&mut f.names);
+                    self.ty(&mut f.ty);
                 }
             }
-            Type::Pointer(i) => Type::Pointer(Box::new(self.ty(i))),
-            Type::Slice(i) => Type::Slice(Box::new(self.ty(i))),
-            Type::Array { len, elem } => Type::Array {
-                len: Box::new(self.expr(len)),
-                elem: Box::new(self.ty(elem)),
-            },
-            Type::Map { key, value } => Type::Map {
-                key: Box::new(self.ty(key)),
-                value: Box::new(self.ty(value)),
-            },
-            Type::Chan { dir, elem } => Type::Chan {
-                dir: *dir,
-                elem: Box::new(self.ty(elem)),
-            },
-            Type::Func(sig) => Type::Func(Box::new(self.sig(sig))),
-            Type::Struct(fields) => Type::Struct(
-                fields
-                    .iter()
-                    .map(|f| Field {
-                        names: f.names.iter().map(|n| self.var(n)).collect(),
-                        ty: self.ty(&f.ty),
-                        span: f.span,
-                    })
-                    .collect(),
-            ),
-            Type::Interface(_) => t.clone(),
+            Type::Interface(_) => {}
         }
     }
+}
 
-    fn block(&mut self, b: &Block) -> Block {
-        Block {
-            stmts: b.stmts.iter().map(|s| self.stmt(s)).collect(),
-            span: b.span,
-        }
-    }
-
-    fn stmt(&mut self, s: &Stmt) -> Stmt {
+/// Renames in the order the names were first seen by a left-to-right
+/// rebuild of the tree: a selector's name before its operand, a type
+/// assertion's operand before its type, and a `var` statement's names,
+/// then its type, then its values.
+impl MutVisitor for Renamer {
+    fn visit_stmt(&mut self, s: &mut Stmt) {
         match s {
-            Stmt::Decl(v) => Stmt::Decl(VarDecl {
-                names: v.names.iter().map(|n| self.var(n)).collect(),
-                ty: v.ty.as_ref().map(|t| self.ty(t)),
-                values: v.values.iter().map(|e| self.expr(e)).collect(),
-                span: v.span,
-            }),
-            Stmt::ShortVar {
-                names,
-                values,
-                span,
-            } => Stmt::ShortVar {
-                names: names.iter().map(|n| self.var(n)).collect(),
-                values: values.iter().map(|e| self.expr(e)).collect(),
-                span: *span,
-            },
-            Stmt::Assign { lhs, op, rhs, span } => Stmt::Assign {
-                lhs: lhs.iter().map(|e| self.expr(e)).collect(),
-                op: *op,
-                rhs: rhs.iter().map(|e| self.expr(e)).collect(),
-                span: *span,
-            },
-            Stmt::IncDec { expr, inc, span } => Stmt::IncDec {
-                expr: self.expr(expr),
-                inc: *inc,
-                span: *span,
-            },
-            Stmt::Expr(e) => Stmt::Expr(self.expr(e)),
-            Stmt::Send { chan, value, span } => Stmt::Send {
-                chan: self.expr(chan),
-                value: self.expr(value),
-                span: *span,
-            },
-            Stmt::Go { call, span } => Stmt::Go {
-                call: self.expr(call),
-                span: *span,
-            },
-            Stmt::Defer { call, span } => Stmt::Defer {
-                call: self.expr(call),
-                span: *span,
-            },
-            Stmt::Return { values, span } => Stmt::Return {
-                values: values.iter().map(|e| self.expr(e)).collect(),
-                span: *span,
-            },
-            Stmt::If(st) => Stmt::If(IfStmt {
-                init: st.init.as_ref().map(|i| Box::new(self.stmt(i))),
-                cond: self.expr(&st.cond),
-                then: self.block(&st.then),
-                else_: st.else_.as_ref().map(|e| Box::new(self.stmt(e))),
-                span: st.span,
-            }),
-            Stmt::For(st) => Stmt::For(ForStmt {
-                init: st.init.as_ref().map(|i| Box::new(self.stmt(i))),
-                cond: st.cond.as_ref().map(|c| self.expr(c)),
-                post: st.post.as_ref().map(|p| Box::new(self.stmt(p))),
-                body: self.block(&st.body),
-                span: st.span,
-            }),
-            Stmt::Range(st) => Stmt::Range(RangeStmt {
-                key: st.key.as_ref().map(|k| self.expr(k)),
-                value: st.value.as_ref().map(|v| self.expr(v)),
-                define: st.define,
-                expr: self.expr(&st.expr),
-                body: self.block(&st.body),
-                span: st.span,
-            }),
-            Stmt::Switch(st) => Stmt::Switch(SwitchStmt {
-                init: st.init.as_ref().map(|i| Box::new(self.stmt(i))),
-                tag: st.tag.as_ref().map(|t| self.expr(t)),
-                cases: st
-                    .cases
-                    .iter()
-                    .map(|c| SwitchCase {
-                        exprs: c.exprs.iter().map(|e| self.expr(e)).collect(),
-                        body: c.body.iter().map(|s| self.stmt(s)).collect(),
-                        span: c.span,
-                    })
-                    .collect(),
-                span: st.span,
-            }),
-            Stmt::Select(st) => Stmt::Select(SelectStmt {
-                cases: st
-                    .cases
-                    .iter()
-                    .map(|c| SelectCase {
-                        comm: match &c.comm {
-                            CommClause::Send { chan, value } => CommClause::Send {
-                                chan: self.expr(chan),
-                                value: self.expr(value),
-                            },
-                            CommClause::Recv { lhs, define, chan } => CommClause::Recv {
-                                lhs: lhs.iter().map(|e| self.expr(e)).collect(),
-                                define: *define,
-                                chan: self.expr(chan),
-                            },
-                            CommClause::Default => CommClause::Default,
-                        },
-                        body: c.body.iter().map(|s| self.stmt(s)).collect(),
-                        span: c.span,
-                    })
-                    .collect(),
-                span: st.span,
-            }),
-            Stmt::Block(b) => Stmt::Block(self.block(b)),
-            Stmt::Labeled { label, stmt, span } => Stmt::Labeled {
-                label: label.clone(),
-                stmt: Box::new(self.stmt(stmt)),
-                span: *span,
-            },
-            other => other.clone(),
+            Stmt::Decl(v) => {
+                self.names(&mut v.names);
+                if let Some(t) = &mut v.ty {
+                    self.ty(t);
+                }
+            }
+            Stmt::ShortVar { names, .. } => self.names(names),
+            _ => {}
         }
+        self.walk_stmt(s);
     }
 
-    fn expr(&mut self, e: &Expr) -> Expr {
+    fn visit_expr(&mut self, e: &mut Expr) {
         match e {
-            Expr::Ident { name, span } => Expr::Ident {
-                name: self.var(name),
-                span: *span,
-            },
-            Expr::StrLit { span, .. } => Expr::StrLit {
-                // Literal payloads are business noise.
-                value: String::new(),
-                span: *span,
-            },
-            Expr::CompositeLit { ty, elems, span } => Expr::CompositeLit {
-                ty: ty.as_ref().map(|t| self.ty(t)),
-                elems: elems
-                    .iter()
-                    .map(|el| CompositeElem {
-                        key: el.key.as_ref().map(|k| match k {
-                            // Field keys rename as variables.
-                            Expr::Ident { name, span } => Expr::Ident {
-                                name: self.var(name),
-                                span: *span,
-                            },
-                            other => self.expr(other),
-                        }),
-                        value: self.expr(&el.value),
-                    })
-                    .collect(),
-                span: *span,
-            },
-            Expr::FuncLit { sig, body, span } => Expr::FuncLit {
-                sig: self.sig(sig),
-                body: self.block(body),
-                span: *span,
-            },
-            Expr::Selector { expr, name, span } => {
-                let renamed = if is_concurrency_call(name) {
-                    name.clone()
-                } else {
-                    // Field/method selection: treat as function-ish name
-                    // space so `s.Validate` → `v1.func2`.
-                    self.func(name)
-                };
-                Expr::Selector {
-                    expr: Box::new(self.expr(expr)),
-                    name: renamed,
-                    span: *span,
+            Expr::Ident { name, .. } => *name = self.var(name),
+            // Literal payloads are business noise.
+            Expr::StrLit { value, .. } => value.clear(),
+            // Field/method selection: treat as function-ish name space so
+            // `s.Validate` → `v1.func2`.
+            Expr::Selector { name, .. } if !is_concurrency_call(name) => *name = self.func(name),
+            Expr::Call { fun, args, .. } => {
+                // Direct calls rename in the func namespace.
+                if let Expr::Ident { name, .. } = fun.as_mut() {
+                    *name = self.func(name);
+                    args.iter_mut().for_each(|a| self.visit_expr(a));
+                    return;
                 }
             }
-            Expr::Index { expr, index, span } => Expr::Index {
-                expr: Box::new(self.expr(expr)),
-                index: Box::new(self.expr(index)),
-                span: *span,
-            },
-            Expr::SliceExpr { expr, lo, hi, span } => Expr::SliceExpr {
-                expr: Box::new(self.expr(expr)),
-                lo: lo.as_ref().map(|e| Box::new(self.expr(e))),
-                hi: hi.as_ref().map(|e| Box::new(self.expr(e))),
-                span: *span,
-            },
-            Expr::Call {
-                fun,
-                args,
-                variadic,
-                span,
-            } => {
-                let fun = match fun.as_ref() {
-                    // Direct calls rename in the func namespace.
-                    Expr::Ident { name, span } => Expr::Ident {
-                        name: self.func(name),
-                        span: *span,
-                    },
-                    other => self.expr(other),
-                };
-                Expr::Call {
-                    fun: Box::new(fun),
-                    args: args.iter().map(|a| self.expr(a)).collect(),
-                    variadic: *variadic,
-                    span: *span,
-                }
+            Expr::CompositeLit { ty: Some(ty), .. }
+            | Expr::Make { ty, .. }
+            | Expr::New { ty, .. } => self.ty(ty),
+            Expr::FuncLit { sig, .. } => self.sig(sig),
+            Expr::TypeAssert { expr, ty, .. } => {
+                self.visit_expr(expr);
+                self.ty(ty);
+                return;
             }
-            Expr::Make { ty, args, span } => Expr::Make {
-                ty: self.ty(ty),
-                args: args.iter().map(|a| self.expr(a)).collect(),
-                span: *span,
-            },
-            Expr::New { ty, span } => Expr::New {
-                ty: self.ty(ty),
-                span: *span,
-            },
-            Expr::Unary { op, expr, span } => Expr::Unary {
-                op: *op,
-                expr: Box::new(self.expr(expr)),
-                span: *span,
-            },
-            Expr::Binary { op, lhs, rhs, span } => Expr::Binary {
-                op: *op,
-                lhs: Box::new(self.expr(lhs)),
-                rhs: Box::new(self.expr(rhs)),
-                span: *span,
-            },
-            Expr::Paren { expr, span } => Expr::Paren {
-                expr: Box::new(self.expr(expr)),
-                span: *span,
-            },
-            Expr::TypeAssert { expr, ty, span } => Expr::TypeAssert {
-                expr: Box::new(self.expr(expr)),
-                ty: self.ty(ty),
-                span: *span,
-            },
-            other => other.clone(),
+            _ => {}
         }
+        self.walk_expr(e);
     }
 }
 

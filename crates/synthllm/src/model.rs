@@ -35,11 +35,6 @@ pub struct Candidate {
     pub degraded: bool,
     /// Self-reported confidence in `(0, 1]`.
     pub confidence: f64,
-    /// Enumeration rank within this request (0 = the first candidate,
-    /// the one the single-path loop validates).
-    pub rank: usize,
-    /// Free-text note.
-    pub note: String,
 }
 
 /// The synthetic LLM.
@@ -109,8 +104,6 @@ impl SynthLlm {
                 target: diags[top].target.clone(),
                 degraded: true,
                 confidence: 0.05,
-                rank: 0,
-                note: "long-context attention slipped to the wrong site".into(),
             });
         let window = if slipped.is_some() { 0 } else { max };
 
@@ -119,28 +112,19 @@ impl SynthLlm {
         let comprehends =
             draw(self.seed, &[&req.case_key], "comprehend") < self.cap.comprehension();
 
-        let mut rank = 0;
         let applied = ranked
             .into_iter()
             .take(window)
             .filter_map(move |(score, d)| {
                 let diag = &diags[d];
-                let (botch, guided) = self.roll_botch(req, diag, example_idiom, comprehends);
+                let botch = self.roll_botch(req, diag, example_idiom, comprehends);
                 let code = prompt.render(diag.strategy, &diag.target, botch).ok()?;
-                rank += 1;
                 Some(Candidate {
                     code,
                     strategy: diag.strategy,
                     target: diag.target.clone(),
                     degraded: botch != 0,
                     confidence: 0.2 + 0.8 * (score / top_score),
-                    rank: rank - 1,
-                    note: format!(
-                        "applied {} ({}){}",
-                        diag.strategy.display(),
-                        diag.category.display(),
-                        if guided { " guided by example" } else { "" }
-                    ),
                 })
             });
         slipped.into_iter().chain(applied)
@@ -173,7 +157,6 @@ impl SynthLlm {
         Some(Candidate {
             code,
             degraded: botch != 0,
-            note: format!("revised {} after `{rule}`", cand.strategy.display()),
             ..cand.clone()
         })
     }
@@ -222,14 +205,14 @@ impl SynthLlm {
     }
 
     /// The guided/anchored skill model plus the race-keyed botch roll
-    /// for one ranked diagnosis. Returns `(botch, guided)`.
+    /// for one ranked diagnosis. Returns the botch level (0 = clean).
     fn roll_botch(
         &self,
         req: &FixRequest,
         diag: &Diagnosis,
         example_idiom: Option<StrategyKind>,
         comprehends: bool,
-    ) -> (u8, bool) {
+    ) -> u8 {
         // The example guides only when its idiom matches a structurally
         // plausible candidate; an example from the wrong pattern
         // *anchors* the model on an inapplicable fix instead (this is
@@ -260,7 +243,11 @@ impl SynthLlm {
             &[&req.case_key, &req.racy_var, diag.strategy.display()],
             "botch",
         );
-        (if botch_roll < skill { 0 } else { 1 }, guided)
+        if botch_roll < skill {
+            0
+        } else {
+            1
+        }
     }
 }
 
@@ -515,10 +502,6 @@ func note()        {}
         for c in &cands {
             assert!(c.confidence > 0.0 && c.confidence <= 1.0 + 1e-9);
             golite::parse_file(&c.code).expect("candidate code parses");
-        }
-        // Ranks are the enumeration order.
-        for (i, c) in cands.iter().enumerate() {
-            assert_eq!(c.rank, i);
         }
     }
 

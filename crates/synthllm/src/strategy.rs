@@ -12,6 +12,7 @@ use crate::diagnose::Target;
 use crate::rewrite::*;
 use golite::ast::*;
 use golite::span::Span;
+use golite::visit::{MutVisitor, RenameIdent};
 use serde::{Deserialize, Serialize};
 
 /// The repair idioms (Table 4 / §5.2 of the paper).
@@ -173,15 +174,25 @@ fn redeclare(file: &mut File, target: &Target, botch: u8) -> Result<(), String> 
     Ok(())
 }
 
-/// Converts the first `var = …` / `if var = …;` in the block to `:=`.
+/// Converts the first `var = …` in the block, in pre-order, to `:=`.
 fn convert_first_assign_to_decl(block: &mut Block, var: &str) -> bool {
-    fn conv(stmts: &mut [Stmt], var: &str) -> bool {
-        for s in stmts.iter_mut() {
+    struct FirstAssign<'a> {
+        var: &'a str,
+        done: bool,
+    }
+    impl MutVisitor for FirstAssign<'_> {
+        fn visit_stmt(&mut self, s: &mut Stmt) {
+            if self.done {
+                return;
+            }
             match s {
-                Stmt::Assign { lhs, op, rhs, span }
-                    if *op == AssignOp::Assign
-                        && lhs.iter().all(|e| e.as_ident().is_some())
-                        && lhs.iter().any(|e| e.as_ident() == Some(var)) =>
+                Stmt::Assign {
+                    lhs,
+                    op: AssignOp::Assign,
+                    rhs,
+                    span,
+                } if lhs.iter().all(|e| e.as_ident().is_some())
+                    && lhs.iter().any(|e| e.as_ident() == Some(self.var)) =>
                 {
                     let names = lhs
                         .iter()
@@ -189,40 +200,28 @@ fn convert_first_assign_to_decl(block: &mut Block, var: &str) -> bool {
                         .collect();
                     *s = Stmt::ShortVar {
                         names,
-                        values: rhs.clone(),
+                        values: std::mem::take(rhs),
                         span: *span,
                     };
-                    return true;
+                    self.done = true;
                 }
-                Stmt::If(st) => {
+                // A `for` post statement cannot declare.
+                Stmt::For(st) => {
                     if let Some(init) = &mut st.init {
-                        if conv(std::slice::from_mut(init.as_mut()), var) {
-                            return true;
-                        }
+                        self.visit_stmt(init);
                     }
-                    if conv(&mut st.then.stmts, var) {
-                        return true;
+                    if let Some(c) = &mut st.cond {
+                        self.visit_expr(c);
                     }
+                    self.visit_block(&mut st.body);
                 }
-                _ => {
-                    // Descend into the remaining nested-block statements.
-                    let nested = match s {
-                        Stmt::For(st) => Some(&mut st.body.stmts),
-                        Stmt::Range(st) => Some(&mut st.body.stmts),
-                        Stmt::Block(b) => Some(&mut b.stmts),
-                        _ => None,
-                    };
-                    if let Some(stmts) = nested {
-                        if conv(stmts, var) {
-                            return true;
-                        }
-                    }
-                }
+                _ => self.walk_stmt(s),
             }
         }
-        false
     }
-    conv(&mut block.stmts, var)
+    let mut v = FirstAssign { var, done: false };
+    v.visit_block(block);
+    v.done
 }
 
 /// Listing 11: insert `var := var` at the top of the loop body.
@@ -278,26 +277,17 @@ fn local_copy(file: &mut File, target: &Target, botch: u8) -> Result<(), String>
     let f = target_func(file, target)?;
     let mut touched = 0usize;
     if let Some(body) = &mut f.body {
-        rewrite_go_closures(body, &mut |cb| {
-            let mut uses = false;
-            golite::visit::walk_exprs(cb, &mut |e| {
-                if let Expr::Ident { name, .. } = e {
-                    if *name == var {
-                        uses = true;
-                    }
-                }
-            });
-            if !uses {
+        rewrite_go_closures(body, |cb| {
+            if !mentions(cb, &var) {
                 return;
             }
             touched += 1;
             if botch != 1 {
-                let mut r = golite::visit::RenameIdent {
+                RenameIdent {
                     from: &var,
                     to: &local,
-                };
-                use golite::visit::MutVisitor as _;
-                r.visit_block(cb);
+                }
+                .visit_block(cb);
             }
             // Botch 1 inserts the copy without renaming — a dead local.
             cb.stmts
@@ -323,15 +313,7 @@ fn pass_param(file: &mut File, target: &Target, botch: u8) -> Result<(), String>
             } = s
             {
                 if let Expr::FuncLit { sig, body: cb, .. } = fun.as_mut() {
-                    let mut uses = false;
-                    golite::visit::walk_exprs(cb, &mut |e| {
-                        if let Expr::Ident { name, .. } = e {
-                            if *name == var {
-                                uses = true;
-                            }
-                        }
-                    });
-                    if !uses {
+                    if !mentions(cb, &var) {
                         continue;
                     }
                     touched += 1;
@@ -614,36 +596,41 @@ fn rewrite_map_ops_in_func(
     Ok(())
 }
 
-/// `break` → `return false`, `continue` → `return true` inside a Range
-/// callback (top level of the converted loop body only).
+/// Inside a Range callback, an unlabeled `continue` becomes `return true`
+/// and an unlabeled `break` becomes `return false`. Exits that belong to
+/// a nested loop or function literal stay, and so does a `break` inside
+/// a `switch` or `select`. A labeled exit names a statement outside the
+/// callback and stays too.
 fn retarget_loop_exits(body: &mut Block) {
-    fn walk(stmts: &mut [Stmt]) {
-        for s in stmts {
-            match s {
-                Stmt::Break { .. } => {
-                    *s = Stmt::Return {
-                        values: vec![Expr::ident("false")],
-                        span: Span::DUMMY,
-                    };
-                }
-                Stmt::Continue { .. } => {
-                    *s = Stmt::Return {
-                        values: vec![Expr::ident("true")],
-                        span: Span::DUMMY,
-                    };
-                }
-                Stmt::If(st) => {
-                    walk(&mut st.then.stmts);
-                    if let Some(el) = &mut st.else_ {
-                        walk(std::slice::from_mut(el.as_mut()));
-                    }
-                }
-                Stmt::Block(b) => walk(&mut b.stmts),
-                _ => {}
-            }
-        }
+    struct Exits {
+        in_switch: bool,
     }
-    walk(&mut body.stmts);
+    impl MutVisitor for Exits {
+        fn visit_stmt(&mut self, s: &mut Stmt) {
+            let result = match s {
+                Stmt::Continue { label: None, .. } => "true",
+                Stmt::Break { label: None, .. } if !self.in_switch => "false",
+                // A nested loop owns the exits inside it.
+                Stmt::For(_) | Stmt::Range(_) => return,
+                Stmt::Switch(_) | Stmt::Select(_) => {
+                    let outer = std::mem::replace(&mut self.in_switch, true);
+                    self.walk_stmt(s);
+                    self.in_switch = outer;
+                    return;
+                }
+                _ => return self.walk_stmt(s),
+            };
+            *s = Stmt::Return {
+                values: vec![Expr::ident(result)],
+                span: Span::DUMMY,
+            };
+        }
+
+        // Only a function literal holds statements below an
+        // expression, and it owns its exits.
+        fn visit_expr(&mut self, _: &mut Expr) {}
+    }
+    Exits { in_switch: false }.visit_block(body);
 }
 
 /// Removes `field: …` initialisers of the converted map field from every
@@ -653,7 +640,7 @@ fn strip_field_initialisers(file: &mut File, type_name: &str, field: &str) {
         type_name: &'a str,
         field: &'a str,
     }
-    impl golite::visit::MutVisitor for Strip<'_> {
+    impl MutVisitor for Strip<'_> {
         fn visit_expr(&mut self, e: &mut Expr) {
             if let Expr::CompositeLit {
                 ty: Some(t), elems, ..
@@ -672,7 +659,6 @@ fn strip_field_initialisers(file: &mut File, type_name: &str, field: &str) {
             self.walk_expr(e);
         }
     }
-    use golite::visit::MutVisitor as _;
     let mut strip = Strip { type_name, field };
     for d in &mut file.decls {
         if let Decl::Func(f) = d {
@@ -1049,7 +1035,7 @@ fn atomics_in_func(f: &mut FuncDecl, var: &str, is_field: bool, botch: u8) -> bo
             is_field: bool,
             changed: &'a mut bool,
         }
-        impl golite::visit::MutVisitor for Reads<'_> {
+        impl MutVisitor for Reads<'_> {
             fn visit_expr(&mut self, e: &mut Expr) {
                 // Do not rewrite under `&` (already an atomic operand).
                 if let Expr::Unary { op: UnOp::Addr, .. } = e {
@@ -1087,7 +1073,6 @@ fn atomics_in_func(f: &mut FuncDecl, var: &str, is_field: bool, botch: u8) -> bo
                 self.walk_stmt(s);
             }
         }
-        use golite::visit::MutVisitor as _;
         if let Some(body) = &mut f.body {
             let mut r = Reads {
                 var,
@@ -1108,28 +1093,19 @@ fn struct_copy(file: &mut File, target: &Target, botch: u8) -> Result<(), String
     let f = target_func(file, target)?;
     let mut touched = 0usize;
     if let Some(body) = &mut f.body {
-        rewrite_go_closures(body, &mut |cb| {
-            let mut uses = false;
-            golite::visit::walk_exprs(cb, &mut |e| {
-                if let Expr::Ident { name, .. } = e {
-                    if *name == var {
-                        uses = true;
-                    }
-                }
-            });
-            if !uses {
+        rewrite_go_closures(body, |cb| {
+            if !mentions(cb, &var) {
                 return;
             }
             touched += 1;
             if botch == 1 && touched > 1 {
                 return; // copy only the first closure — still racy
             }
-            let mut r = golite::visit::RenameIdent {
+            RenameIdent {
                 from: &var,
                 to: &local,
-            };
-            use golite::visit::MutVisitor as _;
-            r.visit_block(cb);
+            }
+            .visit_block(cb);
             // localVar := *var (the VM copies structs on explicit deref,
             // matching Go's value semantics).
             cb.stmts.insert(
@@ -1249,78 +1225,57 @@ fn channel_result(file: &mut File, target: &Target, botch: u8) -> Result<(), Str
     Ok(())
 }
 
+/// Inserts `chan <- var` after the first assignment to `var`, in
+/// pre-order, in that assignment's own statement list. An assignment in
+/// an `if` init is hoisted out of the `if` first, so the send can follow
+/// it.
 fn append_send_after_assign(block: &mut Block, var: &str, chan: &str) {
-    fn walk(stmts: &mut Vec<Stmt>, var: &str, chan: &str, done: &mut bool) {
-        let mut i = 0;
-        while i < stmts.len() {
-            if *done {
-                return;
-            }
-            let hits = match &stmts[i] {
-                Stmt::Assign { lhs, .. } => lhs.iter().any(|e| e.as_ident() == Some(var)),
-                Stmt::ShortVar { names, .. } => names.iter().any(|n| n == var),
-                _ => false,
-            };
-            if hits {
-                stmts.insert(
-                    i + 1,
-                    Stmt::Send {
-                        chan: Expr::ident(chan.to_owned()),
-                        value: Expr::ident(var.to_owned()),
-                        span: Span::DUMMY,
-                    },
-                );
-                *done = true;
-                return;
-            }
-            match &mut stmts[i] {
-                Stmt::If(st) => {
-                    if let Some(init) = &mut st.init {
-                        let h = match init.as_ref() {
-                            Stmt::Assign { lhs, .. } => {
-                                lhs.iter().any(|e| e.as_ident() == Some(var))
-                            }
-                            Stmt::ShortVar { names, .. } => names.iter().any(|n| n == var),
-                            _ => false,
-                        };
-                        if h {
-                            // Hoist: assignment out of the if-init so the
-                            // send can follow it.
-                            let hoisted =
-                                std::mem::replace(init.as_mut(), Stmt::Empty { span: Span::DUMMY });
-                            st.init = None;
-                            let if_stmt = stmts.remove(i);
-                            stmts.insert(i, hoisted);
-                            stmts.insert(
-                                i + 1,
-                                Stmt::Send {
-                                    chan: Expr::ident(chan.to_owned()),
-                                    value: Expr::ident(var.to_owned()),
-                                    span: Span::DUMMY,
-                                },
-                            );
-                            stmts.insert(i + 2, if_stmt);
-                            *done = true;
-                            return;
-                        }
-                    }
-                    walk(&mut st.then.stmts, var, chan, done);
-                }
-                Stmt::Block(b) => walk(&mut b.stmts, var, chan, done),
-                _ => {}
-            }
-            i += 1;
+    fn assigns(s: &Stmt, var: &str) -> bool {
+        match s {
+            Stmt::Assign { lhs, .. } => lhs.iter().any(|e| e.as_ident() == Some(var)),
+            Stmt::ShortVar { names, .. } => names.iter().any(|n| n == var),
+            _ => false,
         }
     }
-    let mut done = false;
-    walk(&mut block.stmts, var, chan, &mut done);
-    if !done {
+    struct SendAfter<'a> {
+        var: &'a str,
+        send: Stmt,
+        done: bool,
+    }
+    impl MutVisitor for SendAfter<'_> {
+        fn visit_list(&mut self, list: &mut Vec<Stmt>) {
+            let mut i = 0;
+            while !self.done && i < list.len() {
+                if let Stmt::If(st) = &mut list[i] {
+                    if st.init.as_deref().is_some_and(|s| assigns(s, self.var)) {
+                        let init = st.init.take().expect("checked above");
+                        list.insert(i, *init);
+                    }
+                }
+                if assigns(&list[i], self.var) {
+                    list.insert(i + 1, self.send.clone());
+                    self.done = true;
+                } else {
+                    self.visit_stmt(&mut list[i]);
+                }
+                i += 1;
+            }
+        }
+    }
+    let send = Stmt::Send {
+        chan: Expr::ident(chan.to_owned()),
+        value: Expr::ident(var.to_owned()),
+        span: Span::DUMMY,
+    };
+    let mut v = SendAfter {
+        var,
+        send,
+        done: false,
+    };
+    v.visit_block(block);
+    if !v.done {
         // No assignment found (already redeclared) — send at the end.
-        block.stmts.push(Stmt::Send {
-            chan: Expr::ident(chan.to_owned()),
-            value: Expr::ident(var.to_owned()),
-            span: Span::DUMMY,
-        });
+        block.stmts.push(v.send);
     }
 }
 
@@ -1347,42 +1302,49 @@ fn per_case_instance(file: &mut File, target: &Target, botch: u8) -> Result<(), 
     });
     let ctor = ctor.ok_or_else(|| format!("`{var}` has no constructor declaration"))?;
 
-    // Replace every remaining use with a fresh constructor call.
-    struct Replace<'a> {
-        var: &'a str,
-        ctor: &'a Expr,
-        count: usize,
-        limit: Option<usize>,
-    }
-    impl golite::visit::MutVisitor for Replace<'_> {
-        fn visit_expr(&mut self, e: &mut Expr) {
-            if e.as_ident() == Some(self.var) {
-                if let Some(l) = self.limit {
-                    if self.count >= l {
-                        return;
-                    }
-                }
-                self.count += 1;
-                *e = self.ctor.clone();
-                return;
-            }
-            self.walk_expr(e);
-        }
-    }
-    use golite::visit::MutVisitor as _;
-    let mut rep = Replace {
-        var: &var,
-        ctor: &ctor,
-        count: 0,
-        // Botch: replace only the first use — remaining shares race (and
-        // the leftover identifier no longer resolves → build error).
-        limit: if botch == 1 { Some(1) } else { None },
-    };
+    // Replace every remaining use with a fresh constructor call. Botch:
+    // replace only the first use — remaining shares race (and the
+    // leftover identifier no longer resolves → build error).
+    let mut rep = ReplaceIdent::new(&var, &ctor, botch);
     rep.visit_block(body);
     if rep.count == 0 {
         return Err(format!("`{var}` is never used"));
     }
     Ok(())
+}
+
+/// Replaces uses of the identifier `var` with a copy of `with`; the
+/// botched variant (`botch == 1`) replaces only the first.
+struct ReplaceIdent<'a> {
+    var: &'a str,
+    with: &'a Expr,
+    count: usize,
+    limit: usize,
+}
+
+impl<'a> ReplaceIdent<'a> {
+    fn new(var: &'a str, with: &'a Expr, botch: u8) -> Self {
+        let limit = if botch == 1 { 1 } else { usize::MAX };
+        ReplaceIdent {
+            var,
+            with,
+            count: 0,
+            limit,
+        }
+    }
+}
+
+impl MutVisitor for ReplaceIdent<'_> {
+    fn visit_expr(&mut self, e: &mut Expr) {
+        if e.as_ident() == Some(self.var) {
+            if self.count < self.limit {
+                self.count += 1;
+                *e = self.with.clone();
+            }
+            return;
+        }
+        self.walk_expr(e);
+    }
 }
 
 /// Listing 12: inline a fresh `rand.NewSource` at each use site.
@@ -1398,34 +1360,7 @@ fn fresh_source(file: &mut File, target: &Target, botch: u8) -> Result<(), Strin
         })
         .ok_or_else(|| format!("global `{var}` (with initialiser) not in scope"))?;
 
-    struct Inline<'a> {
-        var: &'a str,
-        init: &'a Expr,
-        count: usize,
-        limit: Option<usize>,
-    }
-    impl golite::visit::MutVisitor for Inline<'_> {
-        fn visit_expr(&mut self, e: &mut Expr) {
-            if e.as_ident() == Some(self.var) {
-                if let Some(l) = self.limit {
-                    if self.count >= l {
-                        return;
-                    }
-                }
-                self.count += 1;
-                *e = self.init.clone();
-                return;
-            }
-            self.walk_expr(e);
-        }
-    }
-    use golite::visit::MutVisitor as _;
-    let mut inline = Inline {
-        var: &var,
-        init: &init,
-        count: 0,
-        limit: if botch == 1 { Some(1) } else { None },
-    };
+    let mut inline = ReplaceIdent::new(&var, &init, botch);
     for d in &mut file.decls {
         if let Decl::Func(f) = d {
             if let Some(b) = &mut f.body {
@@ -1465,7 +1400,7 @@ fn blanket_mutex(file: &mut File, target: &Target, botch: u8) -> Result<(), Stri
         };
         let Some(body) = &mut f.body else { continue };
         // Lock every goroutine body wholesale.
-        rewrite_go_closures(body, &mut |cb| {
+        rewrite_go_closures(body, |cb| {
             cb.stmts
                 .insert(0, method_stmt(Expr::ident("drfixMu"), "Lock", vec![]));
             cb.stmts.insert(
@@ -1490,45 +1425,39 @@ fn blanket_mutex(file: &mut File, target: &Target, botch: u8) -> Result<(), Stri
 
 // ----------------------------------------------------------------- shared
 
-/// Applies `tf` to the body of every `go func(){…}` (and `group.Go`)
-/// closure in the block.
-fn rewrite_go_closures(body: &mut Block, tf: &mut impl FnMut(&mut Block)) {
-    fn walk(stmts: &mut [Stmt], tf: &mut impl FnMut(&mut Block)) {
-        for s in stmts {
-            match s {
-                Stmt::Go {
-                    call: Expr::Call { fun, .. },
-                    ..
-                } => {
-                    if let Expr::FuncLit { body, .. } = fun.as_mut() {
-                        tf(body);
-                    }
-                }
-                Stmt::Expr(Expr::Call { fun, args, .. }) => {
-                    if let Expr::Selector { name, .. } = fun.as_ref() {
-                        if name == "Go" {
-                            for a in args {
-                                if let Expr::FuncLit { body, .. } = a {
-                                    tf(body);
-                                }
-                            }
+/// Applies `tf` to the body of every `go func(){…}()` and `x.Go(func…)`
+/// closure below `body`, wherever it sits. A matched closure's own body
+/// is not searched for further launches.
+fn rewrite_go_closures(body: &mut Block, tf: impl FnMut(&mut Block)) {
+    struct Launches<F>(F);
+    impl<F: FnMut(&mut Block)> MutVisitor for Launches<F> {
+        fn visit_stmt(&mut self, s: &mut Stmt) {
+            if let Some(cb) = go_closure_mut(s) {
+                (self.0)(cb);
+                return;
+            }
+            if let Stmt::Expr(Expr::Call { fun, args, .. }) = s {
+                if matches!(fun.as_ref(), Expr::Selector { name, .. } if name == "Go") {
+                    for a in args {
+                        match a {
+                            Expr::FuncLit { body, .. } => (self.0)(body),
+                            a => self.visit_expr(a),
                         }
                     }
+                    return;
                 }
-                Stmt::If(st) => {
-                    walk(&mut st.then.stmts, tf);
-                    if let Some(el) = &mut st.else_ {
-                        walk(std::slice::from_mut(el.as_mut()), tf);
-                    }
-                }
-                Stmt::For(st) => walk(&mut st.body.stmts, tf),
-                Stmt::Range(st) => walk(&mut st.body.stmts, tf),
-                Stmt::Block(b) => walk(&mut b.stmts, tf),
-                _ => {}
             }
+            self.walk_stmt(s);
         }
     }
-    walk(&mut body.stmts, tf);
+    Launches(tf).visit_block(body);
+}
+
+/// Whether `var` occurs as an identifier anywhere in `body`.
+fn mentions(body: &Block, var: &str) -> bool {
+    let mut found = false;
+    golite::visit::walk_exprs(body, &mut |e| found |= e.as_ident() == Some(var));
+    found
 }
 
 fn capitalize(s: &str) -> String {
@@ -1564,15 +1493,12 @@ mod tests {
         // renaming a parsed AST — race reports carry names verbatim.
         let src = "package p\n\nfunc f() {\n\tx := 1\n\tgo func() {\n\t\tuse(x)\n\t}()\n}\n";
         let mut file = golite::parse_file(src).unwrap();
-        {
-            use golite::visit::MutVisitor as _;
-            let mut r = golite::visit::RenameIdent {
-                from: "x",
-                to: "über",
-            };
-            let body = file.find_func_mut("f").unwrap().body.as_mut().unwrap();
-            r.visit_block(body);
+        let body = file.find_func_mut("f").unwrap().body.as_mut().unwrap();
+        RenameIdent {
+            from: "x",
+            to: "über",
         }
+        .visit_block(body);
         let target = Target::Local {
             func: "f".into(),
             var: "über".into(),
@@ -1581,6 +1507,86 @@ mod tests {
         let printed = golite::print_file(&patched);
         assert!(printed.contains("localÜber := über"), "{printed}");
         assert!(printed.contains("use(localÜber)"), "{printed}");
+    }
+
+    /// A racing goroutine at each position the closure rewrite must
+    /// reach besides plain blocks: a `switch` case, a `select` case, a
+    /// labeled loop and a function literal.
+    const NESTED_LAUNCHES: [(&str, &str); 4] = [
+        ("switch case", "\tswitch k {\n\tcase 1:\n\t\tLAUNCH\n\t}\n"),
+        ("select case", "\tselect {\n\tcase <-ch:\n\t\tLAUNCH\n\t}\n"),
+        (
+            "labeled for",
+            "L:\n\tfor i := 0; i < 2; i++ {\n\t\tLAUNCH\n\t}\n",
+        ),
+        ("function literal", "\trun(func() {\n\t\tLAUNCH\n\t})\n"),
+    ];
+
+    #[test]
+    fn closure_strategies_reach_nested_goroutines() {
+        let launch = "go func() {\n\t\t\tx = 1\n\t\t}()";
+        let target = Target::Local {
+            func: "f".into(),
+            var: "x".into(),
+        };
+        for (pos, shape) in NESTED_LAUNCHES {
+            let src = format!(
+                "package p\n\nfunc f(k int, ch chan int) {{\n\tx := 0\n{}\tx = 2\n}}\n",
+                shape.replace("LAUNCH", launch)
+            );
+            let file = golite::parse_file(&src).unwrap();
+            for (kind, copy) in [
+                (StrategyKind::LocalCopyInGoroutine, "localX := x"),
+                (StrategyKind::StructCopy, "localX := *x"),
+            ] {
+                let patched = apply(kind, &file, &target, 0)
+                    .unwrap_or_else(|e| panic!("{kind:?} in a {pos}: {e}"));
+                let printed = golite::print_file(&patched);
+                for needle in [copy, "localX = 1", "x = 2"] {
+                    assert!(printed.contains(needle), "{kind:?} in a {pos}:\n{printed}");
+                }
+                golite::parse_file(&printed).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn sync_map_range_retargets_only_the_loops_own_exits() {
+        let src = concat!(
+            "package p\n\n",
+            "func f() {\n",
+            "\tm := make(map[int]int)\n",
+            "\tfor k, v := range m {\n",
+            "\t\tswitch k {\n",
+            "\t\tcase 1:\n",
+            "\t\t\tcontinue\n",
+            "\t\tcase 2:\n",
+            "\t\t\tbreak\n",
+            "\t\t}\n",
+            "\t\tfor {\n",
+            "\t\t\tbreak\n",
+            "\t\t}\n",
+            "\t\tuse(v)\n",
+            "\t}\n",
+            "}\n",
+        );
+        let file = golite::parse_file(src).unwrap();
+        let target = Target::Local {
+            func: "f".into(),
+            var: "m".into(),
+        };
+        let patched = apply(StrategyKind::MapToSyncMap, &file, &target, 0).unwrap();
+        let printed = golite::print_file(&patched);
+        assert!(
+            printed.contains("m.Range(func(k, v interface{}) bool {"),
+            "{printed}"
+        );
+        assert!(!printed.contains("continue"), "{printed}");
+        // The `continue` and the callback's closing `return true`.
+        assert_eq!(printed.matches("return true").count(), 2, "{printed}");
+        // Both `break`s exit a `switch` or a nested loop, not the callback.
+        assert_eq!(printed.matches("break").count(), 2, "{printed}");
+        assert!(!printed.contains("return false"), "{printed}");
     }
 
     #[test]

@@ -57,3 +57,6 @@ soak-smoke:
 
 bench-all:
     make bench-all
+
+loc:
+    make loc
