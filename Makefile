@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke lint-corpus soak-smoke campaign-smoke campaign-scale drbench-smoke bench-all loc clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke soak-smoke campaign-smoke campaign-scale drbench-smoke bench-all loc clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -61,14 +61,6 @@ exposure-smoke:
 ## regression.
 tournament-smoke:
 	DRFIX_THREADS=2 $(CARGO) test --release -q --test tournament_ab
-
-## Static-analyzer false-positive sweep: statcheck over every program
-## family the pipeline treats as correct (human fixes, clean control,
-## perf families) must stay silent, the racy originals must stay free
-## of error-tier findings, and the misuse fixtures must keep firing.
-## Exits non-zero on any violation — the gate must never veto a fix.
-lint-corpus:
-	$(CARGO) run --release -q -p bench --bin lintcorpus
 
 ## The CI `campaign-smoke` job: the snapshot/resume drill at reduced
 ## scale (DRFIX_CAMPAIGN_CASES, default 200; 2 shards). A serial

@@ -119,7 +119,7 @@ pub enum FailureKind {
 }
 
 /// The outcome of one `GetAFix` run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FixOutcome {
     /// Whether a validated patch was produced.
     pub fixed: bool,
@@ -168,30 +168,7 @@ impl FixOutcome {
         FixOutcome {
             bug_hash: Some(info.bug_hash.clone()),
             racy_var: Some(info.racy_var.clone()),
-            ..FixOutcome::blank()
-        }
-    }
-
-    fn blank() -> FixOutcome {
-        FixOutcome {
-            fixed: false,
-            patch: None,
-            strategy: None,
-            location: None,
-            scope: None,
-            example_used: false,
-            example_category: None,
-            llm_calls: 0,
-            validations: 0,
-            rejected_static: 0,
-            validation_vm_steps: 0,
-            replayed_schedules: 0,
-            duration_minutes: 0.0,
-            patch_loc: None,
-            failure: None,
-            bug_hash: None,
-            racy_var: None,
-            tournament: None,
+            ..FixOutcome::default()
         }
     }
 }
@@ -310,7 +287,7 @@ impl<'db> DrFix<'db> {
         FixOutcome {
             duration_minutes: 4.0,
             failure: Some(FailureKind::NotReproduced),
-            ..FixOutcome::blank()
+            ..FixOutcome::default()
         }
     }
 

@@ -151,8 +151,7 @@ pub fn skeletonize_file(
 
     for f in &selected {
         functions.push(f.name.clone());
-        let sliced = slice_function(f, &racy_vars, opts.no_slicing);
-        let renamed = renamer.rename_func(&sliced);
+        let renamed = renamer.rename_func(slice_function(f, &racy_vars, opts.no_slicing));
         pieces.push(golite::print_func(&renamed));
     }
 

@@ -121,9 +121,8 @@ impl Renamer {
         }
     }
 
-    /// Renames a whole function declaration.
-    pub fn rename_func(&mut self, f: &FuncDecl) -> FuncDecl {
-        let mut f = f.clone();
+    /// Renames a whole function declaration, reusing the owned value.
+    pub fn rename_func(&mut self, mut f: FuncDecl) -> FuncDecl {
         if let Some(r) = &mut f.receiver {
             r.name = self.var(&r.name);
             self.ty(&mut r.ty);
@@ -251,7 +250,7 @@ mod tests {
             .unwrap()
             .clone();
         let mut r = Renamer::new(&["err".to_owned()]);
-        let out = r.rename_func(&f);
+        let out = r.rename_func(f);
         let printed = golite::print_func(&out);
         assert!(printed.contains("racyVar1 := func2()"), "{printed}");
         assert!(printed.contains("func3(racyVar1)"), "{printed}");
@@ -268,7 +267,7 @@ mod tests {
         .unwrap()
         .clone();
         let mut r = Renamer::new(&[]);
-        let printed = golite::print_func(&r.rename_func(&f));
+        let printed = golite::print_func(&r.rename_func(f));
         for kept in [".Add(1)", ".Done()", ".Wait()", ".Lock()", "sync.WaitGroup"] {
             assert!(printed.contains(kept), "missing {kept} in {printed}");
         }
@@ -282,8 +281,8 @@ mod tests {
         )
         .unwrap();
         let mut r = Renamer::new(&["shared".to_owned()]);
-        let fa = golite::print_func(&r.rename_func(file.find_func("a").unwrap()));
-        let fb = golite::print_func(&r.rename_func(file.find_func("b").unwrap()));
+        let fa = golite::print_func(&r.rename_func(file.find_func("a").unwrap().clone()));
+        let fb = golite::print_func(&r.rename_func(file.find_func("b").unwrap().clone()));
         assert!(fa.contains("racyVar1 = 1"));
         assert!(fb.contains("(racyVar1)"));
     }

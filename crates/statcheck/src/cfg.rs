@@ -18,8 +18,9 @@
 use golite::ast::{
     Block, CommClause, Decl, Expr, File, FuncDecl, FuncSig, Stmt, Type, UnOp, VarDecl,
 };
+use golite::visit::Visit;
 use golite::Span;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Sentinel for "control flow diverged" (after `return`/`break`/…).
 const NO_BLOCK: usize = usize::MAX;
@@ -1013,267 +1014,101 @@ fn build_cfg<'a>(
 /// yields no diagnostic, lock-order edge or access fact a lint reads.
 pub fn relevant(f: &FuncDecl, env: &FileEnv) -> bool {
     let Some(body) = &f.body else { return false };
-    f.receiver.is_some() || !body.stmts.iter().all(|s| plain_stmt(s, env))
-}
-
-/// Whether `s` and everything in it passes [`relevant`]'s test.
-fn plain_stmt(s: &Stmt, env: &FileEnv) -> bool {
-    let expr = |e: &Expr| plain_expr(e, env);
-    let stmt = |s: &Stmt| plain_stmt(s, env);
-    let list = |l: &[Stmt]| l.iter().all(stmt);
-    match s {
-        Stmt::Decl(d) => d.ty.is_none() && d.values.iter().all(expr),
-        Stmt::ShortVar { values, .. } | Stmt::Return { values, .. } => values.iter().all(expr),
-        Stmt::Assign { lhs, rhs, .. } => lhs.iter().chain(rhs).all(expr),
-        Stmt::IncDec { expr: e, .. } | Stmt::Expr(e) => expr(e),
-        Stmt::If(i) => {
-            i.init.as_deref().map_or(true, stmt)
-                && expr(&i.cond)
-                && list(&i.then.stmts)
-                && i.else_.as_deref().map_or(true, stmt)
-        }
-        Stmt::For(f) => {
-            f.init.as_deref().map_or(true, stmt)
-                && f.cond.as_ref().map_or(true, expr)
-                && f.post.as_deref().map_or(true, stmt)
-                && list(&f.body.stmts)
-        }
-        Stmt::Range(r) => {
-            [&r.key, &r.value].into_iter().flatten().all(expr)
-                && expr(&r.expr)
-                && list(&r.body.stmts)
-        }
-        Stmt::Switch(sw) => {
-            sw.init.as_deref().map_or(true, stmt)
-                && sw.tag.as_ref().map_or(true, expr)
-                && sw
-                    .cases
-                    .iter()
-                    .all(|c| c.exprs.iter().all(expr) && list(&c.body))
-        }
-        Stmt::Block(b) => list(&b.stmts),
-        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } => true,
-        Stmt::Send { .. }
-        | Stmt::Go { .. }
-        | Stmt::Defer { .. }
-        | Stmt::Select(_)
-        | Stmt::Labeled { .. } => false,
+    if f.receiver.is_some() {
+        return true;
     }
+    let mut facts = Facts { env, found: false };
+    facts.walk_list(&body.stmts);
+    facts.found
 }
 
-/// Whether `e` and everything in it passes [`relevant`]'s test.
-fn plain_expr(e: &Expr, env: &FileEnv) -> bool {
-    let expr = |e: &Expr| plain_expr(e, env);
-    match e {
-        Expr::Ident { name, .. } => !env.is(name, PACKAGE | FUNC | TYPE | GLOBAL),
-        Expr::IntLit { .. }
-        | Expr::FloatLit { .. }
-        | Expr::StrLit { .. }
-        | Expr::RuneLit { .. } => true,
-        Expr::Index { expr: x, index, .. } => expr(x) && expr(index),
-        Expr::SliceExpr {
-            expr: x, lo, hi, ..
-        } => expr(x) && [lo, hi].into_iter().flatten().all(|b| expr(b)),
-        Expr::Binary { lhs, rhs, .. } => expr(lhs) && expr(rhs),
-        Expr::Paren { expr: x, .. } | Expr::TypeAssert { expr: x, .. } => expr(x),
-        Expr::CompositeLit { .. }
-        | Expr::FuncLit { .. }
-        | Expr::Selector { .. }
-        | Expr::Call { .. }
-        | Expr::Make { .. }
-        | Expr::New { .. }
-        | Expr::Unary { .. } => false,
+/// [`relevant`]'s search: stops at the first node that can contribute a
+/// fact.
+struct Facts<'e, 'a> {
+    env: &'e FileEnv<'a>,
+    found: bool,
+}
+
+impl<'a> Visit<'a> for Facts<'_, '_> {
+    fn list(&mut self, _: &'a [Stmt]) -> bool {
+        !self.found
+    }
+
+    fn stmt(&mut self, s: &'a Stmt) -> bool {
+        self.found = self.found
+            || match s {
+                Stmt::Decl(d) => d.ty.is_some(),
+                Stmt::Send { .. }
+                | Stmt::Go { .. }
+                | Stmt::Defer { .. }
+                | Stmt::Select(_)
+                | Stmt::Labeled { .. } => true,
+                _ => false,
+            };
+        !self.found
+    }
+
+    fn expr(&mut self, e: &'a Expr) -> bool {
+        self.found = self.found
+            || match e {
+                Expr::Ident { name, .. } => self.env.is(name, PACKAGE | FUNC | TYPE | GLOBAL),
+                Expr::CompositeLit { .. }
+                | Expr::FuncLit { .. }
+                | Expr::Selector { .. }
+                | Expr::Call { .. }
+                | Expr::Make { .. }
+                | Expr::New { .. }
+                | Expr::Unary { .. } => true,
+                _ => false,
+            };
+        !self.found
     }
 }
 
-/// Collects function literals inside a body, tagging `go`-spawned ones.
-fn collect_lits<'a>(body: &'a Block, out: &mut Vec<(&'a Expr, ContextKind)>) {
-    fn expr<'a>(e: &'a Expr, kind: ContextKind, out: &mut Vec<(&'a Expr, ContextKind)>) {
-        match e {
-            Expr::FuncLit { body, .. } => {
-                out.push((e, kind));
-                block(body, out);
-            }
-            Expr::Call { fun, args, .. } => {
-                expr(fun, kind, out);
-                for a in args {
-                    expr(a, ContextKind::Closure, out);
-                }
-            }
-            Expr::CompositeLit { elems, .. } => {
-                for el in elems {
-                    if let Some(k) = &el.key {
-                        expr(k, ContextKind::Closure, out);
-                    }
-                    expr(&el.value, ContextKind::Closure, out);
-                }
-            }
-            Expr::Make { args, .. } => {
-                for a in args {
-                    expr(a, ContextKind::Closure, out);
-                }
-            }
-            Expr::Selector { expr: e, .. }
-            | Expr::Paren { expr: e, .. }
-            | Expr::TypeAssert { expr: e, .. }
-            | Expr::Unary { expr: e, .. } => expr(e, kind, out),
-            Expr::Index { expr: e, index, .. } => {
-                expr(e, kind, out);
-                expr(index, ContextKind::Closure, out);
-            }
-            Expr::SliceExpr {
-                expr: e, lo, hi, ..
-            } => {
-                expr(e, kind, out);
-                for b in [lo, hi].into_iter().flatten() {
-                    expr(b, ContextKind::Closure, out);
-                }
-            }
-            Expr::Binary { lhs, rhs, .. } => {
-                expr(lhs, ContextKind::Closure, out);
-                expr(rhs, ContextKind::Closure, out);
-            }
-            _ => {}
+/// Every function literal in a body, pre-order, with its kind: a literal
+/// launched by `go` is a goroutine, any other a closure. A deferred
+/// literal's lock calls are modelled by the parent context (as deferred
+/// ops); a context of its own would double-report them, so only the
+/// literals nested inside it are collected.
+#[derive(Default)]
+struct Lits<'a>(Vec<(&'a FuncSig, &'a Block, Span, ContextKind)>);
+
+impl<'a> Visit<'a> for Lits<'a> {
+    fn stmt(&mut self, s: &'a Stmt) -> bool {
+        let (Stmt::Go {
+            call: Expr::Call { fun, args, .. },
+            ..
         }
-    }
-    fn stmt<'a>(s: &'a Stmt, out: &mut Vec<(&'a Expr, ContextKind)>) {
-        match s {
-            Stmt::Decl(d) => {
-                for v in &d.values {
-                    expr(v, ContextKind::Closure, out);
-                }
-            }
-            Stmt::ShortVar { values, .. } => {
-                for v in values {
-                    expr(v, ContextKind::Closure, out);
-                }
-            }
-            Stmt::Assign { lhs, rhs, .. } => {
-                for e in lhs.iter().chain(rhs) {
-                    expr(e, ContextKind::Closure, out);
-                }
-            }
-            Stmt::IncDec { expr: e, .. } => expr(e, ContextKind::Closure, out),
-            Stmt::Expr(e) => expr(e, ContextKind::Closure, out),
-            Stmt::Send { chan, value, .. } => {
-                expr(chan, ContextKind::Closure, out);
-                expr(value, ContextKind::Closure, out);
-            }
-            Stmt::Go { call, .. } => {
-                if let Expr::Call { fun, args, .. } = call {
-                    if let Expr::FuncLit { body, .. } = fun.as_ref() {
-                        out.push((fun, ContextKind::Goroutine));
-                        block(body, out);
-                    } else {
-                        expr(fun, ContextKind::Closure, out);
-                    }
-                    for a in args {
-                        expr(a, ContextKind::Closure, out);
-                    }
-                } else {
-                    expr(call, ContextKind::Closure, out);
-                }
-            }
-            Stmt::Defer { call, .. } => {
-                // A deferred closure's lock calls are modelled by the
-                // parent context (as deferred ops); giving its body a
-                // context of its own would double-report them, so only
-                // literals nested *inside* it are collected.
-                if let Expr::Call { fun, args, .. } = call {
-                    if let Expr::FuncLit { body, .. } = fun.as_ref() {
-                        block(body, out);
-                    } else {
-                        expr(fun, ContextKind::Closure, out);
-                    }
-                    for a in args {
-                        expr(a, ContextKind::Closure, out);
-                    }
-                } else {
-                    expr(call, ContextKind::Closure, out);
-                }
-            }
-            Stmt::Return { values, .. } => {
-                for v in values {
-                    expr(v, ContextKind::Closure, out);
-                }
-            }
-            Stmt::If(ifs) => {
-                if let Some(init) = &ifs.init {
-                    stmt(init, out);
-                }
-                expr(&ifs.cond, ContextKind::Closure, out);
-                block(&ifs.then, out);
-                if let Some(e) = &ifs.else_ {
-                    stmt(e, out);
-                }
-            }
-            Stmt::For(f) => {
-                if let Some(init) = &f.init {
-                    stmt(init, out);
-                }
-                if let Some(c) = &f.cond {
-                    expr(c, ContextKind::Closure, out);
-                }
-                if let Some(p) = &f.post {
-                    stmt(p, out);
-                }
-                block(&f.body, out);
-            }
-            Stmt::Range(r) => {
-                expr(&r.expr, ContextKind::Closure, out);
-                block(&r.body, out);
-            }
-            Stmt::Switch(sw) => {
-                if let Some(init) = &sw.init {
-                    stmt(init, out);
-                }
-                if let Some(tag) = &sw.tag {
-                    expr(tag, ContextKind::Closure, out);
-                }
-                for c in &sw.cases {
-                    for e in &c.exprs {
-                        expr(e, ContextKind::Closure, out);
-                    }
-                    for s in &c.body {
-                        stmt(s, out);
-                    }
-                }
-            }
-            Stmt::Select(sel) => {
-                for c in &sel.cases {
-                    match &c.comm {
-                        CommClause::Send { chan, value } => {
-                            expr(chan, ContextKind::Closure, out);
-                            expr(value, ContextKind::Closure, out);
-                        }
-                        CommClause::Recv { lhs, chan, .. } => {
-                            for t in lhs {
-                                expr(t, ContextKind::Closure, out);
-                            }
-                            expr(chan, ContextKind::Closure, out);
-                        }
-                        CommClause::Default => {}
-                    }
-                    for s in &c.body {
-                        stmt(s, out);
-                    }
-                }
-            }
-            Stmt::Block(b) => block(b, out),
-            Stmt::Labeled { stmt: s, .. } => stmt(s, out),
-            _ => {}
+        | Stmt::Defer {
+            call: Expr::Call { fun, args, .. },
+            ..
+        }) = s
+        else {
+            return true;
+        };
+        let Expr::FuncLit {
+            sig, body, span, ..
+        } = fun.as_ref()
+        else {
+            return true;
+        };
+        if matches!(s, Stmt::Go { .. }) {
+            self.0.push((sig, body, *span, ContextKind::Goroutine));
         }
+        self.walk_list(&body.stmts);
+        args.iter().for_each(|a| self.walk_expr(a));
+        false
     }
-    fn block<'a>(b: &'a Block, out: &mut Vec<(&'a Expr, ContextKind)>) {
-        for s in &b.stmts {
-            stmt(s, out);
+
+    fn expr(&mut self, e: &'a Expr) -> bool {
+        if let Expr::FuncLit {
+            sig, body, span, ..
+        } = e
+        {
+            self.0.push((sig, body, *span, ContextKind::Closure));
         }
+        true
     }
-    // Only direct children: nested literals are found when their parent
-    // literal's body is scanned (`block` recurses already). To keep one
-    // flat list, `block` pushes every literal it meets — the top-level
-    // call below therefore covers all depths.
-    block(body, out);
 }
 
 /// The receiver qualification for a method: `(binding name, type name)`.
@@ -1327,30 +1162,16 @@ pub(crate) fn contexts_where<'a>(
             declared,
             span: body.span,
         });
-        let mut lits = Vec::new();
-        collect_lits(body, &mut lits);
-        // `collect_lits` pushes nested literals too; dedup by span.
-        let mut seen = BTreeSet::new();
-        for (lit, kind) in lits {
-            let Expr::FuncLit {
-                sig,
-                body: lb,
-                span,
-                ..
-            } = lit
-            else {
-                continue;
-            };
-            if !seen.insert((span.lo, span.hi)) {
-                continue;
-            }
+        let mut lits = Lits::default();
+        lits.walk_list(&body.stmts);
+        for (sig, lb, span, kind) in lits.0 {
             let (cfg, declared) = build_cfg(env, paths, recv, sig, None, lb, &f.name);
             out.push(Context {
                 func: &f.name,
                 kind,
                 cfg,
                 declared,
-                span: *span,
+                span,
             });
         }
     }
@@ -1377,6 +1198,36 @@ mod tests {
             .iter()
             .any(|c| c.kind == ContextKind::Goroutine && c.func == "F"));
         assert!(ctxs.iter().any(|c| c.kind == ContextKind::Closure));
+    }
+
+    #[test]
+    fn literal_contexts_follow_source_order() {
+        let src = "package p\n\ntype T struct {\n\tf func()\n}\n\nfunc F() {\n\tdefer func() {\n\t\tdeferred()\n\t\tgo func() {\n\t\t\tinDefer()\n\t\t}()\n\t}()\n\tgo run(func() {\n\t\targ()\n\t})\n}\n\nfunc G() {\n\tx := T{f: func() {\n\t\tvalue()\n\t}}\n\t_ = x\n\tgo func() {\n\t\touter()\n\t\th := func() {\n\t\t\tinner()\n\t\t}\n\t\th()\n\t}()\n}\n";
+        let file = parse(src);
+        let (ctxs, _) = contexts(&file);
+        // Each context is named by the first word of its body.
+        let roster: Vec<(&str, ContextKind, &str)> = ctxs
+            .iter()
+            .map(|c| {
+                let text = &src[c.span.lo as usize..c.span.hi as usize];
+                let body = text[text.find('{').unwrap() + 1..].trim_start();
+                let end = body.find(|ch: char| !ch.is_alphanumeric()).unwrap();
+                (c.func, c.kind, &body[..end])
+            })
+            .collect();
+        use ContextKind::*;
+        assert_eq!(
+            roster,
+            [
+                ("F", Function, "defer"),
+                ("F", Goroutine, "inDefer"),
+                ("F", Closure, "arg"),
+                ("G", Function, "x"),
+                ("G", Closure, "value"),
+                ("G", Goroutine, "outer"),
+                ("G", Closure, "inner"),
+            ]
+        );
     }
 
     #[test]

@@ -124,11 +124,6 @@ pub fn check_file(name: &str, src: &str) -> Result<FileReport, golite::Diag> {
     Ok(reports.remove(0))
 }
 
-/// Whether any report carries an error-tier diagnostic.
-pub fn has_errors(reports: &[FileReport]) -> bool {
-    first_error(reports).is_some()
-}
-
 /// The first error-tier diagnostic across all reports, with its file.
 pub fn first_error(reports: &[FileReport]) -> Option<(&str, &Diagnostic)> {
     reports.iter().find_map(|r| {
@@ -296,7 +291,6 @@ mod tests {
     fn error_helpers_see_only_errors() {
         let src = "package main\n\nimport \"sync\"\n\nvar mu sync.Mutex\n\nfunc main() {\n\tmu.Unlock()\n}\n";
         let reports = check_sources(&[("m.go".to_owned(), src.to_owned())]).unwrap();
-        assert!(has_errors(&reports));
         let (file, diag) = first_error(&reports).unwrap();
         assert_eq!(file, "m.go");
         assert_eq!(diag.rule, "unlock-without-lock");

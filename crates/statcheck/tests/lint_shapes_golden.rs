@@ -78,7 +78,7 @@ fn clean_shape_is_diagnostic_free_and_error_shapes_split_by_tier() {
     // double-lock is the only error-tier shape; the rest are warn-only.
     for shape in &shapes {
         let report = statcheck::check_file(shape.file, shape.source).unwrap();
-        let has_error = statcheck::has_errors(std::slice::from_ref(&report));
+        let has_error = statcheck::first_error(std::slice::from_ref(&report)).is_some();
         assert_eq!(
             has_error,
             shape.id == "double-lock",

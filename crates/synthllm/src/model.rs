@@ -218,8 +218,6 @@ impl SynthLlm {
         // *anchors* the model on an inapplicable fix instead (this is
         // why raw-text retrieval barely helps, Fig. 3).
         let guided = example_idiom == Some(diag.strategy) && diag.score >= 0.65;
-        let anchored =
-            example_idiom.is_some() && example_idiom != Some(diag.strategy) && !comprehends;
         let skill = if guided {
             self.cap.effective_skill(diag.strategy, true)
         } else if comprehends {
@@ -229,11 +227,9 @@ impl SynthLlm {
             } else {
                 s
             }
-        } else if anchored {
-            0.0
         } else {
-            // Misunderstood race: the patch looks plausible but misses
-            // the point.
+            // Misunderstood or anchored race: the patch looks plausible
+            // but misses the point.
             0.0
         };
         // Keyed on the race, not the attempt: the model repeats its own

@@ -40,9 +40,6 @@ exposure-smoke:
 tournament-smoke:
     make tournament-smoke
 
-lint-corpus:
-    make lint-corpus
-
 campaign-smoke:
     make campaign-smoke
 

@@ -6,7 +6,7 @@
 //! (`cfg::contexts_with`), lockset solves, AST and access lints and the
 //! lock-order check — and requires the same reports byte for byte:
 //!
-//! - on the lint-corpus programs and on the first 60 cases of every
+//! - on the lint corpus and on the first 60 cases of every
 //!   stream family with all their tournament candidates, where it also
 //!   checks that each skipped function's unfiltered lowering carries no
 //!   fact (no lock op, call or spawn, no closure, only accesses to its
@@ -139,7 +139,7 @@ fn assert_exact(
     got
 }
 
-/// The lint-corpus programs, as `make lint-corpus` sweeps them.
+/// The lint corpus, as `tests/statcheck_golden.rs` renders it.
 fn lint_corpus() -> Vec<(String, Program)> {
     let mut out = Vec::new();
     let corpus = corpus::generate_eval_corpus(&CorpusConfig {
