@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check bench-smoke calibrate-smoke exposure-smoke tournament-smoke soak-smoke campaign-smoke campaign-scale drbench-smoke bench-all loc clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check paper-smoke exposure-smoke tournament-smoke soak-smoke campaign-smoke campaign-scale drbench-smoke bench-all loc clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -38,14 +38,16 @@ fmt:
 fmt-check:
 	$(CARGO) fmt --all -- --check
 
-## Fast experiment smoke: headline ablation at reduced scale.
-bench-smoke:
-	DRFIX_CASES=24 DRFIX_VALIDATION_RUNS=4 $(CARGO) bench -q -p bench --bench fig3_rag_ablation
-
-## Calibrate smoke: every headline ablation arm on 4 worker threads at
-## small scale, printing measured fix rates next to the paper's.
-calibrate-smoke:
-	DRFIX_CASES=12 DRFIX_THREADS=4 DRFIX_VALIDATION_RUNS=4 $(CARGO) run --release -q -p bench --bin calibrate
+## Paper smoke: the four ablation benches (Fig. 3 retrieval, Fig. 4
+## scope and feedback, the LCA location, the RQ3 model tiers) on 4
+## worker threads at small scale, each printing its measured fix rates
+## next to the paper's; then Fig. 3 again with PCT as the reproduce and
+## validate policy, so a PCT pipeline arm runs too.
+paper-smoke:
+	DRFIX_CASES=12 DRFIX_THREADS=4 DRFIX_VALIDATION_RUNS=4 $(CARGO) bench -q -p bench \
+	  --bench fig3_rag_ablation --bench fig4_scope_ablation --bench lca_ablation --bench rq3_models
+	DRFIX_CASES=12 DRFIX_THREADS=4 DRFIX_VALIDATION_RUNS=4 DRFIX_POLICY=pct \
+	  $(CARGO) bench -q -p bench --bench fig3_rag_ablation
 
 ## Exposure smoke: schedules_to_expose at small scale — the bench
 ## asserts its exposure contract (PCT exposes every case within budget,

@@ -2,6 +2,8 @@
 //! concurrency skeleton — change the validated fix rate.
 //!
 //! Paper: No RAG 47%, RAG without skeleton 50%, RAG with skeleton 66%.
+//! Also prints the hit rate of the example database's query-embedding
+//! cache over the two retrieval arms.
 
 use bench::{base_config, header, pct, run_arm, Scale};
 use drfix::RagMode;
@@ -43,4 +45,9 @@ fn main() {
     }
     println!("\nshape check: No RAG < RAG-raw < RAG-skeleton, with the");
     println!("skeleton arm far ahead — the paper's key retrieval result.");
+    let (hits, misses) = db.cache_stats();
+    println!(
+        "query-embedding cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
+        100.0 * hits as f64 / (hits + misses).max(1) as f64
+    );
 }

@@ -64,12 +64,6 @@ fn bench_pipeline_parts(c: &mut Criterion) {
     c.bench_function("vecdb_query_272", |b| {
         b.iter(|| store.query(std::hint::black_box(&q), 1))
     });
-    // Partial top-k selection vs the full-sort reference: the spread
-    // between these two is the retrieval win (O(n + k log k) vs
-    // O(n log n)), and it widens with DB size.
-    c.bench_function("vecdb_query_exhaustive_272", |b| {
-        b.iter(|| store.query_exhaustive(std::hint::black_box(&q), 1))
-    });
     let mut big = vecdb::VectorStore::new(embed::DIM);
     for i in 0..4096 {
         big.insert(embed::embed(&format!("{} variant {}", sk.text, i)), i)
@@ -77,9 +71,6 @@ fn bench_pipeline_parts(c: &mut Criterion) {
     }
     c.bench_function("vecdb_query_4096", |b| {
         b.iter(|| big.query(std::hint::black_box(&q), 1))
-    });
-    c.bench_function("vecdb_query_exhaustive_4096", |b| {
-        b.iter(|| big.query_exhaustive(std::hint::black_box(&q), 1))
     });
 }
 

@@ -4,7 +4,7 @@
 //! many schedules; the number of schedules until the planted race first
 //! surfaces is the cost of detection, and the instructions burnt per
 //! validation campaign is the cost of confirmation. This bench measures
-//! both, per Table 3 corpus category, for every built-in policy:
+//! both, per Table 3 corpus category, for both policies:
 //!
 //! 1. **Schedules to first exposure** — over the *ordering-sensitive*
 //!    exposure corpus ([`corpus::generate_exposure_corpus`]): races
@@ -89,11 +89,7 @@ fn main() {
         seed: 0xD0F1,
     });
 
-    let policies: Vec<SchedulePolicy> = vec![
-        SchedulePolicy::Random,
-        SchedulePolicy::pct(),
-        SchedulePolicy::Sweep,
-    ];
+    let policies: Vec<SchedulePolicy> = vec![SchedulePolicy::Random, SchedulePolicy::pct()];
 
     let mut by_cat: Vec<(RaceCategory, Vec<&RaceCase>)> = Vec::new();
     for cat in RaceCategory::all() {
@@ -109,11 +105,10 @@ fn main() {
         threads
     );
     println!(
-        "\n{:<36} {:>16} {:>16} {:>16}",
+        "\n{:<36} {:>16} {:>16}",
         "category (median sched to expose)",
         policies[0].label(),
-        policies[1].label(),
-        policies[2].label()
+        policies[1].label()
     );
 
     // One fleet job per (category, case, policy) triple.
@@ -165,13 +160,7 @@ fn main() {
             cells.push(format!("{marker}{med} ({exposed}/{})", cases.len()));
             medians.push(med);
         }
-        println!(
-            "{:<36} {:>16} {:>16} {:>16}",
-            cat.display(),
-            cells[0],
-            cells[1],
-            cells[2]
-        );
+        println!("{:<36} {:>16} {:>16}", cat.display(), cells[0], cells[1]);
         if medians[1] < medians[0] {
             pct_wins += 1;
         }

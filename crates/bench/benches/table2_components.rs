@@ -13,7 +13,7 @@ fn main() {
         (
             "Data store D",
             "ChromaDB",
-            "vecdb::VectorStore (exact cosine top-k, JSON persistence)",
+            "vecdb::VectorStore (exact cosine top-k)",
         ),
         (
             "Skeletonization S",

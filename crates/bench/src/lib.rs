@@ -1,10 +1,14 @@
 //! Shared experiment harness for the table/figure benches.
 //!
 //! Every bench target regenerates one table or figure of the paper by
-//! running the real pipeline over the seeded corpus. Environment knobs
+//! running the real pipeline over the seeded corpus. Each ablation arm
+//! is defined once, in the bench that reproduces its figure:
+//! `fig3_rag_ablation` (retrieval), `fig4_scope_ablation` (scope and
+//! feedback), `lca_ablation` (the LCA location) and `rq3_models` (model
+//! tiers); `make paper-smoke` runs the four at small scale. Environment knobs
 //! keep `cargo bench` runtimes reasonable; this crate is the only place
 //! they are parsed ([`Scale::from_env`] for the shared scale below,
-//! [`knob`] for a single binary's or test's own size), and a set knob
+//! [`knob`] for a single bench's or test's own size), and a set knob
 //! that does not parse stops the run instead of falling back to its
 //! default:
 //!
@@ -18,8 +22,7 @@
 //!   count; only wall-clock changes.
 //! - `DRFIX_POLICY` — schedule-exploration policy for both the
 //!   reproduce and validate steps: `random` (default), `pct`,
-//!   `pct:<depth>`, `pct:<depth>:<budget>`, or `sweep` (see
-//!   [`govm::sched`]).
+//!   `pct:<depth>` or `pct:<depth>:<budget>` (see [`govm::sched`]).
 //! - `DRFIX_DEDUP_STREAK` — validation early-exit after this many
 //!   consecutive replayed schedule signatures (default 8, the value the
 //!   `schedules_to_expose` savings were measured at; `0` disables).
@@ -284,6 +287,7 @@ mod tests {
         };
         for (key, value) in [
             ("DRFIX_POLICY", "pct:seven"),
+            ("DRFIX_POLICY", "sweep"),
             ("DRFIX_THREADS", "abc"),
             ("DRFIX_THREADS", "0"),
             ("DRFIX_CASES", "many"),

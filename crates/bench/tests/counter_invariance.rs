@@ -38,11 +38,7 @@ fn compiled_corpus() -> Vec<(Program, String)> {
 }
 
 fn policies() -> Vec<SchedulePolicy> {
-    vec![
-        SchedulePolicy::Random,
-        SchedulePolicy::pct(),
-        SchedulePolicy::Sweep,
-    ]
+    vec![SchedulePolicy::Random, SchedulePolicy::pct()]
 }
 
 /// Campaign counters for every `(case, policy)` job, computed across a

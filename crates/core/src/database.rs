@@ -26,7 +26,7 @@ pub enum RagMode {
 }
 
 /// A stored example with provenance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DbEntry {
     /// The racy code.
     pub buggy: String,

@@ -57,8 +57,8 @@ pub struct PipelineConfig {
     /// scheduler never exposes is reported `NotReproduced`.
     pub detect_policy: SchedulePolicy,
     /// Schedule-exploration policy for validation campaigns — may differ
-    /// from detection (the paper's 1000-schedule sweep corresponds to a
-    /// broad uniform/sweep exploration).
+    /// from detection (the paper's 1000-schedule validation corresponds
+    /// to a broad uniform exploration).
     pub validate_policy: SchedulePolicy,
     /// Campaign-wide instruction budget per validation (off by default).
     pub validation_step_budget: Option<u64>,

@@ -389,7 +389,7 @@ func TestWork(t *testing.T) {
         let cfg = TestConfig {
             runs: 64,
             seed: 0,
-            policy: SchedulePolicy::Sweep,
+            policy: SchedulePolicy::Random,
             dedup_streak: Some(6),
             max_total_steps: Some(500_000),
             ..TestConfig::default()

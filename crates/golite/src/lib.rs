@@ -41,5 +41,5 @@ pub use diag::{Diag, Diagnostic, Result, Severity};
 pub use parser::{
     parse_calls, parse_expr, parse_file, parse_sources, parse_stmts, ParsedFile, MAX_NESTING,
 };
-pub use printer::{print_expr, print_file, print_file_parts, print_func, print_stmt};
+pub use printer::{print_expr, print_file, print_file_parts, print_func};
 pub use span::{LineCol, LineMap, Span};

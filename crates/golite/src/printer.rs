@@ -35,13 +35,6 @@ pub fn print_func(func: &FuncDecl) -> String {
     p.out
 }
 
-/// Renders a statement (at indentation zero).
-pub fn print_stmt(stmt: &Stmt) -> String {
-    let mut p = Printer::new();
-    p.stmt(stmt);
-    p.out
-}
-
 /// Renders an expression.
 pub fn print_expr(expr: &Expr) -> String {
     let mut p = Printer::new();

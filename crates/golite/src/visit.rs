@@ -179,8 +179,8 @@ pub trait Visit<'a> {
 /// A [`Visit`] that calls a closure on every statement.
 struct OnStmt<F>(F);
 
-impl<F: FnMut(&Stmt)> Visit<'_> for OnStmt<F> {
-    fn stmt(&mut self, s: &Stmt) -> bool {
+impl<'a, F: FnMut(&'a Stmt)> Visit<'a> for OnStmt<F> {
+    fn stmt(&mut self, s: &'a Stmt) -> bool {
         (self.0)(s);
         true
     }
@@ -203,7 +203,7 @@ pub fn walk_exprs(block: &Block, f: &mut impl FnMut(&Expr)) {
 
 /// Calls `f` once on every statement in the block, nested ones and those
 /// inside function literals included, pre-order.
-pub fn walk_stmts(block: &Block, f: &mut impl FnMut(&Stmt)) {
+pub fn walk_stmts<'a>(block: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
     OnStmt(f).walk_list(&block.stmts);
 }
 

@@ -36,8 +36,6 @@ pub mod vm;
 pub use bytecode::{Op, Program, TypeHint};
 pub use compile::{compile_package, compile_sources, CompileOptions};
 pub use sched::{derive_seed, SchedulePolicy};
-pub use testrun::{
-    run_test, run_test_many, run_test_with, StopReason, TestConfig, TestOutcome, TestVm,
-};
+pub use testrun::{run_test_many, run_test_with, StopReason, TestConfig, TestOutcome, TestVm};
 pub use value::Value;
 pub use vm::{RunCounters, RunError, RunResult, Tier, Vm, VmOptions};

@@ -1,9 +1,9 @@
-//! Pluggable schedule-exploration policies (§4.4.1).
+//! Schedule-exploration policies (§4.4.1).
 //!
 //! Dr.Fix's reproduce and validate steps run each test under many
 //! schedules; a race the scheduler never exposes is a false "fixed".
-//! This module makes the exploration strategy a first-class, pluggable
-//! component of the VM:
+//! This module makes the exploration strategy a first-class component
+//! of the VM, with two policies:
 //!
 //! - [`SchedulePolicy::Random`] — the original uniform-random scheduler:
 //!   at every scheduling point, pick a runnable goroutine uniformly and
@@ -15,10 +15,10 @@
 //!   `depth` priority-change points (drawn uniformly over an instruction
 //!   `budget`) demote the running goroutine, forcing the rare
 //!   interleavings uniform sampling takes many schedules to reach.
-//! - [`SchedulePolicy::Sweep`] — a quantum sweep: each run fixes one
-//!   preemption quantum from a ladder (chosen by the run seed), so a
-//!   campaign covers both fine-grained interleavings (quantum 1) and
-//!   long uninterrupted stretches in few runs.
+//!
+//! Random stays as the oracle's policy next to PCT, the explorer: PCT
+//! exposes every race of the `schedules_to_expose` corpus at a median of
+//! one schedule, where uniform sampling needs 3–26.
 //!
 //! Every run also folds its scheduling decisions into a **schedule
 //! signature** (a hash of its context-switch sequence, exposed as
@@ -29,9 +29,6 @@
 //! [`crate::run_test_many`]'s early exit on repeated signatures is a
 //! saturation heuristic, and its per-campaign schedule memo keys on
 //! the switches themselves and stops wherever the program draws.
-//!
-//! The built-in policies cover the paper's validation loop and the
-//! `schedules_to_expose` bench.
 
 use crate::value::Gid;
 use rand::rngs::StdRng;
@@ -67,19 +64,6 @@ pub(crate) struct Decision {
     pub quantum: u64,
 }
 
-/// A per-run scheduling engine.
-///
-/// The VM calls [`Scheduler::pick`] at every scheduling point with the
-/// runnable set (non-empty, ascending by goroutine id) and the current
-/// instruction count. Engines may draw from the VM's seeded `rng` (the
-/// random and sweep policies do — exactly matching the pre-refactor
-/// draw sequence) or keep their own derived streams (PCT does, so its
-/// bookkeeping never perturbs program-visible randomness).
-pub(crate) trait Scheduler {
-    /// Chooses the next goroutine and quantum.
-    fn pick(&mut self, rng: &mut StdRng, runnable: &[Gid], steps: u64) -> Decision;
-}
-
 /// Declarative policy configuration, carried by [`crate::VmOptions`],
 /// [`crate::TestConfig`] and the pipeline configs. The VM turns it
 /// into a per-run scheduling engine.
@@ -96,13 +80,7 @@ pub enum SchedulePolicy {
         /// Instruction window the change points are drawn from.
         budget: u64,
     },
-    /// Per-run fixed preemption quantum from [`SWEEP_QUANTA`].
-    Sweep,
 }
-
-/// The quantum ladder [`SchedulePolicy::Sweep`] cycles through, one rung
-/// per run seed: from instruction-level interleaving to long stretches.
-pub const SWEEP_QUANTA: [u64; 8] = [1, 2, 3, 5, 8, 16, 32, 64];
 
 /// Default number of priority-change points for [`SchedulePolicy::pct`].
 pub const PCT_DEFAULT_DEPTH: u32 = 3;
@@ -120,30 +98,13 @@ impl SchedulePolicy {
         }
     }
 
-    /// Instantiates the per-run engine for a run with seed `seed`.
-    pub(crate) fn build(&self, seed: u64) -> Box<dyn Scheduler> {
-        match *self {
-            SchedulePolicy::Random => Box::new(RandomScheduler),
-            SchedulePolicy::Pct { depth, budget } => {
-                Box::new(PctScheduler::new(seed, depth, budget))
-            }
-            SchedulePolicy::Sweep => {
-                let quantum = SWEEP_QUANTA[(splitmix64(seed) % SWEEP_QUANTA.len() as u64) as usize];
-                Box::new(SweepScheduler { quantum })
-            }
-        }
-    }
-
-    /// Parses a policy spec: `random`, `sweep`, `pct`, `pct:<depth>` or
+    /// Parses a policy spec: `random`, `pct`, `pct:<depth>` or
     /// `pct:<depth>:<budget>` (case-insensitive). Returns `None` for
     /// anything else.
     pub fn parse(spec: &str) -> Option<Self> {
         let s = spec.trim().to_ascii_lowercase();
         if s == "random" || s == "uniform" {
             return Some(SchedulePolicy::Random);
-        }
-        if s == "sweep" {
-            return Some(SchedulePolicy::Sweep);
         }
         let mut parts = s.split(':');
         if parts.next()? != "pct" {
@@ -168,7 +129,6 @@ impl SchedulePolicy {
         match self {
             SchedulePolicy::Random => "random".to_owned(),
             SchedulePolicy::Pct { depth, budget } => format!("pct(d={depth},b={budget})"),
-            SchedulePolicy::Sweep => "sweep".to_owned(),
         }
     }
 }
@@ -179,35 +139,15 @@ impl SchedulePolicy {
 /// (instructions between forced yields).
 const PREEMPT_MAX: u64 = 24;
 
-/// The pre-refactor scheduler: uniform goroutine, uniform quantum in
-/// `1..=PREEMPT_MAX`.
-///
-/// The two `gen_range` draws (pick, then quantum) happen in exactly the
-/// pre-refactor order against the shared VM rng, which is what keeps
-/// old seeds bit-compatible.
-struct RandomScheduler;
-
-impl Scheduler for RandomScheduler {
-    fn pick(&mut self, rng: &mut StdRng, runnable: &[Gid], _steps: u64) -> Decision {
-        let gid = runnable[rng.gen_range(0..runnable.len())];
-        let quantum = rng.gen_range(1..=PREEMPT_MAX);
-        Decision { gid, quantum }
-    }
-}
-
-/// Uniform goroutine pick with a per-run fixed quantum.
-struct SweepScheduler {
-    quantum: u64,
-}
-
-impl Scheduler for SweepScheduler {
-    fn pick(&mut self, rng: &mut StdRng, runnable: &[Gid], _steps: u64) -> Decision {
-        let gid = runnable[rng.gen_range(0..runnable.len())];
-        Decision {
-            gid,
-            quantum: self.quantum,
-        }
-    }
+/// A run's scheduling engine, built from its policy and seed.
+enum Engine {
+    /// Uniform goroutine, uniform quantum in `1..=PREEMPT_MAX`, drawn
+    /// from the run rng: the pick, then the quantum, the pre-refactor
+    /// draw order that keeps old seeds bit-compatible.
+    Random,
+    /// PCT with its own seed-derived rng, so its bookkeeping never
+    /// perturbs the program-visible random stream.
+    Pct(PctScheduler),
 }
 
 /// PCT-style priority scheduler.
@@ -259,10 +199,10 @@ impl PctScheduler {
         *self.priorities[gid]
             .get_or_insert_with(|| PCT_HIGH_BAND + self.prio_rng.gen_range(0..PCT_HIGH_BAND))
     }
-}
 
-impl Scheduler for PctScheduler {
-    fn pick(&mut self, _rng: &mut StdRng, runnable: &[Gid], steps: u64) -> Decision {
+    /// Chooses the next goroutine and quantum at instruction count
+    /// `steps` from the runnable set (non-empty, ascending by id).
+    fn pick(&mut self, runnable: &[Gid], steps: u64) -> Decision {
         // Crossed change points demote whoever was running across them.
         while self.next_cp < self.change_points.len() && steps >= self.change_points[self.next_cp] {
             if let Some(last) = self.last {
@@ -296,8 +236,8 @@ impl Scheduler for PctScheduler {
 /// buffer. The VM and the schedule-memo walk each drive a run through
 /// one of these, so both make the same decisions from the same seed.
 pub(crate) struct RunSched {
-    engine: Box<dyn Scheduler>,
-    /// The run's seeded rng: drawn by the random and sweep engines and,
+    engine: Engine,
+    /// The run's seeded rng: drawn by the random engine and,
     /// on the VM, by the program (`select` order, timer jitter).
     pub(crate) rng: StdRng,
     /// Running schedule-signature fold.
@@ -314,7 +254,12 @@ impl RunSched {
     /// The state at the start of a run with seed `seed`.
     pub(crate) fn new(policy: &SchedulePolicy, seed: u64) -> Self {
         RunSched {
-            engine: policy.build(seed),
+            engine: match *policy {
+                SchedulePolicy::Random => Engine::Random,
+                SchedulePolicy::Pct { depth, budget } => {
+                    Engine::Pct(PctScheduler::new(seed, depth, budget))
+                }
+            },
             rng: StdRng::seed_from_u64(seed),
             sig: SIGNATURE_SEED,
             points: 0,
@@ -336,7 +281,14 @@ impl RunSched {
     /// instruction count `steps`. Returns the decision and whether it is
     /// a context switch.
     pub(crate) fn decide(&mut self, steps: u64) -> (Decision, bool) {
-        let decision = self.engine.pick(&mut self.rng, &self.runnable, steps);
+        let decision = match &mut self.engine {
+            Engine::Random => {
+                let gid = self.runnable[self.rng.gen_range(0..self.runnable.len())];
+                let quantum = self.rng.gen_range(1..=PREEMPT_MAX);
+                Decision { gid, quantum }
+            }
+            Engine::Pct(pct) => pct.pick(&self.runnable, steps),
+        };
         debug_assert!(
             self.runnable.contains(&decision.gid),
             "scheduler picked a non-runnable goroutine"
@@ -377,6 +329,7 @@ pub const SIGNATURE_SEED: u64 = 0xCBF2_9CE4_8422_2325;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn parse_round_trips() {
@@ -384,7 +337,7 @@ mod tests {
             SchedulePolicy::parse("random"),
             Some(SchedulePolicy::Random)
         );
-        assert_eq!(SchedulePolicy::parse("SWEEP"), Some(SchedulePolicy::Sweep));
+        assert_eq!(SchedulePolicy::parse("sweep"), None);
         assert_eq!(
             SchedulePolicy::parse("pct"),
             Some(SchedulePolicy::Pct {
@@ -406,35 +359,30 @@ mod tests {
 
     #[test]
     fn pct_runs_highest_priority_and_demotes_at_change_points() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let policy = SchedulePolicy::Pct {
-            depth: 2,
-            budget: 100,
-        };
-        let mut eng = policy.build(42);
-        let first = eng.pick(&mut rng, &[0, 1, 2], 0);
+        let mut eng = PctScheduler::new(42, 2, 100);
+        let first = eng.pick(&[0, 1, 2], 0);
         // Before any change point the same goroutine keeps winning.
-        let again = eng.pick(&mut rng, &[0, 1, 2], 1);
+        let again = eng.pick(&[0, 1, 2], 1);
         assert_eq!(first.gid, again.gid);
         // After the whole budget every change point has fired; the
         // original winner has been demoted below the others.
-        let later = eng.pick(&mut rng, &[0, 1, 2], 200);
+        let later = eng.pick(&[0, 1, 2], 200);
         assert_ne!(later.gid, first.gid, "change points must demote");
     }
 
     #[test]
-    fn sweep_quantum_is_fixed_per_run_and_varies_across_runs() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut quanta = std::collections::HashSet::new();
-        for seed in 0..32u64 {
-            let mut eng = SchedulePolicy::Sweep.build(seed);
-            let d1 = eng.pick(&mut rng, &[0, 1], 0);
-            let d2 = eng.pick(&mut rng, &[0, 1], 10);
-            assert_eq!(d1.quantum, d2.quantum, "quantum fixed within a run");
-            assert!(SWEEP_QUANTA.contains(&d1.quantum));
-            quanta.insert(d1.quantum);
+    fn random_draws_the_pick_then_the_quantum_from_the_run_rng() {
+        let mut sched = RunSched::new(&SchedulePolicy::Random, 7);
+        let runnable: Vec<Gid> = vec![0, 3, 5];
+        sched.runnable = runnable.clone();
+        let mut rng = StdRng::seed_from_u64(7);
+        for steps in 0..32 {
+            let gid = runnable[rng.gen_range(0..runnable.len())];
+            let quantum = rng.gen_range(1..=PREEMPT_MAX);
+            assert_eq!(sched.decide(steps).0, Decision { gid, quantum });
         }
-        assert!(quanta.len() >= 4, "seeds must cover the ladder: {quanta:?}");
+        // Nothing else drew: the program's next draw is unchanged.
+        assert_eq!(sched.rng.next_u64(), rng.next_u64());
     }
 
     #[test]

@@ -151,19 +151,6 @@ impl TestOutcome {
     }
 }
 
-/// Runs `test` once under one seed with the default (uniform-random)
-/// policy.
-pub fn run_test(prog: &Program, test: &str, seed: u64) -> RunResult {
-    run_test_with(
-        prog,
-        test,
-        VmOptions {
-            seed,
-            ..VmOptions::default()
-        },
-    )
-}
-
 /// Runs `test` once under explicit VM options (seed and policy): a
 /// campaign of one run.
 pub fn run_test_with(prog: &Program, test: &str, opts: VmOptions) -> RunResult {

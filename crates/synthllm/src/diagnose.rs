@@ -494,7 +494,7 @@ pub fn diagnose(file: &File, racy_var: &str) -> Vec<Diagnosis> {
 
 /// The goroutine-launch closures in a body: `go func(){}` bodies and
 /// closures passed to `.Go(...)` / `t.Run(...)`.
-pub fn go_closures(body: &Block) -> Vec<Block> {
+pub fn go_closures(body: &Block) -> Vec<&Block> {
     let mut out = Vec::new();
     visit::walk_stmts(body, &mut |s| match s {
         Stmt::Go {
@@ -502,7 +502,7 @@ pub fn go_closures(body: &Block) -> Vec<Block> {
             ..
         } => {
             if let Expr::FuncLit { body, .. } = fun.as_ref() {
-                out.push(body.clone());
+                out.push(body);
             }
         }
         Stmt::Expr(Expr::Call { fun, args, .. }) => {
@@ -510,7 +510,7 @@ pub fn go_closures(body: &Block) -> Vec<Block> {
                 if name == "Go" || name == "Run" {
                     for a in args {
                         if let Expr::FuncLit { body, .. } = a {
-                            out.push(body.clone());
+                            out.push(body);
                         }
                     }
                 }
@@ -683,7 +683,7 @@ fn range_binding_captured(body: &Block, var: &str) -> Option<()> {
                 return;
             }
             for c in go_closures(&st.body) {
-                if reads_var(&c, var) {
+                if reads_var(c, var) {
                     hit = Some(());
                 }
             }
@@ -751,7 +751,7 @@ fn shared_ctor_decl(body: &Block, var: &str) -> Option<Expr> {
     ctor
 }
 
-fn closure_reads_after_write(closures: &[Block], var: &str) -> bool {
+fn closure_reads_after_write(closures: &[&Block], var: &str) -> bool {
     closures.iter().any(|c| {
         let mut wrote = false;
         let mut read_after = false;

@@ -4,12 +4,11 @@
 //! Dr.Fix stores `(skeleton embedding) → (racy code, fixed code)` entries
 //! and retrieves the nearest example by cosine similarity (§3.1, §3.4).
 //! This store keeps vectors in a flat arena and brute-force scans on
-//! query — exact top-k, deterministic ties (lowest insertion id wins),
-//! JSON persistence. Queries use partial top-k selection
-//! (`select_nth_unstable` then a sort of the k survivors), so per-query
-//! cost is O(n + k log k) instead of the full O(n log n) sort; the
-//! full-sort reference survives as [`VectorStore::query_exhaustive`] and
-//! a property test pins the two hit-for-hit identical.
+//! query — exact top-k, deterministic ties (lowest insertion id wins).
+//! Queries use partial top-k selection (`select_nth_unstable` then a
+//! sort of the k survivors), so per-query cost is O(n + k log k) instead
+//! of the full O(n log n) sort; a property test pins them hit-for-hit
+//! identical to a full sort.
 //!
 //! # Example
 //!
@@ -26,8 +25,6 @@
 
 #![warn(missing_docs)]
 
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned when a vector's dimensionality does not match the store.
@@ -63,7 +60,7 @@ pub struct Hit<'a, M> {
 }
 
 /// A brute-force exact-cosine vector store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VectorStore<M> {
     dim: usize,
     vectors: Vec<Vec<f32>>,
@@ -118,41 +115,24 @@ impl<M> VectorStore<M> {
     ///
     /// Uses partial selection: only the k best entries are ever sorted,
     /// so the cost is O(n + k log k) rather than O(n log n). The
-    /// ordering is identical to [`VectorStore::query_exhaustive`] —
-    /// `(score desc, insertion id asc)` is a total order, so the
-    /// selected prefix and its sort are unique.
+    /// ordering is identical to a full sort: `(score desc, insertion id
+    /// asc)` is a total order, so the selected prefix and its sort are
+    /// unique.
     pub fn query(&self, vector: &[f32], k: usize) -> Vec<Hit<'_, M>> {
         if k == 0 || self.items.is_empty() {
             return Vec::new();
         }
-        let mut scored = self.score_all(vector);
+        let mut scored: Vec<(usize, f32)> = self
+            .vectors
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (i, cosine(vector, v)))
+            .collect();
         if k < scored.len() {
             scored.select_nth_unstable_by(k - 1, rank);
             scored.truncate(k);
         }
         scored.sort_unstable_by(rank);
-        self.to_hits(scored)
-    }
-
-    /// The full-sort reference implementation of [`VectorStore::query`],
-    /// kept for differential testing (and for callers that prefer the
-    /// simplest possible code path).
-    pub fn query_exhaustive(&self, vector: &[f32], k: usize) -> Vec<Hit<'_, M>> {
-        let mut scored = self.score_all(vector);
-        scored.sort_by(rank);
-        scored.truncate(k);
-        self.to_hits(scored)
-    }
-
-    fn score_all(&self, vector: &[f32]) -> Vec<(usize, f32)> {
-        self.vectors
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, cosine(vector, v)))
-            .collect()
-    }
-
-    fn to_hits(&self, scored: Vec<(usize, f32)>) -> Vec<Hit<'_, M>> {
         scored
             .into_iter()
             .map(|(i, score)| Hit {
@@ -171,28 +151,6 @@ impl<M> VectorStore<M> {
     /// Iterates all `(id, item)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &M)> {
         self.items.iter().enumerate()
-    }
-}
-
-impl<M: Serialize> VectorStore<M> {
-    /// Serialises the store to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json` error if metadata fails to serialise.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-}
-
-impl<M: DeserializeOwned> VectorStore<M> {
-    /// Restores a store from JSON produced by [`VectorStore::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json` error on malformed input.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
     }
 }
 
@@ -270,17 +228,6 @@ mod tests {
         db.insert(vec![1.0], "only").unwrap();
         let hits = db.query(&[1.0], 10);
         assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_queries() {
-        let mut db = VectorStore::new(2);
-        db.insert(vec![1.0, 0.0], "a".to_owned()).unwrap();
-        db.insert(vec![0.0, 1.0], "b".to_owned()).unwrap();
-        let json = db.to_json().unwrap();
-        let db2: VectorStore<String> = VectorStore::from_json(&json).unwrap();
-        assert_eq!(db2.len(), 2);
-        assert_eq!(*db2.query(&[0.0, 0.9], 1)[0].item, "b");
     }
 
     #[test]

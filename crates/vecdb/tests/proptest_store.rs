@@ -41,18 +41,4 @@ proptest! {
         }
         prop_assert_eq!(hits.len(), k.min(vecs.len()));
     }
-
-    #[test]
-    fn json_roundtrip_is_lossless(
-        vecs in proptest::collection::vec(
-            proptest::collection::vec(-5.0f32..5.0, 3), 0..10),
-    ) {
-        let mut store = VectorStore::new(3);
-        for (i, v) in vecs.iter().enumerate() {
-            store.insert(v.clone(), i as u32).unwrap();
-        }
-        let json = store.to_json().unwrap();
-        let back: VectorStore<u32> = VectorStore::from_json(&json).unwrap();
-        prop_assert_eq!(back.len(), store.len());
-    }
 }

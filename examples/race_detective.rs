@@ -98,11 +98,7 @@ fn main() {
     // context-switch sequence — so campaigns can spot replayed
     // interleavings (see `govm::sched`).
     println!("\npolicy comparison (24 seeds each):");
-    for policy in [
-        SchedulePolicy::Random,
-        SchedulePolicy::pct(),
-        SchedulePolicy::Sweep,
-    ] {
+    for policy in [SchedulePolicy::Random, SchedulePolicy::pct()] {
         let mut races = 0usize;
         let mut sigs = std::collections::HashSet::new();
         for seed in 0..24 {

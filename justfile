@@ -28,11 +28,8 @@ fmt:
 fmt-check:
     make fmt-check
 
-bench-smoke:
-    make bench-smoke
-
-calibrate-smoke:
-    make calibrate-smoke
+paper-smoke:
+    make paper-smoke
 
 exposure-smoke:
     make exposure-smoke

@@ -89,7 +89,6 @@ fn configs() -> Vec<TestConfig> {
             ..base.clone()
         },
         TestConfig {
-            policy: SchedulePolicy::Sweep,
             stop_on_race: true,
             ..base.clone()
         },
@@ -412,10 +411,6 @@ fn memo_configs() -> Vec<TestConfig> {
             ..base.clone()
         },
         TestConfig {
-            policy: SchedulePolicy::Sweep,
-            ..base.clone()
-        },
-        TestConfig {
             stop_on_race: true,
             ..base.clone()
         },
@@ -426,7 +421,7 @@ fn memo_configs() -> Vec<TestConfig> {
             ..base.clone()
         },
         TestConfig {
-            policy: SchedulePolicy::Sweep,
+            policy: SchedulePolicy::pct(),
             max_total_steps: Some(60_000),
             ..base
         },

@@ -19,16 +19,12 @@ use govm::{compile_sources, run_test_many, CompileOptions, SchedulePolicy, TestC
 
 /// Schedule budget for both exposure and cleanliness checks. The
 /// `schedules_to_expose` bench measures PCT's median at 1 schedule on
-/// the exposure corpus (uniform-random needs 5–43); 48 gives a wide
+/// the exposure corpus (uniform-random needs 3–26); 48 gives a wide
 /// safety margin without slowing the suite.
 const BUDGET: u32 = 48;
 
 fn policies() -> Vec<SchedulePolicy> {
-    vec![
-        SchedulePolicy::Random,
-        SchedulePolicy::pct(),
-        SchedulePolicy::Sweep,
-    ]
+    vec![SchedulePolicy::Random, SchedulePolicy::pct()]
 }
 
 fn exposure_corpus() -> Vec<RaceCase> {
@@ -123,7 +119,7 @@ fn pct_exposes_every_ordering_sensitive_race_within_budget() {
 }
 
 /// Every ordering-sensitive human fix stays clean under the full budget
-/// for all three policies.
+/// for both policies.
 #[test]
 fn ordering_sensitive_fixes_stay_clean_under_budget() {
     for case in &exposure_corpus() {

@@ -83,11 +83,7 @@ fn golden_path() -> std::path::PathBuf {
 }
 
 fn policies() -> Vec<SchedulePolicy> {
-    vec![
-        SchedulePolicy::Random,
-        SchedulePolicy::pct(),
-        SchedulePolicy::Sweep,
-    ]
+    vec![SchedulePolicy::Random, SchedulePolicy::pct()]
 }
 
 fn compute() -> Goldens {

@@ -71,11 +71,7 @@ fn golden_path() -> std::path::PathBuf {
 }
 
 fn policies() -> Vec<SchedulePolicy> {
-    vec![
-        SchedulePolicy::Random,
-        SchedulePolicy::pct(),
-        SchedulePolicy::Sweep,
-    ]
+    vec![SchedulePolicy::Random, SchedulePolicy::pct()]
 }
 
 fn workload() -> Vec<(String, Program, String)> {
