@@ -1,6 +1,6 @@
 # Tier-1 verification for the Dr.Fix reproduction workspace.
 # Single source of truth for the gates: .github/workflows/ci.yml invokes
-# these targets, and every justfile recipe runs the target of its name.
+# these targets.
 
 CARGO ?= cargo
 

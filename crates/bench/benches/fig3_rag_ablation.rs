@@ -2,8 +2,6 @@
 //! concurrency skeleton — change the validated fix rate.
 //!
 //! Paper: No RAG 47%, RAG without skeleton 50%, RAG with skeleton 66%.
-//! Also prints the hit rate of the example database's query-embedding
-//! cache over the two retrieval arms.
 
 use bench::{base_config, header, pct, run_arm, Scale};
 use drfix::RagMode;
@@ -33,7 +31,7 @@ fn main() {
         ("RAG with skeleton", RagMode::Skeleton, "66%"),
     ] {
         let cfg = base_config(&scale, ModelTier::Gpt4o, rag);
-        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
+        let arm = run_arm(cfg, scale.threads, cases, Some(db));
         println!(
             "{label:<26} {:>6}/{:<3} {:>10} {:>10}   {}",
             arm.fixed(),
@@ -45,9 +43,4 @@ fn main() {
     }
     println!("\nshape check: No RAG < RAG-raw < RAG-skeleton, with the");
     println!("skeleton arm far ahead — the paper's key retrieval result.");
-    let (hits, misses) = db.cache_stats();
-    println!(
-        "query-embedding cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
-        100.0 * hits as f64 / (hits + misses).max(1) as f64
-    );
 }

@@ -34,7 +34,7 @@ fn main() {
         let mut cfg = base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton);
         cfg.scopes = scopes;
         cfg.feedback = feedback;
-        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
+        let arm = run_arm(cfg, scale.threads, cases, Some(db));
         println!(
             "{label:<26} {:>6}/{:<3} {:>10} {:>10}   {}",
             arm.fixed(),

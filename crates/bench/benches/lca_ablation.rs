@@ -29,7 +29,7 @@ fn main() {
     ] {
         let mut cfg = base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton);
         cfg.locations = locs;
-        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
+        let arm = run_arm(cfg, scale.threads, cases, Some(db));
         rates.push(arm.rate());
         println!(
             "{label:<26} {:>6}/{:<3} {:>10} {:>10}   {}",

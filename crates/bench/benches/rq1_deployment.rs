@@ -1,11 +1,12 @@
-//! RQ1: the 18-month deployment — fixes produced, developer acceptance,
-//! fix durations, and ticket-resolution times.
+//! RQ1: the 18-month deployment — fixes produced, developer acceptance
+//! and merged fix lines.
 //!
 //! Paper: 224/404 fixed (55%) with GPT-4 Turbo; 193/224 accepted (86%,
-//! 8 with touch-ups); fix durations min/avg/median/max = 6/13/14/29 min;
-//! tickets closed in 3 days vs 11 days manually.
+//! 8 with touch-ups); ~2.1K lines merged. The paper's fix durations and
+//! ticket-resolution times measure deployment wall-clock time, which no
+//! run here computes, so they are not reported.
 
-use bench::{base_config, header, pct, percentile, run_arm, Scale};
+use bench::{base_config, header, pct, run_arm, Scale};
 use drfix::{review_fix, RagMode, ReviewOutcome};
 use synthllm::ModelTier;
 
@@ -14,11 +15,11 @@ fn main() {
     let cases = bench::eval_corpus(&scale);
     let db = bench::example_db(&scale);
     header(
-        "RQ1 — deployment: fix rate, acceptance, durations, resolution time",
-        "§5.2/§5.5: 55% fixed, 86% accepted, 6/13/14/29 min, 3 vs 11 days",
+        "RQ1 — deployment: fix rate, acceptance, merged lines",
+        "§5.2: 55% fixed, 86% accepted, ~2.1K lines merged",
     );
     let cfg = base_config(&scale, ModelTier::Gpt4Turbo, RagMode::Skeleton);
-    let arm = run_arm("deploy", cfg, scale.threads, cases, Some(db));
+    let arm = run_arm(cfg, scale.threads, cases, Some(db));
     println!("throughput: {}\n", arm.throughput());
 
     let fixed: Vec<_> = cases
@@ -35,8 +36,6 @@ fn main() {
 
     let mut accepted = 0usize;
     let mut touchups = 0usize;
-    let mut drfix_days = Vec::new();
-    let mut manual_days = Vec::new();
     for (case, o) in &fixed {
         match review_fix(0xDE9, &case.id, o) {
             ReviewOutcome::Approved => accepted += 1,
@@ -45,12 +44,6 @@ fn main() {
                 touchups += 1;
             }
             ReviewOutcome::Rejected(_) => {}
-        }
-        drfix_days.push(drfix::review::resolution_days(0xDE9, &case.id, true));
-    }
-    for (case, o) in cases.iter().zip(&arm.outcomes) {
-        if !o.fixed {
-            manual_days.push(drfix::review::resolution_days(0xDE9, &case.id, false));
         }
     }
     println!(
@@ -61,20 +54,6 @@ fn main() {
         touchups
     );
 
-    let durations: Vec<f64> = fixed.iter().map(|(_, o)| o.duration_minutes).collect();
-    let avg = durations.iter().sum::<f64>() / durations.len().max(1) as f64;
-    println!(
-        "fix durations (min): min {:.0} / avg {:.0} / median {:.0} / max {:.0}   paper: 6/13/14/29",
-        durations.iter().cloned().fold(f64::INFINITY, f64::min),
-        avg,
-        percentile(&durations, 50.0),
-        durations.iter().cloned().fold(0.0, f64::max),
-    );
-    let d_avg = drfix_days.iter().sum::<f64>() / drfix_days.len().max(1) as f64;
-    let m_avg = manual_days.iter().sum::<f64>() / manual_days.len().max(1) as f64;
-    println!(
-        "ticket resolution: {d_avg:.1} days via Dr.Fix vs {m_avg:.1} days manual   paper: 3 vs 11"
-    );
     let loc_total: usize = fixed.iter().filter_map(|(_, o)| o.patch_loc).sum();
     println!("total fix LoC merged: {loc_total} lines   paper: ~2.1K over 193 fixes");
 }

@@ -26,7 +26,7 @@ fn main() {
         ("o1-preview", ModelTier::O1Preview, "73.5%"),
     ] {
         let cfg = base_config(&scale, tier, RagMode::Skeleton);
-        let arm = run_arm(label, cfg, scale.threads, cases, Some(db));
+        let arm = run_arm(cfg, scale.threads, cases, Some(db));
         rates.push(arm.rate());
         println!(
             "{label:<16} {:>6}/{:<3} {:>10} {:>12}   {}",

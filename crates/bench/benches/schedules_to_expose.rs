@@ -46,6 +46,14 @@ struct Exposure {
     steps: u64,
 }
 
+/// The seed of one exposure job: a function of the case's index in its
+/// corpus and the policy's label only, so adding or removing a policy
+/// re-seeds no other column.
+fn exposure_seed(base: u64, case_index: usize, policy: &SchedulePolicy) -> u64 {
+    let label = fleet::fnv1a64_fold(fleet::FNV1A_OFFSET, policy.label().as_bytes());
+    fleet::derive_case_seed(base ^ label, case_index as u64)
+}
+
 /// Runs one case under `policy` until the planted race surfaces.
 fn expose(case: &RaceCase, policy: &SchedulePolicy, max_sched: u32, seed: u64) -> Exposure {
     let Ok(prog) = compile_sources(&case.files, &CompileOptions::default()) else {
@@ -91,9 +99,12 @@ fn main() {
 
     let policies: Vec<SchedulePolicy> = vec![SchedulePolicy::Random, SchedulePolicy::pct()];
 
-    let mut by_cat: Vec<(RaceCategory, Vec<&RaceCase>)> = Vec::new();
+    // Each category's cases, by their indices in the corpus.
+    let mut by_cat: Vec<(RaceCategory, Vec<usize>)> = Vec::new();
     for cat in RaceCategory::all() {
-        let picked: Vec<&RaceCase> = corpus.iter().filter(|c| c.category == *cat).collect();
+        let picked: Vec<usize> = (0..corpus.len())
+            .filter(|&i| corpus[i].category == *cat)
+            .collect();
         if !picked.is_empty() {
             by_cat.push((*cat, picked));
         }
@@ -111,26 +122,26 @@ fn main() {
         policies[1].label()
     );
 
-    // One fleet job per (category, case, policy) triple.
-    let mut jobs: Vec<(usize, &RaceCase, &SchedulePolicy)> = Vec::new();
+    // One fleet job per `(category, corpus index, policy index)`.
+    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
     for (ci, (_, cases)) in by_cat.iter().enumerate() {
-        for case in cases {
-            for policy in &policies {
-                jobs.push((ci, case, policy));
+        for &index in cases {
+            for pi in 0..policies.len() {
+                jobs.push((ci, index, pi));
             }
         }
     }
     let exposures = fleet::run_indexed(threads, jobs.len(), |i| {
-        let (ci, case, policy) = jobs[i];
-        let seed = fleet::derive_case_seed(0x57E, i as u64);
-        (ci, policy.label(), expose(case, policy, max_sched, seed))
+        let (_, index, pi) = jobs[i];
+        let policy = &policies[pi];
+        let seed = exposure_seed(0x57E, index, policy);
+        expose(&corpus[index], policy, max_sched, seed)
     });
 
     // Aggregate per (category, policy).
     let mut table: Vec<Vec<Vec<&Exposure>>> = vec![vec![Vec::new(); policies.len()]; by_cat.len()];
-    for (ci, plabel, exp) in &exposures {
-        let pi = policies.iter().position(|p| p.label() == *plabel).unwrap();
-        table[*ci][pi].push(exp);
+    for (&(ci, _, pi), exp) in jobs.iter().zip(&exposures) {
+        table[ci][pi].push(exp);
     }
 
     let mut pct_wins = 0usize;
@@ -209,12 +220,15 @@ fn main() {
         db_pairs: 0,
         seed: 0xD0F1,
     });
-    let std_cases: Vec<&RaceCase> = std_corpus.iter().filter(|c| c.fixable).take(12).collect();
+    let std_cases: Vec<usize> = (0..std_corpus.len())
+        .filter(|&i| std_corpus[i].fixable)
+        .take(12)
+        .collect();
     let std_schedules = fleet::run_indexed(threads, std_cases.len() * policies.len(), |i| {
-        let case = std_cases[i / policies.len()];
+        let index = std_cases[i / policies.len()];
         let policy = &policies[i % policies.len()];
-        let seed = fleet::derive_case_seed(0x57D, i as u64);
-        expose(case, policy, max_sched, seed)
+        let seed = exposure_seed(0x57D, index, policy);
+        expose(&std_corpus[index], policy, max_sched, seed)
             .schedules
             .map(u64::from)
             .unwrap_or(u64::from(max_sched))

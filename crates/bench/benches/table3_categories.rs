@@ -19,7 +19,7 @@ fn main() {
         "§5.2, Table 3",
     );
     let cfg = base_config(&scale, ModelTier::Gpt4Turbo, RagMode::Skeleton);
-    let arm = run_arm("deploy", cfg, scale.threads, cases, Some(db));
+    let arm = run_arm(cfg, scale.threads, cases, Some(db));
     println!("throughput: {}\n", arm.throughput());
 
     let mut fixes_by_cat = std::collections::HashMap::new();

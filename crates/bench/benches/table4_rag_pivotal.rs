@@ -14,14 +14,12 @@ fn main() {
         "§5.3, Table 4: recurring complex patterns unlocked by examples",
     );
     let no_rag = run_arm(
-        "none",
         base_config(&scale, ModelTier::Gpt4o, RagMode::None),
         scale.threads,
         cases,
         Some(db),
     );
     let with_rag = run_arm(
-        "skel",
         base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton),
         scale.threads,
         cases,

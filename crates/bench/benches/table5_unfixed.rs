@@ -18,7 +18,7 @@ fn main() {
         "§5.3, Table 5",
     );
     let cfg = base_config(&scale, ModelTier::Gpt4o, RagMode::Skeleton);
-    let arm = run_arm("ablate", cfg, scale.threads, cases, Some(db));
+    let arm = run_arm(cfg, scale.threads, cases, Some(db));
     println!("throughput: {}\n", arm.throughput());
 
     let mut unfixed_by_cat: std::collections::HashMap<&str, usize> =

@@ -18,7 +18,7 @@ fn main() {
         "§5.5, Table 7",
     );
     let cfg = base_config(&scale, ModelTier::Gpt4Turbo, RagMode::Skeleton);
-    let arm = run_arm("deploy", cfg, scale.threads, cases, Some(db));
+    let arm = run_arm(cfg, scale.threads, cases, Some(db));
     println!("throughput: {}\n", arm.throughput());
 
     let human: Vec<f64> = cases

@@ -158,8 +158,6 @@ pub fn base_config(scale: &Scale, tier: ModelTier, rag: RagMode) -> PipelineConf
 /// One arm's aggregate results.
 #[derive(Debug, Clone)]
 pub struct ArmResult {
-    /// Arm label.
-    pub label: String,
     /// Per-case outcomes, aligned with the corpus order.
     pub outcomes: Vec<FixOutcome>,
     /// Wall-clock duration of the arm, in seconds.
@@ -196,7 +194,6 @@ impl ArmResult {
 /// `i` runs under [`derive_case_seed`]`(cfg.seed, i)`, so the outcomes
 /// are bit-identical at any thread count.
 pub fn run_arm(
-    label: &str,
     cfg: PipelineConfig,
     threads: usize,
     cases: &[RaceCase],
@@ -209,7 +206,6 @@ pub fn run_arm(
         DrFix::new(case_cfg, db).fix_case(&cases[i].files, &cases[i].test)
     });
     ArmResult {
-        label: label.to_owned(),
         outcomes,
         wall_seconds: start.elapsed().as_secs_f64(),
     }
@@ -270,10 +266,10 @@ mod tests {
             seed: 0xFEED,
             ..PipelineConfig::default()
         };
-        let serial = run_arm("s", cfg.clone(), 1, &cases, Some(&db));
+        let serial = run_arm(cfg.clone(), 1, &cases, Some(&db));
         assert!(serial.fixed() > 0, "the corpus slice fixed nothing");
         for threads in [2, 8] {
-            let par = run_arm("p", cfg.clone(), threads, &cases, Some(&db));
+            let par = run_arm(cfg.clone(), threads, &cases, Some(&db));
             assert_eq!(par.outcomes, serial.outcomes, "threads={threads}");
         }
     }

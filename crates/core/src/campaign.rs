@@ -1123,8 +1123,8 @@ mod tests {
         let mut fix = CampaignConfig::new(96, 4, stream);
         fix.mode = CampaignMode::Fix;
         fix.pipeline.tournament = Some(crate::TournamentConfig::default());
-        assert_eq!(detect.fingerprint(), 0x03b4_8dea_a63e_ceaa);
-        assert_eq!(fix.fingerprint(), 0x61c8_41d8_3c45_c901);
+        assert_eq!(detect.fingerprint(), 0x02f3_a4ca_6ead_5df3);
+        assert_eq!(fix.fingerprint(), 0x8ebc_f45e_d178_3802);
     }
 
     #[test]

@@ -8,9 +8,6 @@
 use crate::fleet;
 use serde::{Deserialize, Serialize};
 use skeleton::{skeletonize, SkeletonOptions};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
 use synthllm::Example;
 use vecdb::VectorStore;
 
@@ -36,20 +33,11 @@ pub struct DbEntry {
     pub category: synthllm::RaceCategory,
 }
 
-/// The example database: one vector store per retrieval mode, plus a
-/// process-wide query-embedding cache.
-///
-/// The cache memoizes the expensive half of [`ExampleDb::retrieve`] —
-/// skeletonizing and embedding the *query* — keyed by the query content,
-/// so a case retried across ablation arms (or scopes) pays for its
-/// embedding once. It is interior-mutable behind an `RwLock`, keeping
-/// the database shareable read-only across fleet workers.
+/// The example database: one vector store per retrieval mode, shared
+/// read-only across fleet workers.
 pub struct ExampleDb {
     skeleton_store: VectorStore<DbEntry>,
     raw_store: VectorStore<DbEntry>,
-    query_cache: RwLock<HashMap<u64, Vec<f32>>>,
-    cache_hits: AtomicUsize,
-    cache_misses: AtomicUsize,
 }
 
 impl ExampleDb {
@@ -81,9 +69,6 @@ impl ExampleDb {
         ExampleDb {
             skeleton_store,
             raw_store,
-            query_cache: RwLock::new(HashMap::new()),
-            cache_hits: AtomicUsize::new(0),
-            cache_misses: AtomicUsize::new(0),
         }
     }
 
@@ -99,10 +84,6 @@ impl ExampleDb {
 
     /// Retrieves the best example for the query code, per mode. Returns
     /// the example and its stored category (for accounting).
-    ///
-    /// The query embedding is memoized in the database's cache: repeat
-    /// retrievals for the same case (across ablation arms, locations, or
-    /// retries) skip skeletonization and embedding entirely.
     pub fn retrieve(
         &self,
         mode: RagMode,
@@ -115,7 +96,7 @@ impl ExampleDb {
             RagMode::Raw => &self.raw_store,
             RagMode::Skeleton => &self.skeleton_store,
         };
-        let q = self.query_embedding(mode, code, racy_var, racy_lines);
+        let q = query_embedding(mode, code, racy_var, racy_lines);
         let hit = store.query(&q, 1).into_iter().next()?;
         Some((
             Example {
@@ -126,51 +107,26 @@ impl ExampleDb {
             hit.score,
         ))
     }
+}
 
-    /// Computes (or recalls) the embedding for one query.
-    fn query_embedding(
-        &self,
-        mode: RagMode,
-        code: &str,
-        racy_var: &str,
-        racy_lines: &[u32],
-    ) -> Vec<f32> {
-        let key = query_key(mode, code, racy_var, racy_lines);
-        if let Some(v) = self.query_cache.read().expect("cache poisoned").get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
+/// Computes the embedding for one query.
+fn query_embedding(mode: RagMode, code: &str, racy_var: &str, racy_lines: &[u32]) -> Vec<f32> {
+    match mode {
+        RagMode::None => unreachable!("None mode never embeds"),
+        RagMode::Raw => embed::embed(code),
+        RagMode::Skeleton => {
+            let sk = skeletonize(
+                code,
+                racy_lines,
+                &SkeletonOptions {
+                    extra_racy_vars: vec![racy_var.to_owned()],
+                    no_slicing: false,
+                },
+            )
+            .map(|s| s.text)
+            .unwrap_or_else(|_| code.to_owned());
+            embed::embed(&sk)
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let v = match mode {
-            RagMode::None => unreachable!("None mode never embeds"),
-            RagMode::Raw => embed::embed(code),
-            RagMode::Skeleton => {
-                let sk = skeletonize(
-                    code,
-                    racy_lines,
-                    &SkeletonOptions {
-                        extra_racy_vars: vec![racy_var.to_owned()],
-                        no_slicing: false,
-                    },
-                )
-                .map(|s| s.text)
-                .unwrap_or_else(|_| code.to_owned());
-                embed::embed(&sk)
-            }
-        };
-        self.query_cache
-            .write()
-            .expect("cache poisoned")
-            .insert(key, v.clone());
-        v
-    }
-
-    /// `(hits, misses)` of the query-embedding cache so far.
-    pub fn cache_stats(&self) -> (usize, usize) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -188,32 +144,6 @@ fn embed_pair(p: &corpus::DbPair) -> (Vec<f32>, Vec<f32>) {
     .map(|s| s.text)
     .unwrap_or_else(|_| p.buggy.clone());
     (embed::embed(&sk_text), embed::embed(&p.buggy))
-}
-
-/// Content hash of one retrieval query (FNV-1a over every input that
-/// can change the embedding). Keying by content — not merely by case id
-/// — keeps the cache exact: two scopes of the same case embed different
-/// code and must not share an entry. Raw mode embeds the code alone, so
-/// its key deliberately ignores `racy_var`/`racy_lines` — otherwise the
-/// same embedding would be recomputed once per fix location.
-fn query_key(mode: RagMode, code: &str, racy_var: &str, racy_lines: &[u32]) -> u64 {
-    let mut h = fleet::fnv1a64_fold(
-        fleet::FNV1A_OFFSET,
-        &[match mode {
-            RagMode::None => 0,
-            RagMode::Raw => 1,
-            RagMode::Skeleton => 2,
-        }],
-    );
-    h = fleet::fnv1a64_fold(h, code.as_bytes());
-    if mode == RagMode::Skeleton {
-        h = fleet::fnv1a64_fold(h, &[0xFF]);
-        h = fleet::fnv1a64_fold(h, racy_var.as_bytes());
-        for line in racy_lines {
-            h = fleet::fnv1a64_fold(h, &line.to_le_bytes());
-        }
-    }
-    h
 }
 
 #[cfg(test)]
@@ -289,33 +219,23 @@ mod tests {
     fn none_mode_returns_nothing() {
         let db = small_db();
         assert!(db.retrieve(RagMode::None, "package p", "x", &[]).is_none());
-        assert_eq!(
-            db.cache_stats(),
-            (0, 0),
-            "None mode must not touch the cache"
-        );
     }
 
     #[test]
-    fn repeat_queries_hit_the_embedding_cache() {
+    fn repeat_queries_retrieve_identically() {
         let db = small_db();
         let code =
             "package p\n\nfunc f() {\n\tx := 0\n\tgo func() {\n\t\tx = 1\n\t}()\n\t_ = x\n}\n";
-        let first = db.retrieve(RagMode::Skeleton, code, "x", &[5]);
-        assert_eq!(db.cache_stats(), (0, 1));
-        let second = db.retrieve(RagMode::Skeleton, code, "x", &[5]);
-        assert_eq!(db.cache_stats(), (1, 1), "identical query must hit");
-        let (e1, c1, s1) = first.unwrap();
-        let (e2, c2, s2) = second.unwrap();
-        assert_eq!((e1.buggy, c1, s1.to_bits()), (e2.buggy, c2, s2.to_bits()));
-        // Different scope code, mode, var, or lines → distinct entries.
-        db.retrieve(RagMode::Raw, code, "x", &[5]);
-        db.retrieve(RagMode::Skeleton, code, "y", &[5]);
-        db.retrieve(RagMode::Skeleton, code, "x", &[6]);
-        assert_eq!(db.cache_stats(), (1, 4));
-        // Raw embeds the code alone: var/lines must not split its key.
-        db.retrieve(RagMode::Raw, code, "other", &[9]);
-        assert_eq!(db.cache_stats(), (2, 4));
+        let key = |r: Option<(Example, synthllm::RaceCategory, f32)>| {
+            let (e, c, s) = r.unwrap();
+            (e.buggy, c, s.to_bits())
+        };
+        let first = key(db.retrieve(RagMode::Skeleton, code, "x", &[5]));
+        let second = key(db.retrieve(RagMode::Skeleton, code, "x", &[5]));
+        assert_eq!(first, second, "identical queries must retrieve identically");
+        // Raw embeds the code alone: var and lines must not matter.
+        let raw = key(db.retrieve(RagMode::Raw, code, "x", &[5]));
+        assert_eq!(raw, key(db.retrieve(RagMode::Raw, code, "other", &[9])));
     }
 
     #[test]

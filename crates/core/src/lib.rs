@@ -14,8 +14,8 @@
 //!    LLM call;
 //! 4. **Fix Validator** ([`validate`]): rebuild and re-run the tests
 //!    under many schedules, checking the stable bug hash;
-//! 5. **Developer validation** ([`review`]): the seeded review/survey
-//!    model behind the RQ1/RQ4 tables;
+//! 5. **Developer validation** ([`review`]): the seeded code-review
+//!    model behind RQ1's acceptance rate;
 //! 6. **Fleet execution** ([`fleet`]): the one work-queue executor
 //!    (§2.2) that shards jobs across worker threads, and the per-case
 //!    seed derivations that keep it bit-identical to the serial path.
@@ -80,7 +80,7 @@ pub use database::{ExampleDb, RagMode};
 pub use govm::SchedulePolicy;
 pub use pipeline::{DrFix, FailureKind, FixOutcome, PipelineConfig};
 pub use raceinfo::{extract, FixLocation, LocationKind, RaceInfo};
-pub use review::{review_fix, survey, ReviewOutcome};
+pub use review::{review_fix, ReviewOutcome};
 pub use tournament::{
     candidate_rank, CandidateOutcome, CandidateReport, TournamentConfig, TournamentReport,
 };

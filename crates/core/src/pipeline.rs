@@ -29,6 +29,10 @@ use synthllm::{Example, Feedback, FixRequest, ModelTier, Prompt, RaceCategory, S
 /// request: it validates the first of them that applies.
 pub(crate) const SINGLE_PATH_WINDOW: usize = 4;
 
+/// Retries per `(location, scope, example)` combination: the paper
+/// restricts to one retry (§5.1).
+pub(crate) const RETRIES: u32 = 1;
+
 /// Pipeline configuration — every ablation of §5 is a toggle here.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -42,9 +46,6 @@ pub struct PipelineConfig {
     pub scopes: Vec<Scope>,
     /// Whether validation failures feed back into the next prompt (Fig. 4).
     pub feedback: bool,
-    /// Retries per `(location, scope, example)` combination (the paper
-    /// restricts to one retry, §5.1).
-    pub retries: u32,
     /// Schedules per validation (the paper runs 1000; the default here
     /// keeps benches fast and is configurable).
     pub validation_runs: u32,
@@ -94,7 +95,6 @@ impl Default for PipelineConfig {
             locations: LocationKind::default_order(),
             scopes: vec![Scope::Func, Scope::File],
             feedback: true,
-            retries: 1,
             validation_runs: 16,
             detect_runs: 40,
             seed: 0,
@@ -146,8 +146,6 @@ pub struct FixOutcome {
     /// Validation schedules replayed from their campaign's schedule memo
     /// instead of executed (a cost gauge, like `validation_vm_steps`).
     pub replayed_schedules: u64,
-    /// Synthetic wall-clock minutes (calibrated to §5.2's 6–29 range).
-    pub duration_minutes: f64,
     /// Changed-line count of the accepted patch.
     pub patch_loc: Option<usize>,
     /// Failure classification when unfixed.
@@ -285,7 +283,6 @@ impl<'db> DrFix<'db> {
     /// detection schedules — identical whichever arm would have run.
     fn unreproduced_outcome() -> FixOutcome {
         FixOutcome {
-            duration_minutes: 4.0,
             failure: Some(FailureKind::NotReproduced),
             ..FixOutcome::default()
         }
@@ -305,7 +302,7 @@ impl<'db> DrFix<'db> {
         for site in self.sites(parsed, info) {
             for arm in &site.arms {
                 let mut feedback: Vec<Feedback> = Vec::new();
-                for _attempt in 0..=self.cfg.retries {
+                for _attempt in 0..=RETRIES {
                     let shown = if self.cfg.feedback {
                         feedback.clone()
                     } else {
@@ -379,7 +376,6 @@ impl<'db> DrFix<'db> {
                             out.scope = Some(site.scope);
                             out.example_used = arm.is_some();
                             out.example_category = arm.as_ref().map(|(_, c)| *c);
-                            out.duration_minutes = duration_minutes(out.llm_calls, out.validations);
                             return out;
                         }
                         Verdict::Fail(msg) => {
@@ -393,7 +389,6 @@ impl<'db> DrFix<'db> {
             }
         }
         out.failure = Some(FailureKind::Unfixed);
-        out.duration_minutes = duration_minutes(out.llm_calls, out.validations);
         out
     }
 
@@ -702,12 +697,6 @@ pub fn splice_func_patch(
         &imports,
         carried.into_iter().chain(decls),
     ))
-}
-
-/// Synthetic fix duration, calibrated so successful fixes land in the
-/// paper's 6/13/14/29 min (min/avg/median/max) envelope (§5.2).
-pub(crate) fn duration_minutes(llm_calls: u32, validations: u32) -> f64 {
-    4.0 + 0.9 * llm_calls as f64 + 0.55 * validations as f64
 }
 
 #[cfg(test)]

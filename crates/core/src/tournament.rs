@@ -32,8 +32,7 @@
 //!   dynamically-clean patch).
 
 use crate::pipeline::{
-    duration_minutes, patch_loc, patched_sources, patched_view, splice, DrFix, FailureKind,
-    FixOutcome, Site,
+    patch_loc, patched_sources, patched_view, splice, DrFix, FailureKind, FixOutcome, Site, RETRIES,
 };
 use crate::raceinfo::{LocationKind, RaceInfo};
 use crate::validate::{
@@ -104,8 +103,6 @@ pub struct CandidateReport {
     pub patch_loc: usize,
     /// Repair iterations in this candidate's lineage (0 = original).
     pub repair_iters: u32,
-    /// Whether the capability model degraded the application.
-    pub degraded: bool,
     /// Final disposition.
     pub outcome: CandidateOutcome,
     /// The candidate's patched sources, when
@@ -144,7 +141,6 @@ pub fn candidate_rank(a: (f64, usize, usize), b: (f64, usize, usize)) -> std::cm
 pub(crate) struct PoolEntry {
     strategy: StrategyKind,
     confidence: f64,
-    degraded: bool,
     kind: LocationKind,
     scope: Scope,
     example_used: bool,
@@ -310,11 +306,7 @@ impl DrFix<'_> {
         let mut lineage: Vec<Option<Lineage>> = Vec::new();
         // Indexed by site; `None` once a site has no repair work.
         let mut sites: Vec<Option<Site>> = Vec::new();
-        let passes: u32 = if self.cfg.feedback {
-            self.cfg.retries + 1
-        } else {
-            1
-        };
+        let passes: u32 = if self.cfg.feedback { RETRIES + 1 } else { 1 };
         for site in self.sites(parsed, info) {
             let s = sites.len();
             let first = lineage.len();
@@ -331,7 +323,6 @@ impl DrFix<'_> {
                         let entry = PoolEntry {
                             strategy: cand.strategy,
                             confidence: cand.confidence,
-                            degraded: cand.degraded,
                             kind: site.loc.kind,
                             scope: site.scope,
                             example_used: arm.is_some(),
@@ -394,7 +385,6 @@ impl DrFix<'_> {
                 pool.push(PoolEntry {
                     strategy: rep.strategy,
                     confidence: rep.confidence,
-                    degraded: rep.degraded,
                     kind: parent.kind,
                     scope: parent.scope,
                     example_used: parent.example_used,
@@ -520,7 +510,6 @@ impl DrFix<'_> {
                 confidence: e.confidence,
                 patch_loc: e.ploc,
                 repair_iters: e.repair_iters,
-                degraded: e.degraded,
                 outcome: outcomes[i].clone(),
                 patch: tcfg.keep_candidates.then(|| e.patched.clone()),
             })
@@ -539,7 +528,6 @@ impl DrFix<'_> {
         } else {
             out.failure = Some(FailureKind::Unfixed);
         }
-        out.duration_minutes = duration_minutes(out.llm_calls, out.validations);
         out.tournament = Some(TournamentReport {
             candidates,
             winner,
@@ -696,7 +684,7 @@ mod tests {
                     let (_, src, _) = file.expect("the site's file");
                     let func = &site.loc.function;
                     for arm in &site.arms {
-                        for pass in 0..=drfix.cfg.retries {
+                        for pass in 0..=RETRIES {
                             let req = site.request(info, arm, pass_feedback(pass));
                             for cand in llm.enumerate(&req, &site.prompt, MAX_CANDIDATES) {
                                 let repairs = (0..REPAIR_MAX_ITERS).filter_map(|iter| {
@@ -747,7 +735,7 @@ mod tests {
                     let shared = &site.prompt;
                     let fresh = || Prompt::new(std::borrow::Cow::Borrowed(shared.file()));
                     for arm in &site.arms {
-                        for pass in 0..=drfix.cfg.retries {
+                        for pass in 0..=RETRIES {
                             let req = site.request(info, arm, pass_feedback(pass));
                             let window = crate::pipeline::SINGLE_PATH_WINDOW;
                             let first = llm.enumerate(&req, shared, window).next();

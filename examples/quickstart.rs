@@ -74,11 +74,10 @@ fn main() {
     assert!(outcome.fixed, "Dr.Fix should fix the Listing-1 pattern");
     println!("\n--- fix ----------------------------------------------------");
     println!(
-        "strategy: {:?}   location: {:?}   scope: {:?}   ~{:.0} min",
+        "strategy: {:?}   location: {:?}   scope: {:?}",
         outcome.strategy.expect("strategy recorded"),
         outcome.location.expect("location recorded"),
         outcome.scope.expect("scope recorded"),
-        outcome.duration_minutes,
     );
 
     // 3. Show the patched file.

@@ -268,7 +268,7 @@ fn tournament_losers_fail_the_reference_validator_for_the_same_reason() {
         ..PipelineConfig::default()
     };
     let threads = bench::Scale::from_env().threads;
-    let run = bench::run_arm("botch", cfg.clone(), threads, &cases, None);
+    let run = bench::run_arm(cfg.clone(), threads, &cases, None);
 
     let mut static_losers = 0usize;
     let mut dynamic_losers = 0usize;

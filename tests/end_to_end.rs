@@ -160,22 +160,3 @@ fn bug_hash_is_stable_across_detection_seeds() {
     }
     assert_eq!(hashes.len(), 1, "the bug hash must be schedule-stable");
 }
-
-#[test]
-fn fix_durations_fall_in_the_papers_envelope() {
-    let (cases, db) = small_world(24, 0x7777);
-    let pipeline = DrFix::new(config(ModelTier::Gpt4o, RagMode::Skeleton), Some(&db));
-    let mut durations = Vec::new();
-    for case in &cases {
-        let o = pipeline.fix_case(&case.files, &case.test);
-        if o.fixed {
-            durations.push(o.duration_minutes);
-        }
-    }
-    assert!(durations.len() >= 8);
-    let min = durations.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = durations.iter().cloned().fold(0.0, f64::max);
-    // Paper §5.2: min 6, max 29 minutes.
-    assert!((4.0..=12.0).contains(&min), "min {min}");
-    assert!(max <= 45.0, "max {max}");
-}

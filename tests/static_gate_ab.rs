@@ -20,7 +20,7 @@
 //! The per-case outcomes are compared wholesale with only the two cost
 //! counters (`rejected_static`, `validation_vm_steps`) scrubbed — any
 //! other field diverging (fixed, patch bytes, strategy, llm_calls,
-//! durations, failure kind) fails the test.
+//! failure kind) fails the test.
 
 use bench::{run_arm, Scale};
 use corpus::{generate_eval_corpus, CorpusConfig};
@@ -55,7 +55,6 @@ fn static_gate_changes_cost_not_outcomes() {
     };
     let threads = Scale::from_env().threads;
     let gated = run_arm(
-        "gate-on",
         PipelineConfig {
             static_gate: true,
             ..cfg.clone()
@@ -65,7 +64,6 @@ fn static_gate_changes_cost_not_outcomes() {
         None,
     );
     let ungated = run_arm(
-        "gate-off",
         PipelineConfig {
             static_gate: false,
             ..cfg

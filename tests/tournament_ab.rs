@@ -34,9 +34,8 @@ fn corpus() -> Vec<corpus::RaceCase> {
 fn tournament_fixes_a_strict_superset_with_zero_lint_vm_steps() {
     let cases = corpus();
     let threads = Scale::from_env().threads;
-    let single = run_arm("single-path", base_cfg(), threads, &cases, None);
+    let single = run_arm(base_cfg(), threads, &cases, None);
     let tourn = run_arm(
-        "tournament",
         PipelineConfig {
             tournament: Some(TournamentConfig::default()),
             ..base_cfg()
@@ -134,14 +133,14 @@ fn tournament_outcomes_are_bit_identical_across_thread_counts_and_reruns() {
         tournament: Some(TournamentConfig::default()),
         ..base_cfg()
     };
-    let serial = run_arm("serial", cfg.clone(), 1, &cases, None);
+    let serial = run_arm(cfg.clone(), 1, &cases, None);
     for threads in [1usize, 2, 8] {
-        let run = run_arm("threaded", cfg.clone(), threads, &cases, None);
+        let run = run_arm(cfg.clone(), threads, &cases, None);
         assert_eq!(
             serial.outcomes, run.outcomes,
             "outcomes diverged at {threads} threads"
         );
     }
-    let rerun = run_arm("rerun", cfg, 1, &cases, None);
+    let rerun = run_arm(cfg, 1, &cases, None);
     assert_eq!(serial.outcomes, rerun.outcomes, "re-run diverged");
 }
