@@ -66,7 +66,9 @@ tournament-smoke:
 
 ## The CI `campaign-smoke` job: the snapshot/resume drill at reduced
 ## scale (DRFIX_CAMPAIGN_CASES, default 200; 2 shards). A serial
-## reference campaign runs uninterrupted; the same campaign runs
+## reference campaign runs uninterrupted, then again on 4 workers
+## through a one-case in-flight window (--max-in-flight 1) with a digest
+## that must equal the reference; the same campaign runs
 ## on 4 workers, is killed at its first checkpoint (exit 3), resumes from
 ## the snapshot, and the resumed digest must equal the uninterrupted
 ## reference bit-for-bit. A truncated copy of the killed snapshot must
@@ -83,6 +85,13 @@ campaign-smoke:
 	  > target/campaign-smoke/ref.log
 	target/release/campaignctl status --snapshot target/campaign-smoke/ref.json \
 	  --assert-complete --digest > target/campaign-smoke/ref.digest
+	target/release/campaignctl run --cases $(DRFIX_CAMPAIGN_CASES) --shards 2 --workers 4 \
+	  --max-in-flight 1 --checkpoint-every 25 --snapshot target/campaign-smoke/window1.json \
+	  > target/campaign-smoke/window1.log
+	target/release/campaignctl status --snapshot target/campaign-smoke/window1.json \
+	  --assert-complete --digest > target/campaign-smoke/window1.digest
+	cmp target/campaign-smoke/ref.digest target/campaign-smoke/window1.digest
+	@echo "campaign-smoke: 4 workers through a one-case in-flight window match the serial digest"
 	target/release/campaignctl run --cases $(DRFIX_CAMPAIGN_CASES) --shards 2 --workers 4 \
 	  --checkpoint-every 25 --halt-after-checkpoints 1 \
 	  --snapshot target/campaign-smoke/killed.json > target/campaign-smoke/killed.log; \

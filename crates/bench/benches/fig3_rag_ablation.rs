@@ -3,7 +3,7 @@
 //!
 //! Paper: No RAG 47%, RAG without skeleton 50%, RAG with skeleton 66%.
 
-use bench::{base_config, header, pct, run_arm, Scale};
+use bench::{base_config, header, pct, run_arm, shape_check, Scale};
 use drfix::RagMode;
 use synthllm::ModelTier;
 
@@ -25,6 +25,7 @@ fn main() {
         "{:<26} {:>10} {:>10} {:>10}   fleet throughput",
         "configuration", "fixed", "rate", "paper"
     );
+    let mut fixed = Vec::new();
     for (label, rag, paper) in [
         ("No RAG", RagMode::None, "47%"),
         ("RAG without skeleton", RagMode::Raw, "50%"),
@@ -40,7 +41,11 @@ fn main() {
             paper,
             arm.throughput()
         );
+        fixed.push(arm.fixed());
     }
-    println!("\nshape check: No RAG < RAG-raw < RAG-skeleton, with the");
-    println!("skeleton arm far ahead — the paper's key retrieval result.");
+    println!();
+    shape_check(
+        "No RAG < RAG-raw < RAG-skeleton",
+        fixed[0] < fixed[1] && fixed[1] < fixed[2],
+    );
 }

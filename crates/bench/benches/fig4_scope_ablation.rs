@@ -4,7 +4,7 @@
 //! Paper: func-only 39%, file-only 33%, file+feedback 39%,
 //! func→file+feedback 66%.
 
-use bench::{base_config, header, pct, run_arm, Scale};
+use bench::{base_config, header, pct, run_arm, shape_check, Scale};
 use drfix::RagMode;
 use synthllm::{ModelTier, Scope};
 
@@ -20,6 +20,7 @@ fn main() {
         "{:<26} {:>10} {:>10} {:>10}   fleet throughput",
         "configuration", "fixed", "rate", "paper"
     );
+    let mut fixed = Vec::new();
     for (label, scopes, feedback, paper) in [
         ("Func only", vec![Scope::Func], false, "39%"),
         ("File only", vec![Scope::File], false, "33%"),
@@ -43,7 +44,14 @@ fn main() {
             paper,
             arm.throughput()
         );
+        fixed.push(arm.fixed());
     }
-    println!("\nshape check: file-only < func-only (long contexts overwhelm),");
-    println!("feedback recovers file scope, and the func→file cascade wins.");
+    let (func, file, file_feedback, cascade) = (fixed[0], fixed[1], fixed[2], fixed[3]);
+    println!();
+    shape_check("file-only < func-only", file < func);
+    shape_check("file-only < file + past failures", file < file_feedback);
+    shape_check(
+        "the func→file cascade fixes the most",
+        cascade > func.max(file_feedback),
+    );
 }

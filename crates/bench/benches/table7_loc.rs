@@ -4,7 +4,7 @@
 //! Paper: P50 10/9, P75 15/15, P90 46/29, P95 49/41, P99 97/46,
 //! P100 98/46 (human/Dr.Fix), VectorDB P100 94.
 
-use bench::{base_config, header, percentile, run_arm, Scale};
+use bench::{base_config, header, percentile, run_arm, shape_check, Scale};
 use corpus::{diff_lines, generate_example_db, CorpusConfig};
 use drfix::RagMode;
 use synthllm::ModelTier;
@@ -55,7 +55,11 @@ fn main() {
             percentile(&vecdb_loc, p),
         );
     }
-    println!(
-        "\nshape check: Dr.Fix fixes stay tighter than human fixes at the\ntail (the paper's H/D ratio grows with the percentile)."
+    println!();
+    shape_check(
+        "Dr.Fix fixes no larger than human fixes from P90 up",
+        [90.0, 95.0, 99.0, 100.0]
+            .iter()
+            .all(|&p| percentile(&drfix_loc, p) <= percentile(&human, p)),
     );
 }

@@ -224,6 +224,12 @@ pub fn header(title: &str, paper: &str) {
     println!("================================================================");
 }
 
+/// Prints a paper ordering and whether the measured arms satisfy it.
+pub fn shape_check(claim: &str, holds: bool) {
+    let verdict = if holds { "holds" } else { "does NOT hold" };
+    println!("shape check: {claim} — {verdict}");
+}
+
 /// Percentile over a sorted-copy of the data (nearest-rank).
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {

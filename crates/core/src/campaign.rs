@@ -6,18 +6,20 @@
 //! # Shape
 //!
 //! ```text
-//!   CorpusStream          worker ×W: gate → claim(home) → DrFix::run_case → lock(collector)
-//!    (on demand)            │ steal when the home shard drains                 │ fold in
-//!                           ▼                                                  │ index order,
-//!                      shard cursors                                           ▼ checkpoint
-//!                                                                    per-shard digests
+//!   CorpusStream          worker ×W: lock(wait for a slot, claim(home)) → DrFix::run_case → lock(fold)
+//!    (on demand)            │ steal when the home shard drains                          │ in index
+//!                           ▼                                                           │ order,
+//!                      shard cursors                                                    ▼ checkpoint
+//!                                                                             per-shard digests
 //! ```
 //!
 //! Each worker claims a case and runs it start to finish — detect, then
 //! in fix mode diagnose, fix and validate — on one parse, exactly as
-//! [`DrFix::fix_case`] does, then folds its compact [`CaseOutcome`] into
-//! the shared collector under the collector's lock and returns the gate
-//! slots the fold freed. The workers run on [`fleet::run_indexed`]; one
+//! [`DrFix::fix_case`] does, then folds its compact [`CaseOutcome`] and
+//! frees the in-flight slots the fold completed. Claim cursors, the
+//! in-flight window and the collector share one lock; the case runs
+//! outside it. A case that panics halts the pool and the panic leaves
+//! [`run_campaign`]. The workers run on [`fleet::run_indexed`]; one
 //! worker runs the same loop inline on the calling thread. Cases are
 //! synthesized on demand from a [`CorpusStream`] — the corpus never
 //! materializes; the only resident case sources are the ones workers are
@@ -61,8 +63,8 @@ use govm::StopReason;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Schema of campaign snapshots and metrics reports.
@@ -614,148 +616,149 @@ pub struct CampaignRun {
     pub interrupted: bool,
 }
 
-// ── Work distribution ────────────────────────────────────────────────
+// ── The worker pool ──────────────────────────────────────────────────
 
-/// Sharded claim queues with work-stealing: each shard is an atomic
-/// cursor over its contiguous range; a worker drains its home shard,
-/// then probes the others in cyclic order. Which worker claims an index
-/// affects *placement only* — the case content and seeds depend on the
-/// index alone.
-struct ShardQueues {
-    next: Vec<AtomicUsize>,
-    ends: Vec<usize>,
-    pops: AtomicU64,
-    steals: AtomicU64,
-    probes: AtomicU64,
+/// The worker pool: the stream cases are drawn from, the resident-bytes
+/// gauge, and one lock and condition variable over everything else the
+/// workers share ([`State`]). A worker takes the lock twice per case —
+/// to wait for an in-flight slot and claim, then to fold — and runs the
+/// case itself unlocked.
+struct Pool<'a> {
+    cfg: &'a CampaignConfig,
+    snapshot_path: Option<&'a Path>,
+    stream: CorpusStream,
+    resident: Resident,
+    /// Bound on cases in flight ([`CampaignConfig::in_flight_limit`]).
+    limit: usize,
+    state: Mutex<State>,
+    /// Signalled when a fold frees in-flight slots or the pool halts.
+    cv: Condvar,
 }
 
-impl ShardQueues {
-    fn from_snapshot(snap: &Snapshot) -> Self {
-        ShardQueues {
-            next: snap
-                .shards
-                .iter()
-                .map(|s| AtomicUsize::new(s.start + s.done))
-                .collect(),
-            ends: snap.shards.iter().map(|s| s.end).collect(),
-            pops: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
+/// The pool's shared state: the claim queues, the in-flight gate, the
+/// busy-time and replay accounts, and the collector.
+///
+/// Claims: each shard is a cursor over its contiguous range; a worker
+/// drains its home shard, then probes the others in cyclic order. Which
+/// worker claims an index affects *placement only* — the case content
+/// and seeds depend on the index alone.
+///
+/// Gate: cases in flight (claimed but not folded) stay within the
+/// pool's limit, so workers that race past a slow case can never buffer
+/// O(cases) outcomes; a claimer waits for a fold to free a slot.
+///
+/// Collector: outcomes are reordered per shard, the contiguous frontier
+/// is folded into the snapshot's digests and tallies, and checkpoints
+/// are written. On a halt, unfolded stragglers are discarded — a resume
+/// recomputes them deterministically.
+struct State {
+    /// Per-shard claim cursor: the next unclaimed index.
+    next: Vec<usize>,
+    pops: u64,
+    steals: u64,
+    probes: u64,
+    in_flight: usize,
+    peak_in_flight: usize,
+    /// No more claims: set by the halt switch, or by a worker that
+    /// panicked.
+    halted: bool,
+    gate_wait_seconds: f64,
+    busy: [f64; 4],
+    replayed: u64,
+    snap: Snapshot,
+    pending: Vec<BTreeMap<usize, CaseOutcome>>,
+    pending_len: usize,
+    peak_pending: usize,
+    folds: u64,
+    checkpoints: u64,
+    /// Per-shard folds since the shard's last checkpoint.
+    since: Vec<usize>,
+}
+
+impl State {
+    fn new(snap: Snapshot) -> Self {
+        let shards = snap.shards.len();
+        State {
+            next: snap.shards.iter().map(|s| s.start + s.done).collect(),
+            pops: 0,
+            steals: 0,
+            probes: 0,
+            in_flight: 0,
+            peak_in_flight: 0,
+            halted: false,
+            gate_wait_seconds: 0.0,
+            busy: [0.0; 4],
+            replayed: 0,
+            snap,
+            pending: (0..shards).map(|_| BTreeMap::new()).collect(),
+            pending_len: 0,
+            peak_pending: 0,
+            folds: 0,
+            checkpoints: 0,
+            since: vec![0; shards],
         }
     }
 
     /// Claims the next index, preferring the `home` shard. Returns the
-    /// index, its owning shard, and whether the claim was a steal.
-    fn claim(&self, home: usize) -> Option<(usize, usize)> {
-        let n = self.ends.len();
+    /// index and its owning shard.
+    fn claim(&mut self, home: usize) -> Option<(usize, usize)> {
+        let n = self.next.len();
         for off in 0..n {
             let s = (home + off) % n;
-            self.probes.fetch_add(1, Ordering::Relaxed);
-            let i = self.next[s].fetch_add(1, Ordering::Relaxed);
-            if i < self.ends[s] {
-                self.pops.fetch_add(1, Ordering::Relaxed);
-                if off > 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
+            self.probes += 1;
+            let i = self.next[s];
+            if i < self.snap.shards[s].end {
+                self.next[s] += 1;
+                self.pops += 1;
+                self.steals += u64::from(off > 0);
                 return Some((i, s));
             }
-            // Overshot an exhausted shard: the cursor stays past `end`,
-            // which later claims read as empty. Nothing to undo.
         }
         None
     }
-}
 
-/// The claim gate: bounds cases in flight (claimed but not folded) so
-/// workers that race past a slow case can never buffer O(cases)
-/// outcomes in the collector. Workers block here
-/// when the window is full and are woken by folds — or by a halt.
-struct Gate {
-    st: Mutex<GateSt>,
-    cv: Condvar,
-    limit: usize,
-}
-
-struct GateSt {
-    in_flight: usize,
-    peak: usize,
-    halted: bool,
-    /// Time claimers spent blocked, summed.
-    wait_seconds: f64,
-}
-
-impl Gate {
-    fn new(limit: usize) -> Self {
-        Gate {
-            st: Mutex::new(GateSt {
-                in_flight: 0,
-                peak: 0,
-                halted: false,
-                wait_seconds: 0.0,
-            }),
-            cv: Condvar::new(),
-            limit: limit.max(1),
-        }
-    }
-
-    /// Takes one in-flight slot; `false` means the campaign halted.
-    fn acquire(&self) -> bool {
-        let mut st = self.st.lock().expect("gate poisoned");
-        let mut blocked: Option<Instant> = None;
+    /// Accepts one outcome and folds everything it makes contiguous.
+    /// Returns how many cases were folded.
+    fn accept(&mut self, pool: &Pool, shard: usize, o: CaseOutcome) -> usize {
+        self.pending[shard].insert(o.index, o);
+        self.pending_len += 1;
+        self.peak_pending = self.peak_pending.max(self.pending_len);
+        let mut newly = 0;
         loop {
-            let ready = st.halted || st.in_flight < self.limit;
-            if ready {
-                if let Some(t0) = blocked {
-                    st.wait_seconds += t0.elapsed().as_secs_f64();
-                }
-                if st.halted {
-                    return false;
-                }
-                st.in_flight += 1;
-                st.peak = st.peak.max(st.in_flight);
-                return true;
+            let frontier = self.snap.shards[shard].start + self.snap.shards[shard].done;
+            let Some(o) = self.pending[shard].remove(&frontier) else {
+                break;
+            };
+            self.pending_len -= 1;
+            let sp = &mut self.snap.shards[shard];
+            sp.digest = fold_outcome(sp.digest, &o);
+            sp.tallies.add(&o);
+            sp.done += 1;
+            self.folds += 1;
+            self.since[shard] += 1;
+            newly += 1;
+            if self.since[shard] >= pool.cfg.checkpoint_every.max(1) {
+                self.since[shard] = 0;
+                self.checkpoint(pool);
             }
-            blocked.get_or_insert_with(Instant::now);
-            st = self.cv.wait(st).expect("gate poisoned");
+        }
+        newly
+    }
+
+    fn checkpoint(&mut self, pool: &Pool) {
+        self.checkpoints += 1;
+        self.snap.completed = self.snap.done() == self.snap.cases;
+        if let Some(path) = pool.snapshot_path {
+            // A failed checkpoint write is not fatal mid-run; the final
+            // save reports the error.
+            let _ = self.snap.save(path);
+        }
+        if let Some(h) = pool.cfg.halt_after_checkpoints {
+            if self.checkpoints >= h {
+                self.halted = true;
+            }
         }
     }
-
-    /// Returns one slot (called per folded case).
-    fn release(&self) {
-        let mut st = self.st.lock().expect("gate poisoned");
-        st.in_flight = st.in_flight.saturating_sub(1);
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Halts the campaign: wakes every blocked claimer to exit.
-    fn halt(&self) {
-        self.st.lock().expect("gate poisoned").halted = true;
-        self.cv.notify_all();
-    }
-
-    fn peak(&self) -> usize {
-        self.st.lock().expect("gate poisoned").peak
-    }
-
-    fn wait_seconds(&self) -> f64 {
-        self.st.lock().expect("gate poisoned").wait_seconds
-    }
-}
-
-// ── The worker pool ──────────────────────────────────────────────────
-
-/// What every worker shares: the stream cases are drawn from, the claim
-/// queues and gate, and the resident-bytes, busy-time and replay
-/// accounts.
-struct Pool<'a> {
-    cfg: &'a CampaignConfig,
-    stream: CorpusStream,
-    queues: ShardQueues,
-    gate: Gate,
-    resident: Resident,
-    busy: Mutex<[f64; 4]>,
-    replayed: AtomicU64,
 }
 
 /// Resident-case-bytes accounting: `add` on generation, `sub` when the
@@ -783,54 +786,104 @@ impl Resident {
     }
 }
 
-impl Pool<'_> {
-    /// One worker's loop: take a gate slot, claim a case (home shard
-    /// first), run it start to finish, then fold its outcome under the
-    /// collector's lock and return the gate slots the fold freed. Stops
-    /// when the queues drain or the campaign halts.
-    fn work(&self, home: usize, collector: &Mutex<Collector>) {
-        let mut busy = [0f64; 4];
-        while self.gate.acquire() {
-            let Some((index, shard)) = self.queues.claim(home) else {
-                self.gate.release();
-                break;
-            };
-            let outcome = self.run_case(index, &mut busy);
-            let mut c = collector.lock().expect("collector poisoned");
-            for _ in 0..c.accept(shard, outcome) {
-                self.gate.release();
-            }
-            if c.halted {
-                self.gate.halt();
-            }
+/// One case a worker ran: its compact outcome, the seconds it spent in
+/// each phase, and the schedules it replayed from schedule memos.
+struct Finished {
+    outcome: CaseOutcome,
+    busy: [f64; 4],
+    replayed: u64,
+}
+
+/// Halts the pool when its worker unwinds, so the other workers stop
+/// claiming instead of waiting forever on the slot and the shard
+/// frontier the dead worker held; [`fleet::run_indexed`] then re-raises
+/// the panic.
+struct HaltOnPanic<'p, 'a>(&'p Pool<'a>);
+
+impl Drop for HaltOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Only the halt flag is written, so a guard poisoned by a
+            // panic under the lock is still good enough for that.
+            let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+            st.halted = true;
+            drop(st);
+            self.0.cv.notify_all();
         }
-        let mut total = self.busy.lock().expect("busy poisoned");
-        for (t, b) in total.iter_mut().zip(busy) {
+    }
+}
+
+const POISONED: &str = "campaign pool poisoned: a worker panicked under the lock";
+
+impl<'a> Pool<'a> {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// One worker's loop: claim a case (home shard first), run it start
+    /// to finish with `run`, fold it. Stops when the queues drain or the
+    /// campaign halts.
+    fn work(&self, home: usize, run: &impl Fn(&Pool<'a>, usize) -> Finished) {
+        let _halt = HaltOnPanic(self);
+        while let Some((index, shard)) = self.claim(home) {
+            let finished = run(self, index);
+            self.fold(shard, finished);
+        }
+    }
+
+    /// Waits until the in-flight window has a slot, then claims the next
+    /// case into it. `None` once the queues drain or the campaign halts.
+    fn claim(&self, home: usize) -> Option<(usize, usize)> {
+        let full = |st: &mut State| !st.halted && st.in_flight >= self.limit;
+        let mut st = self.lock();
+        if full(&mut st) {
+            let blocked = Instant::now();
+            st = self.cv.wait_while(st, full).expect(POISONED);
+            st.gate_wait_seconds += blocked.elapsed().as_secs_f64();
+        }
+        if st.halted {
+            return None;
+        }
+        let claimed = st.claim(home)?;
+        st.in_flight += 1;
+        st.peak_in_flight = st.peak_in_flight.max(st.in_flight);
+        Some(claimed)
+    }
+
+    /// Adds a finished case to the accounts and the collector, frees the
+    /// in-flight slots its fold completed, and wakes the waiting claimers.
+    fn fold(&self, shard: usize, finished: Finished) {
+        let mut st = self.lock();
+        for (t, b) in st.busy.iter_mut().zip(finished.busy) {
             *t += b;
+        }
+        st.replayed += finished.replayed;
+        let folded = st.accept(self, shard, finished.outcome);
+        st.in_flight -= folded;
+        drop(st);
+        if folded > 0 {
+            self.cv.notify_all();
         }
     }
 
     /// Synthesizes case `index`, runs it under its derived seed, and
     /// compacts the result; the sources drop as soon as the case is done.
-    fn run_case(&self, index: usize, busy: &mut [f64; 4]) -> CaseOutcome {
+    fn run_case(&self, index: usize) -> Finished {
         let generated = Instant::now();
         let case = self.stream.case(index);
         let bytes = CorpusStream::case_bytes(&case);
         self.resident.add(bytes);
-        busy[0] += generated.elapsed().as_secs_f64();
+        let generation = generated.elapsed().as_secs_f64();
         let mut pcfg = self.cfg.pipeline.clone();
         pcfg.seed = derive_case_seed(self.cfg.pipeline.seed, index as u64);
         let fix = self.cfg.mode == CampaignMode::Fix;
         let run = DrFix::new(pcfg, None).run_case(&case.files, &case.test, fix);
         drop(case);
         self.resident.sub(bytes);
-        for (b, s) in busy.iter_mut().zip(run.phase_seconds) {
-            *b += s;
-        }
+        let mut busy = run.phase_seconds;
+        busy[0] += generation;
         let fix = run.fix.as_ref();
-        let replayed = run.replayed_schedules + fix.map_or(0, |f| f.replayed_schedules);
-        self.replayed.fetch_add(replayed, Ordering::Relaxed);
-        CaseOutcome {
+        let outcome = CaseOutcome {
             index,
             stop: run.stop,
             raced: run.race.is_some(),
@@ -846,107 +899,13 @@ impl Pool<'_> {
                 .race
                 .as_ref()
                 .map_or(0, |r| fnv1a64_fold(FNV1A_OFFSET, r.bug_hash().as_bytes())),
+        };
+        Finished {
+            outcome,
+            busy,
+            replayed: run.replayed_schedules + fix.map_or(0, |f| f.replayed_schedules),
         }
     }
-}
-
-// ── Collection ───────────────────────────────────────────────────────
-
-/// The collector: reorders arrivals per shard, folds the contiguous
-/// frontier into digests/tallies, and writes checkpoints. Outcomes
-/// beyond the frontier wait in bounded buffers (the claim gate caps
-/// them); on a halt, unfolded stragglers are discarded — a resume
-/// recomputes them deterministically.
-struct Collector<'a> {
-    cfg: &'a CampaignConfig,
-    snap: Snapshot,
-    pending: Vec<BTreeMap<usize, CaseOutcome>>,
-    pending_len: usize,
-    peak_pending: usize,
-    folds: u64,
-    checkpoints: u64,
-    since: Vec<usize>,
-    snapshot_path: Option<&'a Path>,
-    halted: bool,
-}
-
-impl<'a> Collector<'a> {
-    fn new(cfg: &'a CampaignConfig, snap: Snapshot, snapshot_path: Option<&'a Path>) -> Self {
-        let shards = snap.shards.len();
-        Collector {
-            cfg,
-            snap,
-            pending: (0..shards).map(|_| BTreeMap::new()).collect(),
-            pending_len: 0,
-            peak_pending: 0,
-            folds: 0,
-            checkpoints: 0,
-            since: vec![0; shards],
-            snapshot_path,
-            halted: false,
-        }
-    }
-
-    /// Accepts one outcome; folds everything it makes contiguous.
-    /// Returns how many cases were folded (gate slots to release).
-    fn accept(&mut self, shard: usize, o: CaseOutcome) -> usize {
-        self.pending[shard].insert(o.index, o);
-        self.pending_len += 1;
-        self.peak_pending = self.peak_pending.max(self.pending_len);
-        let mut newly = 0;
-        loop {
-            let frontier = self.snap.shards[shard].start + self.snap.shards[shard].done;
-            let Some(o) = self.pending[shard].remove(&frontier) else {
-                break;
-            };
-            self.pending_len -= 1;
-            let sp = &mut self.snap.shards[shard];
-            sp.digest = fold_outcome(sp.digest, &o);
-            sp.tallies.add(&o);
-            sp.done += 1;
-            self.folds += 1;
-            self.since[shard] += 1;
-            newly += 1;
-            if self.since[shard] >= self.cfg.checkpoint_every.max(1) {
-                self.since[shard] = 0;
-                self.checkpoint();
-            }
-        }
-        newly
-    }
-
-    fn checkpoint(&mut self) {
-        self.checkpoints += 1;
-        self.snap.completed = self.snap.done() == self.snap.cases;
-        if let Some(path) = self.snapshot_path {
-            // A failed checkpoint write is not fatal mid-run; the final
-            // save reports the error.
-            let _ = self.snap.save(path);
-        }
-        if let Some(h) = self.cfg.halt_after_checkpoints {
-            if self.checkpoints >= h {
-                self.halted = true;
-            }
-        }
-    }
-
-    fn finish(mut self) -> (Snapshot, CollectorStats) {
-        self.snap.completed = self.snap.done() == self.snap.cases;
-        (
-            self.snap,
-            CollectorStats {
-                folds: self.folds,
-                checkpoints: self.checkpoints,
-                peak_pending: self.peak_pending,
-            },
-        )
-    }
-}
-
-struct CollectorStats {
-    folds: u64,
-    checkpoints: u64,
-    peak_pending: usize,
 }
 
 // ── Executors ────────────────────────────────────────────────────────
@@ -985,7 +944,7 @@ pub fn run_campaign(
     snapshot_path: Option<&Path>,
 ) -> Result<CampaignRun, String> {
     let snap = resolve_snapshot(cfg, resume)?;
-    let run = run_pool(cfg, snap, snapshot_path);
+    let run = run_pool(cfg, snap, snapshot_path, Pool::run_case);
     if let Some(path) = snapshot_path {
         run.snapshot
             .save(path)
@@ -995,49 +954,52 @@ pub fn run_campaign(
 }
 
 /// The campaign executor: `cfg.workers` workers on
-/// [`fleet::run_indexed`] each run [`Pool::work`], folding their own
-/// outcomes into the shared collector under its lock.
-fn run_pool(cfg: &CampaignConfig, snap: Snapshot, snapshot_path: Option<&Path>) -> CampaignRun {
+/// [`fleet::run_indexed`] each run [`Pool::work`], with `run` running
+/// each claimed case.
+fn run_pool<'a>(
+    cfg: &'a CampaignConfig,
+    snap: Snapshot,
+    snapshot_path: Option<&'a Path>,
+    run: impl Fn(&Pool<'a>, usize) -> Finished + Sync,
+) -> CampaignRun {
     let start = Instant::now();
     let pool = Pool {
         cfg,
+        snapshot_path,
         stream: CorpusStream::new(cfg.stream),
-        queues: ShardQueues::from_snapshot(&snap),
-        gate: Gate::new(cfg.in_flight_limit()),
         resident: Resident::new(),
-        busy: Mutex::new([0.0; 4]),
-        replayed: AtomicU64::new(0),
+        limit: cfg.in_flight_limit(),
+        state: Mutex::new(State::new(snap)),
+        cv: Condvar::new(),
     };
-    let collector = Mutex::new(Collector::new(cfg, snap, snapshot_path));
     let workers = cfg.workers.max(1);
-    fleet::run_indexed(workers, workers, |w| {
-        pool.work(w % cfg.shards.max(1), &collector)
-    });
+    fleet::run_indexed(workers, workers, |w| pool.work(w % cfg.shards.max(1), &run));
 
-    let collector = collector.into_inner().expect("collector poisoned");
-    let interrupted = collector.halted;
-    let (snap, cstats) = collector.finish();
+    let peak_resident_case_bytes = pool.resident.peak.load(Ordering::Relaxed);
+    let st = pool.state.into_inner().expect(POISONED);
+    let mut snap = st.snap;
+    snap.completed = snap.done() == snap.cases;
     let metrics = CampaignMetrics {
         schema: CAMPAIGN_SCHEMA,
-        cases_done: cstats.folds,
+        cases_done: st.folds,
         wall_seconds: start.elapsed().as_secs_f64(),
-        stage_busy_seconds: pool.busy.into_inner().expect("busy poisoned").to_vec(),
-        gate_wait_seconds: pool.gate.wait_seconds(),
-        queue_pops: pool.queues.pops.load(Ordering::Relaxed),
-        steals: pool.queues.steals.load(Ordering::Relaxed),
-        steal_probes: pool.queues.probes.load(Ordering::Relaxed),
-        peak_in_flight: pool.gate.peak() as u64,
-        peak_pending: cstats.peak_pending as u64,
-        peak_resident_case_bytes: pool.resident.peak.load(Ordering::Relaxed),
-        folds: cstats.folds,
-        checkpoints: cstats.checkpoints,
-        replayed_schedules: pool.replayed.into_inner(),
+        stage_busy_seconds: st.busy.to_vec(),
+        gate_wait_seconds: st.gate_wait_seconds,
+        queue_pops: st.pops,
+        steals: st.steals,
+        steal_probes: st.probes,
+        peak_in_flight: st.peak_in_flight as u64,
+        peak_pending: st.peak_pending as u64,
+        peak_resident_case_bytes,
+        folds: st.folds,
+        checkpoints: st.checkpoints,
+        replayed_schedules: st.replayed,
         tallies: snap.tallies(),
     };
     CampaignRun {
         snapshot: snap,
         metrics,
-        interrupted,
+        interrupted: st.halted,
     }
 }
 
@@ -1074,6 +1036,31 @@ mod tests {
             gated.metrics.gate_wait_seconds > 0.0,
             "the second worker must block while the first holds the only slot"
         );
+    }
+
+    /// A case that panics halts the pool: the other workers stop
+    /// claiming instead of waiting forever on the dead worker's
+    /// in-flight slot, and the panic leaves the run.
+    #[test]
+    fn a_panicking_case_halts_a_multi_worker_campaign() {
+        for workers in [2, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut cfg = small_cfg(200, 2);
+                cfg.workers = workers;
+                cfg.max_in_flight = 4;
+                run_pool(&cfg, Snapshot::fresh(&cfg), None, |pool, i| {
+                    assert_ne!(i, 3, "planted panic");
+                    pool.run_case(i)
+                });
+                tx.send(()).ok();
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+                Ok(()) => panic!("{workers} workers: the run returned past a panicking case"),
+                Err(_) => panic!("{workers} workers: the run hung after a case panicked"),
+            }
+        }
     }
 
     /// The serial executor's orchestration counters are exact functions

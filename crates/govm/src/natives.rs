@@ -1345,7 +1345,7 @@ pub(crate) fn run_nested_call(
             .map(|f| f.returning.is_some())
             .unwrap_or(false)
         {
-            vm.proceed_return_public(gid);
+            vm.proceed_return(gid);
             continue;
         }
         let Some((fid, pc)) = vm.gos[gid].frames.last().map(|f| (f.func, f.pc)) else {
@@ -1354,7 +1354,7 @@ pub(crate) fn run_nested_call(
         let prog = vm.prog;
         let code = &prog.funcs[fid as usize].code;
         if pc >= code.len() {
-            vm.start_return_public(gid, Value::Nil);
+            vm.start_return(gid, Value::Nil);
             continue;
         }
         match crate::ops::exec(vm, gid, &code[pc]) {
@@ -1373,7 +1373,7 @@ pub(crate) fn run_nested_call(
                 return Err(format!("callback blocked on {r} inside sync.Map.Range"))
             }
             crate::vm::Flow::Returned(v) => {
-                vm.start_return_public(gid, v);
+                vm.start_return(gid, v);
             }
             crate::vm::Flow::Panic(m) => return Err(m),
         }

@@ -1372,7 +1372,7 @@ impl<'p> Vm<'p> {
     }
 
     /// Marks the current frame as returning `v`; defers run first.
-    fn start_return(&mut self, gid: Gid, v: Value) {
+    pub(crate) fn start_return(&mut self, gid: Gid, v: Value) {
         if let Some(f) = self.gos[gid].frames.last_mut() {
             f.returning = Some(v);
         }
@@ -1381,7 +1381,7 @@ impl<'p> Vm<'p> {
 
     /// Runs the next deferred call of the returning frame, or finishes
     /// the return if none remain.
-    fn proceed_return(&mut self, gid: Gid) {
+    pub(crate) fn proceed_return(&mut self, gid: Gid) {
         let Some(frame) = self.gos[gid].frames.last_mut() else {
             self.set_status(gid, Status::Done);
             return;
@@ -1437,16 +1437,6 @@ impl<'p> Vm<'p> {
                 }
             }
         }
-    }
-
-    /// Crate-internal access to [`Vm::start_return`] (nested calls).
-    pub(crate) fn start_return_public(&mut self, gid: Gid, v: Value) {
-        self.start_return(gid, v);
-    }
-
-    /// Crate-internal access to [`Vm::proceed_return`] (nested calls).
-    pub(crate) fn proceed_return_public(&mut self, gid: Gid) {
-        self.proceed_return(gid);
     }
 
     fn do_panic(&mut self, gid: Gid, msg: String) {

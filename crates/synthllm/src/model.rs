@@ -31,8 +31,6 @@ pub struct Candidate {
     /// The diagnosis target the strategy was applied to (needed to
     /// re-apply the same strategy during repair).
     pub target: Target,
-    /// Whether the application was degraded by the capability model.
-    pub degraded: bool,
     /// Self-reported confidence in `(0, 1]`.
     pub confidence: f64,
 }
@@ -102,7 +100,6 @@ impl SynthLlm {
                 code: prompt.printed().to_owned(),
                 strategy: diags[top].strategy,
                 target: diags[top].target.clone(),
-                degraded: true,
                 confidence: 0.05,
             });
         let window = if slipped.is_some() { 0 } else { max };
@@ -123,7 +120,6 @@ impl SynthLlm {
                     code,
                     strategy: diag.strategy,
                     target: diag.target.clone(),
-                    degraded: botch != 0,
                     confidence: 0.2 + 0.8 * (score / top_score),
                 })
             });
@@ -156,7 +152,6 @@ impl SynthLlm {
         let code = prompt.render(cand.strategy, &cand.target, botch).ok()?;
         Some(Candidate {
             code,
-            degraded: botch != 0,
             ..cand.clone()
         })
     }
@@ -521,7 +516,8 @@ func note()        {}
     #[test]
     fn low_tier_on_hard_strategy_often_degrades() {
         // ChannelResult is hard for Turbo without guidance: across seeds
-        // a substantial fraction of attempts must be degraded.
+        // a substantial fraction of attempts must be degraded — their
+        // code differs from the same strategy rendered unbotched.
         let src = r#"package p
 
 import "context"
@@ -556,7 +552,8 @@ func use(x int)              {}
             let cand = llm.enumerate(&r, &p, 4).next();
             if let Some(cand) = cand {
                 produced += 1;
-                if cand.degraded {
+                let clean = p.render(cand.strategy, &cand.target, 0).ok();
+                if clean.as_deref() != Some(cand.code.as_str()) {
                     degraded += 1;
                 }
             }
