@@ -4,7 +4,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test bench-compile doc clippy fmt fmt-check paper-smoke exposure-smoke tournament-smoke soak-smoke campaign-smoke campaign-scale drbench-smoke bench-all loc clean
+.PHONY: verify build test bench-compile doc clippy fmt fmt-check paper-smoke exposure-smoke tournament-smoke soak-smoke campaign-smoke campaign-digests campaign-scale drbench-smoke bench-all loc clean
 
 # Reduced scale for the CI campaign-smoke kill/resume drill.
 DRFIX_CAMPAIGN_CASES ?= 200
@@ -123,6 +123,24 @@ campaign-smoke:
 	grep -Eq '"replayed_schedules": *[1-9]' target/campaign-smoke/fix-serial-report.json || \
 	  { echo "campaign-smoke: the fix campaign replayed no schedule"; exit 1; }
 	@echo "campaign-smoke: fix campaign digest identical serial and on 4 workers, schedules replayed"
+
+## The campaign-digest guard: eight 1,200-case fix campaigns on 2
+## workers (the mixed, fixable, tournament and exposure families, each
+## at seeds 13795095 and 4027193), whose digests must equal the ones in
+## tests/goldens/campaign_digests.txt. Exits non-zero on any difference.
+campaign-digests:
+	rm -rf target/campaign-digests && mkdir -p target/campaign-digests
+	$(CARGO) build --release -q -p bench --bin campaignctl
+	for family in mixed fixable tournament exposure; do \
+	  for seed in 13795095 4027193; do \
+	    target/release/campaignctl run --mode fix --cases 1200 --workers 2 \
+	      --family $$family --seed $$seed > target/campaign-digests/$$family-$$seed.log || exit 1; \
+	    echo "$$family $$seed $$(sed -n 's/^digest: //p' target/campaign-digests/$$family-$$seed.log)"; \
+	  done; \
+	done > target/campaign-digests/digests.txt
+	grep -v '^#' tests/goldens/campaign_digests.txt | \
+	  diff - target/campaign-digests/digests.txt
+	@echo "campaign-digests: all eight campaign digests match tests/goldens/campaign_digests.txt"
 
 ## Campaign at deployment scale: a 10k-case streamed detect campaign
 ## on 4 workers, asserting the resident generated-case-bytes high-water

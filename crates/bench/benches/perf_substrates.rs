@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the substrates: frontend throughput,
-//! skeletonization, embedding, vector search, VM+detector overhead, a
+//! skeletonization, embedding, VM+detector overhead, a
 //! 1000-schedule validation campaign, and the statcheck probe the
 //! tournament runs on every candidate.
 
@@ -53,24 +53,6 @@ fn bench_pipeline_parts(c: &mut Criterion) {
     let sk = skeletonize(PROGRAM, &[14], &SkeletonOptions::default()).unwrap();
     c.bench_function("embed_384d", |b| {
         b.iter(|| embed::embed(std::hint::black_box(&sk.text)))
-    });
-    let mut store = vecdb::VectorStore::new(embed::DIM);
-    for i in 0..272 {
-        store
-            .insert(embed::embed(&format!("{} variant {}", sk.text, i)), i)
-            .unwrap();
-    }
-    let q = embed::embed(&sk.text);
-    c.bench_function("vecdb_query_272", |b| {
-        b.iter(|| store.query(std::hint::black_box(&q), 1))
-    });
-    let mut big = vecdb::VectorStore::new(embed::DIM);
-    for i in 0..4096 {
-        big.insert(embed::embed(&format!("{} variant {}", sk.text, i)), i)
-            .unwrap();
-    }
-    c.bench_function("vecdb_query_4096", |b| {
-        b.iter(|| big.query(std::hint::black_box(&q), 1))
     });
 }
 

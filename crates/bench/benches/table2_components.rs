@@ -2,7 +2,9 @@
 //! them to — printed with one live smoke check per component.
 
 use bench::header;
-use skeleton::{skeletonize, SkeletonOptions};
+use corpus::DbPair;
+use drfix::{ExampleDb, RagMode};
+use synthllm::RaceCategory;
 
 fn main() {
     header(
@@ -13,7 +15,7 @@ fn main() {
         (
             "Data store D",
             "ChromaDB",
-            "vecdb::VectorStore (exact cosine top-k)",
+            "drfix::ExampleDb (exact cosine argmax over stored pairs)",
         ),
         (
             "Skeletonization S",
@@ -25,11 +27,7 @@ fn main() {
             "all-MiniLM-L6-v2 (384-d)",
             "embed::embed (384-d feature hashing, L2-normalised)",
         ),
-        (
-            "Similarity φ",
-            "cosine similarity",
-            "embed::cosine / vecdb query",
-        ),
+        ("Similarity φ", "cosine similarity", "embed::cosine"),
         (
             "Model M",
             "GPT-4 Turbo / 4o / o1-preview",
@@ -43,7 +41,7 @@ fn main() {
         (
             "Validator V",
             "package tests x1000",
-            "drfix::validate_patch (N seeded schedules + bug hash)",
+            "drfix::validate_patch_report (N seeded schedules + bug hash)",
         ),
     ];
     println!(
@@ -54,16 +52,19 @@ fn main() {
         println!("{c:<20} {p:<32} {r}");
     }
 
-    // Smoke checks: every component responds.
-    let sk = skeletonize(
-        "package p\n\nfunc f() {\n\tx := 0\n\tgo func() {\n\t\tx = 1\n\t}()\n\tx = 2\n}\n",
-        &[6, 8],
-        &SkeletonOptions::default(),
-    )
-    .expect("skeletonizer lives");
-    let v = embed::embed(&sk.text);
-    let mut store = vecdb::VectorStore::new(embed::DIM);
-    store.insert(v.clone(), "probe").expect("store lives");
-    assert_eq!(*store.query(&v, 1)[0].item, "probe");
-    println!("\nsmoke check: skeletonizer → embedder → vector store round-trip OK");
+    // Smoke check: a pair stored in the example database (skeletonized
+    // and embedded on the way in) is what its own racy code retrieves.
+    let buggy = "package p\n\nfunc f() {\n\tx := 0\n\tgo func() {\n\t\tx = 1\n\t}()\n\tx = 2\n}\n";
+    let db = ExampleDb::build(&[DbPair {
+        buggy: buggy.to_owned(),
+        fixed: "probe fix".to_owned(),
+        racy_var: "x".to_owned(),
+        category: RaceCategory::CaptureByReference,
+    }]);
+    let (example, _, score) = db
+        .retrieve(RagMode::Skeleton, buggy, "x", &[6, 8])
+        .expect("example database lives");
+    assert_eq!(example.fixed, "probe fix");
+    assert!(score > 0.99, "a pair must retrieve itself, scored {score}");
+    println!("\nsmoke check: skeletonizer → embedder → example database round-trip OK");
 }

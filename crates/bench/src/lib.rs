@@ -309,16 +309,13 @@ mod tests {
 
     #[test]
     fn scale_defaults() {
-        let s = Scale {
-            cases: 10,
-            db_pairs: 20,
-            validation_runs: 4,
-            threads: 1,
-            policy: SchedulePolicy::Random,
-            dedup_streak: Some(8),
-        };
-        assert_eq!(s.cases, 10);
+        // No knob set: the defaults the module doc and README promise.
+        let s = Scale::from_vars(&|_| None);
+        assert_eq!(s.cases, 120);
+        assert_eq!(s.db_pairs, 272);
+        assert_eq!(s.validation_runs, 12);
         assert_eq!(s.policy.label(), "random");
         assert_eq!(s.dedup_streak, Some(8));
+        assert!(s.threads >= 1);
     }
 }

@@ -1,15 +1,14 @@
 //! Step 0 (§3.1/§4.1): the example database.
 //!
-//! Each curated `(racy, fixed)` pair is stored twice: keyed by the
-//! embedding of its concurrency *skeleton* (Dr.Fix's design) and keyed by
-//! the embedding of its *raw* source (the "RAG without skeleton"
-//! ablation arm of Fig. 3).
+//! Each curated `(racy, fixed)` pair is stored once, keyed twice: by the
+//! embedding of its concurrency *skeleton* (Dr.Fix's design) and by the
+//! embedding of its *raw* source (the "RAG without skeleton" ablation
+//! arm of Fig. 3). Retrieval returns the single most similar pair.
 
 use crate::fleet;
 use serde::{Deserialize, Serialize};
 use skeleton::{skeletonize, SkeletonOptions};
-use synthllm::Example;
-use vecdb::VectorStore;
+use synthllm::{Example, RaceCategory};
 
 /// How examples are retrieved (Fig. 3's three arms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,28 +21,18 @@ pub enum RagMode {
     Skeleton,
 }
 
-/// A stored example with provenance.
-#[derive(Debug, Clone)]
-pub struct DbEntry {
-    /// The racy code.
-    pub buggy: String,
-    /// The accepted fix.
-    pub fixed: String,
-    /// Category label (for retrieval-accuracy accounting).
-    pub category: synthllm::RaceCategory,
-}
-
-/// The example database: one vector store per retrieval mode, shared
-/// read-only across fleet workers.
+/// The example database: every pair with its category, plus one key
+/// array per retrieval mode, shared read-only across fleet workers.
 pub struct ExampleDb {
-    skeleton_store: VectorStore<DbEntry>,
-    raw_store: VectorStore<DbEntry>,
+    pairs: Vec<(Example, RaceCategory)>,
+    skeleton_keys: Vec<Vec<f32>>,
+    raw_keys: Vec<Vec<f32>>,
 }
 
 impl ExampleDb {
     /// Builds the database from curated pairs (populating it is the
     /// "one-time activity" of §4.1). Skeletonizing and embedding the
-    /// pairs is sharded across the machine's cores; the stores are filled
+    /// pairs is sharded across the machine's cores; the keys are stored
     /// in pair order afterwards, so the result is bit-identical to a
     /// serial build.
     pub fn build(pairs: &[corpus::DbPair]) -> Self {
@@ -52,60 +41,64 @@ impl ExampleDb {
         Self::from_embedded(pairs, embedded)
     }
 
-    /// Fills the stores from `pairs` and their `(skeleton, raw)`
-    /// embeddings, in pair order.
+    /// Stores `pairs` with their `(skeleton, raw)` embeddings, in pair
+    /// order.
     fn from_embedded(pairs: &[corpus::DbPair], embedded: Vec<(Vec<f32>, Vec<f32>)>) -> Self {
-        let mut skeleton_store = VectorStore::new(embed::DIM);
-        let mut raw_store = VectorStore::new(embed::DIM);
-        for (p, (sk_vec, raw_vec)) in pairs.iter().zip(embedded) {
-            let entry = DbEntry {
-                buggy: p.buggy.clone(),
-                fixed: p.fixed.clone(),
-                category: p.category,
-            };
-            let _ = skeleton_store.insert(sk_vec, entry.clone());
-            let _ = raw_store.insert(raw_vec, entry);
-        }
+        let (skeleton_keys, raw_keys) = embedded.into_iter().unzip();
+        let pairs = pairs
+            .iter()
+            .map(|p| {
+                let example = Example {
+                    buggy: p.buggy.clone(),
+                    fixed: p.fixed.clone(),
+                };
+                (example, p.category)
+            })
+            .collect();
         ExampleDb {
-            skeleton_store,
-            raw_store,
+            pairs,
+            skeleton_keys,
+            raw_keys,
         }
     }
 
     /// Number of stored pairs.
     pub fn len(&self) -> usize {
-        self.skeleton_store.len()
+        self.pairs.len()
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.skeleton_store.is_empty()
+        self.pairs.is_empty()
     }
 
-    /// Retrieves the best example for the query code, per mode. Returns
-    /// the example and its stored category (for accounting).
+    /// Retrieves the best example for the query code, per mode: the pair
+    /// whose key has the highest cosine similarity to the query's
+    /// embedding, the earliest pair on a tie. Returns the example, its
+    /// stored category (for accounting) and the score.
     pub fn retrieve(
         &self,
         mode: RagMode,
         code: &str,
         racy_var: &str,
         racy_lines: &[u32],
-    ) -> Option<(Example, synthllm::RaceCategory, f32)> {
-        let store = match mode {
+    ) -> Option<(Example, RaceCategory, f32)> {
+        let keys = match mode {
             RagMode::None => return None,
-            RagMode::Raw => &self.raw_store,
-            RagMode::Skeleton => &self.skeleton_store,
+            RagMode::Raw => &self.raw_keys,
+            RagMode::Skeleton => &self.skeleton_keys,
         };
         let q = query_embedding(mode, code, racy_var, racy_lines);
-        let hit = store.query(&q, 1).into_iter().next()?;
-        Some((
-            Example {
-                buggy: hit.item.buggy.clone(),
-                fixed: hit.item.fixed.clone(),
-            },
-            hit.item.category,
-            hit.score,
-        ))
+        let mut best: Option<(usize, f32)> = None;
+        for (i, key) in keys.iter().enumerate() {
+            let score = embed::cosine(&q, key);
+            if best.map_or(true, |(_, top)| score > top) {
+                best = Some((i, score));
+            }
+        }
+        let (i, score) = best?;
+        let (example, category) = &self.pairs[i];
+        Some((example.clone(), *category, score))
     }
 }
 
@@ -120,7 +113,6 @@ fn query_embedding(mode: RagMode, code: &str, racy_var: &str, racy_lines: &[u32]
                 racy_lines,
                 &SkeletonOptions {
                     extra_racy_vars: vec![racy_var.to_owned()],
-                    no_slicing: false,
                 },
             )
             .map(|s| s.text)
@@ -138,7 +130,6 @@ fn embed_pair(p: &corpus::DbPair) -> (Vec<f32>, Vec<f32>) {
         &[],
         &SkeletonOptions {
             extra_racy_vars: vec![p.racy_var.clone()],
-            no_slicing: false,
         },
     )
     .map(|s| s.text)
@@ -226,7 +217,7 @@ mod tests {
         let db = small_db();
         let code =
             "package p\n\nfunc f() {\n\tx := 0\n\tgo func() {\n\t\tx = 1\n\t}()\n\t_ = x\n}\n";
-        let key = |r: Option<(Example, synthllm::RaceCategory, f32)>| {
+        let key = |r: Option<(Example, RaceCategory, f32)>| {
             let (e, c, s) = r.unwrap();
             (e.buggy, c, s.to_bits())
         };
@@ -236,6 +227,28 @@ mod tests {
         // Raw embeds the code alone: var and lines must not matter.
         let raw = key(db.retrieve(RagMode::Raw, code, "x", &[5]));
         assert_eq!(raw, key(db.retrieve(RagMode::Raw, code, "other", &[9])));
+    }
+
+    #[test]
+    fn ties_go_to_the_earliest_pair() {
+        // Identical racy code keys both pairs identically in both modes.
+        let racy =
+            "package p\n\nfunc f() {\n\tx := 0\n\tgo func() {\n\t\tx = 1\n\t}()\n\t_ = x\n}\n";
+        let pair = |category: RaceCategory| corpus::DbPair {
+            buggy: racy.to_owned(),
+            fixed: format!("{category:?}"),
+            racy_var: "x".to_owned(),
+            category,
+        };
+        let db = ExampleDb::build(&[
+            pair(RaceCategory::MissingSync),
+            pair(RaceCategory::ConcurrentMap),
+        ]);
+        for mode in [RagMode::Raw, RagMode::Skeleton] {
+            let (example, category, _) = db.retrieve(mode, racy, "x", &[]).unwrap();
+            assert_eq!(category, RaceCategory::MissingSync, "{mode:?}");
+            assert_eq!(example.fixed, "MissingSync", "{mode:?}");
+        }
     }
 
     #[test]

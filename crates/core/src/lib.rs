@@ -85,6 +85,5 @@ pub use tournament::{
     candidate_rank, CandidateOutcome, CandidateReport, TournamentConfig, TournamentReport,
 };
 pub use validate::{
-    static_probe, validate_patch, validate_patch_report, StaticProbe, ValidationOptions,
-    ValidationOutcome, Verdict,
+    static_probe, validate_patch_report, StaticProbe, ValidationOptions, ValidationOutcome, Verdict,
 };

@@ -3,10 +3,9 @@
 //! the reported race is gone.
 //!
 //! The schedule set a campaign explores is controlled by the
-//! [`govm::sched::SchedulePolicy`] carried in the [`TestConfig`]:
-//! [`validate_patch_report`] accepts the full campaign configuration
-//! (policy, per-run seed stream, dedup early-exit, instruction budget),
-//! while [`validate_patch`] keeps the simple runs-plus-seed entry point.
+//! [`govm::sched::SchedulePolicy`] carried in the [`TestConfig`] that
+//! [`validate_patch_report`] takes: policy, run count and seed, dedup
+//! early-exit and instruction budget.
 //!
 //! Between compilation and dynamic validation sits the **static gate**:
 //! `statcheck` analyzes the patched sources and rejects candidates whose
@@ -59,7 +58,7 @@ impl Default for ValidationOptions {
 /// Full report of one validation attempt.
 #[derive(Debug, Clone)]
 pub struct ValidationOutcome {
-    /// The verdict (what [`validate_patch`] returns).
+    /// The verdict: whether the patch validated, and why not.
     pub verdict: Verdict,
     /// Whether the static gate rejected the candidate (no schedules ran).
     pub rejected_static: bool,
@@ -81,28 +80,6 @@ impl ValidationOutcome {
             replayed_schedules: 0,
         }
     }
-}
-
-/// Validates a patched codebase against the targeted bug hash.
-///
-/// Mirrors §4.4.1: build, then run the package tests `runs` times; the
-/// fix validates only if no schedule reproduces the targeted race (the
-/// stable bug hash distinguishes it from unrelated pre-existing races),
-/// no new panic/deadlock appears, and the tests pass.
-pub fn validate_patch(
-    files: &[(String, String)],
-    test: &str,
-    bug_hash: &str,
-    runs: u32,
-    seed: u64,
-) -> Verdict {
-    let cfg = TestConfig {
-        runs,
-        seed,
-        stop_on_race: false,
-        ..TestConfig::default()
-    };
-    validate_patch_report(files, test, bug_hash, &cfg, &ValidationOptions::default()).verdict
 }
 
 /// One zero-cost lint probe of a candidate patch: `statcheck` only — no
@@ -162,8 +139,13 @@ pub(crate) fn probe_parsed<F: Borrow<golite::File>>(files: &[(String, String, F)
     }
 }
 
-/// The full validation pipeline with an explicit [`ValidationOptions`]:
-/// compile, static gate, then the dynamic schedule campaign. Returns the
+/// Validates a patched codebase against the targeted bug hash.
+///
+/// Mirrors §4.4.1: build, run the static gate (when `opts` asks for it),
+/// then run the package test under the schedule campaign `cfg`. The fix
+/// validates only if no schedule reproduces the targeted race (the
+/// stable bug hash distinguishes it from unrelated pre-existing races),
+/// no new panic or deadlock appears, and the test passes. Returns the
 /// verdict plus gate statistics and the dynamic instruction count.
 pub fn validate_patch_report(
     files: &[(String, String)],
@@ -277,6 +259,24 @@ mod tests {
         validate_patch_report(&files, "TestWork", "x", cfg, &ValidationOptions::default()).verdict
     }
 
+    /// The verdict of a gated `runs`-schedule campaign from `seed` that
+    /// runs every schedule, as the pipeline validates.
+    fn seeded_verdict(
+        files: &[(String, String)],
+        test: &str,
+        bug_hash: &str,
+        runs: u32,
+        seed: u64,
+    ) -> Verdict {
+        let cfg = TestConfig {
+            runs,
+            seed,
+            stop_on_race: false,
+            ..TestConfig::default()
+        };
+        validate_patch_report(files, test, bug_hash, &cfg, &ValidationOptions::default()).verdict
+    }
+
     const CLEAN: &str = r#"package app
 
 import "testing"
@@ -322,7 +322,7 @@ func TestWork(t *testing.T) {
 
     #[test]
     fn clean_code_validates() {
-        let v = validate_patch(
+        let v = seeded_verdict(
             &[("a.go".into(), CLEAN.into())],
             "TestWork",
             "0000000000000000",
@@ -334,7 +334,7 @@ func TestWork(t *testing.T) {
 
     #[test]
     fn racy_code_fails_with_race_message() {
-        let v = validate_patch(
+        let v = seeded_verdict(
             &[("a.go".into(), RACY.into())],
             "TestWork",
             "0000000000000000",
@@ -347,7 +347,7 @@ func TestWork(t *testing.T) {
 
     #[test]
     fn broken_code_reports_build_failure() {
-        let v = validate_patch(
+        let v = seeded_verdict(
             &[(
                 "a.go".into(),
                 "package app\n\nfunc Broken() {\n\tmystery()\n}\n".into(),
@@ -362,7 +362,7 @@ func TestWork(t *testing.T) {
 
     #[test]
     fn missing_test_reports_build_failure() {
-        let v = validate_patch(
+        let v = seeded_verdict(
             &[("a.go".into(), "package app\n".into())],
             "TestGone",
             "x",
@@ -511,7 +511,7 @@ func TestWork(t *testing.T) {
 
     #[test]
     fn build_failures_carry_file_and_line() {
-        let v = validate_patch(
+        let v = seeded_verdict(
             &[
                 ("ok.go".into(), CLEAN.into()),
                 ("bad.go".into(), "package app\n\nfunc Broken( {\n".into()),

@@ -2,10 +2,10 @@
 //!
 //! One call to [`compile_package`] lowers all files of a package into a
 //! single [`Program`]. Every local variable becomes a heap cell bound to
-//! a frame slot; closures capture cells (Go capture-by-reference). The
-//! `loopvar_per_iteration` option switches `for … range` bindings between
-//! pre-Go-1.22 per-loop cells (the default, which the loop-variable race
-//! category depends on) and Go 1.22 per-iteration cells.
+//! a frame slot; closures capture cells (Go capture-by-reference).
+//! `for … range` bindings follow pre-Go-1.22 semantics: one cell per
+//! loop, not per iteration, which the loop-variable race category
+//! depends on.
 
 use crate::bytecode::*;
 use crate::natives;
@@ -15,14 +15,10 @@ use golite::span::{LineMap, Span};
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
-/// Compiler options.
+/// Compiler options. None is settable; the type stays so that callers
+/// which pass `CompileOptions::default()` keep compiling.
 #[derive(Debug, Clone, Default)]
-pub struct CompileOptions {
-    /// Give `range` loop variables per-iteration scope (Go 1.22
-    /// semantics). Defaults to `false` (per-loop scope), which is the
-    /// semantics the loop-variable-capture race category relies on.
-    pub loopvar_per_iteration: bool,
-}
+pub struct CompileOptions {}
 
 /// Compiles a package from `(file name, source)` pairs.
 ///
@@ -44,13 +40,13 @@ pub fn compile_sources(sources: &[(String, String)], opts: &CompileOptions) -> R
 /// Returns a [`Diag`] on unsupported constructs or unresolved names.
 pub fn compile_package<F: Borrow<ast::File>>(
     files: &[(String, String, F)],
-    opts: &CompileOptions,
+    _opts: &CompileOptions,
 ) -> Result<Program> {
     let files: Vec<(&str, &str, &ast::File)> = files
         .iter()
         .map(|(name, src, file)| (name.as_str(), src.as_str(), file.borrow()))
         .collect();
-    let mut c = Compiler::new(opts);
+    let mut c = Compiler::new();
     c.run(&files)?;
     Ok(c.prog)
 }
@@ -136,7 +132,7 @@ impl FnState {
     }
 }
 
-struct Compiler<'o> {
+struct Compiler {
     prog: Program,
     pool_map: HashMap<String, u32>,
     hint_map: HashMap<TypeHint, u32>,
@@ -153,11 +149,10 @@ struct Compiler<'o> {
     /// compiled (set from the declared variable or struct field), so race
     /// reports say `lockMap` rather than a generic `entry`.
     name_hint: Option<u32>,
-    opts: &'o CompileOptions,
 }
 
-impl<'o> Compiler<'o> {
-    fn new(opts: &'o CompileOptions) -> Self {
+impl Compiler {
+    fn new() -> Self {
         Compiler {
             prog: Program::default(),
             pool_map: HashMap::new(),
@@ -172,7 +167,6 @@ impl<'o> Compiler<'o> {
             cur_file: 0,
             anon_types: 0,
             name_hint: None,
-            opts,
         }
     }
 
@@ -1273,10 +1267,9 @@ impl<'o> Compiler<'o> {
             .map(str::to_owned);
 
         // Pre-Go-1.22: bindings are allocated once, before the loop.
-        let per_iter = self.opts.loopvar_per_iteration;
         let mut key_slot = None;
         let mut val_slot = None;
-        if st.define && !per_iter {
+        if st.define {
             if let Some(k) = &key_name {
                 if k != "_" {
                     self.emit(Op::ConstNil);
@@ -1303,33 +1296,13 @@ impl<'o> Compiler<'o> {
         self.emit(Op::IterNext(0));
         // Stack now: key, value (value on top).
         if st.define {
-            if per_iter {
-                // Fresh cells every iteration: AllocLocal rebinds the slot.
-                match (&val_name, &key_name) {
-                    (Some(v), _) if v != "_" => {
-                        let nid = self.pool(v);
-                        let slot = self.cur().bind(v);
-                        self.emit(Op::AllocLocal { slot, name: nid });
-                    }
-                    _ => self.emit(Op::Pop),
-                }
-                match &key_name {
-                    Some(k) if k != "_" => {
-                        let nid = self.pool(k);
-                        let slot = self.cur().bind(k);
-                        self.emit(Op::AllocLocal { slot, name: nid });
-                    }
-                    _ => self.emit(Op::Pop),
-                }
-            } else {
-                match val_slot {
-                    Some(slot) => self.emit(Op::StoreLocal(slot)),
-                    None => self.emit(Op::Pop),
-                }
-                match key_slot {
-                    Some(slot) => self.emit(Op::StoreLocal(slot)),
-                    None => self.emit(Op::Pop),
-                }
+            match val_slot {
+                Some(slot) => self.emit(Op::StoreLocal(slot)),
+                None => self.emit(Op::Pop),
+            }
+            match key_slot {
+                Some(slot) => self.emit(Op::StoreLocal(slot)),
+                None => self.emit(Op::Pop),
             }
         } else {
             // Assignment form: store into existing lvalues.
@@ -2314,44 +2287,6 @@ func use(x int) {}
             .filter(|op| matches!(op, Op::AllocLocal { name, .. } if p.str(*name) == "num"))
             .count();
         assert_eq!(allocs, 1, "per-loop binding allocates once");
-    }
-
-    #[test]
-    fn range_loop_per_iteration_option() {
-        let p = compile_sources(
-            &[(
-                "main.go".to_owned(),
-                r#"
-package main
-
-func f(nums []int) {
-	for _, num := range nums {
-		use(num)
-	}
-}
-
-func use(x int) {}
-"#
-                .to_owned(),
-            )],
-            &CompileOptions {
-                loopvar_per_iteration: true,
-            },
-        )
-        .unwrap();
-        let f = &p.funcs[p.find_func("f").unwrap() as usize];
-        // AllocLocal for num sits inside the loop body (after IterNext).
-        let iter_next_pos = f
-            .code
-            .iter()
-            .position(|op| matches!(op, Op::IterNext(_)))
-            .unwrap();
-        let alloc_pos = f
-            .code
-            .iter()
-            .position(|op| matches!(op, Op::AllocLocal { name, .. } if p.str(*name) == "num"))
-            .unwrap();
-        assert!(alloc_pos > iter_next_pos, "per-iteration allocates in-loop");
     }
 
     #[test]

@@ -554,48 +554,6 @@ func use(x int) {}
 }
 
 #[test]
-fn go122_loopvar_semantics_option_removes_race() {
-    let racy = r#"
-package main
-
-import "sync"
-
-func Main() {
-	nums := []int{0, 1, 2}
-	var wg sync.WaitGroup
-	for _, num := range nums {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			use(num)
-		}()
-	}
-	wg.Wait()
-}
-
-func use(x int) {}
-"#;
-    let prog = compile_sources(
-        &[("main.go".to_owned(), racy.to_owned())],
-        &CompileOptions {
-            loopvar_per_iteration: true,
-        },
-    )
-    .unwrap();
-    for seed in 0..16 {
-        let mut vm = Vm::new(
-            &prog,
-            VmOptions {
-                seed,
-                ..VmOptions::default()
-            },
-        );
-        let r = vm.run("Main", vec![]);
-        assert!(r.races.is_empty(), "go 1.22 semantics should not race");
-    }
-}
-
-#[test]
 fn mutex_protected_counter_is_clean_and_unprotected_races() {
     let racy = r#"
 package main

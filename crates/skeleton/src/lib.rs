@@ -35,15 +35,14 @@ use golite::ast::{Decl, File};
 use golite::diag::{Diag, Result};
 use golite::span::LineMap;
 
-/// Options controlling skeletonization.
+/// Options controlling skeletonization. Slicing itself is not optional:
+/// every skeleton keeps only concurrency constructs and the statements
+/// that touch a racy variable.
 #[derive(Debug, Clone, Default)]
 pub struct SkeletonOptions {
     /// Additional variable names to treat as racy (beyond those found on
     /// the racy lines).
     pub extra_racy_vars: Vec<String>,
-    /// Keep every statement (skip the slicing step, rename only). Used by
-    /// ablations that embed raw structure.
-    pub no_slicing: bool,
 }
 
 /// A produced skeleton.
@@ -151,7 +150,7 @@ pub fn skeletonize_file(
 
     for f in &selected {
         functions.push(f.name.clone());
-        let renamed = renamer.rename_func(slice_function(f, &racy_vars, opts.no_slicing));
+        let renamed = renamer.rename_func(slice_function(f, &racy_vars));
         pieces.push(golite::print_func(&renamed));
     }
 
@@ -325,35 +324,6 @@ func (t *Scanner) runShards() {
         assert!(sk.text.contains(".Range(func"), "{}", sk.text);
         assert!(sk.text.contains(".Delete("), "{}", sk.text);
         assert!(!sk.text.contains("lockMap"), "{}", sk.text);
-    }
-
-    #[test]
-    fn no_slicing_option_keeps_everything() {
-        let src = r#"
-package p
-
-func f() {
-	shared := 0
-	noiseOnly := 1
-	use(noiseOnly)
-	go func() {
-		shared = 1
-	}()
-	use(shared)
-}
-"#;
-        let full = skeletonize(
-            src,
-            &[9],
-            &SkeletonOptions {
-                no_slicing: true,
-                ..SkeletonOptions::default()
-            },
-        )
-        .unwrap();
-        let sliced = skeletonize(src, &[9], &SkeletonOptions::default()).unwrap();
-        assert!(full.text.len() > sliced.text.len());
-        assert!(full.text.contains("v1"), "{}", full.text);
     }
 
     #[test]

@@ -7,12 +7,9 @@ use crate::relevance::{stmt_has_concurrency, stmt_touches_vars};
 use golite::ast::*;
 
 /// Slices one function, returning a copy whose body keeps only relevant
-/// statements. `keep_all` skips slicing (rename-only skeletons).
-pub fn slice_function(f: &FuncDecl, vars: &[String], keep_all: bool) -> FuncDecl {
+/// statements.
+pub fn slice_function(f: &FuncDecl, vars: &[String]) -> FuncDecl {
     let mut out = f.clone();
-    if keep_all {
-        return out;
-    }
     if let Some(body) = &f.body {
         out.body = Some(slice_block(body, vars));
     }
@@ -251,7 +248,7 @@ mod tests {
             "package p\nfunc f() {\n\tx := 0\n\ta := 1\n\tb := a + 2\n\tuse(b)\n\tgo func() {\n\t\tx = 1\n\t}()\n\tuse2(x)\n}\n",
             "f",
         );
-        let sliced = slice_function(&f, &["x".to_owned()], false);
+        let sliced = slice_function(&f, &["x".to_owned()]);
         let body = sliced.body.unwrap();
         // x := 0, go stmt, use2(x) survive; a/b noise dropped.
         assert_eq!(body.stmts.len(), 3);
@@ -263,7 +260,7 @@ mod tests {
             "package p\nfunc f() {\n\tx := 0\n\tgo func() {\n\t\tnoise()\n\t\tx = 1\n\t}()\n}\n",
             "f",
         );
-        let sliced = slice_function(&f, &["x".to_owned()], false);
+        let sliced = slice_function(&f, &["x".to_owned()]);
         let printed = golite::print_func(&sliced);
         assert!(printed.contains("go func()"));
         assert!(printed.contains("x = 1"));
@@ -276,7 +273,7 @@ mod tests {
             "package p\nfunc f(ch chan int) {\n\tselect {\n\tcase v := <-ch:\n\t\tuse(v)\n\tdefault:\n\t\tnoise()\n\t}\n}\n",
             "f",
         );
-        let sliced = slice_function(&f, &[], false);
+        let sliced = slice_function(&f, &[]);
         let printed = golite::print_func(&sliced);
         assert!(printed.contains("select"));
     }
@@ -287,7 +284,7 @@ mod tests {
             "package p\nfunc f() {\n\tif cond() {\n\t\tnoise()\n\t}\n\tmu.Lock()\n}\n",
             "f",
         );
-        let sliced = slice_function(&f, &[], false);
+        let sliced = slice_function(&f, &[]);
         let printed = golite::print_func(&sliced);
         assert!(!printed.contains("if "));
         assert!(printed.contains("mu.Lock()"));

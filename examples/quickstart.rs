@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use drfix::{DrFix, PipelineConfig};
+use drfix::{DrFix, PipelineConfig, ValidationOptions};
 use govm::{compile_sources, CompileOptions, TestConfig};
 
 const RACY: &str = r#"package app
@@ -86,7 +86,20 @@ fn main() {
     println!("{}", patch[0].1);
 
     // 4. Confirm the patch is clean under fresh schedules.
-    let verdict = drfix::validate_patch(&patch, "TestRefreshQuota", &report.bug_hash(), 32, 99);
+    let cfg = TestConfig {
+        runs: 32,
+        seed: 99,
+        stop_on_race: false,
+        ..TestConfig::default()
+    };
+    let verdict = drfix::validate_patch_report(
+        &patch,
+        "TestRefreshQuota",
+        &report.bug_hash(),
+        &cfg,
+        &ValidationOptions::default(),
+    )
+    .verdict;
     println!("re-validation: {verdict:?}");
     assert!(verdict.is_ok());
 }

@@ -81,11 +81,10 @@ fn main() {
         &racy_lines,
         &SkeletonOptions {
             extra_racy_vars: vec!["total".into()],
-            no_slicing: false,
         },
     )
     .expect("skeletonizes");
-    println!("\nconcurrency skeleton (what the vector DB indexes):");
+    println!("\nconcurrency skeleton (what the example database indexes):");
     println!("{}", sk.text);
 
     // Embedding locality: the skeleton of a same-shape race lands close.

@@ -5,8 +5,9 @@
 //!
 //! - [`golite`] / [`govm`] / [`racedet`] — the Go-subset substrate:
 //!   frontend, schedule-fuzzing VM, and FastTrack race detector;
-//! - [`skeleton`] / [`embed`] / [`vecdb`] — the retrieval stack:
-//!   concurrency slicing, embeddings, and the vector store;
+//! - [`skeleton`] / [`embed`] — the retrieval stack: concurrency
+//!   slicing and embeddings (the example database that retrieves by
+//!   cosine similarity is `drfix::database`);
 //! - [`synthllm`] — the deterministic model substitute;
 //! - [`corpus`] — the synthetic racy-Go workload generator;
 //! - [`statcheck`] — the lockset/lock-order static analyzer gating
@@ -27,4 +28,3 @@ pub use racedet;
 pub use skeleton;
 pub use statcheck;
 pub use synthllm;
-pub use vecdb;

@@ -2,7 +2,8 @@
 //! corpora, plus invariants that tie the subsystems together.
 
 use corpus::{generate_eval_corpus, generate_example_db, CorpusConfig};
-use drfix::{DrFix, ExampleDb, PipelineConfig, RagMode};
+use drfix::{DrFix, ExampleDb, PipelineConfig, RagMode, ValidationOptions};
+use govm::TestConfig;
 use synthllm::ModelTier;
 
 fn small_world(n: usize, seed: u64) -> (Vec<corpus::RaceCase>, ExampleDb) {
@@ -61,13 +62,20 @@ fn produced_patches_really_eliminate_the_race() {
         // Re-validate with fresh seeds and more schedules than the
         // pipeline used — the fix must hold, not just have gotten lucky.
         let patch = o.patch.expect("patch present on success");
-        let verdict = drfix::validate_patch(
+        let cfg = TestConfig {
+            runs: 32,
+            seed: 0xF0E5,
+            stop_on_race: false,
+            ..TestConfig::default()
+        };
+        let verdict = drfix::validate_patch_report(
             &patch,
             &case.test,
             o.bug_hash.as_deref().unwrap_or(""),
-            32,
-            0xF0E5,
-        );
+            &cfg,
+            &ValidationOptions::default(),
+        )
+        .verdict;
         assert!(
             verdict.is_ok(),
             "{}: patch failed independent re-validation: {:?}",
